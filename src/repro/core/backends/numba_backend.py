@@ -38,7 +38,7 @@ def _kernels():  # pragma: no cover - requires numba
     """Compile (once) and return the jitted kernel trio."""
     if _JIT_CACHE:
         return _JIT_CACHE
-    from numba import njit
+    from numba import njit  # qa504: allow — only after the guarded import found numba
 
     @njit(cache=True)
     def batch_rt(satT, strides, num_disks, lo, hi, out):

@@ -214,9 +214,10 @@ def degraded_optimal_response_time(
     With ``S`` surviving disks all healthy this is the familiar
     ``ceil(n / S)``.  With stragglers it is the smallest ``T`` such that
     the surviving disks can absorb ``n`` buckets when disk ``d`` finishes
-    ``floor(T / factor_d)`` of them by time ``T`` — a lower bound on any
-    planner, replicated or not (it ignores placement constraints
-    entirely).
+    the largest ``L`` with ``L * factor_d <= T`` of them by time ``T``
+    (:meth:`FaultScenario.capacity`) — a lower bound on any planner,
+    replicated or not (it ignores placement constraints entirely), and
+    always reachable by some placement-free assignment.
     """
     surviving = scenario.surviving()
     if num_buckets < 0:
@@ -242,9 +243,7 @@ def degraded_optimal_response_time(
         }
     )
     for time in candidates:
-        capacity = sum(
-            int(time / factor + 1e-9) for factor in factors
-        )
+        capacity = sum(scenario.capacity(d, time) for d in surviving)
         if capacity >= num_buckets:
             return float(time)
     return float(candidates[-1])

@@ -178,6 +178,25 @@ class FaultScenario:
         """Service-time multiplier of ``disk`` (1.0 when healthy)."""
         return float(self._factors[int(disk)])
 
+    def capacity(self, disk: int, time: float) -> int:
+        """Most buckets ``disk`` finishes by ``time`` (0 if it failed).
+
+        The largest integer ``L`` with ``L * factor(disk) <= time``,
+        decided on the float product itself — the same product every
+        candidate completion time is built from — so a time exactly
+        reachable by ``L`` buckets always admits them and no fudge
+        epsilon ever admits an ``L`` whose finish time exceeds ``time``.
+        """
+        if self.is_failed(disk) or time <= 0:
+            return 0
+        factor = self.factor(disk)
+        load = int(time / factor)
+        while (load + 1) * factor <= time:
+            load += 1
+        while load > 0 and load * factor > time:
+            load -= 1
+        return load
+
     def surviving(self) -> Tuple[int, ...]:
         """Ids of the disks still serving, ascending."""
         return tuple(

@@ -77,7 +77,7 @@ def load_project(
             )
             continue
         project.modules[display] = ModuleSource(
-            path=display, source=source, tree=tree
+            path=display, source=source, tree=tree, file=path.resolve()
         )
     return project, errors
 

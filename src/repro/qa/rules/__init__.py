@@ -16,6 +16,7 @@ import ast
 import enum
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Type
 
 from repro.qa.diagnostics import Finding, Severity
@@ -39,6 +40,9 @@ class ModuleSource:
     path: str
     source: str
     tree: ast.Module
+    #: Absolute location on disk; ``None`` for in-memory sources.  Rules
+    #: that read files next to a module (``pyproject.toml``) need it.
+    file: Optional[Path] = None
 
     @property
     def is_public(self) -> bool:

@@ -2,8 +2,8 @@
 
 The extension the paper scopes out ("we do not consider techniques where a
 data subspace can be assigned to more than one disk"), built: chained and
-orthogonal replication plus an exact max-flow planner that picks a replica
-per bucket to minimize the busiest disk.
+orthogonal replication plus an exact pair-class planner that picks a
+replica per bucket to minimize the busiest disk.
 """
 
 from repro.replication.allocation import (

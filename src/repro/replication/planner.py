@@ -4,22 +4,42 @@ With two copies per bucket, answering a query becomes an assignment
 problem: pick one disk from each bucket's pair so the busiest disk reads
 as few buckets as possible.  Two planners are provided:
 
-* :func:`plan_query` with ``method="flow"`` — **exact**: binary-search the
-  answer ``T`` and test feasibility as a bipartite degree-constrained
-  assignment via max-flow (source -> buckets (cap 1) -> their two disks ->
-  sink (cap T)).  Polynomial and fast at this problem size.
-* ``method="greedy"`` — assign buckets in decreasing scarcity order to the
+* :func:`plan_query` with ``method="flow"`` — **exact**, and sized by the
+  array rather than the query.  A bucket only ever chooses between its
+  (primary, backup) disks, and buckets sharing that pair are
+  interchangeable, so the query collapses into at most ``M * (M - 1)``
+  *pair classes* counted in one numpy pass (``bincount`` of
+  ``primary * M + backup`` over the clipped window).  Feasibility of a
+  target time ``T`` is then a capacitated orientation of those classes:
+  start with every bucket on its primary and run a small integer
+  augmenting-path max-flow on the ``M``-disk graph, where an arc
+  ``u -> v`` carries the buckets on ``u`` whose other copy is on ``v``,
+  from over-capacity disks to disks with room.  A binary search over the
+  achievable ``T`` — from the ``ceil(n / S)`` information bound over the
+  ``S <= M`` disks the query can use, up to the all-primary plan's time
+  — finds the optimum, each step warm-started from the last feasible
+  orientation.
+* ``method="greedy"`` — assign buckets in row-major order to the
   currently less-loaded of their two disks.  Near-optimal in practice and
   what a real executor would run.
+
+The exact planner's class flows expand to :attr:`QueryPlan.assignment`
+deterministically: within each (primary, backup) class the first ``x``
+buckets in row-major order read the primary and the rest the backup.
 
 Both planners also run in **degraded mode**: pass a
 :class:`~repro.faults.models.FaultScenario` and the planner only considers
 surviving replicas (a bucket with both copies on failed disks is recorded
 as *lost*), while straggler factors turn the objective into the weighted
-completion time ``max_d load_d * factor_d``.  The flow path stays exact by
-binary-searching over the discrete set of achievable completion times and
-translating each candidate ``T`` into per-disk capacities
-``floor(T / factor_d)``.
+completion time ``max_d load_d * factor_d``.  The exact path maps each
+class to its surviving choices (both disks, one forced disk, or lost) and
+binary-searches the discrete set of ``load * factor`` products.  A
+candidate ``T`` becomes per-disk capacities through
+:meth:`~repro.faults.models.FaultScenario.capacity` — the largest ``L``
+with ``L * factor_d <= T`` on the same float products — so capacities
+are exact: no epsilon can admit a load that finishes after ``T`` or
+refuse one that finishes exactly at it.  The solver is plain Python and
+numpy; the planner has no graph-library dependency.
 
 The headline facts the tests pin down: with a sensible replica layout the
 *planned* response time of the small queries that plague DM collapses to
@@ -31,12 +51,13 @@ surviving copies).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cost import optimal_response_time
 from repro.core.exceptions import QueryError
 from repro.core.query import RangeQuery
 from repro.faults.models import FaultScenario
@@ -103,20 +124,6 @@ class QueryPlan:
         return not self.lost
 
 
-def _query_buckets(
-    replicated: ReplicatedAllocation, query: RangeQuery
-) -> List[Coords]:
-    grid = replicated.grid
-    if query.ndim != grid.ndim:
-        raise QueryError(
-            f"{query.ndim}-d query does not match {grid.ndim}-d grid"
-        )
-    clipped = query.clip_to(grid)
-    if clipped is None:
-        return []
-    return list(clipped.iter_buckets())
-
-
 def _greedy_assignment(
     replicated: ReplicatedAllocation, buckets: List[Coords]
 ) -> Dict[Coords, int]:
@@ -131,80 +138,6 @@ def _greedy_assignment(
         assignment[coords] = choice
         loads[choice] += 1
     return assignment
-
-
-def _flow_feasible(
-    choices: Sequence[Tuple[int, ...]],
-    num_disks: int,
-    capacities: Sequence[int],
-) -> Dict[int, int]:
-    """Assignment with per-disk load <= capacities[d], or {} if infeasible.
-
-    Max-flow on: source -> bucket_i (cap 1) -> its surviving disks (cap 1)
-    -> sink (cap capacities[d]).  Feasible iff the max flow saturates all
-    buckets.
-    """
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    source, sink = "s", "t"
-    for i, disks in enumerate(choices):
-        bucket = ("b", i)
-        graph.add_edge(source, bucket, capacity=1)
-        for disk in disks:
-            graph.add_edge(bucket, ("d", disk), capacity=1)
-    for disk in range(num_disks):
-        node = ("d", disk)
-        if graph.has_node(node):
-            graph.add_edge(node, sink, capacity=int(capacities[disk]))
-    value, flow = nx.maximum_flow(graph, source, sink)
-    if value < len(choices):
-        return {}
-    assignment = {}
-    for i in range(len(choices)):
-        bucket = ("b", i)
-        for target, units in flow[bucket].items():
-            if units > 0:
-                assignment[i] = target[1]
-                break
-    return assignment
-
-
-def _plan_healthy(
-    replicated: ReplicatedAllocation,
-    buckets: List[Coords],
-    method: str,
-) -> Dict[Coords, int]:
-    """The original healthy-array planner (unweighted busiest disk)."""
-    num_disks = replicated.num_disks
-    if method == "greedy":
-        return _greedy_assignment(replicated, buckets)
-    pairs = [replicated.disks_of(coords) for coords in buckets]
-    choices = [
-        (primary,) if primary == backup else (primary, backup)
-        for primary, backup in pairs
-    ]
-    greedy = _greedy_assignment(replicated, buckets)
-    upper = int(
-        np.bincount(
-            list(greedy.values()), minlength=num_disks
-        ).max()
-    )
-    lower = optimal_response_time(len(buckets), num_disks)
-    best: Dict[int, int] = {}
-    while lower < upper:
-        middle = (lower + upper) // 2
-        candidate = _flow_feasible(
-            choices, num_disks, [middle] * num_disks
-        )
-        if candidate:
-            best = candidate
-            upper = middle
-        else:
-            lower = middle + 1
-    if best:
-        return {coords: best[i] for i, coords in enumerate(buckets)}
-    return greedy  # greedy already achieved the bound
 
 
 def _surviving_choices(
@@ -252,69 +185,174 @@ def _greedy_weighted(
     return assignment
 
 
-def _completion_of(
-    assignment: Dict[Coords, int],
-    scenario: FaultScenario,
-    num_disks: int,
-) -> float:
-    loads = np.bincount(
-        list(assignment.values()), minlength=num_disks
-    )
-    return float((loads * scenario.factors).max()) if loads.size else 0.0
-
-
-def _plan_degraded(
+def _plan_greedy(
     replicated: ReplicatedAllocation,
     buckets: List[Coords],
-    scenario: FaultScenario,
-    method: str,
+    scenario: Optional[FaultScenario],
 ) -> Tuple[Dict[Coords, int], Tuple[Coords, ...]]:
-    """Planner that avoids failed disks and minimizes weighted finish time."""
-    num_disks = replicated.num_disks
+    """The heuristic planner, healthy or degraded."""
+    if scenario is None:
+        return _greedy_assignment(replicated, buckets), ()
     kept, choices, lost = _surviving_choices(
         replicated, buckets, scenario
     )
-    if not kept:
-        return {}, tuple(lost)
-    greedy = _greedy_weighted(kept, choices, scenario, num_disks)
-    if method == "greedy":
-        return greedy, tuple(lost)
-
-    greedy_time = _completion_of(greedy, scenario, num_disks)
-    used_disks = sorted({d for alive in choices for d in alive})
-    # Achievable completion times are load * factor products; binary-search
-    # the smallest feasible one, translating T into per-disk capacities.
-    candidates = sorted(
-        {
-            load * scenario.factor(disk)
-            for disk in used_disks
-            for load in range(1, len(kept) + 1)
-            if load * scenario.factor(disk) <= greedy_time + 1e-9
-        }
+    assignment = _greedy_weighted(
+        kept, choices, scenario, replicated.num_disks
     )
-    best_assignment: Dict[int, int] = {}
-    lower, upper = 0, len(candidates) - 1
-    while lower < upper:
-        middle = (lower + upper) // 2
-        time = candidates[middle]
+    return assignment, tuple(lost)
+
+
+def _rebalance(
+    movable: List[List[int]], loads: List[int], capacities: List[int]
+) -> bool:
+    """Move buckets between their copies until every load fits, in place.
+
+    Integer augmenting-path max-flow (shortest paths first) on the disk
+    graph: ``movable[u][v]`` buckets sit on ``u`` with their other copy on
+    ``v``; sources are disks over capacity, sinks disks with room.  Moving
+    ``delta`` buckets along ``u -> v`` turns them into ``v -> u`` arcs,
+    which is the residual edge.  Returns whether every excess was routed;
+    on ``False`` the arguments are left partially rebalanced.
+    """
+    num_disks = len(loads)
+    excess = [max(load - cap, 0) for load, cap in zip(loads, capacities)]
+    room = [max(cap - load, 0) for load, cap in zip(loads, capacities)]
+    if sum(excess) > sum(room):
+        return False
+    while True:
+        sources = [disk for disk in range(num_disks) if excess[disk]]
+        if not sources:
+            return True
+        parent = [-1] * num_disks
+        for disk in sources:
+            parent[disk] = disk
+        queue = deque(sources)
+        sink = -1
+        while queue and sink < 0:
+            u = queue.popleft()
+            row = movable[u]
+            for v in range(num_disks):
+                if row[v] and parent[v] < 0:
+                    parent[v] = u
+                    if room[v]:
+                        sink = v
+                        break
+                    queue.append(v)
+        if sink < 0:
+            return False
+        delta = room[sink]
+        v = sink
+        while parent[v] != v:
+            u = parent[v]
+            delta = min(delta, movable[u][v])
+            v = u
+        source = v
+        delta = min(delta, excess[source])
+        v = sink
+        while parent[v] != v:
+            u = parent[v]
+            movable[u][v] -= delta
+            movable[v][u] += delta
+            v = u
+        excess[source] -= delta
+        room[sink] -= delta
+        loads[source] -= delta
+        loads[sink] += delta
+
+
+def _plan_exact(
+    replicated: ReplicatedAllocation,
+    clipped: RangeQuery,
+    scenario: FaultScenario,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Optimal per-bucket disks and the lost mask, both row-major.
+
+    The optimum over pair classes: see the module docstring.  Lost
+    buckets' entries in the returned disk array are meaningless.
+    """
+    num_disks = replicated.num_disks
+    window = clipped.slices()
+    primary = replicated.primary.table[window].ravel().astype(np.int64)
+    backup = replicated.backup.table[window].ravel().astype(np.int64)
+    key = primary * num_disks + backup
+    counts = np.bincount(key, minlength=num_disks * num_disks)
+    failed = np.zeros(num_disks, dtype=bool)
+    failed[sorted(scenario.failed)] = True
+    lost = failed[primary] & failed[backup]
+
+    # All-primary (or sole survivor) start: a feasible plan to improve.
+    class_counts = counts.tolist()
+    dead = failed.tolist()
+    movable = [[0] * num_disks for _ in range(num_disks)]
+    loads = [0] * num_disks
+    usable = set()
+    classes = np.flatnonzero(counts).tolist()
+    for cls in classes:
+        p, b = divmod(cls, num_disks)
+        if dead[p] and dead[b]:
+            continue
+        size = class_counts[cls]
+        if dead[p]:
+            loads[b] += size
+            usable.add(b)
+            continue
+        loads[p] += size
+        usable.add(p)
+        if not dead[b]:
+            movable[p][b] += size
+            usable.add(b)
+    served = sum(loads)
+    if not served:
+        return primary, lost
+
+    factors = scenario.factors.tolist()
+    upper = max(loads[d] * factors[d] for d in usable)
+    lower = -(-served // len(usable))  # factors >= 1: T >= max load
+    distinct = sorted({factors[d] for d in usable})
+    candidates = np.unique(
+        np.outer(np.arange(1, served + 1, dtype=np.int64), distinct)
+    )
+    low = int(np.searchsorted(candidates, lower, side="left"))
+    high = int(np.searchsorted(candidates, upper, side="right")) - 1
+    while low < high:
+        middle = (low + high) // 2
+        time = float(candidates[middle])
+        trial = [row[:] for row in movable]
+        trial_loads = loads[:]
         capacities = [
-            int(time / scenario.factor(disk) + 1e-9)
-            if not scenario.is_failed(disk)
-            else 0
-            for disk in range(num_disks)
+            scenario.capacity(disk, time) for disk in range(num_disks)
         ]
-        candidate = _flow_feasible(choices, num_disks, capacities)
-        if candidate:
-            best_assignment = candidate
-            upper = middle
+        if _rebalance(trial, trial_loads, capacities):
+            movable, loads = trial, trial_loads
+            high = middle
         else:
-            lower = middle + 1
-    if best_assignment:
-        return (
-            {coords: best_assignment[i] for i, coords in enumerate(kept)},
-            tuple(lost),
-        )
-    return greedy, tuple(lost)  # greedy already achieved the bound
+            low = middle + 1
+
+    # movable[p][b] counts the buckets of both classes (p, b) and (b, p)
+    # that sit on p.  Hand them back per class — the class whose primary
+    # is the smaller disk keeps its primaries first — then send the
+    # first x buckets of each class (row-major) to its primary.
+    to_primary = np.zeros(num_disks * num_disks, dtype=np.int64)
+    for cls in classes:
+        p, b = divmod(cls, num_disks)
+        if dead[p]:
+            continue
+        size = class_counts[cls]
+        if dead[b]:
+            to_primary[cls] = size
+        elif p < b:
+            to_primary[cls] = min(size, movable[p][b])
+        else:
+            other = class_counts[b * num_disks + p]
+            to_primary[cls] = (
+                movable[p][b] - other + min(other, movable[b][p])
+            )
+    order = np.argsort(key, kind="stable")
+    starts = np.cumsum(counts) - counts
+    rank = np.empty_like(key)
+    rank[order] = np.arange(key.size) - starts[key[order]]
+    disks = np.where(rank < to_primary[key], primary, backup)
+    return disks, lost
 
 
 def plan_query(
@@ -334,39 +372,55 @@ def plan_query(
         raise QueryError(
             f"unknown planning method {method!r}; use 'flow' or 'greedy'"
         )
-    if scenario is not None and scenario.num_disks != replicated.num_disks:
+    num_disks = replicated.num_disks
+    if scenario is not None and scenario.num_disks != num_disks:
         raise QueryError(
             f"scenario covers {scenario.num_disks} disks but the "
-            f"allocation uses {replicated.num_disks}"
+            f"allocation uses {num_disks}"
         )
-    buckets = _query_buckets(replicated, query)
-    num_disks = replicated.num_disks
+    grid = replicated.grid
+    if query.ndim != grid.ndim:
+        raise QueryError(
+            f"{query.ndim}-d query does not match {grid.ndim}-d grid"
+        )
     degraded = scenario is not None and not scenario.is_healthy
-    if not buckets:
+    factors = scenario.factors if degraded else None
+    clipped = query.clip_to(grid)
+    if clipped is None:
         return QueryPlan(
             query=query,
             assignment={},
             loads=np.zeros(num_disks, dtype=np.int64),
-            factors=scenario.factors if degraded else None,
+            factors=factors,
         )
 
-    lost: Tuple[Coords, ...] = ()
-    if degraded:
-        assert scenario is not None
-        assignment, lost = _plan_degraded(
-            replicated, buckets, scenario, method
+    buckets = list(clipped.iter_buckets())
+    if method == "greedy":
+        assignment, lost = _plan_greedy(
+            replicated, buckets, scenario if degraded else None
+        )
+        chosen = np.fromiter(
+            assignment.values(), dtype=np.int64, count=len(assignment)
         )
     else:
-        assignment = _plan_healthy(replicated, buckets, method)
-
-    loads = np.zeros(num_disks, dtype=np.int64)
-    for disk in assignment.values():
-        loads[disk] += 1
+        chosen, lost_mask = _plan_exact(
+            replicated,
+            clipped,
+            scenario if degraded else FaultScenario.healthy(num_disks),
+        )
+        lost = ()
+        if lost_mask.any():
+            lost = tuple(compress(buckets, lost_mask.tolist()))
+            buckets = list(compress(buckets, (~lost_mask).tolist()))
+            chosen = chosen[~lost_mask]
+        assignment = dict(zip(buckets, chosen.tolist()))
     return QueryPlan(
         query=query,
         assignment=assignment,
-        loads=loads,
-        factors=scenario.factors if degraded else None,
+        loads=np.bincount(chosen, minlength=num_disks).astype(
+            np.int64, copy=False
+        ),
+        factors=factors,
         lost=lost,
     )
 

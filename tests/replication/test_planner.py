@@ -334,3 +334,314 @@ class TestDegradedPlanning:
         assert plan.num_buckets == 0
         assert plan.completion_time == 0.0
         assert plan.is_complete
+
+
+def _random_replicated(rng, style):
+    """A seeded chained or orthogonal replicated allocation, M in 2..6."""
+    from repro.core.allocation import DiskAllocation
+    from repro.replication import ReplicatedAllocation
+
+    num_disks = int(rng.integers(2, 7))
+    dims = tuple(int(side) for side in rng.integers(2, 7, size=2))
+    grid = Grid(dims)
+    primary = rng.integers(0, num_disks, size=dims)
+    if style == "chained":
+        return chained_replication(
+            DiskAllocation(grid, num_disks, primary),
+            offset=int(rng.integers(1, num_disks)),
+        )
+    backup = rng.integers(0, num_disks, size=dims)
+    clash = backup == primary
+    backup[clash] = (backup[clash] + 1) % num_disks
+    return ReplicatedAllocation(
+        DiskAllocation(grid, num_disks, primary),
+        DiskAllocation(grid, num_disks, backup),
+    )
+
+
+def _random_small_query(rng, grid, max_buckets=12):
+    """A seeded query of at most ``max_buckets`` buckets inside ``grid``."""
+    origin = tuple(int(rng.integers(0, side)) for side in grid.dims)
+    shape = [
+        int(rng.integers(1, side - start + 1))
+        for start, side in zip(origin, grid.dims)
+    ]
+    while int(np.prod(shape)) > max_buckets:
+        axis = int(np.argmax(shape))
+        shape[axis] -= 1
+    return query_at(origin, shape)
+
+
+_ORACLE_FACTORS = (4 / 3, 1.1, 1.7, 1 + 1e-10, 3.0)
+
+
+def _random_scenario(rng, num_disks):
+    """FailStop and Slowdown faults drawn from the oracle factor set."""
+    faults = []
+    num_failed = int(rng.integers(0, num_disks))
+    if num_failed:
+        faults.append(
+            FailStop(
+                int(d)
+                for d in rng.choice(num_disks, num_failed, replace=False)
+            )
+        )
+    for _ in range(int(rng.integers(0, 3))):
+        factor = _ORACLE_FACTORS[int(rng.integers(0, len(_ORACLE_FACTORS)))]
+        faults.append(Slowdown(int(rng.integers(0, num_disks)), factor))
+    return FaultScenario(num_disks, faults)
+
+
+def _brute_force_completion(replicated, query, scenario):
+    """Best weighted completion over every surviving replica choice."""
+    num_disks = replicated.num_disks
+    factors = scenario.factors if scenario is not None else np.ones(
+        num_disks
+    )
+    forced = np.zeros(num_disks, dtype=np.int64)
+    pairs = []
+    for coords in query.iter_buckets():
+        alive = [
+            disk
+            for disk in replicated.disks_of(coords)
+            if scenario is None or not scenario.is_failed(disk)
+        ]
+        if len(alive) == 2:
+            pairs.append(alive)
+        elif alive:
+            forced[alive[0]] += 1
+    if not pairs:
+        return float((forced * factors).max())
+    pairs = np.array(pairs)
+    picks = (
+        np.arange(1 << len(pairs))[:, None] >> np.arange(len(pairs))
+    ) & 1
+    chosen = pairs[np.arange(len(pairs)), picks]
+    loads = forced + np.stack(
+        [(chosen == disk).sum(axis=1) for disk in range(num_disks)], axis=1
+    )
+    return float((loads * factors).max(axis=1).min())
+
+
+class TestRandomOptimalityOracle:
+    """Exact planner vs brute force on seeded random small instances."""
+
+    @pytest.mark.parametrize("style", ["chained", "orthogonal"])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_healthy_matches_brute_force(self, style, seed):
+        rng = np.random.default_rng(1000 + seed)
+        replicated = _random_replicated(rng, style)
+        for _ in range(4):
+            query = _random_small_query(rng, replicated.grid)
+            plan = plan_query(replicated, query)
+            assert plan.response_time == _brute_force_completion(
+                replicated, query, None
+            )
+            self._check_plan(replicated, query, plan, None)
+
+    @pytest.mark.parametrize("style", ["chained", "orthogonal"])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_degraded_matches_brute_force(self, style, seed):
+        rng = np.random.default_rng(2000 + seed)
+        replicated = _random_replicated(rng, style)
+        for _ in range(4):
+            query = _random_small_query(rng, replicated.grid)
+            scenario = _random_scenario(rng, replicated.num_disks)
+            plan = plan_query(replicated, query, scenario=scenario)
+            assert plan.completion_time == _brute_force_completion(
+                replicated, query, scenario
+            )
+            self._check_plan(replicated, query, plan, scenario)
+
+    @staticmethod
+    def _check_plan(replicated, query, plan, scenario):
+        def dead(disk):
+            return scenario is not None and scenario.is_failed(disk)
+
+        expected_lost = [
+            coords
+            for coords in query.iter_buckets()
+            if all(dead(disk) for disk in replicated.disks_of(coords))
+        ]
+        assert list(plan.lost) == expected_lost
+        for coords, disk in plan.assignment.items():
+            assert disk in replicated.disks_of(coords)
+            assert not dead(disk)
+        assert len(plan.assignment) + plan.num_lost == query.num_buckets
+        assert np.array_equal(
+            plan.loads,
+            np.bincount(
+                list(plan.assignment.values()),
+                minlength=replicated.num_disks,
+            ),
+        )
+        again = plan_query(replicated, query, scenario=scenario)
+        assert again.assignment == plan.assignment
+        assert again.lost == plan.lost
+
+
+def _networkx_completion(replicated, query, scenario):
+    """Reference optimum: binary search over per-bucket max-flow graphs."""
+    nx = pytest.importorskip("networkx")
+    num_disks = replicated.num_disks
+    factors = scenario.factors.tolist() if scenario else [1.0] * num_disks
+    choices = [
+        [
+            disk
+            for disk in replicated.disks_of(coords)
+            if scenario is None or not scenario.is_failed(disk)
+        ]
+        for coords in query.iter_buckets()
+    ]
+    choices = [alive for alive in choices if alive]
+    alive_disks = {disk for alive in choices for disk in alive}
+    candidates = sorted(
+        {
+            load * factors[disk]
+            for disk in alive_disks
+            for load in range(1, len(choices) + 1)
+        }
+    )
+
+    def feasible(time):
+        graph = nx.DiGraph()
+        for index, alive in enumerate(choices):
+            graph.add_edge("s", ("b", index), capacity=1)
+            for disk in alive:
+                graph.add_edge(("b", index), ("d", disk), capacity=1)
+        for disk in alive_disks:
+            capacity = 0
+            while (capacity + 1) * factors[disk] <= time:
+                capacity += 1
+            graph.add_edge(("d", disk), "t", capacity=capacity)
+        return nx.maximum_flow_value(graph, "s", "t") == len(choices)
+
+    low, high = 0, len(candidates) - 1
+    while low < high:
+        middle = (low + high) // 2
+        if feasible(candidates[middle]):
+            high = middle
+        else:
+            low = middle + 1
+    return candidates[low]
+
+
+class TestNetworkxDifferential:
+    """Larger instances (50-200 buckets) against a networkx max-flow."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_optimum_matches_networkx(self, seed):
+        pytest.importorskip("networkx")
+        rng = np.random.default_rng(3000 + seed)
+        num_disks = int(rng.integers(3, 13))
+        grid = Grid((20, 20))
+        style = "chained" if seed % 2 else "orthogonal"
+        if style == "chained":
+            replicated = chained_replication(
+                get_scheme("hcam").allocate(grid, num_disks),
+                offset=int(rng.integers(1, num_disks)),
+            )
+        else:
+            replicated = orthogonal_replication(
+                grid, num_disks, "dm", "hcam"
+            )
+        rows = int(rng.integers(5, 15))
+        cols = int(rng.integers(-(-50 // rows), min(200 // rows, 20) + 1))
+        query = query_at(
+            (int(rng.integers(0, 21 - rows)), int(rng.integers(0, 21 - cols))),
+            (rows, cols),
+        )
+        assert 50 <= query.num_buckets <= 200
+        healthy = plan_query(replicated, query)
+        assert healthy.response_time == _networkx_completion(
+            replicated, query, None
+        )
+        scenario = _random_scenario(rng, num_disks)
+        degraded = plan_query(replicated, query, scenario=scenario)
+        assert degraded.completion_time == _networkx_completion(
+            replicated, query, scenario
+        )
+
+
+class TestExactCapacities:
+    """Regressions: capacities decided on the float products themselves."""
+
+    @pytest.fixture
+    def tiny(self):
+        from repro.core.allocation import DiskAllocation
+        from repro.replication import ReplicatedAllocation
+
+        grid = Grid((3,))
+        return ReplicatedAllocation(
+            DiskAllocation(grid, 2, np.array([0, 1, 1])),
+            DiskAllocation(grid, 2, np.array([1, 0, 0])),
+        )
+
+    def test_planner_reaches_the_true_optimum(self, tiny):
+        # Two buckets on the healthy disk finish at exactly 2.0; putting
+        # two on the barely-slow disk finishes at 2.0000000002.  An
+        # epsilon-padded capacity let the planner accept the latter.
+        scenario = FaultScenario(2, [Slowdown(1, 1 + 1e-10)])
+        plan = plan_query(tiny, RangeQuery((0,), (3,)), scenario=scenario)
+        assert plan.completion_time == 2.0
+        assert plan.loads.tolist() == [2, 1]
+
+    def test_degraded_optimum_is_reachable(self):
+        # Disk 1 cannot finish a bucket by time 1.0, so two buckets need
+        # 1.0000000001 — not the 1.0 an epsilon-padded capacity claimed.
+        scenario = FaultScenario(2, [Slowdown(1, 1 + 1e-10)])
+        assert degraded_optimal_response_time(2, scenario) == (
+            scenario.factor(1)
+        )
+        assert degraded_optimal_response_time(2, scenario) > 1.0
+
+    @pytest.mark.parametrize("factor", _ORACLE_FACTORS + (0.1 * 13,))
+    def test_capacity_is_exact_at_the_product(self, factor):
+        scenario = FaultScenario(3, [FailStop(2), Slowdown(1, factor)])
+        for load in range(1, 200):
+            time = load * factor
+            assert scenario.capacity(1, time) == load
+            assert scenario.capacity(1, np.nextafter(time, 0)) == load - 1
+        assert scenario.capacity(0, 7.0) == 7
+        assert scenario.capacity(2, 7.0) == 0
+        assert scenario.capacity(0, 0.0) == 0
+
+
+class TestWithoutNetworkx:
+    """A clean install (numpy only) runs every planner consumer."""
+
+    @pytest.fixture(autouse=True)
+    def no_networkx(self, monkeypatch):
+        import sys
+
+        monkeypatch.setitem(sys.modules, "networkx", None)
+
+    def test_plans_without_networkx(self, chained_dm):
+        query = query_at((2, 2), (4, 4))
+        # DM + chained answers every 4x4 in 3 (X4 in the full report).
+        assert plan_query(chained_dm, query).response_time == 3
+        degraded = plan_query(
+            chained_dm, query, scenario=FaultScenario(8, [FailStop(1)])
+        )
+        assert degraded.is_complete
+        assert degraded.loads[1] == 0
+
+    def test_experiments_without_networkx(self):
+        from repro.experiments import exp_degraded, exp_replication
+
+        replication = exp_replication.run(
+            grid_dims=(8, 8), num_disks=4, sides=(2, 3), max_placements=6
+        )
+        assert replication.experiment_id == "X4"
+        rt, availability = exp_degraded.run(
+            grid_dims=(8, 8),
+            num_disks=4,
+            side=2,
+            failure_counts=(0, 1),
+            num_scenarios=2,
+            max_placements=6,
+        )
+        assert (rt.experiment_id, availability.experiment_id) == (
+            "X7a",
+            "X7b",
+        )
