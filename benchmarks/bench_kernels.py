@@ -53,10 +53,9 @@ __all__ = [
     'NATIVE_SMOKE_GRID',
     'NATIVE_SMOKE_GRID_ENV',
     'OBS_OVERHEAD_ITERATIONS',
-    'PARALLEL_BUILD_BUDGET',
-    'PARALLEL_BUILD_DISKS',
-    'PARALLEL_BUILD_GRID',
-    'PARALLEL_BUILD_WORKERS',
+    'STREAM_BUDGET',
+    'STREAM_DISKS',
+    'STREAM_GRID',
     'STREAM_REPETITIONS',
     'VERIFY_OVERHEAD_GRID',
     'VERIFY_OVERHEAD_REPETITIONS',
@@ -69,7 +68,6 @@ __all__ = [
     'run_native_bench',
     'run_native_report',
     'run_obs_overhead_bench',
-    'run_parallel_build_bench',
     'run_speedup_bench',
     'run_stream_bench',
     'run_verify_overhead_bench',
@@ -558,92 +556,19 @@ def run_chunked_smoke(
     }
 
 
-#: Configuration of the parallel-build and streaming-kernel sections:
-#: the CI-sized chunked table they build and query.
-PARALLEL_BUILD_GRID = (96, 96, 96)
-PARALLEL_BUILD_DISKS = 4
-PARALLEL_BUILD_BUDGET = 2 * 1024 * 1024
-PARALLEL_BUILD_WORKERS = 4
+#: Configuration of the streaming-kernel section: the CI-sized chunked
+#: table it builds and queries.
+STREAM_GRID = (96, 96, 96)
+STREAM_DISKS = 4
+STREAM_BUDGET = 2 * 1024 * 1024
 STREAM_REPETITIONS = 5
 
 
-def run_parallel_build_bench(
-    grid_dims=PARALLEL_BUILD_GRID,
-    num_disks=PARALLEL_BUILD_DISKS,
-    scheme="dm",
-    byte_budget=PARALLEL_BUILD_BUDGET,
-    workers=PARALLEL_BUILD_WORKERS,
-) -> dict:
-    """Serial vs parallel chunked build of the CI-sized table.
-
-    Builds the same multi-tile table twice — once with the classic
-    serial sweep, once with ``workers`` phase-1 processes — and asserts
-    the finished files are **byte-identical** (sha256 of the ``.npy``).
-    The wall-clock speedup is recorded together with the machine's CPU
-    count: phase 1 can only scale with real cores, so the bench gate
-    holds the ≥2x floor only where ``cpu_count >= workers`` makes it
-    physically meaningful; the identity assertion holds everywhere.
-    """
-    import hashlib
-    import os
-    import tempfile
-
-    from repro.core.sat import SummedAreaTable
-
-    grid = Grid(grid_dims)
-    scheme_obj = get_scheme(scheme)
-    digests = {}
-    seconds = {}
-    with tempfile.TemporaryDirectory(
-        prefix="repro-parbuild-"
-    ) as tmp:
-        for label, nworkers in (("serial", 1), ("parallel", workers)):
-            path = os.path.join(tmp, f"{label}.npy")
-            start = time.perf_counter()
-            sat = SummedAreaTable.build_chunked(
-                scheme_obj,
-                grid,
-                num_disks,
-                byte_budget=byte_budget,
-                path=path,
-                workers=nworkers,
-            )
-            seconds[label] = time.perf_counter() - start
-            sat.close()
-            hasher = hashlib.sha256()
-            with open(path, "rb") as handle:
-                for block in iter(lambda: handle.read(1 << 20), b""):
-                    hasher.update(block)
-            digests[label] = hasher.hexdigest()
-    byte_identical = digests["serial"] == digests["parallel"]
-    assert byte_identical, (
-        f"parallel build diverged from serial: {digests}"
-    )
-    rows = SummedAreaTable.tile_rows(grid, num_disks, byte_budget)
-    num_tiles = -(-grid_dims[0] // rows)
-    return {
-        "benchmark": "parallel_build",
-        "grid": list(grid_dims),
-        "num_disks": num_disks,
-        "scheme": scheme,
-        "byte_budget": byte_budget,
-        "tile_rows": rows,
-        "num_tiles": num_tiles,
-        "workers": workers,
-        "cpu_count": os.cpu_count() or 1,
-        "serial_seconds": round(seconds["serial"], 6),
-        "parallel_seconds": round(seconds["parallel"], 6),
-        "speedup": round(seconds["serial"] / seconds["parallel"], 2),
-        "sha256": digests["serial"],
-        "byte_identical": byte_identical,
-    }
-
-
 def run_stream_bench(
-    grid_dims=PARALLEL_BUILD_GRID,
-    num_disks=PARALLEL_BUILD_DISKS,
+    grid_dims=STREAM_GRID,
+    num_disks=STREAM_DISKS,
     scheme="dm",
-    byte_budget=PARALLEL_BUILD_BUDGET,
+    byte_budget=STREAM_BUDGET,
     num_queries=BATCH_NUM_QUERIES,
     seed=BATCH_SEED,
     repetitions=STREAM_REPETITIONS,
@@ -833,11 +758,10 @@ def run_verify_overhead_bench(
 
 def run_native_report() -> dict:
     """The full ``BENCH_native.json`` record: backends, chunked smoke,
-    parallel build, streaming kernel, verify overhead."""
+    streaming kernel, verify overhead."""
     return {
         "backend_kernels": run_native_bench(),
         "chunked_smoke": run_chunked_smoke(),
-        "parallel_build": run_parallel_build_bench(),
         "stream_kernel": run_stream_bench(),
         "verify_overhead": run_verify_overhead_bench(),
     }

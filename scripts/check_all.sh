@@ -48,49 +48,18 @@ QA_SARIF="${QA_SARIF:-qa.sarif}"
 run_step "repro qa (flow + baseline gate)" \
     python -m repro.qa --baseline qa_baseline.json --sarif "${QA_SARIF}"
 run_step "pytest (tier 1)" python -m pytest -x -q
-# Exercise the parallel experiment runner end to end (quick scale).
-run_step "parallel runner (workers=2)" \
-    python -m repro experiment all --quick --workers 2 --cache-stats
 # Degraded-mode smoke: the X7 sweep on a small grid must run clean.
 run_step "degraded mode (quick)" \
     python -m repro experiment degraded --quick
 # Self-healing smoke: crash -> checkpoint -> --resume, byte-identical.
 run_step "resume round-trip" python scripts/smoke_resume.py
-# Zero-copy workers must unlink every shared-memory segment they create,
-# and `repro doctor --gc` must collect a planted crashed-run segment.
+# A shared-memory arena must unlink every segment it publishes, and
+# `repro doctor --gc` must collect a planted crashed-run segment.
 run_step "shm leak check (+ doctor --gc)" python scripts/check_shm_leaks.py
 # Chaos smoke: injected I/O faults must land on real recovery paths —
 # kill-at-tile-boundary -> byte-identical resume, on-disk corruption ->
 # detected + rebuilt, compile fault -> numpy-reference degradation.
 run_step "chaos smoke (I/O fault injection)" python scripts/smoke_chaos.py
-# Parallel-build chaos: a 4-worker build has one phase-1 worker killed
-# mid-shard; the parent must re-pool, finish byte-identical to a serial
-# reference, and the worker-death recovery must be visible as counters.
-pbuild_tmp="$(mktemp -d)"
-run_step "parallel build chaos (worker kill + re-pool)" \
-    python scripts/smoke_parallel_build.py \
-        --metrics-out "${pbuild_tmp}/metrics.json"
-run_step "parallel build obs check (worker death counted)" \
-    python scripts/check_obs_output.py --counters-only \
-        "${pbuild_tmp}/metrics.json" \
-        --expect-counter sat.build.worker_deaths:1 \
-        --expect-counter sat.build.parallel_builds:1
-rm -rf "${pbuild_tmp}"
-# Worker-level chaos: sabotage two shared-memory attaches during an
-# instrumented 2-worker run; the run must still complete and the
-# degradations must be visible as obs counters in the metrics export.
-chaos_tmp="$(mktemp -d)"
-run_step "chaos run (shm.attach faults, workers=2)" \
-    env REPRO_IO_FAULTS="shm.attach:2" \
-        REPRO_IO_FAULTS_STATE="${chaos_tmp}/faults" \
-    python -m repro experiment all --quick --workers 2 \
-        --trace "${chaos_tmp}/trace.jsonl" \
-        --metrics-out "${chaos_tmp}/metrics.json"
-run_step "chaos obs check (shm.attach_faults counted)" \
-    python scripts/check_obs_output.py \
-        "${chaos_tmp}/trace.jsonl" "${chaos_tmp}/metrics.json" \
-        --expect-counter shm.attach_faults:1
-rm -rf "${chaos_tmp}"
 # Serving smoke: boot the real `repro serve` daemon, SIGKILL a fleet
 # worker mid-run (must respawn and keep answering byte-identically —
 # the shared-queue lock-poisoning regression), SIGTERM-drain cleanly
@@ -113,14 +82,14 @@ rm -rf "${serve_tmp}"
 # a disabled tracer span must stay effectively free; the serve daemon
 # must answer byte-identically over the wire (qps floor on 4+ cores).
 run_step "batch + native bench gate" python scripts/check_bench_gate.py
-# Observability smoke: a fully instrumented 2-worker run with one
-# injected crash must export a valid trace + metrics pair that records
-# every experiment, the aggregate cache counters, and the retry.
+# Observability smoke: a fully instrumented run with one injected crash
+# must export a valid trace + metrics pair that records every
+# experiment, the cache counters, and the retry.
 obs_tmp="$(mktemp -d)"
 run_step "obs smoke (instrumented run + injected retry)" \
     env REPRO_RUNNER_FAULTS="E2:crash:1" \
         REPRO_RUNNER_FAULTS_STATE="${obs_tmp}/faults" \
-    python -m repro experiment all --quick --workers 2 \
+    python -m repro experiment all --quick \
         --trace "${obs_tmp}/trace.jsonl" \
         --metrics-out "${obs_tmp}/metrics.json"
 run_step "obs output check" \

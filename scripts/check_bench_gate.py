@@ -17,10 +17,7 @@ chunked summed-area-table build (``REPRO_NATIVE_SMOKE_GRID``, default
 the committed ``BENCH_native.json`` must record a completed full-scale
 1024³ smoke within its byte budget.
 
-The parallel-build leg rebuilds a CI-sized table serially and with 4
-workers and requires the two files to be byte-identical (sha256); the
-``REPRO_PARALLEL_MIN_SPEEDUP`` floor (default 2x) is armed only on
-runners with 4+ cores.  The stream leg requires the cnative streaming
+The stream leg requires the cnative streaming
 kernel to agree bit-for-bit with the streamed numpy gather over the
 same mmap table and beat it by ``REPRO_STREAM_MIN_SPEEDUP`` (default
 2x), skipped when no compiler is available.
@@ -74,7 +71,6 @@ from bench_kernels import (  # noqa: E402
     run_chunked_smoke,
     run_native_bench,
     run_obs_overhead_bench,
-    run_parallel_build_bench,
     run_stream_bench,
     run_verify_overhead_bench,
 )
@@ -173,75 +169,14 @@ def _check_native(floor_env: str) -> "list[str]":
     return failures
 
 
-def _check_parallel_build() -> "list[str]":
-    """The parallel-build leg: byte-identity always, speedup when it can.
-
-    A live two-phase build at 4 workers must produce a file whose
-    sha256 matches the serial build's — the correctness contract that
-    holds on any machine.  The ≥2x speedup floor
-    (``REPRO_PARALLEL_MIN_SPEEDUP``) is only armed when the runner
-    actually has 4+ cores; on a 1-core CI container phase 1 cannot
-    physically overlap, so only identity is enforced there.  The
-    committed ``BENCH_native.json`` record is held to the same rule
-    against its own recorded ``cpu_count``.
-    """
-    failures = []
-    floor = float(os.environ.get("REPRO_PARALLEL_MIN_SPEEDUP", "2"))
-    record = run_parallel_build_bench()
-    print(json.dumps(record, indent=2))
-    if not record["byte_identical"]:
-        failures.append(
-            "parallel build is not byte-identical to the serial build"
-        )
-    cpu_count = os.cpu_count() or 1
-    if cpu_count >= 4:
-        if record["speedup"] < floor:
-            failures.append(
-                f"parallel build speedup {record['speedup']}x < "
-                f"{floor}x floor at {record['workers']} workers "
-                f"({cpu_count} cpus)"
-            )
-        else:
-            print(
-                f"bench gate: parallel build at {record['speedup']}x "
-                f"with {record['workers']} workers (floor {floor}x)"
-            )
-    else:
-        print(
-            f"bench gate: WARNING — only {cpu_count} cpu(s), parallel "
-            "speedup floor skipped (byte-identity still enforced)",
-            file=sys.stderr,
-        )
-    if DEFAULT_NATIVE_JSON.exists():
-        committed = json.loads(DEFAULT_NATIVE_JSON.read_text())
-        full = committed.get("parallel_build", {})
-        if not full.get("byte_identical"):
-            failures.append(
-                f"committed {DEFAULT_NATIVE_JSON.name} lacks a "
-                "byte-identical parallel_build record"
-            )
-        elif full.get("cpu_count", 1) >= 4 and full.get("speedup", 0) < floor:
-            failures.append(
-                f"committed parallel_build speedup {full.get('speedup')}x "
-                f"< {floor}x floor (recorded on {full.get('cpu_count')} cpus)"
-            )
-        else:
-            print(
-                "bench gate: committed parallel_build ok "
-                f"(speedup {full.get('speedup')}x on "
-                f"{full.get('cpu_count')} cpu(s), byte-identical)"
-            )
-    return failures
-
-
 def _check_stream() -> "list[str]":
     """The streaming-kernel leg: bit-identity plus the ≥2x floor.
 
     The native stream kernel gathers corners straight off the mmap in
     disk-plane order; it must agree bit-for-bit with the streamed numpy
     gather and beat it by ``REPRO_STREAM_MIN_SPEEDUP`` (default 2x) —
-    the kernel is single-threaded, so unlike the parallel leg this
-    floor holds on any core count.  Skipped with a warning when no C
+    the kernel is single-threaded, so this floor holds on any core
+    count.  Skipped with a warning when no C
     compiler is present, mirroring the native-backend leg.
     """
     failures = []
@@ -386,7 +321,6 @@ def main() -> int:
         else:
             print(f"bench gate: grid {grid} at {speedup}x (floor {floor}x)")
     failures.extend(_check_native(floor_env="REPRO_NATIVE_MIN_SPEEDUP"))
-    failures.extend(_check_parallel_build())
     failures.extend(_check_stream())
     failures.extend(_check_serve())
     verify_ceiling = float(

@@ -11,8 +11,8 @@ written by ``repro-decluster experiment`` are well-formed:
   an instrumented run that silently skips an experiment is a bug;
 * parent/child span ids are consistent (every non-null ``parent_id``
   names a span from the same process);
-* the metrics document has the aggregate/parent/processes layout and
-  covers the allocation-cache counters;
+* the metrics document has the current schema and its ``aggregate``
+  section covers the allocation-cache counters;
 * with ``--expect-retry``, at least one ``runner.retry`` event and a
   nonzero ``runner.retries`` counter are present — the mode CI uses
   after injecting a crash via ``REPRO_RUNNER_FAULTS``;
@@ -23,8 +23,8 @@ written by ``repro-decluster experiment`` are well-formed:
   that the run survived;
 * with ``--counters-only``, only the metrics document layout and the
   ``--expect-counter`` expectations are checked — for exports written
-  by non-experiment processes (the parallel-build chaos smoke passes
-  the metrics file as the sole positional).
+  by non-experiment processes (the serve smoke passes the metrics file
+  as the sole positional).
 
 Usage::
 
@@ -38,6 +38,7 @@ import json
 import sys
 
 from repro.experiments.runner import EXPERIMENT_KEYS
+from repro.obs.metrics import METRICS_SCHEMA_VERSION
 from repro.obs.summary import load_metrics, load_trace
 from repro.obs.trace import SPAN_FIELDS, TRACE_SCHEMA_VERSION
 
@@ -138,13 +139,15 @@ def check_metrics(path, errors, expect_retry, expect_counters=(),
     ``--expect-counter`` checks but drops the experiment-runner
     requirements (cache counters, per-experiment histograms) — for
     exports written by processes that aren't experiment runs, e.g. the
-    parallel-build chaos smoke.
+    serve smoke.
     """
     document = load_metrics(path)
-    for section in ("aggregate", "parent", "processes"):
-        if section not in document:
-            errors.append(f"{path}: missing section {section!r}")
-            return
+    if document.get("schema") != METRICS_SCHEMA_VERSION:
+        errors.append(
+            f"{path}: schema {document.get('schema')!r}, expected "
+            f"{METRICS_SCHEMA_VERSION}"
+        )
+        return
     counters = document["aggregate"].get("counters", {})
     histograms = document["aggregate"].get("histograms", {})
     timed = [
@@ -173,8 +176,7 @@ def check_metrics(path, errors, expect_retry, expect_counters=(),
                 f"got {actual}"
             )
     print(
-        f"obs check: {path}: {len(counters)} aggregate counter(s), "
-        f"{len(document['processes'])} worker payload(s), "
+        f"obs check: {path}: {len(counters)} counter(s), "
         f"{len(timed)} experiment timing histogram(s)"
     )
 

@@ -1,13 +1,14 @@
 #!/usr/bin/env python
-"""CI gate: the parallel runner must not leak shared-memory segments.
+"""CI gate: shared-memory arenas must not leak segments.
 
-Runs the quick suite with two workers — which shares every allocation
-table over ``multiprocessing.shared_memory`` — and then asserts that no
-``repro-shm-*`` segment survives in ``/dev/shm``.  Segments present
-before the run (e.g. from a concurrent developer session) are tolerated
-and reported, but anything newly created by this run must be gone:
-:class:`repro.core.shm.SharedAllocationArena` owns deterministic
-teardown, and this gate is its end-to-end proof.
+Publishes a handful of allocation tables through a
+:class:`repro.core.shm.SharedAllocationArena` — including a duplicate
+publish, whose losing segment must be unlinked at once — attaches them
+back, closes the arena, and then asserts that no ``repro-shm-*``
+segment survives in ``/dev/shm``.  Segments present before the run
+(e.g. from a concurrent developer session) are tolerated and reported,
+but anything newly created by this run must be gone: the arena owns
+deterministic teardown, and this gate is its end-to-end proof.
 
 A second leg proves the recovery tool: a stray segment is planted (as
 a crashed run would leave one) and ``repro doctor --gc`` must find it,
@@ -27,16 +28,61 @@ Usage::
 import os
 import sys
 
+import numpy as np
+
+from repro.core.grid import Grid
+from repro.core.registry import get_scheme
 from repro.core.shm import (
     SHM_NAME_PREFIX,
+    SharedAllocationArena,
     _open_segment,
+    detach_all,
     reap_stale_server_segments,
     stray_segments,
 )
 from repro.doctor import run_doctor, scan_shm_segments
-from repro.experiments.runner import run_all
 
 __all__ = ['main']
+
+
+#: Triples the arena leg publishes; the first is published twice.
+_TRIPLES = (("hcam", (16, 16), 8), ("dm", (12, 9), 5), ("fx", (8, 8), 4))
+
+
+def _check_arena_teardown() -> "list[str]":
+    """Publish and attach through an arena; close must unlink it all."""
+    arena = SharedAllocationArena.try_create()
+    if arena is None:
+        return ["shared-memory arena unavailable on this host"]
+    errors = []
+    try:
+        for name, dims, disks in _TRIPLES:
+            grid = Grid(dims)
+            built = get_scheme(name).allocate(grid, disks)
+            shared = arena.broker.publish(name, grid, disks, built)
+            attached = arena.broker.get(name, grid, disks)
+            if attached is None or not np.array_equal(
+                attached.table, built.table
+            ):
+                errors.append(f"{name} {dims} M={disks}: bad attach")
+            del shared, attached
+        name, dims, disks = _TRIPLES[0]
+        duplicate = get_scheme(name).allocate(Grid(dims), disks)
+        arena.broker.publish(name, Grid(dims), disks, duplicate)
+        strays = set(stray_segments())
+        live = [
+            segment for segment in arena.broker.segment_names()
+            if segment in strays
+        ]
+        if len(live) != len(_TRIPLES):
+            errors.append(
+                f"expected {len(_TRIPLES)} live segment(s) before "
+                f"close (the duplicate unlinked at once), got {live}"
+            )
+    finally:
+        arena.close()
+        detach_all()
+    return errors
 
 
 def _check_doctor_gc() -> "list[str]":
@@ -99,9 +145,10 @@ def main() -> int:
             f"shm leak check: {len(before)} pre-existing segment(s) "
             f"(tolerated): {sorted(before)}"
         )
-    results = run_all(quick=True, workers=2)
-    if len(results) == 0:
-        print("shm leak check: runner returned no results", file=sys.stderr)
+    arena_errors = _check_arena_teardown()
+    if arena_errors:
+        for error in arena_errors:
+            print(f"shm leak check: FAILED — {error}", file=sys.stderr)
         return 1
     leaked = sorted(set(stray_segments()) - before)
     if leaked:
@@ -111,7 +158,7 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    print("shm leak check: ok — no stray /dev/shm segments after run_all")
+    print("shm leak check: ok — no stray /dev/shm segments after close")
     doctor_errors = _check_doctor_gc()
     if doctor_errors:
         for error in doctor_errors:

@@ -3,14 +3,13 @@
 
 Usage::
 
-    python scripts/generate_report.py [output-path] [--workers N]
+    python scripts/generate_report.py [output-path]
 
 Default output: ``benchmarks/results_full_report.txt`` (the file the
 numbers in EXPERIMENTS.md are quoted from).  The run is deterministic;
-re-running reproduces the committed report bit for bit, with or without
-``--workers`` (the parallel runner assembles results in the same
-canonical order).  Allocation-cache hit/miss counters go to stderr so
-they never perturb the report body.
+re-running reproduces the committed report bit for bit.
+Allocation-cache hit/miss counters go to stderr so they never perturb
+the report body.
 """
 
 import argparse
@@ -36,17 +35,11 @@ def main() -> int:
         "output", nargs="?", default=str(DEFAULT_TARGET),
         help="report destination (default: %(default)s)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan independent experiments over N worker processes",
-    )
     args = parser.parse_args()
 
     target = pathlib.Path(args.output)
     started = time.time()
-    results = runner.run_all(quick=False, workers=args.workers)
+    results = runner.run_all(quick=False)
     report = runner.render_all(results)
     growth = exp_growth.render(exp_growth.run())
     text = report + "\n\n" + growth + "\n"

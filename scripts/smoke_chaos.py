@@ -72,7 +72,7 @@ print("BUILD-OK")
 
 
 def _counter(name: str) -> int:
-    return global_registry().payload()["counters"].get(name, 0)
+    return global_registry().counter(name)
 
 
 def _run_build(path: str, env_overrides: dict) -> "subprocess.CompletedProcess":

@@ -170,50 +170,10 @@ def _finish_obs(args) -> None:
 
 def _print_cache_stats(args) -> None:
     if getattr(args, "cache_stats", False):
-        from repro.core.cache import CacheStats, global_cache
-        from repro.obs.metrics import global_registry
+        from repro.core.cache import global_cache
 
         cache = global_cache()
-        registry = global_registry()
-        worker_pids = [
-            pid
-            for pid in registry.process_pids()
-            if "cache.hits" in registry.process_counters(pid)
-        ]
-        if worker_pids:
-            # Parallel run: the parent's counters alone would silently
-            # omit all worker activity, so label and aggregate.
-            def _stats_from(counters) -> CacheStats:
-                return CacheStats(
-                    hits=counters.get("cache.hits", 0),
-                    misses=counters.get("cache.misses", 0),
-                    evictions=counters.get("cache.evictions", 0),
-                    entries=counters.get("cache.entries", 0),
-                    maxsize=counters.get("cache.maxsize", 0),
-                    shared_hits=counters.get("cache.shared_hits", 0),
-                    publishes=counters.get("cache.publishes", 0),
-                )
-
-            cache.publish_metrics(registry)
-            aggregate = _stats_from(registry.aggregate_counters())
-            print(
-                "aggregate (parent + "
-                f"{len(worker_pids)} worker process(es)): "
-                + aggregate.render(),
-                file=sys.stderr,
-            )
-            for pid in worker_pids:
-                worker = _stats_from(registry.process_counters(pid))
-                print(
-                    f"  worker pid {pid}: " + worker.render(),
-                    file=sys.stderr,
-                )
-            print(
-                "parent process: " + cache.stats().render(),
-                file=sys.stderr,
-            )
-        else:
-            print(cache.stats().render(), file=sys.stderr)
+        print(cache.stats().render(), file=sys.stderr)
         for entry in cache.entry_report():
             dims = "x".join(str(d) for d in entry["dims"])
             engine = (
@@ -251,8 +211,6 @@ def _runner_kwargs(args) -> dict:
         checkpoint = DEFAULT_CHECKPOINT
     return {
         "quick": args.quick,
-        "workers": args.workers,
-        "timeout": args.timeout,
         "retries": (
             DEFAULT_RETRIES if args.retries is None else args.retries
         ),
@@ -656,18 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
             "builds (default: $REPRO_SAT_BUDGET or 256 MiB)"
         ),
     )
-    parser.add_argument(
-        "--build-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "processes for phase 1 of chunked summed-area-table builds "
-            "(1 = serial; output is byte-identical either way; note the "
-            "transient footprint is N x the per-tile working set; "
-            "default: $REPRO_BUILD_WORKERS or 1)"
-        ),
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("schemes", help="list declustering schemes")
@@ -710,21 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default=None, help="also write the series as JSON"
     )
     p_exp.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan independent experiments over N worker processes",
-    )
-    p_exp.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help=(
-            "seconds an experiment may run before its worker counts as "
-            "hung and is retried (needs --workers)"
-        ),
-    )
-    p_exp.add_argument(
         "--retries",
         type=int,
         default=None,
@@ -734,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backoff",
         type=float,
         default=None,
-        help="base delay between retry rounds, doubling per round "
+        help="base delay between retries, doubling per retry "
         "(default: 0.5s)",
     )
     p_exp.add_argument(
@@ -758,8 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "print allocation-cache counters plus per-entry table dtype, "
-            "sizes, and shared-memory residency to stderr; with "
-            "--workers, worker activity is aggregated and labeled"
+            "sizes, and shared-memory residency to stderr"
         ),
     )
     p_exp.add_argument(
@@ -776,8 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help=(
-            "write counters and histograms (aggregated across worker "
-            "processes) as JSON to FILE"
+            "write counters and histograms as JSON to FILE"
         ),
     )
     p_exp.add_argument(
@@ -1051,20 +980,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.sat_budget <= 0:
             print("error: --sat-budget must be positive", file=sys.stderr)
             return 1
-        # Env rather than plumbing: worker-pool initializers re-read it,
-        # so the budget survives into spawned processes.
+        # Env rather than plumbing, so the budget survives into spawned
+        # processes (the serve daemon's workers).
         os.environ[BYTE_BUDGET_ENV] = str(args.sat_budget)
-    if args.build_workers is not None:
-        import os
-
-        from repro.core.sat import BUILD_WORKERS_ENV
-
-        if args.build_workers < 1:
-            print(
-                "error: --build-workers must be >= 1", file=sys.stderr
-            )
-            return 1
-        os.environ[BUILD_WORKERS_ENV] = str(args.build_workers)
     handlers = {
         "schemes": _cmd_schemes,
         "allocate": _cmd_allocate,

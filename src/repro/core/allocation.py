@@ -31,7 +31,7 @@ def table_dtype(num_disks: int) -> np.dtype:
 
     ``uint8`` covers every configuration the paper evaluates (M <= 256);
     the compact dtype is what makes allocation tables cheap to cache and
-    to place in shared memory for the parallel runner.  Raises
+    to place in shared memory for the serve worker fleet.  Raises
     :class:`~repro.core.exceptions.AllocationError` for non-positive M
     and for M whose largest disk id would not even fit in ``uint64`` —
     silently falling off the dtype ladder would wrap ids and corrupt the

@@ -18,14 +18,14 @@ bounded entry count; hit/miss/eviction counters are exposed for reports.
 
 A process-wide default cache (:func:`global_cache`) is shared by every
 :class:`~repro.core.evaluator.SchemeEvaluator` unless one is injected.
-Worker processes spawned by the parallel experiment runner each get their
-own instance — module state is rebuilt on import, which keeps the cache
-spawn-safe with zero coordination.  The parallel runner additionally
-installs a :class:`~repro.core.shm.SharedAllocationBroker` into each
-worker's global cache (:meth:`AllocationCache.set_broker`): a miss then
-first tries a zero-copy attach of a table another worker already built
-and published over ``multiprocessing.shared_memory``, and only builds —
-then publishes — when no worker has.  Sharing is semantics-free because
+Worker processes of the ``repro serve`` fleet each get their own
+instance — module state is rebuilt on import, which keeps the cache
+spawn-safe with zero coordination.  The serve daemon additionally
+installs a :class:`~repro.core.shm.SharedAllocationBroker` into its own
+and each worker's global cache (:meth:`AllocationCache.set_broker`): a
+miss then first tries a zero-copy attach of a table another process
+already built and published over ``multiprocessing.shared_memory``, and
+only builds — then publishes — when none has.  Sharing is semantics-free because
 allocation is deterministic (QA405); it only removes duplicate work and
 duplicate resident memory.
 """
@@ -229,7 +229,7 @@ class AllocationCache:
 
         The broker keys on the scheme *name*, so only install one in
         processes whose registry holds the default schemes — the
-        parallel runner's spawn workers by construction.
+        serve fleet's spawn workers by construction.
         """
         self._broker = broker
 
@@ -288,11 +288,14 @@ class AllocationCache:
                 # publish returns a zero-copy view onto the shared
                 # segment, so this process's resident copy is dropped
                 # too (first writer wins; losers attach the winner's).
+                # When no segment can be attached it hands back the
+                # private table, which then stays private.
                 try:
-                    allocation = self._broker.publish(
+                    published = self._broker.publish(
                         scheme_name, grid, int(num_disks), allocation
                     )
-                    shared = True
+                    shared = published is not allocation
+                    allocation = published
                     self._publishes += 1
                 except Exception:
                     shared = False
@@ -338,7 +341,7 @@ class AllocationCache:
         reuses the already-verified mapping instead of paying a second
         verification pass and a second private map.  When a broker is
         installed the finished table's :class:`~repro.core.shm.MmapSatHandle`
-        is also published, so an ``--workers N`` fleet shares one
+        is also published, so a worker fleet shares one
         page-cache-backed mapping instead of N private opens.
         """
         memo_key = (

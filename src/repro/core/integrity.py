@@ -60,7 +60,6 @@ _LOG = get_logger("repro.core.integrity")
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
     "SAT_JOURNAL_KIND",
-    "SAT_SHARDS_KIND",
     "SatManifest",
     "VERIFY_ENV",
     "VERIFY_LEVELS",
@@ -85,12 +84,10 @@ VERIFY_LEVELS = ("off", "header", "full")
 #: Bumped when the manifest layout changes incompatibly.
 MANIFEST_SCHEMA_VERSION = 1
 
-#: ``kind`` discriminators of the chunked-build sidecar documents: the
-#: sequential carry journal (phase 2 / serial builds) and the parallel
-#: phase-1 shard log recording which tiles workers have committed.
-#: Shared with :mod:`repro.doctor`, which classifies both as resumable.
+#: ``kind`` discriminator of the chunked-build carry journal.  Shared
+#: with :mod:`repro.doctor`, which classifies a matching journal as
+#: resumable.
 SAT_JOURNAL_KIND = "sat-journal"
-SAT_SHARDS_KIND = "sat-shards"
 
 #: Read granularity for whole-file hashing (1 MiB keeps memory flat).
 _HASH_CHUNK = 1 << 20

@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import mmap as _mmap_module
 import os
-import pickle
 import tempfile
 from typing import (
     TYPE_CHECKING,
@@ -44,7 +43,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -61,7 +59,6 @@ from repro.core.grid import Grid
 from repro.core.integrity import (
     MANIFEST_SCHEMA_VERSION,
     SAT_JOURNAL_KIND,
-    SAT_SHARDS_KIND,
     SatManifest,
     atomic_write_json,
     sha256_hex,
@@ -79,12 +76,11 @@ _LOG = get_logger("repro.core.sat")
 
 __all__ = [
     "DEFAULT_BYTE_BUDGET",
+    "LEGACY_SHARDS_SUFFIX",
     "SummedAreaTable",
     "build_carry_path",
     "build_journal_path",
     "build_partial_path",
-    "build_shards_path",
-    "build_workers",
     "sat_byte_budget",
     "sat_dtype",
 ]
@@ -97,16 +93,6 @@ DEFAULT_BYTE_BUDGET = 256 * 1024 * 1024
 #: Environment variable overriding the default byte budget.
 BYTE_BUDGET_ENV = "REPRO_SAT_BUDGET"
 
-#: Environment variable selecting how many processes a chunked build
-#: fans phase-1 tiles over (``--build-workers`` writes it).
-BUILD_WORKERS_ENV = "REPRO_BUILD_WORKERS"
-
-#: Pool-rebuild rounds a parallel build attempts after worker deaths
-#: before computing the leftover tiles serially in the parent (which
-#: always completes — the serial loop is the recovery path of record).
-_MAX_POOL_ROUNDS = 4
-
-
 def sat_byte_budget(budget: Optional[int] = None) -> int:
     """Resolve the working-memory budget: argument > env var > default."""
     if budget is None:
@@ -116,25 +102,6 @@ def sat_byte_budget(budget: Optional[int] = None) -> int:
     if budget <= 0:
         raise AllocationError(f"SAT byte budget must be positive: {budget}")
     return budget
-
-
-def build_workers(workers: Optional[int] = None) -> int:
-    """Resolve the chunked-build worker count: argument > env var > 1.
-
-    ``1`` means the classic serial sweep.  Note the byte budget bounds
-    each tile's working set *per process*: ``N`` phase-1 workers hold up
-    to ``N`` tile chunks at once, so the aggregate transient footprint
-    of a parallel build is ``workers ×`` :meth:`SummedAreaTable.tile_working_set`.
-    """
-    if workers is None:
-        raw = os.environ.get(BUILD_WORKERS_ENV)
-        workers = int(raw) if raw else 1
-    workers = int(workers)
-    if workers < 1:
-        raise AllocationError(
-            f"build worker count must be >= 1: {workers}"
-        )
-    return workers
 
 
 def sat_dtype(num_buckets: int) -> np.dtype:
@@ -180,16 +147,11 @@ def build_carry_path(path: Union[str, os.PathLike]) -> str:
     return os.fspath(path) + ".carry.npy"
 
 
-def build_shards_path(path: Union[str, os.PathLike]) -> str:
-    """The phase-1 shard log of a parallel build: tiles workers committed.
-
-    Each entry maps a tile start row to the sha256 of the tile's
-    *carry-free* slab (trailing-axis and tile-axis prefix sums, no
-    leading-axis carry) as written into the shared ``.partial`` mmap.
-    Phase 2 verifies the digest before reusing a slab it did not write
-    itself, so a worker killed mid-write can never poison the table.
-    """
-    return os.fspath(path) + ".shards.json"
+#: Suffix of the phase-1 shard log that parallel builds of earlier
+#: versions left beside ``<path>.partial``.  No build reads it any more:
+#: :meth:`SummedAreaTable.build_chunked` deletes it, and ``repro doctor``
+#: reports it as a stale sidecar.
+LEGACY_SHARDS_SUFFIX = ".shards.json"
 
 
 def _remove_quietly(*paths: str) -> None:
@@ -327,12 +289,7 @@ class SummedAreaTable:
             _LOG.warning(
                 "discarding unusable build journal for %s: %s", path, why
             )
-            # The shard log indexes slabs inside the partial, so it
-            # dies with it.
-            _remove_quietly(
-                journal_file, carry_file, partial,
-                build_shards_path(path),
-            )
+            _remove_quietly(journal_file, carry_file, partial)
 
         try:
             with open(journal_file) as handle:
@@ -388,100 +345,6 @@ class SummedAreaTable:
         return journal
 
     @classmethod
-    def _load_build_shards(
-        cls,
-        path: str,
-        dtype: np.dtype,
-        shape: Tuple[int, ...],
-        scheme_name: str,
-        tile_rows: int,
-    ) -> Dict[int, str]:
-        """A prior build's validated phase-1 shard log, or ``{}``.
-
-        Identity fields must match the requested build and the resolved
-        tile size — a shard log written under different tile geometry
-        indexes slabs that do not exist.  Entries are *not* hashed here;
-        phase 2 verifies each slab against its recorded digest before
-        reuse, so a stale or torn entry costs a recompute, never a
-        wrong table.
-        """
-        shards_file = build_shards_path(path)
-        try:
-            with open(shards_file) as handle:
-                document = json.load(handle)
-        except FileNotFoundError:
-            return {}
-        except (OSError, ValueError) as exc:
-            _LOG.warning(
-                "discarding unreadable shard log for %s: %r", path, exc
-            )
-            _remove_quietly(shards_file)
-            return {}
-        done: Dict[int, str] = {}
-        try:
-            ok = (
-                int(document["schema"]) == MANIFEST_SCHEMA_VERSION
-                and document["kind"] == SAT_SHARDS_KIND
-                and str(document["dtype"]) == dtype.str
-                and tuple(document["shape"]) == shape
-                and str(document.get("scheme", "")) == scheme_name
-                and int(document["tile_rows"]) == int(tile_rows)
-            )
-            if ok:
-                done = {
-                    int(start): str(digest)
-                    for start, digest in document["done"].items()
-                }
-        except (AttributeError, KeyError, TypeError, ValueError):
-            ok = False
-        leading = shape[1] - 1
-        if not ok or any(
-            start < 0 or start >= leading or start % int(tile_rows)
-            for start in done
-        ):
-            _LOG.warning(
-                "discarding shard log for %s: identity or tile "
-                "bookkeeping mismatch",
-                path,
-            )
-            _remove_quietly(shards_file)
-            return {}
-        return done
-
-    @classmethod
-    def _write_shards(
-        cls,
-        shards_file: str,
-        dtype: np.dtype,
-        shape: Tuple[int, ...],
-        scheme_name: str,
-        tile_rows: int,
-        shards: Dict[int, str],
-    ) -> None:
-        """Durably record the worker-committed phase-1 tiles.
-
-        Written by the *parent* after a shard future resolves; a worker
-        returns only after flushing its own mapping, so the log never
-        claims a slab that might not be durable.  Atomic replace, like
-        the carry journal.
-        """
-        atomic_write_json(
-            shards_file,
-            {
-                "schema": MANIFEST_SCHEMA_VERSION,
-                "kind": SAT_SHARDS_KIND,
-                "dtype": dtype.str,
-                "shape": list(shape),
-                "scheme": scheme_name,
-                "tile_rows": int(tile_rows),
-                "done": {
-                    str(start): digest
-                    for start, digest in sorted(shards.items())
-                },
-            },
-        )
-
-    @classmethod
     def _local_tile_chunk(
         cls,
         scheme: "DeclusteringScheme",
@@ -491,13 +354,11 @@ class SummedAreaTable:
         start: int,
         stop: int,
     ) -> np.ndarray:
-        """One tile's carry-free SAT chunk (shared by both build phases).
+        """One tile's carry-free SAT chunk.
 
         The indicator block for rows ``[start, stop)`` with trailing-axis
         and tile-axis prefix sums applied — everything except the
-        leading-axis carry, which couples tiles and is phase 2's job.
-        Exactly the per-tile arithmetic of the serial sweep, so serial
-        and parallel builds are byte-identical by construction.
+        leading-axis carry from earlier tiles, which the caller adds.
         """
         ndim = grid.ndim
         rest_padded = tuple(d + 1 for d in grid.dims[1:])
@@ -519,21 +380,6 @@ class SummedAreaTable:
         np.cumsum(chunk, axis=1, out=chunk)
         return chunk
 
-    @staticmethod
-    def _scheme_picklable(scheme: "DeclusteringScheme") -> bool:
-        """Whether the scheme can travel to spawn workers (phase 1)."""
-        try:
-            pickle.dumps(scheme)
-            return True
-        except Exception as exc:  # qa502: allow — logged and counted, serial build is the correct fallback
-            global_registry().inc("sat.build.serial_fallbacks")
-            _LOG.warning(
-                "scheme %r is not picklable (%r); building serially",
-                getattr(scheme, "name", scheme),
-                exc,
-            )
-            return False
-
     @classmethod
     def build_chunked(
         cls,
@@ -543,7 +389,6 @@ class SummedAreaTable:
         byte_budget: Optional[int] = None,
         path: Optional[Union[str, os.PathLike]] = None,
         resume: bool = True,
-        workers: Optional[int] = None,
     ) -> "SummedAreaTable":
         """Tiled build spilling to a memory-mapped ``.npy`` file.
 
@@ -555,38 +400,22 @@ class SummedAreaTable:
         defaults to a fresh temp file (``REPRO_SAT_DIR`` overrides the
         directory); the caller owns the file's lifetime.
 
-        With ``workers > 1`` (argument > ``REPRO_BUILD_WORKERS`` > 1)
-        the sweep splits into **two phases**: phase 1 fans the carry-free
-        tile chunks (:meth:`_local_tile_chunk`) out across a spawn-safe
-        process pool, each worker writing its slab straight into the
-        shared ``.partial`` mmap and the parent journaling every
-        committed shard; phase 2 — overlapped with phase 1, consuming
-        tiles in order as their shards land — propagates the
-        leading-axis carry plane tile by tile (a cheap vectorized add)
-        and writes the usual carry journal.  Cumsum order is identical
-        to the serial sweep, so the finished file is **byte-identical**
-        for any worker count.  Worker deaths break the pool, are
-        counted (``sat.build.worker_deaths``), and the missing tiles are
-        re-pooled a bounded number of times before the parent finishes
-        them serially.  Each phase-1 worker holds one tile chunk, so the
-        transient footprint is ``workers ×`` :meth:`tile_working_set`.
-
         The build is **crash-safe and resumable**: it stages into
         ``<path>.partial``, journals every completed tile (plus the
         carry plane) with atomic renames, and only renames the finished
-        table into place.  Killed at any point — phase 1, phase 2, or
-        the serial sweep — a re-run with the same ``path`` picks up
-        from the last journaled tile, reusing worker shards whose
-        digests still verify and recomputing the rest, so the resumed
+        table into place.  Killed at any point, a re-run with the same
+        ``path`` picks up from the last journaled tile, so the resumed
         table is byte-identical to an uninterrupted build (the journal's
         tile size wins even if the byte budget changed).
-        ``resume=False`` ignores and removes any prior journal.  Tile
-        digests are streamed into a sidecar manifest that
+        ``resume=False`` ignores and removes any prior journal.  A shard
+        log left by an older parallel build (``LEGACY_SHARDS_SUFFIX``)
+        is always removed; without a journal the build starts fresh.
+        Tile digests are streamed into a sidecar manifest that
         :meth:`open_mmap` verifies (see :mod:`repro.core.integrity`).
         A build that *raises* cleans up after itself: temp-file builds
         remove everything they created; explicit-path builds keep the
-        partial + journal/shard set for a later resume (``repro
-        doctor`` reports and can garbage-collect them).
+        partial + journal set for a later resume (``repro doctor``
+        reports and can garbage-collect them).
         """
         owns_temp = path is None
         if path is None:
@@ -601,35 +430,26 @@ class SummedAreaTable:
         partial = build_partial_path(path)
         journal_file = build_journal_path(path)
         carry_file = build_carry_path(path)
-        shards_file = build_shards_path(path)
         dims = grid.dims
         dtype = sat_dtype(grid.num_buckets)
         shape = _padded_shape(num_disks, dims)
         scheme_name = getattr(scheme, "name", "") or ""
         rest_padded = tuple(d + 1 for d in dims[1:])
-        workers = build_workers(workers)
-        registry = global_registry()
 
+        _remove_quietly(path + LEGACY_SHARDS_SUFFIX)
         journal = None
-        shards: Dict[int, str] = {}
         if resume and not owns_temp:
             journal = cls._load_build_journal(
                 path, dtype, shape, scheme_name
             )
         elif not resume:
-            _remove_quietly(
-                journal_file, carry_file, partial, shards_file
-            )
+            _remove_quietly(journal_file, carry_file, partial)
 
         rows = (
             int(journal["tile_rows"])
             if journal is not None
             else cls.tile_rows(grid, num_disks, byte_budget)
         )
-        if resume and not owns_temp:
-            shards = cls._load_build_shards(
-                path, dtype, shape, scheme_name, rows
-            )
         out = None
         try:
             with trace(
@@ -637,8 +457,7 @@ class SummedAreaTable:
                 dims=list(dims),
                 num_disks=int(num_disks),
                 tile_rows=rows,
-                workers=workers,
-                resumed=journal is not None or bool(shards),
+                resumed=journal is not None,
             ):
                 if journal is not None:
                     first_start = int(journal["next_start"])
@@ -677,85 +496,20 @@ class SummedAreaTable:
                     carry = np.zeros(
                         (num_disks,) + rest_padded, dtype=dtype
                     )
-                    if shards and os.path.exists(partial):
-                        # Phase-1-only crash: workers committed shards
-                        # but no carry tile was ever journaled.  Reuse
-                        # the partial; every slab reuse is digest-gated.
-                        candidate = np.lib.format.open_memmap(
-                            partial, mode="r+"
-                        )  # qa503: allow — resuming our own shard-
-                        # logged partial; identity was validated
-                        # against the shard log, every reused slab is
-                        # digest-checked, and the final table is
-                        # re-manifested.
-                        if (
-                            candidate.dtype == dtype
-                            and tuple(candidate.shape) == shape
-                        ):
-                            out = candidate
-                            global_registry().inc("sat.build_resumes")
-                            _LOG.info(
-                                "resuming parallel SAT build of %s "
-                                "(%d committed phase-1 shard(s))",
-                                path,
-                                len(shards),
-                            )
-                        else:
-                            del candidate
-                            shards = {}
-                            _remove_quietly(shards_file)
-                    if out is None:
-                        shards = {}
-                        _remove_quietly(shards_file)
-                        out = np.lib.format.open_memmap(
-                            partial,
-                            mode="w+",
-                            dtype=dtype,
-                            shape=shape,
-                        )  # qa503: allow — creating the staged partial
-                        # this build owns; nothing is being trusted.
+                    out = np.lib.format.open_memmap(
+                        partial,
+                        mode="w+",
+                        dtype=dtype,
+                        shape=shape,
+                    )  # qa503: allow — creating the staged partial
+                    # this build owns; nothing is being trusted.
 
-                #: Shards committed by *this* process's pool: their
-                #: slabs cannot be torn, so phase 2 skips the re-hash.
-                trusted: Set[int] = set()
-                phase2_cursor = first_start
-
-                def _commit_tile(start: int) -> None:
-                    """Phase 2 / serial sweep for one tile.
-
-                    The final slab is ``local chunk + carry``; the local
-                    chunk comes from a digest-verified worker shard when
-                    one exists (a cheap vectorized add) and is computed
-                    in-process otherwise — both byte-identical.
-                    """
-                    nonlocal carry
+                for start in range(first_start, dims[0], rows):
                     stop = min(start + rows, dims[0])
-                    chunk = None
-                    shard_digest = shards.get(start)
-                    if shard_digest is not None:
-                        slab = np.ascontiguousarray(
-                            out[:, start + 1 : stop + 1]
-                        )
-                        if (
-                            start in trusted
-                            or sha256_hex(slab.data) == shard_digest
-                        ):
-                            slab += carry[:, np.newaxis]
-                            chunk = slab
-                            registry.inc("sat.build.shard_reuses")
-                        else:
-                            registry.inc("sat.build.shard_mismatches")
-                            _LOG.warning(
-                                "shard slab at row %d of %s failed "
-                                "its digest; recomputing",
-                                start,
-                                path,
-                            )
-                    if chunk is None:
-                        chunk = cls._local_tile_chunk(
-                            scheme, grid, num_disks, dtype, start, stop
-                        )
-                        chunk += carry[:, np.newaxis]
+                    chunk = cls._local_tile_chunk(
+                        scheme, grid, num_disks, dtype, start, stop
+                    )
+                    chunk += carry[:, np.newaxis]
                     carry = np.ascontiguousarray(chunk[:, -1])
                     out[:, start + 1 : stop + 1] = chunk
                     # Tile data must be durable before the journal may
@@ -763,6 +517,9 @@ class SummedAreaTable:
                     out.flush()
                     tile_starts.append(start)
                     tile_digests.append(sha256_hex(chunk.data))
+                    # Free the tile before the next one is built, so
+                    # peak memory stays one tile, not two.
+                    del chunk
                     cls._checkpoint_tile(
                         journal_file,
                         carry_file,
@@ -780,52 +537,6 @@ class SummedAreaTable:
                     # ``exit``-mode plan is exactly "SIGKILL at a tile
                     # boundary" and a later run must resume from here.
                     maybe_io_fault("sat.write", f"tile@{start}")
-
-                def _advance_phase2() -> None:
-                    """Carry-sweep every contiguous committed shard."""
-                    nonlocal phase2_cursor
-                    while (
-                        phase2_cursor < dims[0]
-                        and phase2_cursor in shards
-                    ):
-                        _commit_tile(phase2_cursor)
-                        phase2_cursor += rows
-
-                tile_span = list(range(first_start, dims[0], rows))
-                pending = [s for s in tile_span if s not in shards]
-                if (
-                    workers > 1
-                    and len(pending) > 1
-                    and cls._scheme_picklable(scheme)
-                ):
-                    registry.inc("sat.build.parallel_builds")
-                    with trace(
-                        "sat.build.phase1",
-                        tiles=len(pending),
-                        workers=workers,
-                    ):
-                        cls._fan_out_tiles(
-                            partial,
-                            scheme,
-                            dims,
-                            num_disks,
-                            dtype,
-                            shape,
-                            scheme_name,
-                            rows,
-                            workers,
-                            pending,
-                            shards,
-                            trusted,
-                            shards_file,
-                            _advance_phase2,
-                        )
-                # Serial sweep: the whole build when workers == 1, the
-                # recovery path for tiles phase 1 could not finish, and
-                # phase 2 for shards resumed from a prior run.
-                while phase2_cursor < dims[0]:
-                    _commit_tile(phase2_cursor)
-                    phase2_cursor += rows
                 out.flush()
             # Release the writable mapping, then publish: rename the
             # finished partial into place, write the manifest, drop the
@@ -844,7 +555,7 @@ class SummedAreaTable:
                 file_bytes=os.path.getsize(path),
                 params={"scheme": scheme_name, "dims": list(dims)},
             ).write(path)
-            _remove_quietly(journal_file, carry_file, shards_file)
+            _remove_quietly(journal_file, carry_file)
         except BaseException:
             if out is not None:
                 del out
@@ -852,158 +563,13 @@ class SummedAreaTable:
                 # Nobody holds this path: remove every artifact the
                 # failed build created (the mkstemp placeholder, the
                 # partial, and the build sidecars).
-                _remove_quietly(
-                    path, partial, journal_file, carry_file, shards_file
-                )
+                _remove_quietly(path, partial, journal_file, carry_file)
             raise
         # Reopen read-only: the writable mapping is released and every
         # consumer sees the same immutable view an open_mmap would.
         # Header-level verification only — the manifest was written
         # from the in-memory digests one rename ago.
         return cls.open_mmap(path, verify="header")
-
-    @classmethod
-    def _fan_out_tiles(
-        cls,
-        partial: str,
-        scheme: "DeclusteringScheme",
-        dims: Tuple[int, ...],
-        num_disks: int,
-        dtype: np.dtype,
-        shape: Tuple[int, ...],
-        scheme_name: str,
-        rows: int,
-        workers: int,
-        pending: List[int],
-        shards: Dict[int, str],
-        trusted: "Set[int]",
-        shards_file: str,
-        advance_phase2,
-    ) -> None:
-        """Phase 1: fan carry-free tile shards out across a spawn pool.
-
-        Workers write their slabs straight into the shared ``.partial``
-        mmap (``MAP_SHARED`` keeps pages coherent across processes) and
-        return ``(start, digest)``; the parent records each commit in
-        the shard log *after* the worker has flushed, so the log never
-        claims data that is not durable.  Phase 2 overlaps: after every
-        commit the contiguous prefix of finished shards is carry-swept
-        immediately.
-
-        A worker death (``BrokenProcessPool``) abandons the pool round;
-        the remaining tiles are re-pooled up to ``_MAX_POOL_ROUNDS``
-        times and any leftovers fall through to the caller's serial
-        sweep, so the build always completes.
-        """
-        import multiprocessing
-        from concurrent.futures import (
-            ProcessPoolExecutor,
-            as_completed,
-        )
-        from concurrent.futures.process import BrokenProcessPool
-
-        registry = global_registry()
-        try:
-            ctx = multiprocessing.get_context("spawn")
-        except ValueError:  # pragma: no cover - spawn always exists
-            registry.inc("sat.build.serial_fallbacks")
-            return
-        rounds = 0
-        while pending and rounds < _MAX_POOL_ROUNDS:
-            rounds += 1
-            if rounds > 1:
-                registry.inc("sat.build.tile_retries", len(pending))
-            procs: List = []
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(pending)),
-                    mp_context=ctx,
-                ) as pool:  # qa601: allow — tile ranges are disjoint;
-                    # each worker writes only its own slab of the
-                    # MAP_SHARED partial, and the parent only reads a
-                    # slab after its future (post-flush) resolves.
-                    futures = {
-                        pool.submit(
-                            _build_tile_shard,
-                            partial,
-                            scheme,
-                            dims,
-                            num_disks,
-                            dtype.str,
-                            start,
-                            min(start + rows, dims[0]),
-                        ): start
-                        for start in pending
-                    }
-                    procs = list(
-                        (getattr(pool, "_processes", None) or {}).values()
-                    )
-                    for future in as_completed(futures):
-                        try:
-                            start_done, digest = future.result()
-                        except BrokenProcessPool:
-                            raise
-                        except Exception as exc:  # qa502: allow — failed shard is counted and recomputed (re-pooled, then serially); never fatal
-                            registry.inc("sat.build.shard_failures")
-                            _LOG.warning(
-                                "tile shard at row %d failed: %s",
-                                futures[future],
-                                exc,
-                            )
-                            continue
-                        shards[start_done] = digest
-                        trusted.add(start_done)
-                        registry.inc("sat.build.shard_commits")
-                        cls._write_shards(
-                            shards_file,
-                            dtype,
-                            shape,
-                            scheme_name,
-                            rows,
-                            shards,
-                        )
-                        advance_phase2()
-            except BrokenProcessPool:
-                registry.inc("sat.build.worker_deaths")
-                _LOG.warning(
-                    "a SAT build worker died; re-pooling the "
-                    "remaining tiles (round %d/%d)",
-                    rounds,
-                    _MAX_POOL_ROUNDS,
-                )
-                cls._reap_processes(procs)
-            except OSError as exc:
-                # Pool machinery itself failed (no /dev/shm, fd
-                # exhaustion): fall back to the serial sweep.
-                registry.inc("sat.build.serial_fallbacks")
-                _LOG.warning(
-                    "process pool unavailable (%s); building "
-                    "serially",
-                    exc,
-                )
-                cls._reap_processes(procs)
-                return
-            pending = [s for s in pending if s not in shards]
-
-    @staticmethod
-    def _reap_processes(procs: List) -> None:
-        """SIGKILL workers a broken pool may have left mid-bootstrap.
-
-        When a pool breaks while siblings are still spawning, the
-        executor's SIGTERM sweep can miss workers blocked in the spawn
-        handshake — each holds dup'd write-ends of the others' prep
-        pipes, so none ever sees EOF and they deadlock (and keep any
-        inherited stdio pipes open, wedging harnesses that capture
-        output).  SIGKILL is safe here: a shard is only trusted after
-        its future resolves, which is after the worker's flush.
-        """
-        for proc in procs:
-            try:
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(timeout=5)
-            except (OSError, ValueError, AttributeError):
-                continue
 
     @classmethod
     def _checkpoint_tile(
@@ -1273,48 +839,3 @@ class SummedAreaTable:
             if mmap_obj is not None:
                 mmap_obj.close()
 
-
-def _build_tile_shard(
-    partial: str,
-    scheme: "DeclusteringScheme",
-    dims: Tuple[int, ...],
-    num_disks: int,
-    dtype_str: str,
-    start: int,
-    stop: int,
-) -> Tuple[int, str]:
-    """Phase-1 pool worker: compute one carry-free tile shard.
-
-    Runs in a spawned child process.  Writes the local (carry-free)
-    slab into this tile's disjoint region of the shared ``.partial``
-    memory map, flushes it to make the data durable, and returns
-    ``(start, digest)`` so the parent can record the commit in the
-    shard log — data first, log second, so the log never points at a
-    torn slab.
-
-    Module-level (not a closure) so the spawn pickler can import it.
-    """
-    chunk = SummedAreaTable._local_tile_chunk(
-        scheme,
-        Grid(dims),
-        int(num_disks),
-        np.dtype(dtype_str),
-        int(start),
-        int(stop),
-    )
-    out = np.lib.format.open_memmap(
-        partial, mode="r+"
-    )  # qa503: allow — staged partial owned by this build's parent;
-    # the slab is digest-bound in the shard log and the finished table
-    # is re-manifested after phase 2.
-    try:
-        out[:, start + 1 : stop + 1] = chunk
-        out.flush()
-    finally:
-        del out
-    digest = sha256_hex(chunk.data)
-    # Injection point: fires *after* the flush but *before* the parent
-    # learns of the commit — an ``exit``-mode plan is exactly "a worker
-    # died mid-phase-1" and the parent must re-pool or recompute.
-    maybe_io_fault("sat.write", f"shard@{start}")
-    return int(start), digest

@@ -1,9 +1,9 @@
 """Zero-copy allocation sharing over ``multiprocessing.shared_memory``.
 
-The parallel experiment runner fans independent experiments out over a
-spawn-context process pool.  Each worker imports the package fresh, so
-without coordination every worker re-materializes the same
-``(scheme, grid, M)`` allocations the others already built — the exact
+The ``repro serve`` worker fleet answers batches in spawn-context
+processes.  Each worker imports the package fresh, so without
+coordination every worker re-materializes the same
+``(scheme, grid, M)`` allocations the daemon already built — the exact
 duplication the in-process :class:`~repro.core.cache.AllocationCache`
 eliminates within one process.  This module extends that cache across
 processes:
@@ -27,7 +27,7 @@ Correctness notes.  Scheme allocation is contractually deterministic
 the one the attaching process would have built — sharing is
 semantics-free, it only moves time and memory around.  The broker keys
 on the *scheme name* alone (handles must be picklable); it is therefore
-only installed by the parallel runner, whose spawn workers see the
+only installed by the serve daemon, whose spawn workers see the
 pristine default registry — never share a broker across processes that
 re-register scheme names.
 
@@ -349,8 +349,8 @@ def stray_segments(prefix: str = SHM_NAME_PREFIX) -> list:
     """Names of live shared-memory segments under ``prefix``.
 
     Reads ``/dev/shm`` where available (Linux); elsewhere returns an
-    empty list.  The CI leak gate asserts this is empty after a full
-    parallel run.
+    empty list.  The CI leak gate asserts this is empty after an arena
+    closes.
     """
     shm_dir = "/dev/shm"
     if not os.path.isdir(shm_dir):
@@ -366,7 +366,7 @@ class SharedAllocationBroker:
     """Cross-process publish/attach registry for allocation tables.
 
     Holds only picklable manager proxies, so the whole broker travels to
-    spawn workers via the pool initializer.  Workers call :meth:`get` on
+    spawn workers as a constructor argument.  Workers call :meth:`get` on
     a cache miss and :meth:`publish` after building — the first writer
     wins, later writers discard their duplicate segment and attach the
     winner's.
@@ -418,7 +418,7 @@ class SharedAllocationBroker:
         the handle *is* the path, any number of workers may map the file
         read-only at once, and the OS page cache backs them all with one
         set of physical pages.  That single shared mapping is the whole
-        point: an ``--workers N`` fleet touching one beyond-RAM table
+        point: an N-worker fleet touching one beyond-RAM table
         faults each page in once, not N times.
         """
         handle = MmapSatHandle(path=os.fspath(path))
@@ -537,11 +537,11 @@ class SharedAllocationBroker:
 class SharedAllocationArena:
     """Parent-side owner of a broker and its manager process.
 
-    Usage (what the parallel runner does)::
+    Usage (what the serve daemon does)::
 
         arena = SharedAllocationArena.try_create()
         try:
-            ...  # hand arena.broker to worker initializers
+            ...  # hand arena.broker to the worker processes
         finally:
             if arena is not None:
                 arena.close()
@@ -591,8 +591,8 @@ class SharedAllocationArena:
                 prefix=prefix,
             )
         except Exception as exc:  # qa502: allow — logged and counted, None disables sharing
-            # No manager / no shm on this platform: the parallel runner
-            # degrades to per-worker private tables.  Previously
+            # No manager / no shm on this platform: callers degrade
+            # to per-process private tables.  Previously
             # swallowed silently — now logged and counted so "why is
             # nothing shared?" has an answer.
             _LOG.warning(

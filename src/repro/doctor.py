@@ -2,13 +2,13 @@
 
 The artifact layer leaves three kinds of state on a machine: spilled
 summed-area tables (``repro-sat-*.npy`` plus manifest and, after a
-crash, ``.partial``/``.journal.json``/``.carry.npy``/``.shards.json``
-build sidecars — the last one the phase-1 shard log of a parallel
-build),
-the compiled-kernel cache (``reprokern-*.so`` with digest sidecars, and
-``.c``/``.tmp`` leftovers from failed compiles), and shared-memory
-segments (``repro-shm-*`` under ``/dev/shm``) from runs that died before
-teardown.  The doctor walks all three:
+crash, ``.partial``/``.journal.json``/``.carry.npy`` build sidecars,
+plus ``.shards.json`` shard logs that parallel builds of earlier
+versions left behind), the compiled-kernel cache (``reprokern-*.so``
+with digest sidecars, and ``.c``/``.tmp`` leftovers from failed
+compiles), and shared-memory segments (``repro-shm-*`` under
+``/dev/shm``) from runs that died before teardown.  The doctor walks
+all three:
 
 * **report** (default): verify every artifact against its sidecar
   (:mod:`repro.core.integrity`), classify each finding, and exit
@@ -27,7 +27,8 @@ Classifications:
     e.g. a zero-byte ``.so``) — gc removes it;
 ``stale``
     leftover staging state no live build owns (partials + journals,
-    compile temps, orphaned sidecars, shm segments) — gc removes it;
+    old shard logs, compile temps, orphaned sidecars, shm segments) —
+    gc removes it;
 ``resumable``
     an interrupted chunked build whose journal still validates — gc
     removes it, but the report says a re-run would resume it instead;
@@ -58,10 +59,10 @@ from repro.core.integrity import (
     verify_sat,
 )
 from repro.core.sat import (
+    LEGACY_SHARDS_SUFFIX,
     build_carry_path,
     build_journal_path,
     build_partial_path,
-    build_shards_path,
 )
 from repro.obs.log import get_logger
 
@@ -150,24 +151,6 @@ def _journal_is_resumable(npy_path: str) -> bool:
     )
 
 
-def _shards_are_resumable(npy_path: str) -> bool:
-    """Whether a parallel build's phase-1 shard state would resume.
-
-    A build killed during phase 1 leaves a shard log plus the partial
-    but no (valid) carry journal — per-worker state, not corruption: a
-    re-run digest-verifies each committed shard and finishes the build.
-    """
-    from repro.core.integrity import SAT_SHARDS_KIND
-
-    shards = _load_sidecar_json(build_shards_path(npy_path))
-    return (
-        shards is not None
-        and shards.get("kind") == SAT_SHARDS_KIND
-        and bool(shards.get("done"))
-        and os.path.exists(build_partial_path(npy_path))
-    )
-
-
 def scan_sat_artifacts(
     directory: Optional[str] = None, level: Optional[str] = None
 ) -> List[ArtifactIssue]:
@@ -175,7 +158,9 @@ def scan_sat_artifacts(
 
     Only repro-owned files are considered: ``repro-sat-*`` temp spills,
     any ``.npy`` with a manifest sidecar, and chunked-build staging
-    sets (``*.partial`` / ``*.journal.json`` / ``*.carry.npy``).
+    sets (``*.partial`` / ``*.journal.json`` / ``*.carry.npy``).  A
+    ``*.npy.shards.json`` shard log from an older parallel build is
+    stale on its own: no build reads it any more.
     """
     directory = directory or _sat_dir()
     level = verify_level(level)
@@ -196,12 +181,16 @@ def scan_sat_artifacts(
         tables.add(sidecar[: -len(".manifest.json")])
     staged = set()
     for pattern in ("*.npy.partial", "*.npy.journal.json",
-                    "*.npy.carry.npy", "*.npy.shards.json"):
+                    "*.npy.carry.npy"):
         for leftover in glob.glob(os.path.join(directory, pattern)):
-            for suffix in (".partial", ".journal.json", ".carry.npy",
-                           ".shards.json"):
+            for suffix in (".partial", ".journal.json", ".carry.npy"):
                 if leftover.endswith(suffix):
                     staged.add(leftover[: -len(suffix)])
+    shard_logs = sorted(
+        glob.glob(
+            os.path.join(directory, "*.npy" + LEGACY_SHARDS_SUFFIX)
+        )
+    )
 
     for path in sorted(tables):
         manifest = manifest_path(path)
@@ -259,7 +248,6 @@ def scan_sat_artifacts(
                 build_partial_path(base),
                 build_journal_path(base),
                 build_carry_path(base),
-                build_shards_path(base),
             )
             if os.path.exists(p)
         ]
@@ -269,19 +257,9 @@ def scan_sat_artifacts(
                 "interrupted chunked build; re-running the build for "
                 f"{os.path.basename(base)} resumes it"
             )
-        elif _shards_are_resumable(base):
-            state = "resumable"
-            detail = (
-                "parallel build interrupted in phase 1; re-running "
-                f"the build for {os.path.basename(base)} verifies the "
-                "committed worker shards and resumes"
-            )
         else:
             state = "stale"
-            detail = (
-                "dead build staging files (no usable journal or "
-                "shard log)"
-            )
+            detail = "dead build staging files (no usable journal)"
         issues.append(
             ArtifactIssue(
                 kind="sat-build",
@@ -289,6 +267,19 @@ def scan_sat_artifacts(
                 path=base,
                 detail=detail,
                 removals=parts,
+            )
+        )
+    for shard_log in shard_logs:
+        issues.append(
+            ArtifactIssue(
+                kind="sat-build",
+                state="stale",
+                path=shard_log,
+                detail=(
+                    "shard log left by an older parallel build; no "
+                    "build reads it"
+                ),
+                removals=[shard_log],
             )
         )
     return issues

@@ -8,37 +8,19 @@ smoke tests and CI.  (X6, the growth experiment, returns a different
 result type and runs separately via ``repro.experiments.exp_growth`` —
 ``scripts/generate_report.py`` appends it to the full report.)
 
-``run_all(workers=N)`` fans the independent experiment configurations out
-over a spawn-context process pool.  Each worker imports the package
-fresh (so the allocation cache is rebuilt per process — spawn-safe by
-construction) and every experiment is deterministic, so the parallel run
-returns results identical to the serial one, assembled in the same
-canonical key order regardless of completion order.  Workers do not
-rebuild allocations redundantly: the pool initializer installs a
-:class:`~repro.core.shm.SharedAllocationBroker` into each worker's
-global allocation cache, so the first worker to materialize a
-``(scheme, grid, M)`` table publishes it to a
-``multiprocessing.shared_memory`` segment and every other worker
-attaches it zero-copy instead of re-deriving (or re-pickling) it.  The
-parent owns teardown: every segment is unlinked when the run finishes,
-succeeds, fails, or is retried — workers crashing mid-publish included.
-
-The runner is also **self-healing**: a worker that crashes, dies without
-a traceback, or hangs past ``timeout`` is retried (``retries`` attempts
-per experiment, exponential ``backoff`` between rounds, a fresh pool each
-round), and with a checkpoint every completed result is persisted
-immediately so ``run_all(..., resume=True)`` — CLI:
-``experiment all --resume`` — skips finished experiments after a crash or
-kill.  Serial, parallel, and resumed runs all produce byte-identical
-reports.
+The suite runs in one process.  Every experiment is deterministic, so
+the report depends only on ``quick``.  The runner is **self-healing**:
+an experiment that raises is retried (``retries`` extra attempts, an
+exponential ``backoff`` between attempts), and with a checkpoint every
+completed result is persisted immediately, so ``run_all(...,
+resume=True)`` — CLI: ``experiment all --resume`` — skips finished
+experiments after a crash or kill.  Fresh and resumed runs produce
+byte-identical reports.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -49,7 +31,7 @@ from repro.experiments.reporting import render_table
 from repro.faults.injection import maybe_inject_runner_fault
 from repro.obs.log import get_logger
 from repro.obs.metrics import global_registry
-from repro.obs.trace import global_tracer, trace, trace_event
+from repro.obs.trace import trace, trace_event
 from repro.theory.conditions import render_table as render_conditions
 from repro.theory.search import SearchResult
 
@@ -138,8 +120,7 @@ _FULL_KWARGS: Dict[str, Dict[str, object]] = {
 
 
 def _job_callable(key: str):
-    # Imports stay inside the worker: under the spawn start method each
-    # process resolves the experiment module fresh at execution time.
+    # Deferred so importing the runner does not import every experiment.
     from repro.experiments import (
         exp_beyond_paper,
         exp_curve_ablation,
@@ -175,12 +156,9 @@ def _job_callable(key: str):
 def run_experiment(key: str, quick: bool = False) -> object:
     """Run one experiment job by key (pair jobs return their result pair).
 
-    This is the unit of work the parallel runner ships to worker
-    processes; it must stay a module-level function so it pickles under
-    the spawn start method.  Before doing real work it consults the
-    ``REPRO_RUNNER_FAULTS`` chaos plan (see
-    :mod:`repro.faults.injection`) so the self-healing paths can be
-    exercised end to end.
+    Before doing real work it consults the ``REPRO_RUNNER_FAULTS`` chaos
+    plan (see :mod:`repro.faults.injection`) so the self-healing paths
+    can be exercised end to end.
     """
     if key not in EXPERIMENT_KEYS:
         raise KeyError(
@@ -261,250 +239,9 @@ def _record_retry(
     )
 
 
-def _record_timeout(key: str, timeout: Optional[float]) -> None:
-    """Make one hung-worker timeout visible alongside the retry."""
-    _LOG.warning(
-        "experiment %s exceeded its %.1fs timeout; worker counted as hung",
-        key, timeout or 0.0,
-    )
-    global_registry().inc("runner.timeouts")
-    trace_event("runner.timeout", key=key, timeout_s=timeout)
-
-
-def _run_experiment_job(
-    key: str, quick: bool, collect_spans: bool
-) -> Tuple[object, Dict[str, object]]:
-    """Pool unit of work: run one experiment and ship its obs payload.
-
-    Runs in a spawn worker, so it reads the *worker's* global tracer,
-    metrics registry, and allocation cache.  The payload carries the
-    worker's spans (when the parent asked for them) plus a cumulative
-    metrics snapshot including the worker's cache counters — the channel
-    through which parallel runs report aggregate observability numbers
-    instead of parent-only ones.  Results stay untouched: the parent
-    strips the payload before assembling/checkpointing, so parallel runs
-    remain byte-identical to serial ones.
-    """
-    import os
-
-    from repro.core.backends import active_backend_name
-    from repro.core.cache import global_cache
-
-    tracer = global_tracer()
-    if collect_spans:
-        tracer.enable()
-    result = run_experiment(key, quick)
-    registry = global_registry()
-    global_cache().publish_metrics(registry)
-    return result, {
-        "pid": os.getpid(),
-        # The kernel backend this worker actually resolved — the parent
-        # asserts it matches its own (see the runner tests): a worker
-        # silently falling back to a different backend would make
-        # "ran with --backend X" a lie.
-        "backend": active_backend_name(),
-        "spans": tracer.drain() if collect_spans else [],
-        "metrics": registry.payload(),
-    }
-
-
-def _ingest_job_payload(payload: Dict[str, object]) -> None:
-    """Merge one worker payload into the parent's tracer and registry."""
-    from repro.core.backends import active_backend_name
-
-    worker_backend = payload.get("backend")
-    if (
-        worker_backend is not None
-        and worker_backend != active_backend_name()
-    ):
-        # Should be unreachable — the initializer validates the backend
-        # at worker startup — but a divergent worker must not pass
-        # silently: its numbers would be attributed to the wrong kernel.
-        global_registry().inc("runner.backend_mismatches")
-        trace_event(
-            "runner.backend_mismatch",
-            worker=str(worker_backend),
-            parent=active_backend_name(),
-        )
-    tracer = global_tracer()
-    if tracer.enabled:
-        for span in payload.get("spans", []):  # type: ignore[union-attr]
-            tracer.record(span)
-    global_registry().ingest(payload["metrics"])  # type: ignore[arg-type]
-
-
-def _init_worker_broker(
-    broker,
-    backend: Optional[str] = None,
-    sat_budget: Optional[int] = None,
-    verify: Optional[str] = None,
-) -> None:
-    """Pool initializer: broker, backend, SAT budget, verify level.
-
-    Runs in the worker before any experiment; module-level so it pickles
-    under spawn.  Workers hold the pristine default scheme registry, so
-    the broker's name-keyed registry is unambiguous here.
-
-    ``backend`` is the parent's resolved kernel-backend name: it is
-    written to ``REPRO_BACKEND`` *and* validated eagerly via
-    :func:`repro.core.backends.set_backend`, so a worker that cannot run
-    the requested backend (no compiler, no numba) fails at pool startup
-    instead of silently computing on a different implementation than the
-    parent.  ``sat_budget`` propagates the chunked-SAT working-memory
-    budget the same way, and ``verify`` the parent's resolved
-    artifact-verification depth (``REPRO_VERIFY``) — workers must check
-    spilled tables and cached kernels exactly as strictly as the parent
-    would.
-    """
-    import os
-
-    from repro.core.cache import global_cache
-
-    if broker is not None:
-        global_cache().set_broker(broker)
-    if backend is not None:
-        from repro.core.backends import BACKEND_ENV, set_backend
-
-        os.environ[BACKEND_ENV] = backend
-        set_backend(backend)
-    if sat_budget is not None:
-        from repro.core.sat import BYTE_BUDGET_ENV
-
-        os.environ[BYTE_BUDGET_ENV] = str(int(sat_budget))
-    if verify is not None:
-        from repro.core.integrity import VERIFY_ENV
-
-        os.environ[VERIFY_ENV] = verify
-    # Experiment workers never nest a build pool inside the experiment
-    # pool: N experiment workers × M build workers would oversubscribe
-    # every core and multiply the transient tile footprint.  Any chunked
-    # build a worker performs runs serially; parallel builds belong to
-    # the parent (or a dedicated build invocation).
-    from repro.core.sat import BUILD_WORKERS_ENV
-
-    os.environ[BUILD_WORKERS_ENV] = "1"
-
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down even when workers are hung or already dead.
-
-    ``shutdown`` alone would join a hung worker forever, so any surviving
-    worker processes are killed first; the private ``_processes`` mapping
-    is the only handle the executor exposes, hence the defensive
-    ``getattr``.
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        if process.is_alive():
-            process.terminate()
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _run_parallel(
-    pending: List[str],
-    quick: bool,
-    workers: int,
-    timeout: Optional[float],
-    retries: int,
-    backoff: float,
-    checkpoint: Optional[RunCheckpoint],
-) -> Dict[str, object]:
-    """Pool execution surviving worker crashes, hard exits, and hangs.
-
-    Each round runs every pending experiment in a fresh spawn pool; keys
-    whose future raises (worker exception), breaks the pool (hard exit),
-    or exceeds ``timeout`` are collected and retried next round after an
-    exponential backoff, up to ``retries`` extra attempts per key.
-    """
-    from repro.core.shm import SharedAllocationArena
-
-    raw: Dict[str, object] = {}
-    attempts: Dict[str, int] = {key: 0 for key in pending}
-    failures: Dict[str, BaseException] = {}
-    round_index = 0
-    # One arena for the whole run (all retry rounds): allocations built
-    # in a crashed round stay attachable in the next, and the single
-    # ``finally`` below guarantees every segment is unlinked exactly once.
-    arena = SharedAllocationArena.try_create()
-    # The initializer always runs — even without an arena the workers
-    # must inherit the parent's backend choice and SAT byte budget.
-    from repro.core.backends import active_backend_name
-    from repro.core.integrity import verify_level
-    from repro.core.sat import sat_byte_budget
-
-    initargs = {
-        "initializer": _init_worker_broker,
-        "initargs": (
-            arena.broker if arena is not None else None,
-            active_backend_name(),
-            sat_byte_budget(),
-            verify_level(),
-        ),
-    }
-    try:
-        while pending:
-            context = multiprocessing.get_context("spawn")
-            pool = ProcessPoolExecutor(
-                max_workers=workers, mp_context=context, **initargs
-            )
-            failed: List[str] = []
-            collect_spans = global_tracer().enabled
-            try:
-                futures = {
-                    key: pool.submit(
-                        _run_experiment_job, key, quick, collect_spans
-                    )
-                    for key in pending
-                }
-                for key in pending:
-                    try:
-                        result, payload = futures[key].result(
-                            timeout=timeout
-                        )
-                    except FutureTimeoutError as exc:
-                        _record_timeout(key, timeout)
-                        failures[key] = exc
-                        failed.append(key)
-                    except Exception as exc:  # qa502: allow — recorded and retried; exhausted keys raise below
-                        # Worker exception or BrokenProcessPool after a
-                        # hard worker death; both are retryable.
-                        failures[key] = exc
-                        failed.append(key)
-                    else:
-                        _ingest_job_payload(payload)
-                        raw[key] = result
-                        if checkpoint is not None:
-                            checkpoint.record(key, result)
-            finally:
-                _terminate_pool(pool)
-            for key in failed:
-                attempts[key] += 1
-            exhausted = [key for key in failed if attempts[key] > retries]
-            if exhausted:
-                details = "; ".join(
-                    f"{key}: {failures[key]!r}" for key in exhausted
-                )
-                raise RunnerError(
-                    f"experiment(s) failed after {retries + 1} "
-                    f"attempt(s) — {details}"
-                )
-            pending = failed
-            if pending:
-                delay = _retry_round_delay(backoff, round_index)
-                for key in pending:
-                    _record_retry(key, attempts[key], failures[key], delay)
-                time.sleep(delay)
-                round_index += 1
-    finally:
-        if arena is not None:
-            arena.close()
-    return raw
-
-
 def run_all(
     quick: bool = False,
     workers: Optional[int] = None,
-    timeout: Optional[float] = None,
     retries: int = DEFAULT_RETRIES,
     backoff: float = DEFAULT_BACKOFF,
     checkpoint: Optional[Union[str, Path]] = None,
@@ -512,17 +249,15 @@ def run_all(
 ) -> Dict[str, object]:
     """Execute the whole suite; keys match DESIGN.md's experiment index.
 
-    ``workers`` > 1 distributes the independent experiments over a
-    spawn-context process pool; results (and their dict ordering) are
-    identical to a serial run.
+    ``workers`` accepts only ``None`` or ``1``: the suite always runs in
+    this process.  The keyword is kept solely for
+    ``perfbench/workload_suite.py``, which still passes ``workers=None``;
+    any other value raises :class:`ValueError`.
 
     Self-healing knobs:
 
-    * ``timeout`` — seconds each experiment may run before its worker is
-      declared hung and retried (pool execution only; the serial path has
-      no one to watch the clock).
     * ``retries`` / ``backoff`` — extra attempts per failing experiment
-      and the base exponential delay between retry rounds.  When an
+      and the base exponential delay between attempts.  When an
       experiment still fails after its last retry the run raises
       :class:`~repro.core.exceptions.RunnerError`.
     * ``checkpoint`` / ``resume`` — persist every completed result to the
@@ -531,14 +266,15 @@ def run_all(
       successful run, so a later ``resume`` starts fresh rather than
       serving stale results.
     """
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be a positive integer: {workers}")
+    if workers not in (None, 1):
+        raise ValueError(
+            f"workers must be None or 1 (the suite runs in one "
+            f"process): {workers!r}"
+        )
     if retries < 0:
         raise ValueError(f"retries must be non-negative: {retries}")
     if backoff < 0:
         raise ValueError(f"backoff must be non-negative: {backoff}")
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be positive: {timeout}")
     if resume and checkpoint is None:
         raise ValueError("resume=True needs a checkpoint path")
 
@@ -549,17 +285,7 @@ def run_all(
         if resume:
             raw.update(store.load())
     pending = [key for key in EXPERIMENT_KEYS if key not in raw]
-
-    if workers is None or workers == 1:
-        raw.update(
-            _run_serial(pending, quick, retries, backoff, store)
-        )
-    else:
-        raw.update(
-            _run_parallel(
-                pending, quick, workers, timeout, retries, backoff, store
-            )
-        )
+    raw.update(_run_serial(pending, quick, retries, backoff, store))
     results = _assemble(raw)
     if store is not None:
         store.clear()

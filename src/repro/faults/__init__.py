@@ -8,8 +8,8 @@ experiment runner itself must degrade gracefully.  Three pieces:
   merged :class:`FaultScenario`, and the seeded :class:`FaultInjector`;
 * :mod:`repro.faults.degraded` — availability and degraded response-time
   semantics for unreplicated and replicated allocations;
-* :mod:`repro.faults.injection` — crash/hang injection for the runner's
-  own worker processes (chaos testing the self-healing paths);
+* :mod:`repro.faults.injection` — crash/exit injection for the runner's
+  experiments (chaos testing the self-healing paths);
 * :mod:`repro.faults.io` — I/O-level injection points inside the
   artifact layer (SAT spills, kernel compiles, shm attaches), driving
   the integrity/recovery chaos tests.

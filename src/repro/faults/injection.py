@@ -1,26 +1,27 @@
-"""Crash/hang injection for the experiment runner's own workers.
+"""Crash injection for the experiment runner.
 
 The self-healing runner (:mod:`repro.experiments.runner`) is only worth
-trusting if its failure paths are exercised, and worker processes cannot
-be monkeypatched from a test — they are fresh ``spawn`` interpreters.
-This module is the bridge: an environment-variable fault plan that every
-``run_experiment`` call consults before doing real work, usable both from
-the test suite and from the shell for ad-hoc chaos runs::
+trusting if its failure paths are exercised, including a process that
+dies outright and a run resumed from its checkpoint in a fresh
+interpreter.  This module is the bridge: an environment-variable fault
+plan that every ``run_experiment`` call consults before doing real
+work, usable both from the test suite and from the shell for ad-hoc
+chaos runs::
 
     REPRO_RUNNER_FAULTS="E2:crash:1" \\
     REPRO_RUNNER_FAULTS_STATE=/tmp/fault-state \\
-        python -m repro experiment all --quick --workers 2
+        python -m repro experiment all --quick
 
 Plan grammar: semicolon-separated ``KEY:MODE[:TIMES]`` entries, where
 
 * ``KEY`` is an experiment key (``E1`` ... ``THM``);
-* ``MODE`` is ``crash`` (raise :class:`InjectedFault`), ``exit`` (hard
-  ``os._exit`` — the worker dies without a traceback, breaking the pool),
-  or ``hang`` (sleep far past any sane timeout);
+* ``MODE`` is ``crash`` (raise :class:`InjectedFault`, which the runner
+  retries) or ``exit`` (hard ``os._exit`` — the process dies without a
+  traceback, leaving only its checkpoint for ``--resume``);
 * ``TIMES`` (default 1) is how many attempts of that key to sabotage.
 
-Attempt counting needs state that survives worker re-spawns, so it lives
-in one file per key under ``REPRO_RUNNER_FAULTS_STATE``.  Without a state
+Attempt counting needs state that survives the process, so it lives in
+one file per key under ``REPRO_RUNNER_FAULTS_STATE``.  Without a state
 directory the fault fires on *every* attempt — useful for testing retry
 exhaustion.
 """
@@ -28,7 +29,6 @@ exhaustion.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
@@ -46,10 +46,7 @@ __all__ = [
 FAULTS_ENV = "REPRO_RUNNER_FAULTS"
 FAULTS_STATE_ENV = "REPRO_RUNNER_FAULTS_STATE"
 
-#: How long a "hung" worker sleeps; anything far beyond test timeouts.
-HANG_SECONDS = 3600.0
-
-_MODES = ("crash", "exit", "hang")
+_MODES = ("crash", "exit")
 
 
 class InjectedFault(RuntimeError):
@@ -57,7 +54,7 @@ class InjectedFault(RuntimeError):
 
     Deliberately *not* a :class:`~repro.core.exceptions.DeclusteringError`:
     to the runner an injected crash must look exactly like an unexpected
-    worker bug, not a polite library error.
+    experiment bug, not a polite library error.
     """
 
 
@@ -148,19 +145,16 @@ class RunnerFaultPlan:
                 f"injected crash in experiment {entry.key} "
                 f"(attempt {attempt}/{entry.times})"
             )
-        if entry.mode == "exit":
-            # A hard exit: no exception, no cleanup — exactly what a
-            # segfaulting or OOM-killed worker looks like to the pool.
-            os._exit(17)
-        time.sleep(HANG_SECONDS)
+        # A hard exit: no exception, no cleanup — exactly what a
+        # segfaulting or OOM-killed process looks like.
+        os._exit(17)
 
 
 def maybe_inject_runner_fault(key: str) -> None:
     """Apply the environment fault plan to one experiment attempt.
 
     No-op unless ``REPRO_RUNNER_FAULTS`` is set; called by
-    :func:`repro.experiments.runner.run_experiment` so the plan reaches
-    spawn-context worker processes through their inherited environment.
+    :func:`repro.experiments.runner.run_experiment` before each attempt.
     """
     plan = RunnerFaultPlan.from_environment()
     if plan is not None:

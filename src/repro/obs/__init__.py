@@ -7,9 +7,9 @@ missing feedback loop, built around three constraints:
 * **off by default, zero overhead when off** — the tracer's disabled
   path allocates nothing (a bench gate asserts the bound), counters are
   plain dict increments, and logging ships a ``NullHandler``;
-* **process-safe** — spawn workers serialize spans and metric payloads
-  back to the parent with their results, so parallel runs report
-  *aggregate* numbers, not parent-only ones;
+* **process-local** — every process owns one tracer and one registry,
+  and span ids embed the pid, so exports from different processes
+  never collide;
 * **distribution-aware** — histograms expose p50/p95/max, not just
   means, following the response-time-variability literature.
 

@@ -1,4 +1,4 @@
-"""Process-safe counters and histograms with cross-worker aggregation.
+"""Process-local counters and histograms.
 
 The metrics registry is the "how often / how big" half of
 :mod:`repro.obs`.  It holds two kinds of series:
@@ -22,17 +22,9 @@ of O(observations) — at serving rates the previous grow-forever list
 was a memory leak and an O(n log n) summary.
 
 Process model.  Each process owns exactly one registry
-(:func:`global_registry`); nothing is shared *live* across processes.
-Instead a worker serializes its registry to a plain-dict *payload*
-(:meth:`MetricsRegistry.payload`) that travels back to the parent with
-the experiment result, and the parent stores it per-pid
-(:meth:`MetricsRegistry.ingest`).  Payloads are **cumulative snapshots**:
-a later payload from the same pid replaces the earlier one rather than
-adding to it, so a pool worker that runs five experiments reports each
-counter once, not five times.  Aggregation is then a straight sum of the
-parent's own series plus the latest payload per worker pid — this is
-what makes ``--cache-stats`` under ``--workers N`` report *all* activity
-instead of the parent's alone.
+(:func:`global_registry`); nothing is shared across processes.  A
+``--metrics-out`` export (:meth:`MetricsRegistry.to_json_dict`) holds
+the exporting process's own series.
 
 All increments are plain dict operations on process-local state: no
 locks on the hot path, nothing to configure, and nothing measurable when
@@ -58,8 +50,8 @@ __all__ = [
     "reset_global_registry",
 ]
 
-#: Bumped when the payload / JSON layout changes incompatibly.
-METRICS_SCHEMA_VERSION = 1
+#: Bumped when the JSON layout changes incompatibly.
+METRICS_SCHEMA_VERSION = 2
 
 #: Max observations retained per histogram series.  Statistics are exact
 #: up to this many observations; beyond it percentiles are estimated
@@ -143,21 +135,6 @@ class _Reservoir:
             if slot < self._cap:
                 self.samples[slot] = value
 
-    def extend(self, values: List[float],
-               stats: Optional[Dict[str, float]] = None) -> None:
-        """Fold another (samples, exact-stats) series into this one."""
-        for value in values:
-            self.add(value)
-        if stats is not None:
-            # The loop above accounted only for the retained samples;
-            # patch the exact aggregates up to the true series totals.
-            extra = int(stats["count"]) - len(values)
-            if extra > 0:
-                self.count += extra
-                self.total += float(stats["sum"]) - float(sum(values))
-            if stats.get("count") and float(stats["max"]) > self.maximum:
-                self.maximum = float(stats["max"])
-
     def stats(self) -> Dict[str, float]:
         return {
             "count": self.count, "sum": self.total, "max": self.maximum,
@@ -171,17 +148,8 @@ def _reservoir_seed(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
-def _derived_stats(values: List[float]) -> Dict[str, float]:
-    """Exact stats for a legacy payload that carried only raw samples."""
-    return {
-        "count": len(values),
-        "sum": float(sum(values)),
-        "max": max(values) if values else 0.0,
-    }
-
-
 class MetricsRegistry:
-    """Counters + histograms for one process, plus ingested worker payloads.
+    """Counters + histograms for one process.
 
     Examples
     --------
@@ -190,16 +158,13 @@ class MetricsRegistry:
     >>> registry.observe("experiment.E1.seconds", 0.25)
     >>> registry.counter("cache.hits")
     3
-    >>> registry.ingest({"pid": 999, "counters": {"cache.hits": 4},
-    ...                  "histograms": {}})
     >>> registry.aggregate_counters()["cache.hits"]
-    7
+    3
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
         self._histograms: Dict[str, _Reservoir] = {}
-        self._process_payloads: Dict[int, Dict[str, Any]] = {}
 
     # -- local series -------------------------------------------------
 
@@ -224,138 +189,31 @@ class MetricsRegistry:
         reservoir.add(value)
 
     def clear(self) -> None:
-        """Drop all local series and every ingested payload."""
+        """Drop all series."""
         self._counters = {}
         self._histograms = {}
-        self._process_payloads = {}
 
-    # -- cross-process payloads ---------------------------------------
-
-    def payload(self) -> Dict[str, Any]:
-        """This process's series as a picklable cumulative snapshot.
-
-        ``histograms`` maps name -> retained samples (the full series
-        while it fits the reservoir), as it always has;
-        ``histogram_stats`` carries the exact count/sum/max aggregates
-        so an overflowed reservoir still reports true totals.  Readers
-        that predate ``histogram_stats`` keep working off the samples.
-        """
-        return {
-            "schema": METRICS_SCHEMA_VERSION,
-            "pid": os.getpid(),
-            "counters": dict(self._counters),
-            "histograms": {
-                name: list(reservoir.samples)
-                for name, reservoir in self._histograms.items()
-            },
-            "histogram_stats": {
-                name: reservoir.stats()
-                for name, reservoir in self._histograms.items()
-            },
-        }
-
-    def ingest(self, payload: Dict[str, Any]) -> None:
-        """Store a worker payload, replacing any earlier one for its pid.
-
-        Payloads are cumulative, so replacement (not addition) is what
-        keeps a long-lived pool worker from being counted once per job.
-        Payloads without ``histogram_stats`` (older writers) have their
-        exact aggregates derived from the sample lists.
-        """
-        pid = int(payload["pid"])
-        histograms = {
-            name: list(values)
-            for name, values in payload.get("histograms", {}).items()
-        }
-        stats = payload.get("histogram_stats") or {}
-        self._process_payloads[pid] = {
-            "counters": dict(payload.get("counters", {})),
-            "histograms": histograms,
-            "histogram_stats": {
-                name: dict(stats.get(name) or _derived_stats(values))
-                for name, values in histograms.items()
-            },
-        }
-
-    def process_pids(self) -> List[int]:
-        """Pids of every worker whose payload has been ingested."""
-        return sorted(self._process_payloads)
-
-    def process_counters(self, pid: int) -> Dict[str, int]:
-        """The latest counter snapshot ingested from ``pid``."""
-        return dict(self._process_payloads[pid]["counters"])
-
-    # -- aggregation --------------------------------------------------
+    # -- snapshots ----------------------------------------------------
 
     def aggregate_counters(self) -> Dict[str, int]:
-        """Own counters plus the latest snapshot per worker, summed."""
-        totals = dict(self._counters)
-        for payload in self._process_payloads.values():
-            for name, value in payload["counters"].items():
-                totals[name] = totals.get(name, 0) + int(value)
-        return totals
+        """A copy of every counter."""
+        return dict(self._counters)
 
     def aggregate_histograms(self) -> Dict[str, Dict[str, float]]:
-        """Summaries over own plus every worker's observations."""
-        merged: Dict[str, _Reservoir] = {}
-
-        def _series(name: str) -> _Reservoir:
-            reservoir = merged.get(name)
-            if reservoir is None:
-                reservoir = _Reservoir(_reservoir_seed(name))
-                merged[name] = reservoir
-            return reservoir
-
-        for name, reservoir in self._histograms.items():
-            _series(name).extend(
-                list(reservoir.samples), reservoir.stats()
-            )
-        for payload in self._process_payloads.values():
-            for name, values in payload["histograms"].items():
-                _series(name).extend(
-                    values, payload["histogram_stats"][name]
-                )
+        """Summaries of every histogram, by name."""
         return {
             name: reservoir.summary()
-            for name, reservoir in sorted(merged.items())
+            for name, reservoir in sorted(self._histograms.items())
         }
 
     def to_json_dict(self) -> Dict[str, Any]:
         """The full registry as the JSON document ``--metrics-out`` writes."""
         return {
             "schema": METRICS_SCHEMA_VERSION,
-            "parent_pid": os.getpid(),
+            "pid": os.getpid(),
             "aggregate": {
-                "counters": dict(sorted(self.aggregate_counters().items())),
-                "histograms": self.aggregate_histograms(),
-            },
-            "parent": {
                 "counters": dict(sorted(self._counters.items())),
-                "histograms": {
-                    name: reservoir.summary()
-                    for name, reservoir in sorted(
-                        self._histograms.items()
-                    )
-                },
-            },
-            "processes": {
-                str(pid): {
-                    "counters": dict(
-                        sorted(payload["counters"].items())
-                    ),
-                    "histograms": {
-                        name: histogram_summary(
-                            values,
-                            payload["histogram_stats"][name],
-                        )
-                        for name, values in sorted(
-                            payload["histograms"].items()
-                        )
-                    },
-                }
-                for pid, payload in sorted(
-                    self._process_payloads.items()
-                )
+                "histograms": self.aggregate_histograms(),
             },
         }
 

@@ -74,12 +74,7 @@ def render_metrics_summary(document: Dict[str, Any]) -> str:
     histograms: Dict[str, Dict[str, float]] = aggregate.get(
         "histograms", {}
     )
-    worker_pids = sorted(document.get("processes", {}))
-    lines = [
-        "metrics summary "
-        f"(aggregate over parent + {len(worker_pids)} worker "
-        f"process(es))"
-    ]
+    lines = [f"metrics summary (pid {document.get('pid', '?')})"]
 
     experiment_rows = [
         (name[len("experiment."):-len(".seconds")], summary)
@@ -144,10 +139,7 @@ def render_metrics_summary(document: Dict[str, Any]) -> str:
         )
 
     runner = _counter_block(counters, "runner.")
-    lines.append(
-        f"  runner: retries={runner.get('retries', 0)} "
-        f"timeouts={runner.get('timeouts', 0)}"
-    )
+    lines.append(f"  runner: retries={runner.get('retries', 0)}")
     return "\n".join(lines)
 
 

@@ -19,11 +19,9 @@ Design constraints, in order:
    no-op context manager (asserted by the ``obs overhead`` bench gate in
    ``benchmarks/bench_kernels.py``).  Hot paths therefore instrument
    themselves unconditionally and pass no keyword attrs.
-2. **Crossing process boundaries.**  Spans recorded in a spawn worker
-   are drained to plain dicts (:meth:`Tracer.drain`), shipped back with
-   the experiment result, and re-recorded into the parent's tracer
-   (:meth:`Tracer.record`) — ``span_id``\\ s embed the producing pid so
-   ids never collide across processes.
+2. **One tracer per process.**  ``span_id``\\ s embed the producing
+   pid, so traces exported by different processes never collide when
+   read together.
 3. **Stable schema.**  One JSON object per line; see
    :data:`SPAN_FIELDS`.  ``scripts/check_obs_output.py`` validates it in
    CI.
@@ -146,7 +144,7 @@ class Tracer:
     >>> with tracer.span("outer"):
     ...     with tracer.span("inner"):
     ...         pass
-    >>> [s["name"] for s in tracer.drain()]
+    >>> [s["name"] for s in tracer.spans()]
     ['inner', 'outer']
     """
 
@@ -208,24 +206,10 @@ class Tracer:
             attrs=attrs,
         )
 
-    def record(self, span: Dict[str, Any]) -> None:
-        """Ingest a span dict produced by another process's tracer."""
-        missing = [key for key in SPAN_FIELDS if key not in span]
-        if missing:
-            raise ValueError(f"span dict missing fields {missing}: {span}")
-        with self._lock:
-            self._spans.append(dict(span))
-
     def spans(self) -> List[Dict[str, Any]]:
         """A copy of every collected span, in recording order."""
         with self._lock:
             return [dict(span) for span in self._spans]
-
-    def drain(self) -> List[Dict[str, Any]]:
-        """Pop and return every collected span (what workers ship back)."""
-        with self._lock:
-            spans, self._spans = self._spans, []
-            return spans
 
     def write_jsonl(self, path: Union[str, Path]) -> int:
         """Write all collected spans as JSONL, ordered by wall-clock start.

@@ -642,13 +642,12 @@ def check_backends(
 def _check_mmap_layout(config: ContractConfig) -> List[Finding]:
     """QA423 for the chunked/memory-mapped SAT: streamed == in-RAM.
 
-    Certifies three things over one multi-tile chunked table built by
-    a parallel (2-worker) sweep: the streamed ``corner_counts`` gather
-    matches the in-RAM table bucket for bucket, and **every** available
-    backend's batch kernels over the mapped table — the ``cnative``
-    streaming kernel included — are bit-identical to the in-RAM
-    reference on the mixed batch (clipped and zero-bucket queries
-    included).
+    Certifies three things over one multi-tile chunked table: the
+    streamed ``corner_counts`` gather matches the in-RAM table bucket
+    for bucket, and **every** available backend's batch kernels over
+    the mapped table — the ``cnative`` streaming kernel included — are
+    bit-identical to the in-RAM reference on the mixed batch (clipped
+    and zero-bucket queries included).
     """
     import os
     import tempfile
@@ -671,7 +670,6 @@ def _check_mmap_layout(config: ContractConfig) -> List[Finding]:
             num_disks,
             byte_budget=1024,  # forces several tiles even on tiny grids
             path=os.path.join(tmp, "sat.npy"),
-            workers=2,  # phase-1 fan-out must stay byte-identical too
         )
         try:
             allocation = DiskAllocation(

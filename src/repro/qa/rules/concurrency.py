@@ -1,15 +1,14 @@
 """Concurrency-safety rules (QA6xx): spawn workers, shm lifetimes, pools.
 
-The parallel experiment runner fans work out over *spawn* process pools
-(PR 2), shares allocation tables over ``/dev/shm`` (PR 4), and ships
-observability payloads back from workers (PR 5).  Each of those PRs was
-bitten by the same small family of bugs, which these rules now catch
+Process-parallel code here runs *spawn* workers (the ``repro serve``
+fleet) and shares allocation tables over ``/dev/shm``.  That code keeps
+being bitten by the same small family of bugs, which these rules catch
 statically:
 
 * **QA601** — a worker-reachable function writes module-level state.
   Under the spawn start method every worker rebuilds module globals on
   import, so such writes silently diverge per process: the parent never
-  sees them, ``--workers N`` and serial runs drift apart.  Uses the
+  sees them, and parallel and serial runs drift apart.  Uses the
   :mod:`repro.qa.flow` reference graph to follow the chain from
   ``pool.submit``/``initializer=`` seeds across modules.
 * **QA602** — an shm resource (``share_allocation``/``attach_allocation``
@@ -26,8 +25,8 @@ statically:
   fail at runtime, often only on the platform whose default start
   method differs from the developer's.
 * **QA604** — fork-only assumptions: ``os.fork()`` or an explicit
-  ``"fork"`` start method.  The runner is spawn-safe by construction
-  (every worker re-imports the package); fork would resurrect exactly
+  ``"fork"`` start method.  The worker fleet is spawn-safe by
+  construction (every worker re-imports the package); fork would resurrect exactly
   the implicit-inheritance globals QA601 bans.
 
 All four accept the reason-mandatory waiver pragma, e.g.

@@ -12,18 +12,16 @@ from repro.core.integrity import (
     write_library_digest,
 )
 from repro.core.registry import get_scheme
-from repro.core.integrity import SAT_SHARDS_KIND
 from repro.core.sat import (
+    LEGACY_SHARDS_SUFFIX,
     SummedAreaTable,
     build_carry_path,
     build_journal_path,
     build_partial_path,
-    build_shards_path,
 )
 from repro.doctor import (
     ArtifactIssue,
     _journal_is_resumable,
-    _shards_are_resumable,
     run_doctor,
     scan_native_cache,
     scan_sat_artifacts,
@@ -134,67 +132,28 @@ class TestSatScan:
         }
 
 
-def _plant_shard_state(directory, name="repro-sat-p.npy"):
-    """A phase-1-only crash: shard log + partial, no carry journal."""
-    base = os.path.join(str(directory), name)
-    with open(build_partial_path(base), "wb") as handle:
-        handle.write(b"half-built")
-    with open(build_shards_path(base), "w") as handle:
-        json.dump(
-            {
-                "kind": SAT_SHARDS_KIND,
-                "done": {"0": "0" * 64, "4": "1" * 64},
-            },
-            handle,
-        )
-    return base
-
-
-class TestShardsResumable:
-    def test_phase1_crash_state_is_resumable(self, tmp_path):
-        base = _plant_shard_state(tmp_path)
-        (issue,) = scan_sat_artifacts(str(tmp_path))
-        assert issue.kind == "sat-build"
-        assert issue.state == "resumable"
-        assert "parallel build" in issue.detail
-        assert set(issue.removals) == {
-            build_partial_path(base),
-            build_shards_path(base),
-        }
-
-    def test_requires_kind_done_and_partial(self, tmp_path):
-        base = os.path.join(str(tmp_path), "t.npy")
-        assert not _shards_are_resumable(base)  # no log at all
-        with open(build_shards_path(base), "w") as handle:
-            json.dump({"kind": SAT_SHARDS_KIND, "done": {"0": "x"}}, handle)
-        assert not _shards_are_resumable(base)  # partial missing
+class TestLegacyShardLog:
+    def test_shard_log_is_a_stale_sidecar_gc_removes(self, tmp_path):
+        # What an older parallel build killed in phase 1 left behind.
+        base = os.path.join(str(tmp_path), "repro-sat-p.npy")
+        shard_log = base + LEGACY_SHARDS_SUFFIX
         with open(build_partial_path(base), "wb") as handle:
-            handle.write(b"x")
-        assert _shards_are_resumable(base)
-        with open(build_shards_path(base), "w") as handle:
-            json.dump({"kind": SAT_SHARDS_KIND, "done": {}}, handle)
-        assert not _shards_are_resumable(base)  # nothing committed
-        with open(build_shards_path(base), "w") as handle:
-            json.dump({"kind": "something-else", "done": {"0": "x"}}, handle)
-        assert not _shards_are_resumable(base)
-
-    def test_shard_log_without_partial_is_stale(self, tmp_path):
-        base = os.path.join(str(tmp_path), "repro-sat-s.npy")
-        with open(build_shards_path(base), "w") as handle:
-            json.dump({"kind": SAT_SHARDS_KIND, "done": {"0": "x"}}, handle)
-        (issue,) = scan_sat_artifacts(str(tmp_path))
-        assert issue.state == "stale"
-        assert issue.removals == [build_shards_path(base)]
-
-    def test_gc_collects_shard_state(self, tmp_path):
-        base = _plant_shard_state(tmp_path)
+            handle.write(b"half-built")
+        with open(shard_log, "w") as handle:
+            json.dump({"kind": "sat-shards", "done": {"0": "0" * 64}}, handle)
+        by_path = {
+            issue.path: issue for issue in scan_sat_artifacts(str(tmp_path))
+        }
+        assert by_path[shard_log].kind == "sat-build"
+        assert by_path[shard_log].state == "stale"
+        assert by_path[shard_log].removals == [shard_log]
+        assert by_path[base].state == "stale"  # partial, no journal
         report = run_doctor(
             gc=True,
             scanners=[lambda: scan_sat_artifacts(str(tmp_path))],
         )
         assert report.exit_code() == 0
-        assert not os.path.exists(build_partial_path(base))
-        assert not os.path.exists(build_shards_path(base))
+        assert os.listdir(str(tmp_path)) == []
 
 
 class TestJournalResumable:

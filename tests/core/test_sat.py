@@ -160,6 +160,30 @@ class TestChunkedBuild:
             chunked.sat.close()
 
 
+class TestTileLayoutInvariance:
+    """The spilled file's bytes must not depend on how it was tiled."""
+
+    @pytest.mark.parametrize("scheme_name", ["dm", "fx"])
+    @pytest.mark.parametrize("dims", [(9, 7), (6, 5, 4)])
+    def test_file_bytes_independent_of_budget(
+        self, tmp_path, scheme_name, dims
+    ):
+        from repro.core.integrity import file_sha256
+
+        grid = Grid(dims)
+        scheme = get_scheme(scheme_name)
+        digests = set()
+        # One-row tiles, a few rows per tile, and the whole grid at once.
+        for budget in (1, 600, 1 << 20):
+            built = SummedAreaTable.build_chunked(
+                scheme, grid, 3, byte_budget=budget,
+                path=tmp_path / f"sat-{budget}.npy",
+            )
+            built.close()
+            digests.add(file_sha256(built.path))
+        assert len(digests) == 1
+
+
 class TestMmapRoundTrip:
     def test_open_mmap_recovers_grid_and_disks(self, tmp_path):
         grid = Grid((7, 6))
@@ -269,83 +293,40 @@ class TestQueryBatchIntegration:
             engine.batch_response_times(batch)
 
 
-class TestParallelBuild:
-    """Two-phase parallel builds must be byte-identical to serial."""
+class TestLegacyShardLog:
+    """Older parallel builds left a ``.shards.json`` log; none reads it."""
 
-    def _sha(self, path):
-        from repro.core.integrity import file_sha256
-
-        return file_sha256(path)
-
-    @pytest.mark.parametrize("scheme_name", ["dm", "fx"])
-    @pytest.mark.parametrize("dims", [(9, 7), (6, 5, 4)])
-    def test_matches_serial_and_in_ram(
-        self, tmp_path, scheme_name, dims
-    ):
-        grid = Grid(dims)
-        scheme = get_scheme(scheme_name)
-        serial = SummedAreaTable.build_chunked(
-            scheme, grid, 3, byte_budget=600,
-            path=tmp_path / "serial.npy", workers=1,
-        )
-        parallel = SummedAreaTable.build_chunked(
-            scheme, grid, 3, byte_budget=600,
-            path=tmp_path / "parallel.npy", workers=2,
-        )
-        in_ram = SummedAreaTable.build(scheme.allocate(grid, 3))
-        try:
-            assert self._sha(serial.path) == self._sha(parallel.path)
-            assert np.array_equal(
-                np.asarray(parallel.array), in_ram.array
-            )
-        finally:
-            serial.close()
-            parallel.close()
-
-    def test_shards_sidecar_removed_on_success(self, tmp_path):
-        from repro.core.sat import build_shards_path
+    def test_fresh_build_removes_stale_shard_log(self, tmp_path):
+        from repro.core.sat import LEGACY_SHARDS_SUFFIX, build_partial_path
 
         path = tmp_path / "sat.npy"
+        shard_log = str(path) + LEGACY_SHARDS_SUFFIX
+        # A phase-1 crash of an old parallel build: shard log + partial,
+        # no carry journal.  The build must start fresh, not reuse it.
+        with open(shard_log, "w") as handle:
+            handle.write('{"kind": "sat-shards", "done": {"0": "x"}}')
+        with open(build_partial_path(path), "wb") as handle:
+            handle.write(b"half-built")
+        grid = Grid((9, 7))
         built = SummedAreaTable.build_chunked(
-            get_scheme("dm"), Grid((8, 6)), 2,
-            byte_budget=600, path=path, workers=2,
+            get_scheme("dm"), grid, 3, byte_budget=600, path=path
         )
-        built.close()
-        assert not os.path.exists(build_shards_path(path))
-
-    def test_env_resolution_and_override(self, monkeypatch):
-        from repro.core.sat import BUILD_WORKERS_ENV, build_workers
-
-        monkeypatch.delenv(BUILD_WORKERS_ENV, raising=False)
-        assert build_workers() == 1
-        monkeypatch.setenv(BUILD_WORKERS_ENV, "3")
-        assert build_workers() == 3
-        assert build_workers(2) == 2
-
-    def test_invalid_worker_count_rejected(self):
-        from repro.core.sat import build_workers
-
-        with pytest.raises(AllocationError, match="worker count"):
-            build_workers(0)
-
-    def test_unpicklable_scheme_builds_serially(self, tmp_path):
-        """A scheme that cannot travel to spawn workers still builds."""
-        scheme = get_scheme("dm")
-        scheme._hostage = lambda: None  # closures don't pickle
+        reference = SummedAreaTable.build(
+            get_scheme("dm").allocate(grid, 3)
+        )
         try:
-            built = SummedAreaTable.build_chunked(
-                scheme, Grid((6, 4)), 2,
-                byte_budget=400, path=tmp_path / "sat.npy", workers=2,
-            )
-            built.close()
-            reference = SummedAreaTable.build_chunked(
-                get_scheme("dm"), Grid((6, 4)), 2,
-                byte_budget=400, path=tmp_path / "ref.npy",
-            )
-            reference.close()
-            assert self._sha(built.path) == self._sha(reference.path)
+            assert np.array_equal(np.asarray(built.array), reference.array)
         finally:
-            del scheme._hostage
+            built.close()
+        assert not os.path.exists(shard_log)
+        assert not os.path.exists(build_partial_path(path))
+
+    def test_workers_parameter_is_gone(self, tmp_path):
+        with pytest.raises(TypeError, match="workers"):
+            SummedAreaTable.build_chunked(
+                get_scheme("dm"), Grid((4, 4)), 2,
+                path=tmp_path / "sat.npy", workers=2,
+            )
 
 
 class TestMmapLayoutErrors:

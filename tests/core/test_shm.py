@@ -363,6 +363,42 @@ class TestSpilledSatCacheIntegration:
         assert cache.shared_mmap_engine("dm", Grid((9, 9)), 2) is None
 
 
+class TestAttachFaultAtCache:
+    """An ``shm.attach`` failure degrades the cache to a private table."""
+
+    def test_injected_fault_rebuilds_privately_and_counts(
+        self, arena, monkeypatch
+    ):
+        from repro.core.cache import global_cache, reset_global_cache
+        from repro.faults.io import IO_FAULTS_ENV, IO_FAULTS_STATE_ENV
+        from repro.obs.metrics import global_registry
+
+        grid = Grid((8, 8))
+        reference = get_scheme("hcam").allocate(grid, 5)
+        arena.broker.publish("hcam", grid, 5, reference)
+        # Drop this process's mapping so the cache must attach afresh.
+        shm.detach_all()
+        reset_global_cache()
+        global_cache().set_broker(arena.broker)
+        monkeypatch.delenv(IO_FAULTS_STATE_ENV, raising=False)
+        monkeypatch.setenv(IO_FAULTS_ENV, "shm.attach")
+        before = global_registry().counter("shm.attach_faults")
+        try:
+            rebuilt = global_cache().allocation("hcam", grid, 5)
+            assert np.array_equal(rebuilt.table, reference.table)
+            assert rebuilt.table.flags.owndata  # private, not a view
+            (entry,) = global_cache().entry_report()
+            assert entry["shared"] is False
+            assert global_cache().stats().shared_hits == 0
+            # One failed attach on the lookup, one on the re-publish.
+            assert global_registry().counter("shm.attach_faults") >= (
+                before + 1
+            )
+        finally:
+            monkeypatch.delenv(IO_FAULTS_ENV, raising=False)
+            reset_global_cache()
+
+
 class TestServerSegments:
     def test_owner_pid_parses_only_explicit_srv_tags(self):
         prefix = shm.SHM_NAME_PREFIX

@@ -33,14 +33,7 @@ class TestRunAll:
         assert exists == [True, True, True, False, True, False]
 
 
-class TestParallelRunner:
-    def test_parallel_results_identical_to_serial(self, results):
-        parallel = run_all(quick=True, workers=2)
-        assert list(parallel) == list(results)
-        assert render_all(parallel) == render_all(results)
-        assert parallel["E1"] == results["E1"]
-        assert parallel["E4a"] == results["E4a"]
-
+class TestRunExperiment:
     def test_run_experiment_unit_matches_suite(self, results):
         assert run_experiment("E2", quick=True) == results["E2"]
         e4a, e4b = run_experiment("E4", quick=True)
@@ -50,9 +43,15 @@ class TestParallelRunner:
         with pytest.raises(KeyError):
             run_experiment("E99", quick=True)
 
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            run_all(quick=True, workers=0)
+    @pytest.mark.parametrize("workers", [0, 2, 4])
+    def test_worker_counts_other_than_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="one process"):
+            run_all(quick=True, workers=workers)
+
+    def test_single_worker_is_the_serial_run(self, results):
+        assert render_all(run_all(quick=True, workers=1)) == render_all(
+            results
+        )
 
     def test_canonical_key_order_is_fixed(self, results):
         assert EXPERIMENT_KEYS == (
@@ -81,56 +80,3 @@ class TestRenderAll:
         text = render_thm(results["THM"])
         assert "yes" in text and "no" in text
         assert text.count("\n") >= len(results["THM"])
-
-
-class TestBackendPropagation:
-    """The spawn-pool initializer must carry backend + SAT budget."""
-
-    def test_initializer_applies_backend_and_budget(self):
-        import os
-
-        from repro.core.backends import (
-            BACKEND_ENV,
-            active_backend_name,
-            set_backend,
-        )
-        from repro.core.sat import BYTE_BUDGET_ENV, sat_byte_budget
-        from repro.experiments.runner import _init_worker_broker
-
-        saved = {
-            key: os.environ.get(key)
-            for key in (BACKEND_ENV, BYTE_BUDGET_ENV)
-        }
-        try:
-            _init_worker_broker(None, backend="numpy", sat_budget=12345)
-            assert active_backend_name() == "numpy"
-            assert os.environ[BACKEND_ENV] == "numpy"
-            assert sat_byte_budget() == 12345
-        finally:
-            set_backend(None)
-            for key, value in saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
-
-    def test_worker_payload_reports_parent_backend(self):
-        """In-process round trip of the worker/parent agreement check."""
-        from repro.core.backends import active_backend_name
-        from repro.experiments.runner import _run_experiment_job
-
-        _, payload = _run_experiment_job("THM", quick=True,
-                                         collect_spans=False)
-        assert payload["backend"] == active_backend_name()
-
-    def test_spawned_workers_agree_with_parent(self):
-        """A real 2-worker run must record zero backend mismatches."""
-        from repro.obs.metrics import global_registry
-
-        def mismatches():
-            counters = global_registry().payload()["counters"]
-            return counters.get("runner.backend_mismatches", 0)
-
-        before = mismatches()
-        run_all(quick=True, workers=2)
-        assert mismatches() == before == 0

@@ -1,19 +1,22 @@
 """Chaos tests for the self-healing runner and its checkpoint store.
 
-Faults reach worker processes through the ``REPRO_RUNNER_FAULTS``
-environment plan (spawn workers inherit the parent environment), so the
-same injection path covers the serial loop, the process pool, and the
-resume-after-crash flow.  Every healed run must match the no-fault
-report byte for byte.
+Faults reach the runner through the ``REPRO_RUNNER_FAULTS`` environment
+plan, so the same injection path covers in-process retries, the
+resume-after-crash flow, and a CLI process that dies outright.  Every
+healed run must match the no-fault report byte for byte.
 """
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core.exceptions import RunnerError
 from repro.experiments.checkpoint import CHECKPOINT_VERSION, RunCheckpoint
-from repro.experiments.runner import render_all, run_all
+from repro.experiments.runner import EXPERIMENT_KEYS, render_all, run_all
 from repro.faults.injection import FAULTS_ENV, FAULTS_STATE_ENV
 
 
@@ -41,39 +44,19 @@ class TestSerialHealing:
         healed = run_all(quick=True, retries=2, backoff=0.0)
         assert render_all(healed) == render_all(baseline)
 
+    @pytest.mark.parametrize("key", EXPERIMENT_KEYS)
+    def test_one_crash_at_each_experiment_heals(
+        self, key, baseline, monkeypatch, tmp_path
+    ):
+        _inject(monkeypatch, tmp_path, f"{key}:crash:1")
+        healed = run_all(quick=True, retries=1, backoff=0.0)
+        assert render_all(healed) == render_all(baseline)
+
     def test_exhausted_retries_raise(self, monkeypatch):
         # No state directory: the fault fires on every attempt.
         monkeypatch.setenv(FAULTS_ENV, "E1:crash")
         with pytest.raises(RunnerError, match="E1"):
             run_all(quick=True, retries=1, backoff=0.0)
-
-
-class TestParallelHealing:
-    def test_crash_and_hard_exit_healed(
-        self, baseline, monkeypatch, tmp_path
-    ):
-        # E2 raises once; X4 kills its worker outright once (breaking
-        # the pool, which fails every pending future of that round).
-        _inject(monkeypatch, tmp_path, "E2:crash:1;X4:exit:1")
-        healed = run_all(
-            quick=True, workers=2, retries=3, backoff=0.1
-        )
-        assert list(healed) == list(baseline)
-        assert render_all(healed) == render_all(baseline)
-
-    def test_hung_worker_timed_out_and_retried(
-        self, baseline, monkeypatch, tmp_path
-    ):
-        _inject(monkeypatch, tmp_path, "E1:hang:1")
-        healed = run_all(
-            quick=True, workers=2, timeout=5.0, retries=2, backoff=0.0
-        )
-        assert render_all(healed) == render_all(baseline)
-
-    def test_exhausted_retries_raise_with_key(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "E3:crash")
-        with pytest.raises(RunnerError, match="E3"):
-            run_all(quick=True, workers=2, retries=1, backoff=0.0)
 
 
 class TestCheckpointStore:
@@ -145,4 +128,50 @@ class TestResume:
         )
         assert render_all(resumed) == render_all(baseline)
         # A fully successful run clears its checkpoint.
+        assert not path.exists()
+
+    @pytest.mark.parametrize("key", EXPERIMENT_KEYS)
+    def test_failure_at_each_experiment_checkpoints_its_prefix(
+        self, key, baseline, monkeypatch, tmp_path
+    ):
+        path = tmp_path / "ckpt.pkl"
+        monkeypatch.setenv(FAULTS_ENV, f"{key}:crash")
+        with pytest.raises(RunnerError, match=key):
+            run_all(quick=True, retries=0, checkpoint=path)
+        done = EXPERIMENT_KEYS[: EXPERIMENT_KEYS.index(key)]
+        assert set(RunCheckpoint(path, quick=True).load()) == set(done)
+
+        monkeypatch.delenv(FAULTS_ENV)
+        resumed = run_all(quick=True, checkpoint=path, resume=True)
+        assert render_all(resumed) == render_all(baseline)
+        assert not path.exists()
+
+    def test_process_death_then_resume_is_byte_identical(
+        self, baseline, tmp_path
+    ):
+        # ``exit`` kills the CLI process outright at X5 — no exception,
+        # no cleanup — so only the checkpoint survives for --resume.
+        path = tmp_path / "ckpt.pkl"
+        env = dict(os.environ)
+        env.pop(FAULTS_STATE_ENV, None)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        command = [
+            sys.executable, "-m", "repro", "experiment", "all", "--quick",
+            "--checkpoint", str(path),
+        ]
+        died = subprocess.run(
+            command, env=dict(env, **{FAULTS_ENV: "X5:exit"}),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert died.returncode == 17
+        completed = RunCheckpoint(path, quick=True).load()
+        assert "X4" in completed and "X5" not in completed
+
+        env.pop(FAULTS_ENV, None)
+        resumed = subprocess.run(
+            command + ["--resume"], env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        assert resumed.stdout == render_all(baseline) + "\n"
         assert not path.exists()

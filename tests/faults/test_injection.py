@@ -40,9 +40,10 @@ class TestPlanParsing:
         with pytest.raises(FaultError):
             RunnerFaultPlan.from_spec("E1:crash:2:9")
 
-    def test_unknown_mode_rejected(self):
+    @pytest.mark.parametrize("mode", ["explode", "hang"])
+    def test_unknown_mode_rejected(self, mode):
         with pytest.raises(FaultError):
-            RunnerFaultPlan.from_spec("E1:explode")
+            RunnerFaultPlan.from_spec(f"E1:{mode}")
 
     def test_non_positive_times_rejected(self):
         with pytest.raises(FaultError):
@@ -61,7 +62,7 @@ class TestAttemptCounting:
         plan.apply("E1")  # third attempt survives
 
     def test_state_survives_plan_reconstruction(self, tmp_path):
-        # Worker processes re-parse the plan from the environment; the
+        # Every attempt re-parses the plan from the environment; the
         # attempt count must carry across instances via the state dir.
         first = RunnerFaultPlan.from_spec(
             "X4:crash:1", state_dir=str(tmp_path)
@@ -94,7 +95,7 @@ class TestEnvironmentBridge:
         maybe_inject_runner_fault("E3")  # second attempt passes
 
     def test_injected_fault_is_not_a_library_error(self):
-        # The runner must see an injected crash as an unexpected worker
-        # bug, not as a polite DeclusteringError.
+        # The runner must see an injected crash as an unexpected
+        # experiment bug, not as a polite DeclusteringError.
         assert not issubclass(InjectedFault, DeclusteringError)
         assert issubclass(InjectedFault, RuntimeError)

@@ -158,7 +158,7 @@ class TestInjectionPoints:
 
 class TestConcurrentHitCounting:
     def test_hits_are_unique_across_threads(self, tmp_path):
-        # A parallel build bumps one counter from several processes at
+        # Several processes (serve workers) can bump one counter at
         # once; without the flock two bumpers can claim the same hit
         # and a TIMES=1 exit plan kills both.  Threads exercise the
         # same file-level race (each opens its own descriptor).

@@ -58,73 +58,17 @@ class TestHistograms:
         assert summary["sum"] == pytest.approx(0.6)
 
 
-class TestCrossProcessPayloads:
-    def _payload(self, pid, counters, histograms=None):
-        return {
-            "schema": METRICS_SCHEMA_VERSION,
-            "pid": pid,
-            "counters": counters,
-            "histograms": histograms or {},
-        }
-
-    def test_payload_is_a_snapshot_of_local_state(self):
-        registry = MetricsRegistry()
-        registry.inc("cache.hits", 2)
-        registry.observe("experiment.E1.seconds", 0.1)
-        payload = registry.payload()
-        assert payload["pid"] == os.getpid()
-        assert payload["counters"] == {"cache.hits": 2}
-        assert payload["histograms"] == {"experiment.E1.seconds": [0.1]}
-
-    def test_aggregate_sums_parent_and_workers(self):
-        registry = MetricsRegistry()
-        registry.inc("cache.hits", 1)
-        registry.ingest(self._payload(101, {"cache.hits": 3}))
-        registry.ingest(self._payload(102, {"cache.hits": 5}))
-        assert registry.aggregate_counters()["cache.hits"] == 9
-        assert registry.process_pids() == [101, 102]
-        assert registry.process_counters(101) == {"cache.hits": 3}
-
-    def test_reingesting_a_pid_replaces_not_adds(self):
-        # Payloads are cumulative snapshots: a pool worker that runs
-        # five jobs reports its counters once, not five times.
-        registry = MetricsRegistry()
-        registry.ingest(self._payload(101, {"cache.hits": 3}))
-        registry.ingest(self._payload(101, {"cache.hits": 7}))
-        assert registry.aggregate_counters()["cache.hits"] == 7
-
-    def test_aggregate_histograms_merge_observations(self):
-        registry = MetricsRegistry()
-        registry.observe("experiment.E1.seconds", 0.1)
-        registry.ingest(
-            self._payload(
-                101, {}, {"experiment.E1.seconds": [0.3, 0.5]}
-            )
-        )
-        summary = registry.aggregate_histograms()["experiment.E1.seconds"]
-        assert summary["count"] == 3
-        assert summary["max"] == 0.5
-
-
 class TestJsonDocument:
-    def test_layout(self, tmp_path):
+    def test_layout(self):
         registry = MetricsRegistry()
         registry.inc("cache.hits", 2)
-        registry.ingest(
-            {
-                "schema": METRICS_SCHEMA_VERSION,
-                "pid": 101,
-                "counters": {"cache.hits": 3},
-                "histograms": {"experiment.E1.seconds": [0.2]},
-            }
-        )
+        registry.observe("experiment.E1.seconds", 0.2)
         document = registry.to_json_dict()
-        assert document["schema"] == METRICS_SCHEMA_VERSION
-        assert document["parent_pid"] == os.getpid()
-        assert document["aggregate"]["counters"]["cache.hits"] == 5
-        assert document["parent"]["counters"]["cache.hits"] == 2
-        assert document["processes"]["101"]["counters"]["cache.hits"] == 3
-        histogram = document["processes"]["101"]["histograms"][
+        assert set(document) == {"schema", "pid", "aggregate"}
+        assert document["schema"] == METRICS_SCHEMA_VERSION == 2
+        assert document["pid"] == os.getpid()
+        assert document["aggregate"]["counters"] == {"cache.hits": 2}
+        histogram = document["aggregate"]["histograms"][
             "experiment.E1.seconds"
         ]
         assert histogram["count"] == 1  # summarized, not raw samples
@@ -143,12 +87,9 @@ class TestJsonDocument:
         registry = MetricsRegistry()
         registry.inc("a")
         registry.observe("h", 1.0)
-        registry.ingest(
-            {"pid": 101, "counters": {"a": 1}, "histograms": {}}
-        )
         registry.clear()
         assert registry.aggregate_counters() == {}
-        assert registry.process_pids() == []
+        assert registry.aggregate_histograms() == {}
 
 
 class TestGlobalRegistry:
@@ -172,16 +113,10 @@ class TestReservoirHistograms:
         total = HISTOGRAM_RESERVOIR_SIZE + 500
         for value in range(total):
             registry.observe("big.series", float(value))
-        payload = registry.payload()
-        samples = payload["histograms"]["big.series"]
-        stats = payload["histogram_stats"]["big.series"]
-        assert len(samples) == HISTOGRAM_RESERVOIR_SIZE
-        assert stats["count"] == total
-        assert stats["sum"] == pytest.approx(sum(range(total)))
-        assert stats["max"] == float(total - 1)
-        summary = registry.to_json_dict()["parent"]["histograms"][
-            "big.series"
-        ]
+        reservoir = registry._histograms["big.series"]
+        assert len(reservoir.samples) == HISTOGRAM_RESERVOIR_SIZE
+        summary = registry.aggregate_histograms()["big.series"]
+        assert summary["sum"] == pytest.approx(sum(range(total)))
         # Exact aggregates survive sampling; percentiles come from the
         # reservoir and stay within the observed range.
         assert summary["count"] == total
@@ -193,9 +128,7 @@ class TestReservoirHistograms:
         registry = MetricsRegistry()
         for value in range(1, 101):
             registry.observe("small.series", float(value))
-        summary = registry.to_json_dict()["parent"]["histograms"][
-            "small.series"
-        ]
+        summary = registry.aggregate_histograms()["small.series"]
         assert summary["p99"] == 99.0  # nearest-rank on 1..100
         assert summary["p95"] == 95.0
 
@@ -206,51 +139,6 @@ class TestReservoirHistograms:
             first.observe("det.series", float(value))
             second.observe("det.series", float(value))
         assert (
-            first.payload()["histograms"]["det.series"]
-            == second.payload()["histograms"]["det.series"]
+            first._histograms["det.series"].samples
+            == second._histograms["det.series"].samples
         )
-
-    def test_legacy_payload_without_stats_still_aggregates(self):
-        registry = MetricsRegistry()
-        registry.ingest(
-            {
-                "pid": 4242,
-                "counters": {},
-                "histograms": {"old.series": [1.0, 3.0]},
-            }
-        )
-        merged = registry.aggregate_histograms()
-        assert merged["old.series"]["count"] == 2
-        assert merged["old.series"]["sum"] == pytest.approx(4.0)
-        assert merged["old.series"]["max"] == 3.0
-        doc = registry.to_json_dict()
-        assert doc["processes"]["4242"]["histograms"]["old.series"][
-            "count"
-        ] == 2
-
-    def test_worker_stats_fold_into_aggregate_exactly(self):
-        from repro.obs.metrics import HISTOGRAM_RESERVOIR_SIZE
-
-        registry = MetricsRegistry()
-        registry.observe("shared.series", 1.0)
-        cap = HISTOGRAM_RESERVOIR_SIZE
-        worker_samples = [float(v) for v in range(cap)]
-        registry.ingest(
-            {
-                "pid": 77,
-                "counters": {},
-                "histograms": {"shared.series": worker_samples},
-                "histogram_stats": {
-                    "shared.series": {
-                        "count": cap + 1000,
-                        "sum": 123456789.0,
-                        "max": 99999.0,
-                    }
-                },
-            }
-        )
-        doc = registry.to_json_dict()
-        merged = doc["aggregate"]["histograms"]["shared.series"]
-        assert merged["count"] == cap + 1000 + 1
-        assert merged["sum"] == pytest.approx(123456789.0 + 1.0)
-        assert merged["max"] == 99999.0

@@ -15,8 +15,8 @@ from repro.obs.summary import (
 
 def _metrics_document():
     return {
-        "schema": 1,
-        "parent_pid": 1,
+        "schema": 2,
+        "pid": 1,
         "aggregate": {
             "counters": {
                 "cache.hits": 8,
@@ -32,8 +32,6 @@ def _metrics_document():
                 },
             },
         },
-        "parent": {"counters": {}, "histograms": {}},
-        "processes": {"101": {"counters": {}, "histograms": {}}},
     }
 
 
@@ -60,9 +58,9 @@ def _spans():
 
 
 class TestMetricsRendering:
-    def test_mentions_hit_rate_and_workers(self):
+    def test_mentions_pid_hit_rate_and_retries(self):
         text = render_metrics_summary(_metrics_document())
-        assert "1 worker process(es)" in text
+        assert "metrics summary (pid 1)" in text
         assert "80% hit rate" in text
         assert "retries=2" in text
         assert "E1" in text
@@ -74,7 +72,7 @@ class TestMetricsRendering:
 
     def test_empty_aggregate_still_renders(self):
         text = render_metrics_summary(
-            {"aggregate": {}, "parent": {}, "processes": {}}
+            {"aggregate": {}}
         )
         assert "retries=0" in text
 

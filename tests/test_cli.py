@@ -287,33 +287,17 @@ class TestTheoryCommand:
         assert "DM/CMD" in out and "HCAM" in out
 
 
-class TestBuildWorkersFlag:
-    def test_flag_sets_build_workers_env(self, monkeypatch, capsys):
-        import os
-
-        from repro.core.sat import BUILD_WORKERS_ENV
-
-        monkeypatch.delenv(BUILD_WORKERS_ENV, raising=False)
-        assert main(["--build-workers", "3", "schemes"]) == 0
-        assert os.environ[BUILD_WORKERS_ENV] == "3"
-        monkeypatch.delenv(BUILD_WORKERS_ENV, raising=False)
-
-    def test_default_leaves_env_untouched(self, monkeypatch, capsys):
-        import os
-
-        from repro.core.sat import BUILD_WORKERS_ENV
-
-        monkeypatch.delenv(BUILD_WORKERS_ENV, raising=False)
-        assert main(["schemes"]) == 0
-        assert BUILD_WORKERS_ENV not in os.environ
-
-    def test_invalid_count_is_a_clean_error(self, monkeypatch, capsys):
-        import os
-
-        from repro.core.sat import BUILD_WORKERS_ENV
-
-        monkeypatch.delenv(BUILD_WORKERS_ENV, raising=False)
-        assert main(["--build-workers", "0", "schemes"]) == 1
-        err = capsys.readouterr().err
-        assert "--build-workers" in err
-        assert BUILD_WORKERS_ENV not in os.environ
+class TestRemovedPoolFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--build-workers", "2", "schemes"],
+            ["experiment", "all", "--quick", "--workers", "2"],
+            ["experiment", "all", "--quick", "--timeout", "5"],
+        ],
+    )
+    def test_pool_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
