@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.gridfile.dynamic import DynamicGridFile
+from repro.obs.trace import trace, trace_event
 from repro.workloads.datasets import uniform_dataset
 
 __all__ = [
@@ -54,8 +55,10 @@ def run(
             scheme=scheme,
             bucket_capacity=bucket_capacity,
         )
-        gridfile.insert_many(data.values)
-        stats = gridfile.stats()
+        with trace("gridfile.grow", scheme=scheme, records=num_records):
+            gridfile.insert_many(data.values)
+            stats = gridfile.stats()
+            trace_event("gridfile.grown", scheme=scheme, **stats)
         query = gridfile.range_query([(0.30, 0.45), (0.30, 0.45)])
         execution = gridfile.execute(query)
         rows[scheme] = {

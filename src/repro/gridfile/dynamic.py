@@ -26,10 +26,16 @@ Splitting policy (classic grid file):
   would duplicate a boundary);
 * the split applies to the whole grid slab, keeping the directory a
   cartesian product, exactly like the original grid file.
+
+Records live in two growing ``(n, k)`` arrays — attribute values and
+bucket coordinates — next to a grid-shaped occupancy count, so a split
+re-buckets its slab and prices its migrations in a few whole-array
+operations.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -82,12 +88,15 @@ class DynamicGridFile:
         self._num_disks = int(num_disks)
         self._scheme_name = scheme
         self._capacity = int(bucket_capacity)
-        self._records: Dict[Tuple[int, ...], List[np.ndarray]] = {}
+        k = len(self._domains)
+        self._values = np.empty((0, k), dtype=np.float64)
+        self._coords = np.empty((0, k), dtype=np.int64)
+        self._occupancy = np.zeros((1,) * k, dtype=np.int64)
         self._num_records = 0
         self._num_splits = 0
         self._buckets_migrated = 0
         self._records_migrated = 0
-        self._allocation = self._reallocate(previous=None)
+        self._allocation = self._allocate()
 
     # -- structure ---------------------------------------------------
 
@@ -137,46 +146,47 @@ class DynamicGridFile:
 
     def bucket_of(self, record: Sequence[float]) -> Tuple[int, ...]:
         """Bucket coordinates for a record's attribute values."""
-        record = self._check_record(record)
-        coords = []
-        for axis, value in enumerate(record):
-            boundaries = self._boundaries[axis]
-            index = (
-                int(np.searchsorted(boundaries, value, side="right")) - 1
-            )
-            coords.append(min(index, len(boundaries) - 2))
-        return tuple(coords)
+        return self._locate(self._check_record(record).tolist())
 
     def insert(self, record: Sequence[float]) -> Tuple[int, ...]:
         """Insert a record, splitting as needed; returns its bucket."""
         record = self._check_record(record)
-        coords = self.bucket_of(record)
-        self._records.setdefault(coords, []).append(record)
-        self._num_records += 1
-        while len(self._records.get(coords, ())) > self._capacity:
-            if not self._split(coords):
-                break  # unsplittable (duplicate values); allow overflow
-            coords = self.bucket_of(record)
-        return self.bucket_of(record)
+        self._reserve(1)
+        self._values[self._num_records] = record
+        return self._append(record.tolist())
 
     def insert_many(self, records) -> None:
-        """Insert records from an iterable / ``(n, k)`` array."""
-        for record in np.asarray(records, dtype=np.float64):
-            self.insert(record)
+        """Insert records from an iterable / ``(n, k)`` array.
+
+        The batch is validated up front; rows before the first invalid
+        one are inserted, then that row raises :meth:`insert`'s error.
+        """
+        batch = np.asarray(records, dtype=np.float64)
+        if batch.ndim != 2 or batch.shape[1] != len(self._domains):
+            if len(batch):
+                self._check_record(batch[0])
+            return
+        low, high = np.array(self._domains, dtype=np.float64).T
+        bad = np.flatnonzero(~((batch >= low) & (batch <= high)).all(1))
+        stop = int(bad[0]) if bad.size else len(batch)
+        self._reserve(stop)
+        start = self._num_records
+        self._values[start : start + stop] = batch[:stop]
+        for record in batch[:stop].tolist():
+            self._append(record)
+        if stop < len(batch):
+            self._check_record(batch[stop])
 
     def bucket_occupancy(self) -> np.ndarray:
         """Records per bucket, shaped like the current grid."""
-        occupancy = np.zeros(self.grid.dims, dtype=np.int64)
-        for coords, bucket in self._records.items():
-            occupancy[coords] = len(bucket)
-        return occupancy
+        return self._occupancy.copy()
 
     def records_per_disk(self) -> np.ndarray:
         """Records per disk under the current allocation."""
-        loads = np.zeros(self._num_disks, dtype=np.int64)
-        for coords, bucket in self._records.items():
-            loads[self._allocation.disk_of(coords)] += len(bucket)
-        return loads
+        coords = tuple(self._coords[: self._num_records].T)
+        return np.bincount(
+            self._allocation.table[coords], minlength=self._num_disks
+        )
 
     # -- queries -------------------------------------------------------
 
@@ -228,6 +238,40 @@ class DynamicGridFile:
                 )
         return record
 
+    def _locate(self, record: List[float]) -> Tuple[int, ...]:
+        """Bucket of an in-domain record: right-side search, top clamp."""
+        return tuple(
+            min(bisect_right(bounds, value) - 1, len(bounds) - 2)
+            for bounds, value in zip(self._boundaries, record)
+        )
+
+    def _reserve(self, count: int) -> None:
+        """Grow the record arrays to hold ``count`` more rows."""
+        needed = self._num_records + count
+        if needed > len(self._values):
+            extra = max(needed, 2 * len(self._values)) - len(self._values)
+            pad = ((0, extra), (0, 0))
+            self._values = np.pad(self._values, pad)
+            self._coords = np.pad(self._coords, pad)
+
+    def _append(self, record: List[float]) -> Tuple[int, ...]:
+        """Bucket the record just written to ``_values``; split on overflow."""
+        coords = self._locate(record)
+        row = self._num_records
+        self._coords[row] = coords
+        self._num_records = row + 1
+        self._occupancy[coords] += 1
+        while self._occupancy[coords] > self._capacity:
+            if not self._split(coords):
+                break  # unsplittable (duplicate values); allow overflow
+            coords = tuple(self._coords[row].tolist())
+        return coords
+
+    def _allocate(self):
+        return get_scheme(self._scheme_name).allocate(
+            self.grid, self._num_disks
+        )
+
     def _choose_split_axis(self, coords: Tuple[int, ...]) -> int:
         relative = []
         for axis, c in enumerate(coords):
@@ -237,103 +281,56 @@ class DynamicGridFile:
             relative.append(width / domain)
         return int(np.argmax(relative))
 
-    def _split(self, coords: Tuple[int, ...]) -> bool:
-        """Insert a boundary through the overflowing bucket's slab."""
+    def _split(self, coords: Tuple[int, ...]) -> bool:  # qa7: hot
+        """Insert a boundary through the overflowing bucket's slab.
+
+        Re-buckets every record, re-applies the scheme and counts the
+        migrations in value space: a record moved iff the disk under its
+        old bucket differs from the disk under its new one, and a new
+        bucket moved iff the old disk under its centre differs.
+        """
         axis = self._choose_split_axis(coords)
         boundaries = self._boundaries[axis]
         cell = coords[axis]
         low, high = boundaries[cell], boundaries[cell + 1]
-        values = np.array(
-            [r[axis] for r in self._records.get(coords, ())]
-        )
-        cut = float(np.median(values)) if values.size else (low + high) / 2
+        values: np.ndarray = self._values[: self._num_records]
+        rows: np.ndarray = self._coords[: self._num_records]
+        members: np.ndarray = values[(rows == coords).all(axis=1), axis]
+        cut = float(np.median(members))  # the bucket overflowed: non-empty
         if not low < cut < high:
             cut = (low + high) / 2.0
         if not low < cut < high:
             return False  # interval too narrow to split further
-        previous = self._snapshot_disks()
+        old_table: np.ndarray = self._allocation.table
+        old_disks = old_table[tuple(rows.T)]
+        old_edges = np.asarray(boundaries, dtype=np.float64)
         boundaries.insert(cell + 1, cut)
         self._num_splits += 1
-        # Re-bucket every record of the split slab.
-        moved: Dict[Tuple[int, ...], List[np.ndarray]] = {}
-        for old_coords in list(self._records):
-            shifted = list(old_coords)
-            if old_coords[axis] > cell:
-                shifted[axis] += 1
-                moved[tuple(shifted)] = self._records.pop(old_coords)
-            elif old_coords[axis] == cell:
-                bucket = self._records.pop(old_coords)
-                lower_half: List[np.ndarray] = []
-                upper_half: List[np.ndarray] = []
-                for record in bucket:
-                    if record[axis] < cut:
-                        lower_half.append(record)
-                    else:
-                        upper_half.append(record)
-                if lower_half:
-                    moved[old_coords] = lower_half
-                if upper_half:
-                    upper_coords = list(old_coords)
-                    upper_coords[axis] += 1
-                    moved[tuple(upper_coords)] = upper_half
-        self._records.update(moved)
-        self._allocation = self._reallocate(previous=previous)
+        column = rows[:, axis]
+        column += (column > cell) | (
+            (column == cell) & (values[:, axis] >= cut)
+        )
+        dims = self.grid.dims
+        index = tuple(rows.T)
+        self._occupancy = np.bincount(
+            np.ravel_multi_index(index, dims),
+            minlength=int(np.prod(dims)),
+        ).reshape(dims)
+        self._allocation = self._allocate()
+        new_table: np.ndarray = self._allocation.table
+        self._records_migrated += int(
+            np.count_nonzero(old_disks != new_table[index])
+        )
+        # Each new bucket's centre, located under the old boundaries
+        # (only the split axis changed).
+        under_old = []
+        for a, bounds in enumerate(self._boundaries):
+            edges = np.asarray(bounds, dtype=np.float64)
+            prior = old_edges if a == axis else edges
+            centres = (edges[:-1] + edges[1:]) / 2
+            cells = np.searchsorted(prior, centres, side="right") - 1
+            under_old.append(np.clip(cells, 0, len(prior) - 2))
+        self._buckets_migrated += int(
+            np.count_nonzero(old_table[np.ix_(*under_old)] != new_table)
+        )
         return True
-
-    def _snapshot_disks(self) -> Tuple[List[List[float]], object]:
-        """The pre-split boundaries (copied) and allocation.
-
-        Coordinates shift when a boundary is inserted, so migration is
-        measured in value space: a record/region keeps its disk iff the
-        disk serving its values is unchanged.  Keeping the old boundaries
-        lets the old disk of any value be computed exactly.
-        """
-        return (
-            [list(b) for b in self._boundaries],
-            self._allocation,
-        )
-
-    @staticmethod
-    def _coords_under(
-        boundaries: List[List[float]], values: Sequence[float]
-    ) -> Tuple[int, ...]:
-        coords = []
-        for axis, value in enumerate(values):
-            axis_bounds = boundaries[axis]
-            index = (
-                int(np.searchsorted(axis_bounds, value, side="right")) - 1
-            )
-            coords.append(min(max(index, 0), len(axis_bounds) - 2))
-        return tuple(coords)
-
-    def _reallocate(self, previous):
-        allocation = get_scheme(self._scheme_name).allocate(
-            self.grid, self._num_disks
-        )
-        if previous is not None:
-            old_boundaries, old_allocation = previous
-            # Bucket-level migration: every *new* bucket's centre, old
-            # disk vs new disk.
-            migrated_buckets = 0
-            for coords in self.grid.iter_buckets():
-                centre = tuple(
-                    (self._boundaries[a][c]
-                     + self._boundaries[a][c + 1]) / 2
-                    for a, c in enumerate(coords)
-                )
-                old_disk = old_allocation.disk_of(
-                    self._coords_under(old_boundaries, centre)
-                )
-                if allocation.disk_of(coords) != old_disk:
-                    migrated_buckets += 1
-            self._buckets_migrated += migrated_buckets
-            # Record-level migration: exact old-vs-new disk per record.
-            for coords, bucket in self._records.items():
-                new_disk = allocation.disk_of(coords)
-                for record in bucket:
-                    old_disk = old_allocation.disk_of(
-                        self._coords_under(old_boundaries, record)
-                    )
-                    if old_disk != new_disk:
-                        self._records_migrated += 1
-        return allocation

@@ -7,9 +7,18 @@ see.  A few seconds of runtime buys the guarantee that the committed
 report is reproducible by the committed code.
 """
 
+from pathlib import Path
+
 import pytest
 
+from repro.experiments import exp_growth
 from repro.experiments.runner import render_all, run_all
+
+COMMITTED_REPORT = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks"
+    / "results_full_report.txt"
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +89,13 @@ class TestFullScaleSuite:
         # A second full run must reproduce the first bit for bit.
         again = run_all(quick=False)
         assert render_all(again) == render_all(results)
+
+    def test_report_matches_committed_file_byte_for_byte(self, results):
+        # Exactly what scripts/generate_report.py writes.
+        text = (
+            render_all(results)
+            + "\n\n"
+            + exp_growth.render(exp_growth.run())
+            + "\n"
+        )
+        assert text.encode() == COMMITTED_REPORT.read_bytes()

@@ -46,6 +46,30 @@ class TestExperimentInstrumentation:
         assert "engine.sliding_response_times" in names
         assert f"trace: {len(spans)} span(s)" in capsys.readouterr().err
 
+    def test_x6_trace_has_one_grow_span_per_scheme(self, capsys, tmp_path):
+        from repro.experiments.exp_growth import DEFAULT_SCHEMES
+
+        assert main(["experiment", "X6", "--quick"]) == 0
+        plain = capsys.readouterr().out
+        trace_path = tmp_path / "trace.jsonl"
+        assert main(
+            ["experiment", "X6", "--quick", "--trace", str(trace_path)]
+        ) == 0
+        assert capsys.readouterr().out == plain
+        spans = load_trace(trace_path)
+        grows = [s for s in spans if s["name"] == "gridfile.grow"]
+        assert [s["attrs"] for s in grows] == [
+            {"scheme": scheme, "records": 400} for scheme in DEFAULT_SCHEMES
+        ]
+        assert all(s["kind"] == "span" for s in grows)
+        grown = [s for s in spans if s["name"] == "gridfile.grown"]
+        assert [s["parent_id"] for s in grown] == [
+            s["span_id"] for s in grows
+        ]
+        for event in grown:
+            assert event["attrs"]["num_splits"] > 0
+            assert event["attrs"]["records_migrated"] > 0
+
     def test_metrics_out_writes_registry_document(self, tmp_path):
         metrics_path = tmp_path / "metrics.json"
         assert main(
