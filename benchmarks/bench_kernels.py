@@ -14,7 +14,7 @@ including the measured speedup — to
 random rectangles (4096 queries, 2-d and 3-d grids) through the legacy
 per-query loop and ``batch_response_times``, written to
 ``benchmarks/results/BENCH_batch.json``; and it times every available
-kernel backend (numpy reference, compiled cnative/numba) on prebuilt
+kernel backend (numpy reference, compiled cnative) on prebuilt
 query bounds plus a beyond-RAM chunked summed-area-table build smoke,
 written to ``benchmarks/results/BENCH_native.json``
 (``REPRO_NATIVE_SMOKE_GRID`` shrinks the smoke grid, e.g. in CI)::
@@ -380,7 +380,7 @@ def run_native_bench(
     window_shape = tuple(min(4, d) for d in grid_dims)
 
     def best_of(call):
-        call()  # warm-up: native compile, disk-last layout build
+        call()  # warm-up: native compile
         best = float("inf")
         result = None
         for _ in range(repetitions):
@@ -556,8 +556,9 @@ def run_chunked_smoke(
     }
 
 
-#: Configuration of the streaming-kernel section: the CI-sized chunked
-#: table it builds and queries.
+#: Configuration of the mapped-table section (``stream_kernel`` in
+#: ``BENCH_native.json``): the CI-sized chunked table it builds and
+#: queries.
 STREAM_GRID = (96, 96, 96)
 STREAM_DISKS = 4
 STREAM_BUDGET = 2 * 1024 * 1024
@@ -573,17 +574,20 @@ def run_stream_bench(
     seed=BATCH_SEED,
     repetitions=STREAM_REPETITIONS,
 ) -> dict:
-    """Streamed-numpy vs streamed-native batch queries on an mmap table.
+    """numpy vs cnative batch queries over the same memory-mapped table.
 
-    Builds one CI-sized chunked table, then times
+    Builds one CI-sized chunked (disk-last) table, then times
     ``batch_response_times`` over the memory-mapped file through the
-    numpy streamed gather and through the ``cnative`` streaming kernel
-    (best-of ``repetitions`` after a warm-up), asserting bit-identity
-    between the two and against the in-RAM reference.  When no C
-    compiler is present the record says so and carries no speedup — the
-    gate skips it the same way it skips the in-RAM native legs.
+    numpy fancy-index gather and through the ``cnative`` ``batch_rt``
+    kernel — the same call in-RAM tables take — best-of
+    ``repetitions`` after a warm-up, asserting bit-identity between the
+    two.  The record is stamped with the host (CPU count, Python,
+    numpy).  When no C compiler is present the record says so and
+    carries no speedup — the gate skips it the same way it skips the
+    in-RAM native legs.
     """
     import os
+    import platform
     import tempfile
 
     import numpy as np
@@ -598,6 +602,10 @@ def run_stream_bench(
     batch = QueryBatch.from_queries(queries, grid)
     record = {
         "benchmark": "stream_kernel",
+        "table": "memory-mapped, disk-last",
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "grid": list(grid_dims),
         "num_disks": num_disks,
         "scheme": scheme,
@@ -616,7 +624,7 @@ def run_stream_bench(
         return record
 
     def best_of(call):
-        call()  # warm-up: compile, page-cache fill
+        call()  # warm-up: page-cache fill
         best = float("inf")
         result = None
         for _ in range(repetitions):
@@ -625,7 +633,7 @@ def run_stream_bench(
             best = min(best, time.perf_counter() - start)
         return best, result
 
-    with tempfile.TemporaryDirectory(prefix="repro-stream-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="repro-mapped-") as tmp:
         sat = SummedAreaTable.build_chunked(
             scheme_obj,
             grid,
@@ -650,8 +658,8 @@ def run_stream_bench(
     record.update(
         {
             "bit_identical": True,
-            "numpy_stream_seconds": round(numpy_seconds, 6),
-            "native_stream_seconds": round(native_seconds, 6),
+            "numpy_mapped_seconds": round(numpy_seconds, 6),
+            "native_mapped_seconds": round(native_seconds, 6),
             "numpy_us_per_query": round(
                 1e6 * numpy_seconds / num_queries, 3
             ),
@@ -758,7 +766,7 @@ def run_verify_overhead_bench(
 
 def run_native_report() -> dict:
     """The full ``BENCH_native.json`` record: backends, chunked smoke,
-    streaming kernel, verify overhead."""
+    mapped-table queries, verify overhead."""
     return {
         "backend_kernels": run_native_bench(),
         "chunked_smoke": run_chunked_smoke(),

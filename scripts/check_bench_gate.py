@@ -17,10 +17,10 @@ chunked summed-area-table build (``REPRO_NATIVE_SMOKE_GRID``, default
 the committed ``BENCH_native.json`` must record a completed full-scale
 1024³ smoke within its byte budget.
 
-The stream leg requires the cnative streaming
-kernel to agree bit-for-bit with the streamed numpy gather over the
-same mmap table and beat it by ``REPRO_STREAM_MIN_SPEEDUP`` (default
-2x), skipped when no compiler is available.
+The mapped-table leg requires ``cnative`` to agree bit-for-bit with
+the numpy gather over the same memory-mapped (disk-last) table and beat
+it by ``REPRO_STREAM_MIN_SPEEDUP`` (default 2x), skipped when no
+compiler is available.
 
 The serve leg boots the real ``repro serve`` daemon over a unix
 socket via ``serve-bench`` and requires byte-identity of served
@@ -84,8 +84,7 @@ def _check_native(floor_env: str) -> "list[str]":
     Re-times every available backend on the 32³/M=16 sweep and requires
     the best non-numpy backend to clear the floor (default 3x over the
     numpy batch kernel; ``REPRO_NATIVE_MIN_SPEEDUP`` overrides).  When
-    only numpy is available (e.g. no compiler and no numba on the
-    runner) the floor is skipped with a warning instead of failing —
+    only numpy is available (e.g. no compiler on the runner) the floor is skipped with a warning instead of failing —
     the numpy reference is always correct, just slower.  A live chunked
     build then runs on a CI-sized grid (``REPRO_NATIVE_SMOKE_GRID``,
     default 96x96x96 here) under a deliberately tiny budget so the tiled
@@ -170,14 +169,14 @@ def _check_native(floor_env: str) -> "list[str]":
 
 
 def _check_stream() -> "list[str]":
-    """The streaming-kernel leg: bit-identity plus the ≥2x floor.
+    """The mapped-table leg: bit-identity plus the ≥2x floor.
 
-    The native stream kernel gathers corners straight off the mmap in
-    disk-plane order; it must agree bit-for-bit with the streamed numpy
-    gather and beat it by ``REPRO_STREAM_MIN_SPEEDUP`` (default 2x) —
-    the kernel is single-threaded, so this floor holds on any core
-    count.  Skipped with a warning when no C
-    compiler is present, mirroring the native-backend leg.
+    Over the same memory-mapped disk-last table, ``cnative``'s
+    ``batch_rt`` kernel must agree bit-for-bit with the numpy gather
+    and beat it by ``REPRO_STREAM_MIN_SPEEDUP`` (default 2x) — both
+    are single-threaded, so this floor holds on any core count.
+    Skipped with a warning when no C compiler is present, mirroring the
+    native-backend leg.
     """
     failures = []
     floor = float(os.environ.get("REPRO_STREAM_MIN_SPEEDUP", "2"))
@@ -187,23 +186,23 @@ def _check_stream() -> "list[str]":
         print(
             "bench gate: WARNING — cnative unavailable "
             f"({record.get('unavailable_reason', '?')}), "
-            "stream floor skipped",
+            "mapped-table floor skipped",
             file=sys.stderr,
         )
         return failures
     if not record["bit_identical"]:
         failures.append(
-            "native stream kernel disagrees with the streamed numpy path"
+            "cnative disagrees with numpy over the mapped table"
         )
     if record["speedup"] < floor:
         failures.append(
-            f"native stream speedup {record['speedup']}x < {floor}x "
-            "floor over streamed numpy"
+            f"cnative mapped-table speedup {record['speedup']}x < "
+            f"{floor}x floor over numpy"
         )
     else:
         print(
-            f"bench gate: native stream at {record['speedup']}x over "
-            f"streamed numpy (floor {floor}x)"
+            f"bench gate: cnative over the mapped table at "
+            f"{record['speedup']}x numpy (floor {floor}x)"
         )
     if DEFAULT_NATIVE_JSON.exists():
         committed = json.loads(DEFAULT_NATIVE_JSON.read_text())

@@ -599,9 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         help=(
-            "kernel backend for hot loops: numpy, cnative, numba, or "
-            "native (numba with cnative fallback); default: $REPRO_BACKEND "
-            "or numpy"
+            "kernel backend for hot loops: numpy, cnative; default: "
+            "$REPRO_BACKEND or numpy"
         ),
     )
     parser.add_argument(

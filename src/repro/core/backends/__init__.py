@@ -12,10 +12,7 @@ KernelBackend` instances.  Resolution order for the active backend:
 Selecting an unknown or unavailable backend raises
 :class:`~repro.core.exceptions.BackendError` with the reason — never a
 silent fallback, because a benchmark or experiment that quietly ran a
-different backend than asked would be a lie.  The pseudo-name
-``"native"`` resolves to the fastest available compiled backend
-(``numba`` if importable, else ``cnative``) for callers that want
-"fast, whichever flavor this machine has".
+different backend than asked would be a lie.
 
 All registered backends are certified bit-identical to the numpy
 reference by the QA423 contract rule.
@@ -29,7 +26,6 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.core.backends.base import KernelBackend
 from repro.core.backends.native import CNativeBackend
-from repro.core.backends.numba_backend import NumbaBackend
 from repro.core.backends.numpy_backend import NumpyBackend
 from repro.core.exceptions import BackendError
 
@@ -53,9 +49,6 @@ BACKEND_ENV = "REPRO_BACKEND"
 #: The always-available bit-identical reference backend.
 DEFAULT_BACKEND = "numpy"
 
-#: Pseudo-name resolving to the fastest available compiled backend.
-NATIVE_ALIAS = "native"
-
 _REGISTRY: Dict[str, KernelBackend] = {}
 
 #: Explicit in-process override (set_backend / use_backend); beats env.
@@ -70,27 +63,9 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
     return backend
 
 
-def _resolve_alias(name: str) -> str:
-    if name != NATIVE_ALIAS:
-        return name
-    for candidate in ("numba", "cnative"):
-        backend = _REGISTRY.get(candidate)
-        if backend is not None and backend.available():
-            return candidate
-    raise BackendError(
-        "no native backend is available: "
-        + "; ".join(
-            f"{n}: {_REGISTRY[n].unavailable_reason()}"
-            for n in ("numba", "cnative")
-            if n in _REGISTRY
-        )
-    )
-
-
 def get_backend(name: str) -> KernelBackend:
     """Look up a backend by name; raise BackendError if it cannot run."""
-    resolved = _resolve_alias(name)
-    backend = _REGISTRY.get(resolved)
+    backend = _REGISTRY.get(name)
     if backend is None:
         known = ", ".join(sorted(_REGISTRY))
         raise BackendError(
@@ -99,7 +74,7 @@ def get_backend(name: str) -> KernelBackend:
     reason = backend.unavailable_reason()
     if reason is not None:
         raise BackendError(
-            f"backend {resolved!r} is unavailable: {reason}"
+            f"backend {name!r} is unavailable: {reason}"
         )
     return backend
 
@@ -153,4 +128,3 @@ def use_backend(name: str) -> Iterator[KernelBackend]:
 
 register_backend(NumpyBackend())
 register_backend(CNativeBackend())
-register_backend(NumbaBackend())

@@ -15,10 +15,10 @@ implementation is the **bit-identical reference**; every other backend
 is certified against it by the QA423 contract rule, so swapping
 backends can only move time around, never results.
 
-Backends declare availability at runtime (``numba`` needs the numba
-package, ``cnative`` needs a C compiler); unavailable backends stay
-registered so ``--backend``/``REPRO_BACKEND`` can fail loudly with the
-reason instead of silently running something else.
+Backends declare availability at runtime (``cnative`` needs a C
+compiler); unavailable backends stay registered so
+``--backend``/``REPRO_BACKEND`` can fail loudly with the reason instead
+of silently running something else.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class KernelBackend(abc.ABC):
     Attributes
     ----------
     name:
-        Registry identifier (``"numpy"``, ``"numba"``, ``"cnative"``).
+        Registry identifier (``"numpy"``, ``"cnative"``).
     """
 
     #: Registry identifier; subclasses must override.

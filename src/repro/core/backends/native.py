@@ -8,18 +8,15 @@ present the backend reports itself unavailable and selection fails
 loudly; nothing silently falls back.
 
 Why it wins: the numpy batch path runs one fancy-index gather per SAT
-corner and materializes an ``(M, N)`` intermediate per corner plus the
-``(N, M)`` count matrix.  The C kernel consumes the **disk-last** SAT
-layout (:meth:`repro.core.sat.SummedAreaTable.disk_last`), where one
-corner's ``M`` per-disk counts are a single contiguous vector — for the
-paper-scale ``M = 16`` exactly one cache line — and fuses the 2^k-corner
-accumulation with the max-over-disks reduction, so a query is answered
-in ``2^k`` cache-line reads with no intermediates at all.  Memory-mapped
-(beyond-RAM) SATs have no disk-last copy by design; batch queries on
-those dispatch to the ``stream_counts`` kernel instead, which walks the
-mapped file's disk-first planes in ascending file order over pre-sorted
-corner offsets (madvise/willneed-prefetched) — the numpy streamed
-gather remains only as the no-compiler fallback.
+corner and materializes an ``(N, M)`` intermediate per corner plus the
+count matrix.  The C kernels read the SAT's disk-last layout
+(:class:`repro.core.sat.SummedAreaTable` stores ``(d_1+1, ..., d_k+1,
+M)``), where one corner's ``M`` per-disk counts are a single contiguous
+vector — for the paper-scale ``M = 16`` exactly one cache line — and
+fuse the 2^k-corner accumulation with the max-over-disks reduction, so a
+query is answered in ``2^k`` cache-line reads with no intermediates at
+all.  In-RAM and memory-mapped tables are served by the same call: a
+data pointer plus element strides.
 
 Bit-identity with the numpy reference is certified by QA423 and the
 backend property tests; the speedup floor is gated by
@@ -65,18 +62,19 @@ _KERNEL_TEMPLATE = r"""
 /* Batched rectangle queries against a disk-last SAT
    (spatial-major, disk id fastest).  strides are in ELEMENTS and
    already include the factor M, so satT[off + m] is disk m's count at
-   the spatial corner `off`. */
+   the spatial corner `off`.  The M-long accumulator lives in
+   caller-provided scratch (see aligned_acc), so there is no cap on M. */
 
 void batch_rt_{suffix}(
     const {ctype} *satT, const int64_t *strides,
     int32_t num_disks, int32_t ndim,
     const int64_t *lo, const int64_t *hi, int64_t num_queries,
-    int64_t *out)
+    int64_t *scratch, int64_t *out)
 {{
+    int64_t *acc = aligned_acc(scratch);
     int32_t ncorners = 1 << ndim;
     int64_t offs[1 << {max_ndim}];
     int32_t signs[1 << {max_ndim}];
-    int64_t acc[{max_disks}];
     for (int64_t q = 0; q < num_queries; q++) {{
         const int64_t *qlo = lo + (size_t)q * ndim;
         const int64_t *qhi = hi + (size_t)q * ndim;
@@ -152,81 +150,17 @@ void batch_counts_{suffix}(
    origin are constant for a fixed shape, so each origin costs 2^k
    contiguous M-vector reads. */
 
-/* Streaming corner gather for memory-mapped (disk-FIRST) SATs.
-
-   The spilled file stores one contiguous spatial plane per disk, so
-   the walk is ordered for page locality: outer loop over disk planes
-   (ascending file position), inner loop over corners, queries visited
-   in `perm` order — the caller sorts them once by base-corner offset,
-   which keeps every corner's plane reads mostly ascending without
-   paying a per-corner sort.  Corner offsets are folded in here (a few
-   integer mul-adds per gathered element, nothing next to the memory
-   access) so the caller builds no per-corner temporaries at all.
-   Accumulation is scatter by original query index, so results are
-   independent of the visit order — exact integer sums either way.  No
-   stack-sized tables: the stream path has no disk cap. */
-
-void stream_counts_{suffix}(
-    const {ctype} *sat, int64_t plane_elems,
-    int32_t num_disks, int32_t ndim,
-    const int64_t *strides,
-    const int64_t *lo, const int64_t *hi,
-    const int64_t *perm, int64_t num_queries,
-    int64_t *scratch, int64_t *out)
-{{
-    int32_t ncorners = 1 << ndim;
-    int64_t *offs = scratch;                /* num_queries entries */
-    int64_t *rows = scratch + num_queries;  /* num_queries entries */
-    for (int32_t c = 0; c < ncorners; c++) {{
-        int32_t parity = 0;
-        for (int32_t a = 0; a < ndim; a++)
-            if ((c >> a) & 1) parity ^= 1;
-        for (int64_t i = 0; i < num_queries; i++) {{
-            int64_t q = perm[i];
-            const int64_t *qlo = lo + (size_t)q * ndim;
-            const int64_t *qhi = hi + (size_t)q * ndim;
-            int64_t off = 0;
-            for (int32_t a = 0; a < ndim; a++)
-                off += (((c >> a) & 1) ? qlo[a] : qhi[a])
-                    * strides[a];
-            offs[i] = off;
-            rows[i] = q * num_disks;
-        }}
-        for (int32_t m = 0; m < num_disks; m++) {{
-            const {ctype} *plane = sat + (size_t)m * plane_elems;
-            /* The gathers are independent L2/L3 misses; prefetching a
-               couple dozen iterations ahead overlaps them instead of
-               serializing on each load. */
-            if (parity) {{
-                for (int64_t i = 0; i < num_queries; i++) {{
-                    if (i + 24 < num_queries)
-                        __builtin_prefetch(
-                            plane + offs[i + 24], 0, 1);
-                    out[rows[i] + m] -= (int64_t)plane[offs[i]];
-                }}
-            }} else {{
-                for (int64_t i = 0; i < num_queries; i++) {{
-                    if (i + 24 < num_queries)
-                        __builtin_prefetch(
-                            plane + offs[i + 24], 0, 1);
-                    out[rows[i] + m] += (int64_t)plane[offs[i]];
-                }}
-            }}
-        }}
-    }}
-}}
-
 void window_rt_{suffix}(
     const {ctype} *satT, const int64_t *strides,
     int32_t num_disks, int32_t ndim,
     const int64_t *shape, const int64_t *out_dims,
-    int64_t *out)
+    int64_t *scratch, int64_t *out)
 {{
+    int64_t *acc = aligned_acc(scratch);
     int32_t ncorners = 1 << ndim;
     int64_t deltas[1 << {max_ndim}];
     int32_t signs[1 << {max_ndim}];
     int64_t coords[{max_ndim}];
-    int64_t acc[{max_disks}];
     int64_t total = 1;
     for (int32_t a = 0; a < ndim; a++) {{
         coords[a] = 0;
@@ -318,20 +252,29 @@ void xor_mod_table(
 }
 """
 
-#: Disk counts beyond this fall back to numpy (the accumulator is
-#: stack-allocated in the C kernels).
-_MAX_DISKS = 4096
+_SCRATCH_HELPER = r"""
+#include <stddef.h>
+#include <stdint.h>
+
+/* The M-long accumulator inside caller scratch of num_disks + 8
+   entries, moved up to a 64-byte boundary: numpy only guarantees
+   16-byte alignment, and a vector access that straddles a 4 KiB page
+   boundary runs several times slower than one that does not. */
+static int64_t *aligned_acc(int64_t *scratch)
+{
+    return (int64_t *)(((uintptr_t)scratch + 63) & ~(uintptr_t)63);
+}
+"""
 
 
 def _kernel_source() -> str:
-    parts = ["#include <stddef.h>\n"]
+    parts = [_SCRATCH_HELPER]
     for suffix, ctype in (("i32", "int32_t"), ("i64", "int64_t")):
         parts.append(
             _KERNEL_TEMPLATE.format(
                 suffix=suffix,
                 ctype=ctype,
                 max_ndim=_MAX_NDIM,
-                max_disks=_MAX_DISKS,
             )
         )
     parts.append(_TABLE_KERNELS)
@@ -425,7 +368,7 @@ _PTR_I64 = ctypes.POINTER(ctypes.c_int64)
 
 
 class CNativeBackend(KernelBackend):
-    """Fused C kernels over the disk-last SAT layout (see module docs)."""
+    """Fused C kernels over the disk-last SAT (see module docs)."""
 
     name = "cnative"
 
@@ -469,29 +412,28 @@ class CNativeBackend(KernelBackend):
     # -- shared plumbing -----------------------------------------------
 
     def _sat_call_args(self, sat: SummedAreaTable):
-        """(fn-suffix, satT pointer, element strides) for a SAT, or None.
+        """(fn-suffix, SAT pointer, element strides) for a SAT, or None.
 
-        Returns None when the SAT has no disk-last layout (mmap) or the
-        configuration exceeds the compiled kernels' static bounds — the
-        caller then delegates to the numpy reference.
+        In-RAM and memory-mapped tables share the disk-last layout, so
+        both pass the array's own data pointer.  Returns None when the
+        table exceeds the kernels' corner-table bound (``ndim``) or its
+        disk axis is not contiguous (a hand-made view) — the caller then
+        delegates to the numpy reference.
         """
-        if sat.is_mmap:
+        array = sat.array
+        if sat.ndim > _MAX_NDIM or array.strides[-1] != array.itemsize:
             return None
-        if sat.ndim > _MAX_NDIM or sat.num_disks > _MAX_DISKS:
-            return None
-        disk_last = sat.disk_last()
-        if disk_last.dtype == np.int32:
+        if array.dtype == np.int32:
             suffix, ctype = "i32", ctypes.c_int32
-        elif disk_last.dtype == np.int64:
+        elif array.dtype == np.int64:
             suffix, ctype = "i64", ctypes.c_int64
         else:
             return None
-        itemsize = disk_last.itemsize
+        itemsize = array.itemsize
         strides = np.array(
-            [s // itemsize for s in disk_last.strides[:-1]],
-            dtype=np.int64,
+            [s // itemsize for s in array.strides[:-1]], dtype=np.int64
         )
-        pointer = disk_last.ctypes.data_as(ctypes.POINTER(ctype))
+        pointer = array.ctypes.data_as(ctypes.POINTER(ctype))
         return suffix, pointer, strides
 
     @staticmethod
@@ -499,78 +441,6 @@ class CNativeBackend(KernelBackend):
         lo = np.ascontiguousarray(lo, dtype=np.int64)
         hi = np.ascontiguousarray(hi, dtype=np.int64)
         return lo, hi
-
-    # -- streaming gather over memory-mapped tables --------------------
-
-    @staticmethod
-    def _stream_suffix(sat: SummedAreaTable) -> Optional[str]:
-        """Kernel dtype suffix for a mapped table, or None if unusable.
-
-        The stream kernel has no stack-sized tables, so there is no
-        disk-count cap; only the 2^k corner enumeration bounds ndim.
-        """
-        if not sat.is_mmap or sat.array is None:
-            return None
-        if sat.ndim > _MAX_NDIM:
-            return None
-        if sat.dtype == np.int32:
-            return "i32"
-        if sat.dtype == np.int64:
-            return "i64"
-        return None
-
-    def _stream_counts(
-        self,
-        sat: SummedAreaTable,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        library: ctypes.CDLL,
-        suffix: str,
-    ) -> np.ndarray:
-        """Per-query per-disk counts ``(N, M)`` via the stream kernel.
-
-        Queries are sorted once by their base (all-``hi``) corner's
-        flat offset — the other corners' offsets are strongly
-        correlated, so one permutation keeps every corner's plane
-        reads mostly ascending at an eighth of a per-corner sort's
-        cost.  The C kernel folds the corner offset arithmetic in and
-        walks disk planes in file order accumulating
-        ``sign * plane[offset]`` into each query's row.  Bit-identical
-        to the numpy streamed gather and the in-RAM fancy-index path —
-        all three sum the same exact integers.
-        """
-        num_queries, ndim = lo.shape
-        lo, hi = self._bounds_c(lo, hi)
-        strides = sat.spatial_element_strides()
-        base_offsets = hi @ strides
-        perm = np.ascontiguousarray(
-            np.argsort(base_offsets, kind="stable").astype(np.int64)
-        )
-        sat.prefetch()
-        out = np.zeros((num_queries, sat.num_disks), dtype=np.int64)
-        ctype = (
-            ctypes.c_int32 if suffix == "i32" else ctypes.c_int64
-        )
-        plane_elems = int(np.prod(sat.array.shape[1:]))
-        strides = np.ascontiguousarray(strides, dtype=np.int64)
-        scratch = np.empty(2 * num_queries, dtype=np.int64)
-        getattr(library, f"stream_counts_{suffix}")(
-            sat.array.ctypes.data_as(ctypes.POINTER(ctype)),
-            ctypes.c_int64(plane_elems),
-            ctypes.c_int32(sat.num_disks),
-            ctypes.c_int32(ndim),
-            strides.ctypes.data_as(_PTR_I64),
-            lo.ctypes.data_as(_PTR_I64),
-            hi.ctypes.data_as(_PTR_I64),
-            perm.ctypes.data_as(_PTR_I64),
-            ctypes.c_int64(num_queries),
-            scratch.ctypes.data_as(_PTR_I64),
-            out.ctypes.data_as(_PTR_I64),
-        )
-        registry = global_registry()
-        registry.inc("backend.stream.batches")
-        registry.inc("backend.stream.queries", num_queries)
-        return out
 
     # -- batched rectangle queries -------------------------------------
 
@@ -580,14 +450,6 @@ class CNativeBackend(KernelBackend):
         prepared = self._sat_call_args(sat)
         library = self._library()
         if prepared is None or library is None:
-            suffix = self._stream_suffix(sat)
-            if library is not None and suffix is not None:
-                if lo.shape[0] == 0:
-                    return np.zeros(0, dtype=np.int64)
-                counts = self._stream_counts(
-                    sat, lo, hi, library, suffix
-                )
-                return counts.max(axis=1)
             return self._reference.batch_response_times(sat, lo, hi)
         num_queries = lo.shape[0]
         out = np.zeros(num_queries, dtype=np.int64)
@@ -595,6 +457,7 @@ class CNativeBackend(KernelBackend):
             return out
         suffix, pointer, strides = prepared
         lo, hi = self._bounds_c(lo, hi)
+        scratch = np.empty(sat.num_disks + 8, dtype=np.int64)
         getattr(library, f"batch_rt_{suffix}")(
             pointer,
             strides.ctypes.data_as(_PTR_I64),
@@ -603,6 +466,7 @@ class CNativeBackend(KernelBackend):
             lo.ctypes.data_as(_PTR_I64),
             hi.ctypes.data_as(_PTR_I64),
             ctypes.c_int64(num_queries),
+            scratch.ctypes.data_as(_PTR_I64),
             out.ctypes.data_as(_PTR_I64),
         )
         return out
@@ -613,15 +477,6 @@ class CNativeBackend(KernelBackend):
         prepared = self._sat_call_args(sat)
         library = self._library()
         if prepared is None or library is None:
-            suffix = self._stream_suffix(sat)
-            if library is not None and suffix is not None:
-                if lo.shape[0] == 0:
-                    return np.zeros(
-                        (0, sat.num_disks), dtype=np.int64
-                    )
-                return self._stream_counts(
-                    sat, lo, hi, library, suffix
-                )
             return self._reference.batch_disk_counts(sat, lo, hi)
         num_queries = lo.shape[0]
         out = np.zeros((num_queries, sat.num_disks), dtype=np.int64)
@@ -658,6 +513,7 @@ class CNativeBackend(KernelBackend):
         out = np.zeros(int(out_dims.prod()), dtype=np.int64)
         suffix, pointer, strides = prepared
         shape_arr = np.array(shape, dtype=np.int64)
+        scratch = np.empty(sat.num_disks + 8, dtype=np.int64)
         getattr(library, f"window_rt_{suffix}")(
             pointer,
             strides.ctypes.data_as(_PTR_I64),
@@ -665,6 +521,7 @@ class CNativeBackend(KernelBackend):
             ctypes.c_int32(sat.ndim),
             shape_arr.ctypes.data_as(_PTR_I64),
             out_dims.ctypes.data_as(_PTR_I64),
+            scratch.ctypes.data_as(_PTR_I64),
             out.ctypes.data_as(_PTR_I64),
         )
         return out.reshape(tuple(int(d) for d in out_dims))
@@ -678,11 +535,7 @@ class CNativeBackend(KernelBackend):
         # One-shot path: build the SAT (numpy cumsums — same O(M·buckets)
         # cost as a single legacy pass), then run the fused C sweep.
         library = self._library()
-        if (
-            library is None
-            or table.ndim > _MAX_NDIM
-            or num_disks > _MAX_DISKS
-        ):
+        if library is None or table.ndim > _MAX_NDIM:
             return self._reference.sliding_response_times(
                 table, num_disks, shape
             )

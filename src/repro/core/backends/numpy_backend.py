@@ -54,8 +54,6 @@ class NumpyBackend(KernelBackend):
     def batch_disk_counts(
         self, sat: SummedAreaTable, lo: np.ndarray, hi: np.ndarray
     ) -> np.ndarray:
-        # The SAT owns the gather so the in-RAM fancy-index path and the
-        # streamed mmap path share one implementation.
         return sat.corner_counts(lo, hi)
 
     # -- sliding-window shape sweep ------------------------------------
@@ -63,7 +61,9 @@ class NumpyBackend(KernelBackend):
     def window_response_times(
         self, sat: SummedAreaTable, shape: Sequence[int]
     ) -> np.ndarray:
-        return self.window_disk_counts(sat, shape).max(axis=0)
+        return self._window_counts(sat, shape).max(axis=-1).astype(
+            np.int64
+        )
 
     def window_disk_counts(
         self, sat: SummedAreaTable, shape: Sequence[int]
@@ -74,27 +74,36 @@ class NumpyBackend(KernelBackend):
         it materializes per-disk planes; the engine's
         ``disk_window_counts`` is its only caller.
         """
+        counts = self._window_counts(sat, shape)
+        return np.moveaxis(counts, -1, 0).astype(np.int64)
+
+    @staticmethod
+    def _window_counts(
+        sat: SummedAreaTable, shape: Sequence[int]
+    ) -> np.ndarray:
+        """Window counts ``(*placements, M)``, accumulated in the SAT dtype.
+
+        Exact: every true count lies in ``[0, buckets]``, which the SAT
+        dtype holds, and integer wraparound of the partial sums is
+        modular, so the final sum is the true count.
+        """
         dims = sat.dims
-        ndim = sat.ndim
         shape = tuple(int(s) for s in shape)
-        array = sat.array
         counts: np.ndarray = np.zeros(0)
-        for corner in range(1 << ndim):
-            slices = [slice(None)]
+        for corner in range(1 << sat.ndim):
+            slices = []
             parity = 0
-            for axis in range(ndim):
+            for axis, side in enumerate(shape):
                 if (corner >> axis) & 1:
                     # Low corner on this axis: origin o (subtracted term).
-                    slices.append(
-                        slice(0, dims[axis] - shape[axis] + 1)
-                    )
+                    slices.append(slice(0, dims[axis] - side + 1))
                     parity ^= 1
                 else:
                     # High corner: o + s (added term).
-                    slices.append(slice(shape[axis], dims[axis] + 1))
-            term = array[tuple(slices)]
+                    slices.append(slice(side, dims[axis] + 1))
+            term = sat.array[tuple(slices)]
             if corner == 0:
-                counts = term.astype(np.int64, copy=True)
+                counts = term.copy()
             elif parity:
                 counts -= term
             else:

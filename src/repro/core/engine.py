@@ -21,9 +21,8 @@ The same table also answers **batches of arbitrary rectangles**: a query
 ``2^k`` corners (:meth:`ResponseTimeEngine.batch_response_times`).  The
 corner gathers themselves are *pluggable*: every batch and sweep call
 dispatches through :func:`repro.core.backends.active_backend`, so the
-same engine runs the vectorized numpy reference, the fused C kernels
-(``cnative``), or the JIT kernels (``numba``) — all certified
-bit-identical by QA423.  Engines can also wrap a chunked/memory-mapped
+same engine runs the vectorized numpy reference or the fused C kernels
+(``cnative``), certified bit-identical by QA423.  Engines can also wrap a chunked/memory-mapped
 SAT (:meth:`ResponseTimeEngine.open_chunked`) for grids too large to
 hold in RAM.
 

@@ -16,7 +16,6 @@ __all__ = [
     "GridError",
     "IntegrityError",
     "GridFileError",
-    "LayoutError",
     "ProtocolError",
     "QueryError",
     "RunnerError",
@@ -74,7 +73,7 @@ class BackendError(DeclusteringError):
     """A kernel backend is unknown, unavailable, or failed to initialize.
 
     Raised when ``REPRO_BACKEND`` (or ``--backend``) names a backend that
-    is not registered or whose runtime dependency (numba, a C compiler)
+    is not registered or whose runtime dependency (a C compiler)
     is missing — selecting a backend must fail loudly, never silently
     fall back to a different implementation than the one asked for.
     """
@@ -90,21 +89,6 @@ class IntegrityError(DeclusteringError):
     integrity layer (:mod:`repro.core.integrity`) raises this instead;
     callers with a rebuild path (the allocation cache, the native
     backend) may catch it, rebuild, and count the recovery.
-    """
-
-
-class LayoutError(AllocationError):
-    """A summed-area-table layout is unavailable for the backing storage.
-
-    Raised when a caller asks for a physical layout the table cannot
-    provide — e.g. the disk-last (disk-contiguous) copy of a
-    memory-mapped table, which would have to materialize the whole
-    beyond-RAM file in memory.  The message names the table's actual
-    layout and the supported alternatives, so callers can select one
-    explicitly (the streamed gather via ``corner_counts``, or the
-    ``cnative`` streaming kernel through the backend registry) instead
-    of guessing.  Subclasses :class:`AllocationError` so existing
-    handlers keep working.
     """
 
 

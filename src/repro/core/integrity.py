@@ -32,9 +32,14 @@ Verification depth is configured by ``REPRO_VERIFY``:
     re-hash every tile and compare against the manifest.  Catches any
     bit flip; costs one sequential read of the whole artifact.
 
-A *missing* sidecar is tolerated at ``header`` (logged and counted as
-``integrity.unverified_opens`` — pre-existing artifacts stay usable)
-but rejected at ``full``.
+A spilled SAT's *missing* sidecar is rejected at ``header`` and
+``full``: the ``.npy`` header cannot say whether the table is stored
+disk-last (schema 2) or in the retired disk-first layout, and a
+misread table answers every query wrong.  A schema-1 manifest is
+rejected the same way, naming the retired layout.  ``repro doctor``
+reports both as stale and ``--gc`` removes them.  A cached ``.so``
+without its digest sidecar is still tolerated at ``header`` (logged
+and counted as ``integrity.unverified_opens``).
 
 All checks are counted through :mod:`repro.obs` so degraded modes are
 visible in ``--metrics-out`` exports and ``obs summary``.
@@ -58,6 +63,7 @@ from repro.obs.metrics import global_registry
 _LOG = get_logger("repro.core.integrity")
 
 __all__ = [
+    "DISK_FIRST_SCHEMA",
     "MANIFEST_SCHEMA_VERSION",
     "SAT_JOURNAL_KIND",
     "SatManifest",
@@ -81,8 +87,13 @@ VERIFY_ENV = "REPRO_VERIFY"
 #: Accepted ``REPRO_VERIFY`` values, shallow to deep.
 VERIFY_LEVELS = ("off", "header", "full")
 
-#: Bumped when the manifest layout changes incompatibly.
-MANIFEST_SCHEMA_VERSION = 1
+#: Bumped when the manifest or table layout changes incompatibly.
+#: Schema 2 stores the SAT disk-last, ``(d_1+1, ..., d_k+1, M)``.
+MANIFEST_SCHEMA_VERSION = 2
+
+#: The last schema whose spills stored the SAT disk-first,
+#: ``(M, d_1+1, ..., d_k+1)``; such tables are refused, never misread.
+DISK_FIRST_SCHEMA = 1
 
 #: ``kind`` discriminator of the chunked-build carry journal.  Shared
 #: with :mod:`repro.doctor`, which classifies a matching journal as
@@ -164,10 +175,10 @@ class SatManifest:
 
     ``tile_starts[i]`` is the first *unpadded* leading-axis row of tile
     ``i``; tile ``i`` occupies padded rows ``[tile_starts[i] + 1,
-    tile_starts[i+1] + 1)`` of the file (the leading zero plane at
-    padded row 0 belongs to no tile and is checked separately at
-    ``full``).  ``tile_digests[i]`` is the sha256 of that slab's
-    C-order bytes, exactly as the chunked build wrote them.
+    tile_starts[i+1] + 1)`` of the file, one contiguous slab (the
+    leading zero plane at padded row 0 belongs to no tile and is
+    checked separately at ``full``).  ``tile_digests[i]`` is the sha256
+    of that slab's bytes, exactly as the chunked build wrote them.
     """
 
     dtype: str
@@ -217,6 +228,12 @@ class SatManifest:
             raise IntegrityError(
                 f"{source}: malformed SAT manifest ({exc!r})"
             ) from None
+        if manifest.schema == DISK_FIRST_SCHEMA:
+            raise IntegrityError(
+                f"{source}: manifest schema {DISK_FIRST_SCHEMA} describes "
+                f"the retired disk-first SAT layout (M, d_1+1, ..., "
+                f"d_k+1); this table must be rebuilt"
+            )
         if manifest.schema != MANIFEST_SCHEMA_VERSION:
             raise IntegrityError(
                 f"{source}: manifest schema {manifest.schema} != "
@@ -306,10 +323,10 @@ def verify_sat(
 ) -> Optional[SatManifest]:
     """Check a spilled SAT against its sidecar manifest.
 
-    Returns the manifest (``None`` at ``off``, or when the manifest is
-    missing and tolerated); raises :class:`IntegrityError` whenever the
-    artifact and manifest disagree.  See the module docstring for what
-    each level checks.
+    Returns the manifest (``None`` at ``off``); raises
+    :class:`IntegrityError` when the manifest is missing or of the
+    retired disk-first schema, and whenever the artifact and manifest
+    disagree.  See the module docstring for what each level checks.
     """
     level = verify_level(level)
     if level == "off":
@@ -331,18 +348,12 @@ def verify_sat(
     try:
         manifest = SatManifest.load(path)
     except FileNotFoundError:
-        if level == "full":
-            registry.inc("integrity.sat_failures")
-            raise IntegrityError(
-                f"{path}: no sidecar manifest "
-                f"({manifest_path(path)}); REPRO_VERIFY=full refuses "
-                f"unverifiable artifacts"
-            ) from None
-        _LOG.warning(
-            "SAT %s has no sidecar manifest; loading unverified", path
-        )
-        registry.inc("integrity.unverified_opens")
-        return None
+        registry.inc("integrity.sat_failures")
+        raise IntegrityError(
+            f"{path}: no sidecar manifest ({manifest_path(path)}); the "
+            f".npy header cannot tell the disk-last layout from the "
+            f"retired disk-first one, so the table is refused"
+        ) from None
     except IntegrityError:
         registry.inc("integrity.sat_failures")
         raise
@@ -389,12 +400,12 @@ def _verify_sat_tiles(
         path, dtype=dtype, mode="r", offset=offset, shape=shape
     )
     try:
-        if np.any(np.asarray(array[:, 0]) != 0):
+        if np.any(np.asarray(array[0]) != 0):
             registry.inc("integrity.sat_failures")
             raise IntegrityError(
                 f"{path}: leading pad plane is not all-zero"
             )
-        leading = shape[1] - 1  # unpadded leading-axis extent
+        leading = shape[0] - 1  # unpadded leading-axis extent
         boundaries = list(manifest.tile_starts) + [leading]
         covered = 0
         for index, start in enumerate(manifest.tile_starts):
@@ -407,8 +418,7 @@ def _verify_sat_tiles(
                     f"[{start}, {stop}) after {covered} covered row(s))"
                 )
             covered = stop
-            slab = np.ascontiguousarray(array[:, start + 1 : stop + 1])
-            digest = sha256_hex(slab.data)
+            digest = sha256_hex(array[start + 1 : stop + 1].data)
             if digest != manifest.tile_digests[index]:
                 registry.inc("integrity.sat_failures")
                 raise IntegrityError(

@@ -4,17 +4,21 @@ The :class:`~repro.core.engine.ResponseTimeEngine` answers every query
 through one data structure: the stacked k-dimensional summed-area table
 (SAT) of the ``M`` disk-indicator arrays,
 
-    sat[m, i_1, ..., i_k] = |{ b on disk m : b_j < i_j for all j }|,
+    sat[i_1, ..., i_k, m] = |{ b on disk m : b_j < i_j for all j }|,
 
 zero-padded with one leading plane per spatial axis so inclusion–
-exclusion slices are uniform.  This module owns that structure:
+exclusion slices are uniform.  Disks are the **last** axis, in RAM and
+on disk alike: a query's response time is the maximum over the ``M``
+per-disk counts, so every 2^k-corner lookup reads one contiguous
+``M``-vector.  This module owns that structure:
 
-* :meth:`SummedAreaTable.build` — the in-RAM build (moved here from the
-  engine), one pass of indicators + one ``cumsum`` per axis;
+* :meth:`SummedAreaTable.build` — the in-RAM build: the whole
+  allocation table as a single tile of the tile kernel;
 * :meth:`SummedAreaTable.build_chunked` — a **tiled build that never
   materializes the whole grid**: the allocation is generated tile by
   tile (:meth:`~repro.schemes.base.DeclusteringScheme.disk_array_block`),
-  prefix sums are carried across tiles, and the table spills to a
+  the same tile kernel runs per tile, the leading-axis sum is carried
+  across tiles, and each tile lands as one contiguous slab of a
   memory-mapped ``.npy`` file, all under a configurable byte budget.
   This is what makes beyond-RAM grids (1024³ and up — billions of
   buckets, a scenario the 1994 paper could not touch) buildable and
@@ -23,18 +27,16 @@ exclusion slices are uniform.  This module owns that structure:
   (the ``.npy`` header carries shape and dtype, so the path alone is a
   complete, picklable handle — see ``repro.core.shm.MmapSatHandle``);
 * :meth:`SummedAreaTable.corner_counts` — the batched 2^k-corner gather,
-  streamed in ascending file order for memory-mapped tables so page
-  reads stay sequential.
+  one fancy-index gather per corner for in-RAM and mapped tables alike.
 
-All arithmetic is exact integer work; every layout of the same
-allocation holds bit-identical counts, which the QA423 backend contract
-certifies.
+All arithmetic is exact integer work; the in-RAM and spilled tables of
+the same allocation are bit-identical arrays, which the QA423 backend
+contract certifies.
 """
 
 from __future__ import annotations
 
 import json
-import mmap as _mmap_module
 import os
 import tempfile
 from typing import (
@@ -49,12 +51,8 @@ from typing import (
 
 import numpy as np
 
-from repro.core.allocation import DiskAllocation
-from repro.core.exceptions import (
-    AllocationError,
-    LayoutError,
-    QueryError,
-)
+from repro.core.allocation import DiskAllocation, table_dtype
+from repro.core.exceptions import AllocationError, QueryError
 from repro.core.grid import Grid
 from repro.core.integrity import (
     MANIFEST_SCHEMA_VERSION,
@@ -85,9 +83,9 @@ __all__ = [
     "sat_dtype",
 ]
 
-#: Default working-memory budget (bytes) for chunked builds and streamed
-#: gathers: 256 MiB, small enough for CI runners, large enough that the
-#: paper-scale grids never actually chunk.
+#: Default working-memory budget (bytes) for chunked builds: 256 MiB,
+#: small enough for CI runners, large enough that the paper-scale grids
+#: never actually chunk.
 DEFAULT_BYTE_BUDGET = 256 * 1024 * 1024
 
 #: Environment variable overriding the default byte budget.
@@ -108,7 +106,8 @@ def sat_dtype(num_buckets: int) -> np.dtype:
     """Smallest signed dtype that can hold any SAT entry.
 
     Entries never exceed the bucket count, so int32 suffices up to
-    2^31 - 1 buckets; downstream arithmetic accumulates in int64.
+    2^31 - 1 buckets.  Any window or query count fits the same dtype,
+    so sums of corners may even wrap in it and still come out exact.
     """
     return np.dtype(
         np.int32 if num_buckets <= np.iinfo(np.int32).max else np.int64
@@ -116,7 +115,30 @@ def sat_dtype(num_buckets: int) -> np.dtype:
 
 
 def _padded_shape(num_disks: int, dims: Sequence[int]) -> Tuple[int, ...]:
-    return (int(num_disks),) + tuple(int(d) + 1 for d in dims)
+    return tuple(int(d) + 1 for d in dims) + (int(num_disks),)
+
+
+def _fill_tile(out: np.ndarray, block: np.ndarray, num_disks: int) -> None:
+    """The tile kernel: one tile's carry-free SAT rows, written into ``out``.
+
+    ``block`` holds the disk ids of rows ``[start, stop)`` of the
+    leading axis, shape ``(rows, d_2, ..., d_k)``; ``out`` is the
+    zero-filled ``(rows, d_2 + 1, ..., d_k + 1, M)`` destination.  The
+    disk indicators land past the trailing axes' zero pad planes, then
+    prefix sums run along every spatial axis — trailing axes first and
+    the tile axis last (cumsums commute), so the only state a later
+    tile needs is the last row, a single carry plane.
+    """
+    ndim = block.ndim
+    disks = np.arange(
+        num_disks,
+        dtype=np.promote_types(block.dtype, table_dtype(num_disks)),
+    )
+    interior = (slice(None),) + (slice(1, None),) * (ndim - 1)
+    np.equal(block[..., np.newaxis], disks, out=out[interior])
+    for axis in range(1, ndim):
+        np.cumsum(out, axis=axis, out=out)
+    np.cumsum(out, axis=0, out=out)
 
 
 # ----------------------------------------------------------------------
@@ -168,12 +190,12 @@ class SummedAreaTable:
     Attributes
     ----------
     array:
-        The ``(M, d_1 + 1, ..., d_k + 1)`` table — an ``ndarray`` for
+        The ``(d_1 + 1, ..., d_k + 1, M)`` table — an ``ndarray`` for
         in-RAM tables, an ``np.memmap`` view for spilled ones.  Read-only
         either way.
     """
 
-    __slots__ = ("array", "grid", "num_disks", "path", "_disk_last")
+    __slots__ = ("array", "grid", "num_disks", "path")
 
     def __init__(
         self,
@@ -192,9 +214,6 @@ class SummedAreaTable:
         self.grid = grid
         self.num_disks = int(num_disks)
         self.path = path
-        #: Lazily built disk-last (disk-contiguous) copy for native
-        #: backends; shared across backends, in-RAM tables only.
-        self._disk_last: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -202,24 +221,19 @@ class SummedAreaTable:
 
     @classmethod
     def build(cls, allocation: DiskAllocation) -> "SummedAreaTable":
-        """In-RAM build from a materialized allocation (the default path)."""
+        """In-RAM build from a materialized allocation (the default path).
+
+        The whole table is one tile: the tile kernel fills every row
+        past the leading zero plane, and there is no carry to add.
+        """
         table = allocation.table
-        num_disks = allocation.num_disks
-        ndim = table.ndim
-        disks = np.arange(num_disks, dtype=table.dtype)
-        indicators = table[np.newaxis] == disks.reshape(
-            (num_disks,) + (1,) * ndim
-        )
         sat = np.zeros(
-            _padded_shape(num_disks, table.shape),
+            _padded_shape(allocation.num_disks, table.shape),
             dtype=sat_dtype(table.size),
         )
-        interior = (slice(None),) + (slice(1, None),) * ndim
-        sat[interior] = indicators
-        for axis in range(1, ndim + 1):
-            np.cumsum(sat, axis=axis, out=sat)
+        _fill_tile(sat[1:], table, allocation.num_disks)
         sat.setflags(write=False)
-        return cls(sat, allocation.grid, num_disks)
+        return cls(sat, allocation.grid, allocation.num_disks)
 
     @classmethod
     def _tile_cost(cls, grid: Grid, num_disks: int) -> Tuple[int, int]:
@@ -307,7 +321,7 @@ class SummedAreaTable:
                 and tuple(journal["shape"]) == shape
                 and str(journal.get("scheme", "")) == scheme_name
                 and int(journal["tile_rows"]) >= 1
-                and 0 < int(journal["next_start"]) <= shape[1] - 1
+                and 0 < int(journal["next_start"]) <= shape[0] - 1
                 and len(journal["tile_starts"])
                 == len(journal["tile_digests"])
             )
@@ -336,49 +350,13 @@ class SummedAreaTable:
             return None
         if (
             carry.dtype != dtype
-            or carry.shape != (shape[0],) + shape[2:]
+            or carry.shape != shape[1:]
             or sha256_hex(carry.data) != journal.get("carry_sha256")
         ):
             _discard("carry checkpoint does not match the journal")
             return None
         journal["carry"] = carry
         return journal
-
-    @classmethod
-    def _local_tile_chunk(
-        cls,
-        scheme: "DeclusteringScheme",
-        grid: Grid,
-        num_disks: int,
-        dtype: np.dtype,
-        start: int,
-        stop: int,
-    ) -> np.ndarray:
-        """One tile's carry-free SAT chunk.
-
-        The indicator block for rows ``[start, stop)`` with trailing-axis
-        and tile-axis prefix sums applied — everything except the
-        leading-axis carry from earlier tiles, which the caller adds.
-        """
-        ndim = grid.ndim
-        rest_padded = tuple(d + 1 for d in grid.dims[1:])
-        block = scheme.disk_array_block(grid, num_disks, start, stop)
-        chunk = np.zeros(
-            (num_disks, stop - start) + rest_padded, dtype=dtype
-        )
-        disks = np.arange(num_disks)
-        interior = (slice(None), slice(None)) + (slice(1, None),) * (
-            ndim - 1
-        )
-        chunk[interior] = block[np.newaxis] == disks.reshape(
-            (num_disks,) + (1,) * ndim
-        )
-        # Trailing axes first, then the tile axis; cumsums commute, and
-        # this order keeps the cross-tile carry a single plane.
-        for axis in range(2, ndim + 1):
-            np.cumsum(chunk, axis=axis, out=chunk)
-        np.cumsum(chunk, axis=1, out=chunk)
-        return chunk
 
     @classmethod
     def build_chunked(
@@ -395,8 +373,9 @@ class SummedAreaTable:
         The grid is swept in tiles of :meth:`tile_rows` rows along the
         leading axis; each tile's allocation block comes from
         ``scheme.disk_array_block`` (so the full table is never
-        materialized), trailing-axis prefix sums are computed within the
-        tile, and the leading-axis sum is carried across tiles.  ``path``
+        materialized), the tile kernel computes its prefix sums, and the
+        leading-axis sum is carried across tiles.  With disks last, a
+        tile is one contiguous slab of the file.  ``path``
         defaults to a fresh temp file (``REPRO_SAT_DIR`` overrides the
         directory); the caller owns the file's lifetime.
 
@@ -434,7 +413,6 @@ class SummedAreaTable:
         dtype = sat_dtype(grid.num_buckets)
         shape = _padded_shape(num_disks, dims)
         scheme_name = getattr(scheme, "name", "") or ""
-        rest_padded = tuple(d + 1 for d in dims[1:])
 
         _remove_quietly(path + LEGACY_SHARDS_SUFFIX)
         journal = None
@@ -493,9 +471,7 @@ class SummedAreaTable:
                     first_start = 0
                     tile_starts = []
                     tile_digests = []
-                    carry = np.zeros(
-                        (num_disks,) + rest_padded, dtype=dtype
-                    )
+                    carry = np.zeros(shape[1:], dtype=dtype)
                     out = np.lib.format.open_memmap(
                         partial,
                         mode="w+",
@@ -506,12 +482,19 @@ class SummedAreaTable:
 
                 for start in range(first_start, dims[0], rows):
                     stop = min(start + rows, dims[0])
-                    chunk = cls._local_tile_chunk(
-                        scheme, grid, num_disks, dtype, start, stop
+                    chunk = np.zeros(
+                        (stop - start,) + shape[1:], dtype=dtype
                     )
-                    chunk += carry[:, np.newaxis]
-                    carry = np.ascontiguousarray(chunk[:, -1])
-                    out[:, start + 1 : stop + 1] = chunk
+                    _fill_tile(
+                        chunk,
+                        scheme.disk_array_block(
+                            grid, num_disks, start, stop
+                        ),
+                        num_disks,
+                    )
+                    chunk += carry
+                    carry = chunk[-1].copy()
+                    out[start + 1 : stop + 1] = chunk
                     # Tile data must be durable before the journal may
                     # claim it — flush, then checkpoint, then journal.
                     out.flush()
@@ -626,18 +609,19 @@ class SummedAreaTable:
     ) -> "SummedAreaTable":
         """Reopen a spilled table zero-copy (read-only memory map).
 
-        The ``.npy`` header carries shape and dtype; the disk count and
-        grid extents are recovered from the padded shape, so the path is
-        a complete handle.
+        The ``.npy`` header carries shape and dtype; the disk count (the
+        last axis) and grid extents are recovered from the padded shape,
+        so the path is a complete handle.
 
         The table is checked against its sidecar manifest *before* it is
         mapped — ``verify`` overrides ``REPRO_VERIFY`` (default
         ``header``; see :func:`repro.core.integrity.verify_sat`) — and a
         corrupt artifact raises
         :class:`~repro.core.exceptions.IntegrityError` rather than ever
-        being loaded.  Tables without a manifest (pre-integrity spills,
-        hand-made fixtures) still open at ``header``, logged and counted
-        as unverified.
+        being loaded.  So does a spill of the retired disk-first layout
+        (schema-1 manifest) and a table with no manifest at all, whose
+        layout the ``.npy`` header cannot tell; only ``verify="off"``
+        opens those unchecked.
         """
         path = os.fspath(path)
         maybe_io_fault("sat.read", path)
@@ -649,11 +633,11 @@ class SummedAreaTable:
                 f"{path} does not hold a stacked SAT "
                 f"(ndim {array.ndim} < 2)"
             )
-        num_disks = int(array.shape[0])
-        dims = tuple(int(d) - 1 for d in array.shape[1:])
+        num_disks = int(array.shape[-1])
+        dims = tuple(int(d) - 1 for d in array.shape[:-1])
         if any(d <= 0 for d in dims):
             raise AllocationError(
-                f"{path} has non-padded spatial extents {array.shape[1:]}"
+                f"{path} has non-padded spatial extents {array.shape[:-1]}"
             )
         return cls(array, Grid(dims), num_disks, path=path)
 
@@ -685,89 +669,11 @@ class SummedAreaTable:
 
     def resident_nbytes(self) -> int:
         """Bytes guaranteed resident in RAM (0 for mmap-backed tables)."""
-        if self.is_mmap:
-            return 0
-        extra = (
-            self._disk_last.nbytes if self._disk_last is not None else 0
-        )
-        return int(self.array.nbytes) + int(extra)
-
-    def disk_last(self) -> np.ndarray:
-        """Disk-contiguous copy ``(d_1+1, ..., d_k+1, M)`` for native kernels.
-
-        Each spatial corner's ``M`` per-disk counts become one contiguous
-        (usually single-cache-line) vector — the layout the compiled
-        backends vectorize over.  Built lazily, cached, and shared by
-        every backend; only available for in-RAM tables (a transposed
-        copy of a beyond-RAM table would defeat the point of spilling).
-
-        Raises :class:`~repro.core.exceptions.LayoutError` for
-        memory-mapped tables, naming the supported alternatives.
-        """
-        if self.is_mmap:
-            raise LayoutError(
-                "disk-last (disk-contiguous) layout is not available "
-                "for memory-mapped SATs: this table is stored "
-                "disk-first (one contiguous spatial plane per disk) "
-                f"at {self.path!r}, and transposing it would "
-                "materialize the whole beyond-RAM file in memory. "
-                "Supported alternatives: the streamed file-order "
-                "gather (SummedAreaTable.corner_counts, automatic for "
-                "mapped tables) or the cnative streaming kernel "
-                "(select the 'cnative' backend through the backend "
-                "registry; batch queries on mapped tables dispatch to "
-                "its stream_counts kernel)."
-            )
-        if self._disk_last is None:
-            transposed = np.ascontiguousarray(
-                np.moveaxis(self.array, 0, -1)
-            )
-            transposed.setflags(write=False)
-            self._disk_last = transposed
-        return self._disk_last
+        return 0 if self.is_mmap else int(self.array.nbytes)
 
     # ------------------------------------------------------------------
     # Gathers
     # ------------------------------------------------------------------
-
-    def spatial_element_strides(self) -> np.ndarray:
-        """Row-major strides of the padded spatial box, in elements.
-
-        Public because streaming backends (the ``cnative`` corner-gather
-        kernel) linearize query corners into flat offsets with exactly
-        these strides.
-        """
-        padded = self.array.shape[1:]
-        strides = np.ones(len(padded), dtype=np.int64)
-        for axis in range(len(padded) - 2, -1, -1):
-            strides[axis] = strides[axis + 1] * padded[axis + 1]
-        return strides
-
-    # Backwards-compatible private alias (pre-streaming-kernel name).
-    _spatial_element_strides = spatial_element_strides
-
-    def prefetch(self) -> bool:
-        """Hint the kernel to read ahead on a mapped table (best effort).
-
-        Issues ``madvise(MADV_WILLNEED)`` on the whole mapping so the
-        page cache starts filling before the streamed gather touches it.
-        Returns ``True`` when the hint was actually issued; in-RAM
-        tables, closed tables, and platforms without ``madvise`` return
-        ``False``.  Counted as ``backend.stream.prefetches``.
-        """
-        if not self.is_mmap or self.array is None:
-            return False
-        mmap_obj = getattr(self.array, "_mmap", None)
-        if mmap_obj is None:
-            return False
-        try:
-            mmap_obj.madvise(_mmap_module.MADV_WILLNEED)
-        except (AttributeError, OSError, ValueError):
-            # madvise may be missing (non-POSIX) or the mapping closed
-            # under us; the hint is purely advisory either way.
-            return False
-        global_registry().inc("backend.stream.prefetches")
-        return True
 
     def corner_counts(
         self, lo: np.ndarray, hi: np.ndarray
@@ -775,10 +681,9 @@ class SummedAreaTable:
         """Per-query per-disk counts ``(N, M)`` by 2^k-corner gather.
 
         ``lo``/``hi`` are clipped half-open bounds of shape ``(N, k)``
-        (see ``ResponseTimeEngine``).  In-RAM tables use one fancy-index
-        gather per corner; memory-mapped tables stream each corner's
-        gather in ascending file order (sorted linear offsets) so page
-        reads through the map stay sequential per disk plane.
+        (see ``ResponseTimeEngine``).  One fancy-index gather per corner
+        reads each query's contiguous ``M``-vector, for in-RAM and
+        memory-mapped tables alike.
         """
         num_queries, ndim = lo.shape
         if ndim != self.ndim:
@@ -788,42 +693,20 @@ class SummedAreaTable:
         counts = np.zeros(
             (num_queries, self.num_disks), dtype=np.int64
         )
-        if num_queries == 0:
-            return counts
-        if not self.is_mmap:
-            for corner in range(1 << ndim):
-                index: Tuple = (slice(None),)
-                parity = 0
-                for axis in range(ndim):
-                    if (corner >> axis) & 1:
-                        index += (lo[:, axis],)
-                        parity ^= 1
-                    else:
-                        index += (hi[:, axis],)
-                term = self.array[index]  # shape (M, N)
-                if parity:
-                    counts -= term.T
-                else:
-                    counts += term.T
-            return counts
-        self.prefetch()
-        strides = self.spatial_element_strides()
-        flat = self.array.reshape(self.num_disks, -1)
         for corner in range(1 << ndim):
-            offsets = np.zeros(num_queries, dtype=np.int64)
+            index = []
             parity = 0
             for axis in range(ndim):
                 if (corner >> axis) & 1:
-                    offsets += lo[:, axis] * strides[axis]
+                    index.append(lo[:, axis])
                     parity ^= 1
                 else:
-                    offsets += hi[:, axis] * strides[axis]
-            order = np.argsort(offsets, kind="stable")
-            sorted_offsets = offsets[order]
-            sign = -1 if parity else 1
-            for disk in range(self.num_disks):
-                values = flat[disk][sorted_offsets].astype(np.int64)
-                counts[order, disk] += sign * values
+                    index.append(hi[:, axis])
+            term = self.array[tuple(index)]  # shape (N, M)
+            if parity:
+                counts -= term
+            else:
+                counts += term
         return counts
 
     def close(self) -> None:

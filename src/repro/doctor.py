@@ -27,13 +27,15 @@ Classifications:
     e.g. a zero-byte ``.so``) — gc removes it;
 ``stale``
     leftover staging state no live build owns (partials + journals,
-    old shard logs, compile temps, orphaned sidecars, shm segments) —
+    old shard logs, compile temps, orphaned sidecars, shm segments), or
+    a spilled SAT of the retired disk-first layout (a schema-1
+    manifest, or no manifest at all, so its layout is unknowable) —
     gc removes it;
 ``resumable``
     an interrupted chunked build whose journal still validates — gc
     removes it, but the report says a re-run would resume it instead;
 ``unverified``
-    a pre-integrity artifact with no sidecar — reported, never removed;
+    a cached ``.so`` with no digest sidecar — reported, never removed;
 ``in-use``
     a shared-memory segment whose embedded owner pid
     (``repro-shm-srv<pid>-...``) is a live server process — reported
@@ -52,6 +54,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.exceptions import IntegrityError
 from repro.core.integrity import (
+    DISK_FIRST_SCHEMA,
     library_digest_path,
     manifest_path,
     verify_level,
@@ -209,10 +212,31 @@ def scan_sat_artifacts(
             issues.append(
                 ArtifactIssue(
                     kind="sat",
-                    state="unverified",
+                    state="stale",
                     path=path,
-                    detail="no sidecar manifest (pre-integrity spill)",
-                    removals=[],
+                    detail=(
+                        "no sidecar manifest: the table's layout cannot "
+                        "be read from its header, so it is never opened"
+                    ),
+                    removals=[path],
+                )
+            )
+            continue
+        document = _load_sidecar_json(manifest)
+        if (
+            isinstance(document, dict)
+            and document.get("schema") == DISK_FIRST_SCHEMA
+        ):
+            issues.append(
+                ArtifactIssue(
+                    kind="sat",
+                    state="stale",
+                    path=path,
+                    detail=(
+                        f"manifest schema {DISK_FIRST_SCHEMA}: the retired "
+                        f"disk-first layout; rebuild the table"
+                    ),
+                    removals=[path, manifest],
                 )
             )
             continue

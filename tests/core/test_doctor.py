@@ -3,8 +3,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from repro.core.exceptions import IntegrityError
 from repro.core.grid import Grid
 from repro.core.integrity import (
     library_digest_path,
@@ -81,14 +83,20 @@ class TestSatScan:
         (issue,) = scan_sat_artifacts(str(tmp_path), level="off")
         assert issue.state == "corrupt"
 
-    def test_manifestless_spill_is_unverified_not_removed(
-        self, tmp_path
-    ):
+    def test_manifestless_spill_is_stale_and_removed(self, tmp_path):
+        # Its layout cannot be read from the header: never opened, so gc
+        # removes it.
         path = _build_sat(tmp_path)
         os.unlink(manifest_path(path))
         (issue,) = scan_sat_artifacts(str(tmp_path))
-        assert issue.state == "unverified"
-        assert issue.removals == []
+        assert issue.state == "stale"
+        assert issue.removals == [path]
+        report = run_doctor(
+            gc=True,
+            scanners=[lambda: scan_sat_artifacts(str(tmp_path))],
+        )
+        assert report.exit_code() == 0
+        assert not os.path.exists(path)
 
     def test_orphan_manifest_is_stale(self, tmp_path):
         path = _build_sat(tmp_path)
@@ -130,6 +138,48 @@ class TestSatScan:
             build_partial_path(base),
             build_journal_path(base),
         }
+
+
+class TestLegacyDiskFirstSpill:
+    """A schema-1 spill stored the SAT disk-first; it is refused, not read."""
+
+    def _write_disk_first_spill(self, directory):
+        from repro.core.integrity import SatManifest, sha256_hex
+
+        path = os.path.join(str(directory), "repro-sat-legacy.npy")
+        in_ram = SummedAreaTable.build(get_scheme("dm").allocate(GRID, DISKS))
+        disk_first = np.ascontiguousarray(np.moveaxis(in_ram.array, -1, 0))
+        np.save(path, disk_first)
+        SatManifest(
+            dtype=disk_first.dtype.str,
+            shape=disk_first.shape,
+            num_disks=DISKS,
+            tile_rows=GRID.dims[0],
+            tile_starts=[0],
+            tile_digests=[
+                sha256_hex(np.ascontiguousarray(disk_first[:, 1:]).data)
+            ],
+            file_bytes=os.path.getsize(path),
+            params={"scheme": "dm", "dims": list(GRID.dims)},
+            schema=1,
+        ).write(path)
+        return path
+
+    def test_refused_reported_stale_and_collected(self, tmp_path):
+        path = self._write_disk_first_spill(tmp_path)
+        for level in ("header", "full"):
+            with pytest.raises(IntegrityError, match="disk-first"):
+                SummedAreaTable.open_mmap(path, verify=level)
+        (issue,) = scan_sat_artifacts(str(tmp_path))
+        assert issue.state == "stale"
+        assert "disk-first" in issue.detail
+        assert set(issue.removals) == {path, manifest_path(path)}
+        report = run_doctor(
+            gc=True,
+            scanners=[lambda: scan_sat_artifacts(str(tmp_path))],
+        )
+        assert report.exit_code() == 0
+        assert os.listdir(str(tmp_path)) == []
 
 
 class TestLegacyShardLog:
@@ -290,10 +340,10 @@ class TestRunDoctor:
             lambda: scan_sat_artifacts(str(tmp_path)),
         ])
         payload = report.to_json()
-        assert payload["clean"] is True  # unverified is not actionable
+        assert payload["clean"] is False  # stale is actionable
         (issue,) = payload["issues"]
-        assert issue["state"] == "unverified"
-        assert issue["removals"] == []
+        assert issue["state"] == "stale"
+        assert issue["removals"] == [path]
 
 
 class TestDoctorCli:

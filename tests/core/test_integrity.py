@@ -85,7 +85,7 @@ class TestManifest:
         path = _build(str(tmp_path / "t.npy"))
         manifest = SatManifest.load(path)
         assert manifest.num_disks == DISKS
-        assert manifest.shape == (DISKS, 13, 7)
+        assert manifest.shape == (13, 7, DISKS)  # disks last
         assert len(manifest.tile_digests) == len(manifest.tile_starts)
         assert len(manifest.tile_digests) > 1  # budget forced tiling
         assert manifest.file_bytes == os.path.getsize(path)
@@ -153,13 +153,15 @@ class TestCorruptionDetection:
         with pytest.raises(IntegrityError, match="shape"):
             verify_sat(path, "header")
 
-    def test_missing_manifest_tolerated_at_header(self, tmp_path):
+    def test_missing_manifest_refused_at_header(self, tmp_path):
+        # The header alone cannot tell disk-last from the retired
+        # disk-first layout, so a manifestless table is never opened.
         path = _build(str(tmp_path / "t.npy"))
         os.unlink(manifest_path(path))
-        before = _counter("integrity.unverified_opens")
-        sat = SummedAreaTable.open_mmap(path, verify="header")
-        sat.close()
-        assert _counter("integrity.unverified_opens") == before + 1
+        before = _counter("integrity.sat_failures")
+        with pytest.raises(IntegrityError, match="no sidecar"):
+            SummedAreaTable.open_mmap(path, verify="header")
+        assert _counter("integrity.sat_failures") == before + 1
 
     def test_missing_manifest_rejected_at_full(self, tmp_path):
         path = _build(str(tmp_path / "t.npy"))
