@@ -19,7 +19,7 @@ written by ``repro-decluster experiment`` are well-formed:
 * with ``--expect-counter NAME[:MIN]`` (repeatable), the named
   aggregate counter must be present with at least ``MIN`` (default 1)
   — the chaos leg uses this to prove recovery paths actually fired
-  (``shm.attach_faults``, ``integrity.sat_rebuilds``, ...), not merely
+  (``integrity.sat_rebuilds``, ...), not merely
   that the run survived;
 * with ``--counters-only``, only the metrics document layout and the
   ``--expect-counter`` expectations are checked — for exports written

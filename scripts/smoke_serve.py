@@ -1,18 +1,15 @@
 #!/usr/bin/env python
-"""CI serving smoke: daemon boot, worker-kill recovery, clean drain.
+"""CI serving smoke: daemon boot, served answers, clean drain.
 
-Boots the real ``repro serve`` daemon over a unix socket with a
-two-process worker fleet, then walks the failure path CI cares about:
+Boots the real ``repro serve`` daemon over a unix socket and walks the
+path CI cares about:
 
-1. **Serve** — a batch of random range queries answered over the wire
+1. **Batch** — a batch of random range queries answered over the wire
    must be byte-identical to the in-process engine's answer.
-2. **Worker kill** — SIGKILL one fleet worker mid-flight.  The daemon
-   must respawn it (``serve.worker_deaths`` counted, the stats
-   endpoint shows a fresh pid) and keep answering with byte-identical
-   results — the regression this guards is the shared-queue write-lock
-   poisoning that used to deadlock every *surviving* worker.
-3. **Drain** — SIGTERM must exit 0, kill the fleet, write the metrics
-   export, and leave no ``repro-shm-srv<pid>-*`` segments behind.
+2. **Degraded plan** — a ``degraded_plan`` request with ``offset=-1``
+   (any integer offset is valid; only its residue mod M matters) must
+   be answered, and match the in-process planner.
+3. **Drain** — SIGTERM must exit 0 and write the metrics export.
 
 The metrics export is left on disk for ``check_obs_output.py
 --counters-only`` (check_all.sh chains it with ``--expect-counter``
@@ -37,9 +34,12 @@ sys.path.insert(0, str(_REPO / "src"))
 import numpy as np  # noqa: E402
 
 from repro.core.cache import AllocationCache  # noqa: E402
+from repro.core.exceptions import ServeError  # noqa: E402
 from repro.core.grid import Grid  # noqa: E402
 from repro.core.query import QueryBatch, RangeQuery  # noqa: E402
-from repro.core.shm import stray_segments  # noqa: E402
+from repro.faults.models import FailStop, FaultScenario  # noqa: E402
+from repro.replication.allocation import chained_replication  # noqa: E402
+from repro.replication.planner import plan_query  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
 
 __all__ = ['main']
@@ -109,7 +109,6 @@ def main() -> int:
             sys.executable, "-m", "repro.cli", "serve",
             "--spec", SPEC,
             "--unix", socket_path,
-            "--serve-workers", "2",
             "--metrics-out", metrics_out,
             "--drain-timeout", "15",
         ],
@@ -134,38 +133,29 @@ def main() -> int:
                 return _fail("served batch diverged from local engine")
             print("smoke_serve: served batch byte-identical")
 
-            stats = client.stats()
-            pids = stats["workers"]
-            if len(pids) != 2:
-                return _fail(f"expected 2 fleet workers, got {pids}")
-            victim = pids[0]
-            os.kill(victim, signal.SIGKILL)
-            print(f"smoke_serve: killed worker {victim}")
-
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                stats = client.stats()
-                fresh = stats["workers"]
-                if victim not in fresh and len(fresh) == 2:
-                    break
-                time.sleep(0.2)
-            else:
-                return _fail(
-                    f"fleet never recovered (workers {stats['workers']})"
+            try:
+                served = client.degraded_plan(
+                    SCHEME, DIMS, DISKS, (0, 0), (7, 7), failed=(3,),
+                    offset=-1,
                 )
-            if stats["counters"].get("serve.worker_deaths", 0) < 1:
-                return _fail("worker death not counted")
-            print(f"smoke_serve: fleet respawned ({stats['workers']})")
-
-            lower, upper = _random_bounds(12)
-            times, _shed = client.batch_response_times(
-                SCHEME, DIMS, DISKS, lower, upper
+            except (OSError, ServeError) as exc:
+                return _fail(f"degraded_plan offset=-1 not answered: {exc}")
+            local = plan_query(
+                chained_replication(
+                    cache.allocation(SCHEME, Grid(DIMS), DISKS), offset=-1
+                ),
+                RangeQuery((0, 0), (7, 7)),
+                method="flow",
+                scenario=FaultScenario(DISKS, [FailStop((3,))]),
             )
-            if times.tobytes() != _local_times(
-                cache, lower, upper
-            ).tobytes():
-                return _fail("post-kill batch diverged from local engine")
-            print("smoke_serve: post-kill batch byte-identical")
+            if (
+                served["response_time"] != local.response_time
+                or served["loads"] != [int(v) for v in local.loads]
+            ):
+                return _fail(
+                    f"degraded plan {served} diverged from local planner"
+                )
+            print("smoke_serve: degraded_plan offset=-1 answered")
 
         process.send_signal(signal.SIGTERM)
         process.wait(timeout=60)
@@ -174,18 +164,9 @@ def main() -> int:
             return _fail(
                 f"drain exited {process.returncode}:\n{out}"
             )
-        leaked = [
-            name for name in stray_segments()
-            if f"-srv{process.pid}-" in name
-        ]
-        if leaked:
-            return _fail(f"shm segments leaked: {leaked}")
         if not os.path.exists(metrics_out):
             return _fail("metrics export missing after drain")
-        print(
-            "smoke_serve: ok — drain clean, no shm leaks, "
-            f"metrics at {metrics_out}"
-        )
+        print(f"smoke_serve: ok — drain clean, metrics at {metrics_out}")
         return 0
     finally:
         if process.poll() is None:

@@ -181,7 +181,6 @@ def _print_cache_stats(args) -> None:
                 if entry["engine_built"]
                 else "engine=unbuilt"
             )
-            residency = "shared" if entry["shared"] else "private"
             resident = entry.get("resident_nbytes")
             footprint = (
                 f"mapped={entry['mapped_nbytes']}B "
@@ -192,7 +191,7 @@ def _print_cache_stats(args) -> None:
             print(
                 f"  {entry['scheme']:10s} grid={dims} M={entry['num_disks']} "
                 f"dtype={entry['table_dtype']} kind={kind} "
-                f"table={entry['table_nbytes']}B {engine} {residency} "
+                f"table={entry['table_nbytes']}B {engine} "
                 + footprint,
                 file=sys.stderr,
             )
@@ -453,11 +452,9 @@ def _cmd_serve(args) -> int:
         unix_path=args.unix,
         host=args.host,
         port=args.port,
-        workers=args.serve_workers,
         max_inflight=args.max_inflight,
         drain_timeout=args.drain_timeout,
         metrics_out=args.metrics_out,
-        backend=args.backend,
     )
     if args.log_level:
         from repro.obs.log import configure_logging
@@ -496,7 +493,7 @@ def _cmd_serve_bench(args) -> int:
     socket_path = args.connect
     try:
         if socket_path is None:
-            # Spawn our own daemon on a private unix socket; small
+            # Start our own daemon on a private unix socket; small
             # max_inflight so the overload burst demonstrably sheds.
             socket_path = tempfile.mktemp(
                 prefix="repro-serve-bench-", suffix=".sock"
@@ -506,7 +503,6 @@ def _cmd_serve_bench(args) -> int:
                 sys.executable, "-m", "repro.cli", "serve",
                 "--spec", spec_text,
                 "--unix", socket_path,
-                "--serve-workers", str(args.serve_workers),
                 "--max-inflight", str(args.max_inflight),
             ]
             if args.backend:
@@ -713,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="LEVEL",
         help=(
-            "emit library logs (shm teardown, runner retries, ...) to "
+            "emit library logs (SAT rebuilds, runner retries, ...) to "
             "stderr at LEVEL (debug, info, warning, ...)"
         ),
     )
@@ -792,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_doctor = sub.add_parser(
         "doctor",
         help=(
-            "scan SAT/native/shm artifacts for corruption and "
+            "scan SAT/native artifacts for corruption and "
             "crash leftovers; --gc cleans them up"
         ),
     )
@@ -820,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_doctor.add_argument(
         "--gc",
         action="store_true",
-        help="remove corrupt artifacts, crash leftovers, stray shm",
+        help="remove corrupt artifacts and crash leftovers",
     )
     p_doctor.add_argument(
         "--json",
@@ -850,16 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--port", type=int, default=0, help="TCP bind port (0 = ephemeral)"
-    )
-    p_serve.add_argument(
-        "--serve-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "worker processes computing batches off shared memory "
-            "(0 = in-process thread pool)"
-        ),
     )
     p_serve.add_argument(
         "--max-inflight",
@@ -895,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-bench",
         help=(
             "closed-loop load generator against the serve daemon "
-            "(spawns one unless --connect)"
+            "(starts one unless --connect)"
         ),
     )
     p_serve_bench.add_argument(
@@ -920,16 +906,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--concurrency", type=int, default=2, help="closed-loop connections"
     )
     p_serve_bench.add_argument(
-        "--serve-workers",
-        type=int,
-        default=0,
-        help="worker processes for the spawned daemon",
-    )
-    p_serve_bench.add_argument(
         "--max-inflight",
         type=int,
         default=2,
-        help="spawned daemon's admission bound (small = shedding visible)",
+        help="started daemon's admission bound (small = shedding visible)",
     )
     p_serve_bench.add_argument(
         "--seed", type=int, default=2024, help="request-pool RNG seed"
@@ -979,8 +959,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.sat_budget <= 0:
             print("error: --sat-budget must be positive", file=sys.stderr)
             return 1
-        # Env rather than plumbing, so the budget survives into spawned
-        # processes (the serve daemon's workers).
+        # Env rather than plumbing: sat_byte_budget() reads it, so
+        # every build path sees the budget.
         os.environ[BYTE_BUDGET_ENV] = str(args.sat_budget)
     handlers = {
         "schemes": _cmd_schemes,

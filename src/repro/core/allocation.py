@@ -30,8 +30,8 @@ def table_dtype(num_disks: int) -> np.dtype:
     """Smallest unsigned dtype that can hold disk ids ``0 .. M-1``.
 
     ``uint8`` covers every configuration the paper evaluates (M <= 256);
-    the compact dtype is what makes allocation tables cheap to cache and
-    to place in shared memory for the serve worker fleet.  Raises
+    the compact dtype is what makes allocation tables cheap to cache.
+    Raises
     :class:`~repro.core.exceptions.AllocationError` for non-positive M
     and for M whose largest disk id would not even fit in ``uint64`` —
     silently falling off the dtype ladder would wrap ids and corrupt the
@@ -106,43 +106,6 @@ class DiskAllocation:
         )
         table.setflags(write=False)
         self._table = table
-
-    @classmethod
-    def from_buffer(
-        cls, grid: Grid, num_disks: int, table: np.ndarray
-    ) -> "DiskAllocation":
-        """Wrap an existing array *without copying* (shared-memory attach).
-
-        The caller guarantees ``table`` is C-contiguous, already in
-        :func:`table_dtype` for ``num_disks``, and will stay alive and
-        unmodified for the allocation's lifetime — exactly what
-        :mod:`repro.core.shm` arranges for tables backed by
-        ``multiprocessing.shared_memory``.  The array is marked read-only
-        in this process; values are validated like the copying path.
-        """
-        num_disks = int(num_disks)
-        expected = table_dtype(num_disks)
-        if table.dtype != expected:
-            raise AllocationError(
-                f"zero-copy table must use dtype {expected}, got "
-                f"{table.dtype}"
-            )
-        if table.shape != grid.dims:
-            raise AllocationError(
-                f"table shape {table.shape} does not match grid {grid.dims}"
-            )
-        if table.size and table.max() >= num_disks:
-            raise AllocationError(
-                "table contains disk ids outside "
-                f"[0, {num_disks}): max={table.max()}"
-            )
-        allocation = cls.__new__(cls)
-        table = table.view()
-        table.setflags(write=False)
-        allocation._grid = grid
-        allocation._num_disks = num_disks
-        allocation._table = table
-        return allocation
 
     @property
     def grid(self) -> Grid:

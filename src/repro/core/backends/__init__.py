@@ -4,9 +4,8 @@ The registry maps backend names to :class:`~repro.core.backends.base.
 KernelBackend` instances.  Resolution order for the active backend:
 
 1. an explicit :func:`set_backend` / :func:`use_backend` call,
-2. the ``REPRO_BACKEND`` environment variable (how the CLI's
-   ``--backend`` flag and the worker-pool initializer propagate the
-   choice into spawned processes),
+2. the ``REPRO_BACKEND`` environment variable (how a subprocess
+   inherits the choice),
 3. the default, ``"numpy"``.
 
 Selecting an unknown or unavailable backend raises
@@ -110,7 +109,7 @@ def set_backend(name: Optional[str]) -> None:
     global _ACTIVE
     if name is not None:
         get_backend(name)
-    _ACTIVE = name  # qa601: allow — per-process override by design; serve workers each re-apply the server's --backend at startup
+    _ACTIVE = name
 
 
 @contextmanager

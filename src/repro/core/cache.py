@@ -18,16 +18,6 @@ bounded entry count; hit/miss/eviction counters are exposed for reports.
 
 A process-wide default cache (:func:`global_cache`) is shared by every
 :class:`~repro.core.evaluator.SchemeEvaluator` unless one is injected.
-Worker processes of the ``repro serve`` fleet each get their own
-instance — module state is rebuilt on import, which keeps the cache
-spawn-safe with zero coordination.  The serve daemon additionally
-installs a :class:`~repro.core.shm.SharedAllocationBroker` into its own
-and each worker's global cache (:meth:`AllocationCache.set_broker`): a
-miss then first tries a zero-copy attach of a table another process
-already built and published over ``multiprocessing.shared_memory``, and
-only builds — then publishes — when none has.  Sharing is semantics-free because
-allocation is deterministic (QA405); it only removes duplicate work and
-duplicate resident memory.
 """
 
 from __future__ import annotations
@@ -35,15 +25,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    Hashable,
-    List,
-    Optional,
-    Tuple,
-    TYPE_CHECKING,
-    Union,
-)
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.core.allocation import DiskAllocation
 from repro.core.engine import ResponseTimeEngine
@@ -54,9 +36,6 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import global_registry
 
 _LOG = get_logger("repro.core.cache")
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.shm import SharedAllocationBroker
 
 __all__ = [
     "AllocationCache",
@@ -118,21 +97,12 @@ class CacheStats:
     evictions: int
     entries: int
     maxsize: int
-    #: Misses satisfied by a zero-copy attach from the shared-memory
-    #: broker (0 when no broker is installed, so the defaults keep old
-    #: call sites and serialized snapshots valid).
-    shared_hits: int = 0
-    #: Freshly built allocations published to the broker.
-    publishes: int = 0
     #: Spilled SATs rebuilt after failing their integrity check
     #: (:meth:`AllocationCache.mmap_engine`).
     rebuilds: int = 0
     #: Mmap-engine lookups served from the open-handle memo (the file
     #: was already mapped and verified by this process).
     mmap_hits: int = 0
-    #: Mmap engines attached from a handle another worker published
-    #: through the broker (one page-cache-backed mapping per fleet).
-    mmap_shared_hits: int = 0
 
     @property
     def requests(self) -> int:
@@ -146,28 +116,20 @@ class CacheStats:
 
     def render(self) -> str:
         """One-line human-readable summary for report footers."""
-        line = (
+        return (
             f"allocation cache: {self.hits} hit(s), {self.misses} miss(es) "
             f"({self.hit_rate:.0%} hit rate), {self.entries}/{self.maxsize} "
             f"entries, {self.evictions} eviction(s)"
         )
-        if self.shared_hits or self.publishes:
-            line += (
-                f", {self.shared_hits} shared-memory attach(es), "
-                f"{self.publishes} publish(es)"
-            )
-        return line
 
 
 class _Entry:
     """One cached allocation with its lazily built engine."""
 
-    __slots__ = ("allocation", "shared", "_engine")
+    __slots__ = ("allocation", "_engine")
 
-    def __init__(self, allocation: DiskAllocation, shared: bool = False):
+    def __init__(self, allocation: DiskAllocation):
         self.allocation = allocation
-        #: True when ``allocation.table`` views a shared-memory segment.
-        self.shared = shared
         self._engine: Optional[ResponseTimeEngine] = None
 
     @property
@@ -194,11 +156,7 @@ class AllocationCache:
     1
     """
 
-    def __init__(
-        self,
-        maxsize: int = DEFAULT_MAXSIZE,
-        broker: Optional["SharedAllocationBroker"] = None,
-    ):
+    def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
         maxsize = int(maxsize)
         if maxsize <= 0:
             raise ValueError(f"cache maxsize must be positive: {maxsize}")
@@ -209,34 +167,14 @@ class AllocationCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._shared_hits = 0
-        self._publishes = 0
         self._rebuilds = 0
         self._mmap_hits = 0
-        self._mmap_shared_hits = 0
         #: Open mmap engines by (scheme, dims, M, path): the file is
         #: the cache for the *data*, but re-opening means re-verifying
         #: and a private second mapping — memoize the open handle.
         self._mmap_engines: Dict[
             Tuple[Hashable, ...], ResponseTimeEngine
         ] = {}
-        self._broker = broker
-
-    def set_broker(
-        self, broker: Optional["SharedAllocationBroker"]
-    ) -> None:
-        """Install (or remove, with None) a shared-memory broker.
-
-        The broker keys on the scheme *name*, so only install one in
-        processes whose registry holds the default schemes — the
-        serve fleet's spawn workers by construction.
-        """
-        self._broker = broker
-
-    @property
-    def broker(self) -> Optional["SharedAllocationBroker"]:
-        """The installed shared-memory broker, if any."""
-        return self._broker
 
     @property
     def maxsize(self) -> int:
@@ -271,35 +209,10 @@ class AllocationCache:
             self._entries.move_to_end(key)
             return entry
         self._misses += 1
-        allocation = None
-        shared = False
-        if self._broker is not None:
-            allocation = self._broker.get(scheme_name, grid, int(num_disks))
-            if allocation is not None:
-                shared = True
-                self._shared_hits += 1
-        if allocation is None:
-            from repro.core.registry import get_scheme
+        from repro.core.registry import get_scheme
 
-            allocation = get_scheme(scheme_name).allocate(
-                grid, int(num_disks)
-            )
-            if self._broker is not None:
-                # publish returns a zero-copy view onto the shared
-                # segment, so this process's resident copy is dropped
-                # too (first writer wins; losers attach the winner's).
-                # When no segment can be attached it hands back the
-                # private table, which then stays private.
-                try:
-                    published = self._broker.publish(
-                        scheme_name, grid, int(num_disks), allocation
-                    )
-                    shared = published is not allocation
-                    allocation = published
-                    self._publishes += 1
-                except Exception:
-                    shared = False
-        entry = _Entry(allocation, shared=shared)
+        allocation = get_scheme(scheme_name).allocate(grid, int(num_disks))
+        entry = _Entry(allocation)
         self._entries[key] = entry
         while len(self._entries) > self._maxsize:
             self._entries.popitem(last=False)
@@ -339,10 +252,7 @@ class AllocationCache:
         Mmap engines are not held in the LRU (the file is the cache for
         the data), but the *open handle* is memoized: a repeat lookup
         reuses the already-verified mapping instead of paying a second
-        verification pass and a second private map.  When a broker is
-        installed the finished table's :class:`~repro.core.shm.MmapSatHandle`
-        is also published, so a worker fleet shares one
-        page-cache-backed mapping instead of N private opens.
+        verification pass and a second private map.
         """
         memo_key = (
             scheme_name,
@@ -376,58 +286,6 @@ class AllocationCache:
             )
         engine = ResponseTimeEngine.from_sat(sat)
         self._mmap_engines[memo_key] = engine
-        if self._broker is not None:
-            try:
-                self._broker.publish_sat(
-                    scheme_name, grid, int(num_disks), path
-                )
-            except Exception as exc:  # qa502: allow — publication is
-                # best-effort; the private engine is already correct.
-                _LOG.warning(
-                    "spilled-SAT handle publish failed for %s: %r",
-                    os.fspath(path),
-                    exc,
-                )
-        return engine
-
-    def shared_mmap_engine(
-        self, scheme_name: str, grid: Grid, num_disks: int
-    ) -> Optional[ResponseTimeEngine]:
-        """Attach the fleet-shared spilled SAT for the triple, or None.
-
-        Consults the broker for an :class:`~repro.core.shm.MmapSatHandle`
-        another worker published (via :meth:`mmap_engine`) and maps it
-        read-only — N workers then share one page-cache-backed file
-        instead of each building or verifying privately.  Returns None
-        when no broker is installed or nothing has been published.
-        """
-        if self._broker is None:
-            return None
-        handle = self._broker.get_sat(scheme_name, grid, int(num_disks))
-        if handle is None:
-            return None
-        memo_key = (
-            scheme_name,
-            grid.dims,
-            int(num_disks),
-            handle.path,
-        )
-        cached = self._mmap_engines.get(memo_key)
-        if cached is not None and cached.sat.array is not None:
-            self._mmap_hits += 1
-            return cached
-        try:
-            engine = handle.attach_engine()
-        except (OSError, IntegrityError) as exc:
-            _LOG.warning(
-                "attach of published spilled SAT %s failed: %r",
-                handle.path,
-                exc,
-            )
-            global_registry().inc("shm.attach_faults")
-            return None
-        self._mmap_shared_hits += 1
-        self._mmap_engines[memo_key] = engine
         return engine
 
     def stats(self) -> CacheStats:
@@ -438,11 +296,8 @@ class AllocationCache:
             evictions=self._evictions,
             entries=len(self._entries),
             maxsize=self._maxsize,
-            shared_hits=self._shared_hits,
-            publishes=self._publishes,
             rebuilds=self._rebuilds,
             mmap_hits=self._mmap_hits,
-            mmap_shared_hits=self._mmap_shared_hits,
         )
 
     def entry_report(self) -> List[Dict[str, object]]:
@@ -450,8 +305,8 @@ class AllocationCache:
 
         One dict per cached entry, in LRU order (least recent first):
         scheme name, grid dims, disk count, table dtype and bytes,
-        whether the integral-image engine has been built (and its
-        bytes), and whether the table resides in shared memory.  Every
+        and whether the integral-image engine has been built (and its
+        bytes).  Every
         row also reports ``mapped_nbytes`` (address-space footprint)
         next to ``resident_nbytes`` (pages actually in RAM, None where
         unmeasurable): for in-RAM tables the two agree, but an
@@ -481,9 +336,8 @@ class AllocationCache:
                     "table_nbytes": allocation.nbytes,
                     "engine_built": entry.engine_built,
                     "engine_nbytes": engine_nbytes,
-                    "shared": entry.shared,
-                    # In-RAM (or shared-segment) tables are fully
-                    # materialized: mapped == resident by construction.
+                    # In-RAM tables are fully materialized: mapped ==
+                    # resident by construction.
                     "mapped_nbytes": mapped,
                     "resident_nbytes": mapped,
                 }
@@ -506,7 +360,6 @@ class AllocationCache:
                     "table_nbytes": mapped,
                     "engine_built": True,
                     "engine_nbytes": 0,
-                    "shared": False,
                     "mapped_nbytes": mapped,
                     "resident_nbytes": resident_nbytes(array),
                 }
@@ -518,24 +371,17 @@ class AllocationCache:
 
         Sets the ``cache.*`` counters to the cache's *cumulative* values
         (rather than incrementing), matching the cumulative-snapshot
-        semantics of :meth:`repro.obs.metrics.MetricsRegistry.payload` —
-        this is the channel through which parallel workers report their
-        cache activity back to the parent, fixing the parent-only
-        ``--cache-stats`` blind spot.  Called at publication points
-        (end of a worker job, end of a CLI run), never on the lookup hot
-        path, so instrumentation stays free when unused.
+        semantics of :meth:`repro.obs.metrics.MetricsRegistry.payload`.
+        Called at publication points (end of a CLI run, a daemon's
+        drain), never on the lookup hot path, so instrumentation stays
+        free when unused.
         """
         stats = self.stats()
         registry.set_counter("cache.hits", stats.hits)
         registry.set_counter("cache.misses", stats.misses)
         registry.set_counter("cache.evictions", stats.evictions)
-        registry.set_counter("cache.shared_hits", stats.shared_hits)
-        registry.set_counter("cache.publishes", stats.publishes)
         registry.set_counter("cache.rebuilds", stats.rebuilds)
         registry.set_counter("cache.mmap_hits", stats.mmap_hits)
-        registry.set_counter(
-            "cache.mmap_shared_hits", stats.mmap_shared_hits
-        )
         registry.set_counter("cache.entries", stats.entries)
         registry.set_counter("cache.maxsize", stats.maxsize)
 
@@ -554,11 +400,8 @@ class AllocationCache:
             "entries": stats.entries,
             "maxsize": stats.maxsize,
             "hit_rate": stats.hit_rate,
-            "shared_hits": stats.shared_hits,
-            "publishes": stats.publishes,
             "rebuilds": stats.rebuilds,
             "mmap_hits": stats.mmap_hits,
-            "mmap_shared_hits": stats.mmap_shared_hits,
         }
 
 

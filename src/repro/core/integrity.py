@@ -302,8 +302,8 @@ def _npy_header(path: str) -> Tuple[Tuple[int, ...], np.dtype, int]:
 #: manifest).  Header verification is a pure function of the table and
 #: manifest files, so while both stat signatures (size, mtime_ns, inode)
 #: are unchanged the previous verdict stands — repeat ``open_mmap``
-#: calls in one process (cache rebuild probes, per-task reopens in
-#: workers) skip the JSON re-parse.  Any rewrite goes through
+#: calls in one process (cache rebuild probes, repeated reopens) skip
+#: the JSON re-parse.  Any rewrite goes through
 #: ``os.replace`` and changes the inode, invalidating the entry.
 _HEADER_MEMO: Dict[str, Tuple[tuple, SatManifest]] = {}
 _HEADER_MEMO_MAX = 64
@@ -344,7 +344,7 @@ def verify_sat(
             if memo[0] == signature:
                 registry.inc("integrity.sat_verifications")
                 return memo[1]
-            _HEADER_MEMO.pop(path, None)  # qa601: allow — per-process verification memo by design; each worker warms its own
+            _HEADER_MEMO.pop(path, None)
     try:
         manifest = SatManifest.load(path)
     except FileNotFoundError:
@@ -381,8 +381,8 @@ def verify_sat(
         _verify_sat_tiles(path, manifest, shape, dtype, offset)
     elif signature is not None:
         if len(_HEADER_MEMO) >= _HEADER_MEMO_MAX:
-            _HEADER_MEMO.pop(next(iter(_HEADER_MEMO)))  # qa601: allow — per-process verification memo by design; each worker warms its own
-        _HEADER_MEMO[path] = (signature, manifest)  # qa601: allow — per-process verification memo by design; each worker warms its own
+            _HEADER_MEMO.pop(next(iter(_HEADER_MEMO)))
+        _HEADER_MEMO[path] = (signature, manifest)
     registry.inc("integrity.sat_verifications")
     return manifest
 

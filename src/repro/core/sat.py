@@ -25,7 +25,7 @@ per-disk counts, so every 2^k-corner lookup reads one contiguous
   queryable on ordinary hardware;
 * :meth:`SummedAreaTable.open_mmap` — reopen a spilled table zero-copy
   (the ``.npy`` header carries shape and dtype, so the path alone is a
-  complete, picklable handle — see ``repro.core.shm.MmapSatHandle``);
+  complete handle);
 * :meth:`SummedAreaTable.corner_counts` — the batched 2^k-corner gather,
   one fancy-index gather per corner for in-RAM and mapped tables alike.
 

@@ -1,21 +1,19 @@
 """``repro doctor``: scan, diagnose, and garbage-collect on-disk artifacts.
 
-The artifact layer leaves three kinds of state on a machine: spilled
+The artifact layer leaves two kinds of state on a machine: spilled
 summed-area tables (``repro-sat-*.npy`` plus manifest and, after a
 crash, ``.partial``/``.journal.json``/``.carry.npy`` build sidecars,
 plus ``.shards.json`` shard logs that parallel builds of earlier
 versions left behind), the compiled-kernel cache (``reprokern-*.so``
 with digest sidecars, and ``.c``/``.tmp`` leftovers from failed
-compiles), and shared-memory segments (``repro-shm-*`` under
-``/dev/shm``) from runs that died before teardown.  The doctor walks
-all three:
+compiles).  The doctor walks both:
 
 * **report** (default): verify every artifact against its sidecar
   (:mod:`repro.core.integrity`), classify each finding, and exit
   non-zero when anything needs attention;
 * **``--gc``**: additionally remove what cannot or should not be kept —
   corrupt artifacts, orphaned sidecars, failed-compile leftovers,
-  interrupted-build staging sets, stray shared-memory segments.
+  interrupted-build staging sets.
   Resumable build sets are reported as such before removal, so an
   operator who wants the resume simply re-runs the build instead of
   the doctor.
@@ -27,7 +25,7 @@ Classifications:
     e.g. a zero-byte ``.so``) — gc removes it;
 ``stale``
     leftover staging state no live build owns (partials + journals,
-    old shard logs, compile temps, orphaned sidecars, shm segments), or
+    old shard logs, compile temps, orphaned sidecars), or
     a spilled SAT of the retired disk-first layout (a schema-1
     manifest, or no manifest at all, so its layout is unknowable) —
     gc removes it;
@@ -36,10 +34,6 @@ Classifications:
     removes it, but the report says a re-run would resume it instead;
 ``unverified``
     a cached ``.so`` with no digest sidecar — reported, never removed;
-``in-use``
-    a shared-memory segment whose embedded owner pid
-    (``repro-shm-srv<pid>-...``) is a live server process — reported
-    for visibility, never removed, and never fails the report;
 ``ok``
     verified clean (listed only in ``--json`` output).
 """
@@ -75,7 +69,6 @@ __all__ = [
     "run_doctor",
     "scan_native_cache",
     "scan_sat_artifacts",
-    "scan_shm_segments",
 ]
 
 _LOG = get_logger("repro.doctor")
@@ -89,11 +82,11 @@ _ACTIONABLE = ("corrupt", "stale", "resumable")
 class ArtifactIssue:
     """One classified artifact (see module docstring for the states)."""
 
-    kind: str  #: "sat" | "sat-build" | "native" | "shm"
-    state: str  #: "ok"|"unverified"|"in-use"|"resumable"|"stale"|"corrupt"
+    kind: str  #: "sat" | "sat-build" | "native"
+    state: str  #: "ok" | "unverified" | "resumable" | "stale" | "corrupt"
     path: str
     detail: str
-    #: Files (or the shm segment name) that ``--gc`` would remove.
+    #: Files that ``--gc`` would remove.
     removals: List[str]
 
     @property
@@ -404,63 +397,9 @@ def scan_native_cache(
     return issues
 
 
-def scan_shm_segments() -> List[ArtifactIssue]:
-    """Classify leftover ``repro-shm-*`` segments in ``/dev/shm``.
-
-    Untagged segments surviving a run are stale by definition: every
-    orderly short-lived run tears its arena down, so what remains
-    belongs to a crashed run.  Server-tagged segments
-    (``repro-shm-srv<pid>-...``) carry their owner's pid: while that
-    process lives the segment is **in-use** (reported, never
-    collected); once the owner is gone it is an orphan of a crashed or
-    killed daemon and gc may unlink it.
-    """
-    from repro.core.shm import (
-        SHM_NAME_PREFIX,
-        _pid_alive,
-        segment_owner_pid,
-        stray_segments,
-    )
-
-    issues = []
-    for name in stray_segments(SHM_NAME_PREFIX):
-        owner = segment_owner_pid(name)
-        if owner is None:
-            state = "stale"
-            detail = "shared-memory segment from a crashed run"
-        elif _pid_alive(owner):
-            state = "in-use"
-            detail = (
-                f"segment owned by live server pid {owner}; "
-                "not collectable while it runs"
-            )
-        else:
-            state = "stale"
-            detail = (
-                f"orphaned server segment (owner pid {owner} is gone)"
-            )
-        issues.append(
-            ArtifactIssue(
-                kind="shm",
-                state=state,
-                path=f"/dev/shm/{name}",
-                detail=detail,
-                removals=[name] if state == "stale" else [],
-            )
-        )
-    return issues
-
-
 def _gc_issue(issue: ArtifactIssue) -> List[str]:
     """Remove one issue's artifacts; returns what was actually removed."""
     removed: List[str] = []
-    if issue.kind == "shm":
-        from repro.core.shm import unlink_segment
-
-        for name in issue.removals:
-            if unlink_segment(name):
-                removed.append(f"/dev/shm/{name}")
-        return removed
     for path in issue.removals:
         try:
             os.unlink(path)
@@ -492,15 +431,9 @@ class DoctorReport:
             return 0
         if not self.gc:
             return 1
-        from repro.core.shm import stray_segments
-
-        leftover_segments = set(stray_segments())
         for issue in self.actionable:
             for target in issue.removals:
-                if issue.kind == "shm":
-                    if target in leftover_segments:
-                        return 1
-                elif os.path.exists(target):
+                if os.path.exists(target):
                     return 1
         return 0
 
@@ -550,14 +483,12 @@ def run_doctor(
     """Scan all artifact stores, optionally garbage-collecting.
 
     ``scanners`` overrides the scan list (tests inject single scans);
-    the default covers SAT spills, the native kernel cache, and
-    ``/dev/shm``.
+    the default covers SAT spills and the native kernel cache.
     """
     if scanners is None:
         scanners = [
             lambda: scan_sat_artifacts(sat_dir, level),
             lambda: scan_native_cache(native_cache, level),
-            scan_shm_segments,
         ]
     issues: List[ArtifactIssue] = []
     for scan in scanners:

@@ -11,8 +11,8 @@ experiment runner itself must degrade gracefully.  Three pieces:
 * :mod:`repro.faults.injection` — crash/exit injection for the runner's
   experiments (chaos testing the self-healing paths);
 * :mod:`repro.faults.io` — I/O-level injection points inside the
-  artifact layer (SAT spills, kernel compiles, shm attaches), driving
-  the integrity/recovery chaos tests.
+  artifact layer (SAT spills, kernel compiles), driving the
+  integrity/recovery chaos tests.
 """
 
 from repro.faults.degraded import (

@@ -2,8 +2,8 @@
 
 :mod:`repro.faults.injection` sabotages whole experiment attempts; this
 module reaches *inside* the native data plane, at the exact points where
-a disk-full, a torn write, a corrupted cache, or a vanished shared
-segment would strike in production::
+a disk-full, a torn write or a corrupted cache would strike in
+production::
 
     REPRO_IO_FAULTS="sat.write:1;compile" \\
     REPRO_IO_FAULTS_STATE=/tmp/io-fault-state \\
@@ -20,8 +20,6 @@ Plan grammar: semicolon-separated ``POINT[:MODE][:TIMES]`` entries.
                    (:meth:`~repro.core.sat.SummedAreaTable.open_mmap`)
   ``compile``      in the native backend's kernel compile/cache path
                    (:func:`repro.core.backends.native._compile_library`)
-  ``shm.attach``   on attaching a published shared-memory allocation
-                   (:func:`repro.core.shm.attach_allocation`)
   ===============  ====================================================
 
 * ``MODE`` is ``error`` (the default — raise :class:`InjectedIOFault`,
@@ -34,8 +32,8 @@ Plan grammar: semicolon-separated ``POINT[:MODE][:TIMES]`` entries.
 Because ``MODE`` is optional, ``sat.write:2`` means "error mode, twice".
 
 Attempt counting uses one file per point under
-``REPRO_IO_FAULTS_STATE`` so it survives process boundaries (spawned
-workers, subprocess test harnesses).  Without a state directory the
+``REPRO_IO_FAULTS_STATE`` so it survives process boundaries (a
+process that dies and is re-run, subprocess test harnesses).  Without a state directory the
 fault fires on *every* hit — useful for testing hard-down behavior.
 """
 
@@ -70,7 +68,7 @@ IO_FAULTS_STATE_ENV = "REPRO_IO_FAULTS_STATE"
 IO_EXIT_STATUS = 23
 
 #: Injection points wired through the library.
-IO_POINTS = ("sat.write", "sat.read", "compile", "shm.attach")
+IO_POINTS = ("sat.write", "sat.read", "compile")
 
 _MODES = ("error", "exit")
 
@@ -210,7 +208,7 @@ def maybe_io_fault(point: str, detail: str = "") -> None:
 
     No-op unless ``REPRO_IO_FAULTS`` is set; called from the artifact
     layer's hot seams (see :data:`IO_POINTS`) so chaos plans reach
-    spawn-context workers and subprocesses through their environment.
+    subprocesses through their environment.
     """
     plan = IoFaultPlan.from_environment()
     if plan is not None:

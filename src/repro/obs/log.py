@@ -3,8 +3,8 @@
 Every module logs through a child of the ``repro`` logger obtained from
 :func:`get_logger`.  The package ships a ``NullHandler`` on the root
 ``repro`` logger, so library code can log unconditionally — warnings
-about swallowed shared-memory teardown failures, broker fallbacks, and
-runner retries — without ever printing unless the application opts in
+about spilled-table rebuilds, swallowed cleanup failures, and runner
+retries — without ever printing unless the application opts in
 via :func:`configure_logging` (the CLI's ``--log-level``) or attaches
 its own handlers.
 """
@@ -36,7 +36,7 @@ def get_logger(name: str) -> logging.Logger:
     """A logger under the ``repro`` namespace.
 
     ``name`` may be a module ``__name__`` (already ``repro.*``) or a bare
-    suffix like ``"shm"``.
+    suffix like ``"doctor"``.
     """
     if name != ROOT_LOGGER_NAME and not name.startswith(
         ROOT_LOGGER_NAME + "."

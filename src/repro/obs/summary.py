@@ -2,7 +2,7 @@
 
 Backs ``repro-decluster obs summary``: point it at the ``--metrics-out``
 JSON and/or ``--trace`` JSONL a run produced and it prints per-experiment
-wall times, cache hit rates, shared-memory activity, and retry counts —
+wall times, cache hit rates, serve latencies, and retry counts —
 the distributional view (p50/p95/max, not just means) that parallel
 response-time tuning needs.
 """
@@ -103,8 +103,7 @@ def render_metrics_summary(document: Dict[str, Any]) -> str:
         lines.append(
             f"  serve: requests={serve.get('requests', 0)} "
             f"shed={serve.get('shed', 0)} "
-            f"errors={serve.get('errors', 0)} "
-            f"worker_deaths={serve.get('worker_deaths', 0)}"
+            f"errors={serve.get('errors', 0)}"
         )
         for kind, summary in serve_rows:
             lines.append(
@@ -123,19 +122,7 @@ def render_metrics_summary(document: Dict[str, Any]) -> str:
         lines.append(
             f"  allocation cache: {hits} hit(s), {misses} miss(es) "
             f"({rate:.0%} hit rate), "
-            f"{cache.get('evictions', 0)} eviction(s), "
-            f"{cache.get('shared_hits', 0)} shared attach(es), "
-            f"{cache.get('publishes', 0)} publish(es)"
-        )
-
-    shm = _counter_block(counters, "shm.")
-    if shm:
-        lines.append(
-            "  shared memory: "
-            + ", ".join(
-                f"{value} {name.replace('_', ' ')}"
-                for name, value in sorted(shm.items())
-            )
+            f"{cache.get('evictions', 0)} eviction(s)"
         )
 
     runner = _counter_block(counters, "runner.")

@@ -1,7 +1,7 @@
 """Project-specific static analysis and scheme-contract checking.
 
 The ``repro.qa`` package is the repository's correctness-tooling layer.
-It has three parts:
+It has four parts:
 
 * :mod:`repro.qa.diagnostics` — the shared :class:`~repro.qa.diagnostics.Finding`
   vocabulary, text/JSON reporters, and the baseline-suppression file that
@@ -9,10 +9,7 @@ It has three parts:
 * :mod:`repro.qa.linter` + :mod:`repro.qa.rules` — an AST linter with rules
   specific to this reproduction (scheme/registry hygiene, seeded randomness,
   float comparisons in response-time code, ``__all__`` coverage).
-* :mod:`repro.qa.flow` — a whole-project symbol table, reference graph,
-  and worker-reachability marking; the QA6xx concurrency-safety and
-  QA7xx vectorization rule families are built on it, and
-  :mod:`repro.qa.sarif` renders any run as a SARIF 2.1.0 log for
+* :mod:`repro.qa.sarif` — renders any run as a SARIF 2.1.0 log for
   code-scanning UIs.
 * :mod:`repro.qa.contracts` — a runtime checker that verifies, for every
   registered declustering scheme, the ``disk_of``/``allocate`` contract the

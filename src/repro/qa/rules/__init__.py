@@ -56,8 +56,8 @@ class Project:
     """All modules under analysis, keyed by display path."""
 
     modules: Dict[str, ModuleSource] = field(default_factory=dict)
-    #: Scratch space for cross-rule analyses (the flow graph lives here,
-    #: built once per project by :func:`repro.qa.flow.get_flow`).
+    #: Scratch space for cross-rule analyses (the QA7xx hot-region
+    #: marks live here, built once per module).
     analysis: Dict[str, object] = field(default_factory=dict)
 
     def find(self, suffix: str) -> Optional[ModuleSource]:
@@ -124,16 +124,13 @@ class LintRule:
 
     Subclasses set ``rule_id``/``title``/``severity`` and override either
     :meth:`check_module` (``scope = "module"``) or :meth:`check_project`
-    (``scope = "project"``).  Rules that consume the whole-project flow
-    graph set ``uses_flow = True`` so the driver can exclude the family
-    (``--no-flow``) without a hard-coded id list.
+    (``scope = "project"``).
     """
 
     rule_id: str = ""
     title: str = ""
     severity: Severity = Severity.ERROR
     scope: str = "module"
-    uses_flow: bool = False
 
     def check_module(
         self, module: ModuleSource, project: Project
@@ -215,7 +212,6 @@ def _load_builtin_rules() -> None:
     # Imported lazily so `import repro.qa.rules` has no side-effect cost;
     # each module registers its rules on first import.
     from repro.qa.rules import (  # noqa: F401
-        concurrency,
         determinism,
         robustness,
         schemes,

@@ -15,17 +15,16 @@ the patterns that make failures invisible:
   on them — but only when the handler *does* something with the failure.
 
 QA502 supports an **explicit whitelist pragma** for the rare handler
-whose swallowing is deliberate and audited (e.g. the shared-memory
-broker's publish fallback, which logs and counts through
-:mod:`repro.obs`): a comment on the ``except`` line of the form ::
+whose swallowing is deliberate and audited (e.g. a best-effort cleanup
+that logs through :mod:`repro.obs`): a comment on the ``except`` line of the form ::
 
     except Exception as exc:  # qa502: allow — <reason>
 
 suppresses the finding, but only when a non-empty reason follows the
 ``allow``.  A bare ``# qa502: allow`` is itself reported — the whole
 point is that the waiver documents *why*.  The same mechanism (shared
-via :func:`repro.qa.rules.pragma_status`) backs the QA6xx/QA7xx flow
-rules.
+via :func:`repro.qa.rules.pragma_status`) backs the QA503 waivers and
+the QA7xx vectorization rules.
 
 * **QA503** — loading a cache-controlled artifact (``np.load``,
   ``open_memmap``, ``ctypes.CDLL``) anywhere outside the

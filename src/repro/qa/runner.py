@@ -27,7 +27,7 @@ from repro.qa.diagnostics import (
     render_text_report,
 )
 from repro.qa.linter import lint_paths
-from repro.qa.rules import LintRule, all_rules
+from repro.qa.rules import all_rules
 from repro.qa.sarif import write_sarif
 
 __all__ = [
@@ -102,23 +102,14 @@ def run_qa(
     schemes: Optional[Sequence[str]] = None,
     contract_config: Optional[ContractConfig] = None,
     baseline: Optional[Baseline] = None,
-    flow: bool = True,
 ) -> QAReport:
-    """Run the requested passes and partition findings against the baseline.
-
-    ``flow=False`` drops the rules that build the whole-project flow
-    graph (the QA6xx reachability family) — useful when linting isolated
-    snippets where cross-module reachability is meaningless.
-    """
+    """Run the requested passes and partition findings against the baseline."""
     findings: List[Finding] = []
     if lint:
         if paths is None:
             paths, default_root = default_lint_targets()
             root = root if root is not None else default_root
-        rules: Optional[List[LintRule]] = None
-        if not flow:
-            rules = [rule for rule in all_rules() if not rule.uses_flow]
-        findings.extend(lint_paths(paths, root=root, rules=rules))
+        findings.extend(lint_paths(paths, root=root))
     if contracts:
         findings.extend(check_registry(contract_config, names=schemes))
         findings.extend(check_engine(contract_config))
@@ -161,12 +152,6 @@ def add_qa_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-lint", action="store_true", help="skip the AST linter"
-    )
-    parser.add_argument(
-        "--no-flow",
-        action="store_true",
-        help="skip the whole-project flow analysis rules (QA6xx "
-        "reachability family)",
     )
     parser.add_argument(
         "--no-contracts",
@@ -219,7 +204,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             schemes=schemes,
             contract_config=config,
             baseline=baseline,
-            flow=not args.no_flow,
         )
     except OSError as exc:
         print(f"qa: error: {exc}", file=sys.stderr)

@@ -145,7 +145,11 @@ class ReplicatedAllocation:
 def chained_replication(
     primary: DiskAllocation, offset: int = 1
 ) -> ReplicatedAllocation:
-    """Backup = (primary + offset) mod M — classical chained declustering."""
+    """Backup = (primary + offset) mod M — classical chained declustering.
+
+    ``offset`` may be any integer (negative, or past the table's compact
+    dtype); only its residue mod M matters.
+    """
     offset = int(offset)
     num_disks = primary.num_disks
     if num_disks < 2:
@@ -153,15 +157,17 @@ def chained_replication(
             "replication needs at least 2 disks, got "
             f"{num_disks}"
         )
-    if offset % num_disks == 0:
+    shift = offset % num_disks
+    if shift == 0:
         raise SchemeError(
             f"offset {offset} maps copies to the same disk (mod "
             f"{num_disks})"
         )
+    # Summed in int64: id + shift reaches 2M - 2, past uint8 for M > 128.
     backup = DiskAllocation(
         primary.grid,
         num_disks,
-        (primary.table + offset) % num_disks,
+        np.add(primary.table, shift, dtype=np.int64) % num_disks,
     )
     return ReplicatedAllocation(primary, backup)
 

@@ -7,14 +7,10 @@ package turns that batch engine into a long-running server:
 * :mod:`repro.serve.protocol` — the length-prefixed binary wire format
   (JSON header + raw int64 numpy bodies) shared by server and clients;
 * :mod:`repro.serve.server` — the asyncio daemon: preloads allocations
-  through the :class:`~repro.core.cache.AllocationCache`, publishes
-  them over the :class:`~repro.core.shm.SharedAllocationBroker` to a
-  worker fleet, answers ``disk_of`` / ``batch_response_times`` /
-  ``degraded_plan`` / ``stats`` requests with admission control and
+  through the :class:`~repro.core.cache.AllocationCache`, answers
+  ``disk_of`` / ``batch_response_times`` / ``degraded_plan`` / ``stats``
+  requests on an in-process thread pool with admission control and
   graceful drain;
-* :mod:`repro.serve.workers` — the spawn-process fleet computing batch
-  response times off zero-copy shared tables, with death detection,
-  respawn, and task resubmission;
 * :mod:`repro.serve.client` — sync and async clients;
 * :mod:`repro.serve.bench` — the closed-loop load generator behind
   ``repro serve-bench`` (p50/p99, throughput, byte-identity audit).

@@ -1,11 +1,13 @@
 """Closed-loop load generator for the serve daemon (``repro serve-bench``).
 
 Measures what the paper's offline tables cannot: the *served* cost of a
-batch — protocol framing, admission control, the worker hop — under a
-steady closed loop.  Each of ``concurrency`` threads owns one
+batch — protocol framing, admission control, the thread-pool hop —
+under a steady closed loop.  Each of ``concurrency`` threads owns one
 connection and fires pre-encoded batch requests back-to-back for
 ``duration`` seconds; per-request latencies aggregate into p50/p99 and
-the query throughput divides total answered queries by wall time.
+the query throughput divides total answered queries by wall time.  The
+result names its host (CPU count, Python, numpy) so records from
+different machines are not compared blind.
 
 Two phases:
 
@@ -24,6 +26,8 @@ answer corresponds to an audited batch).
 from __future__ import annotations
 
 import json
+import os
+import platform
 import threading
 import time
 from dataclasses import dataclass, field
@@ -304,6 +308,11 @@ def run_bench(config: BenchConfig) -> Dict[str, Any]:
         },
         "verified_batches": len(pool),
         "mismatches": 0,
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
     }
     if config.out:
         out_path = Path(config.out)

@@ -2,29 +2,24 @@
 
 Life of the server:
 
-1. **Startup** — :func:`repro.core.shm.reap_stale_server_segments`
-   collects orphans a crashed predecessor left behind, then a
-   ``server_owned`` :class:`~repro.core.shm.SharedAllocationArena` is
-   created (segment names carry this pid) and every configured
-   ``(scheme, grid, M)`` spec is materialized **once** through
-   :func:`~repro.core.cache.global_cache` — which simultaneously
-   publishes the tables over the broker for the worker fleet to attach
-   zero-copy.
+1. **Startup** — every configured ``(scheme, grid, M)`` spec is
+   materialized **once** through :func:`~repro.core.cache.global_cache`
+   (allocation table plus summed-area-table engine), then the listening
+   socket is bound.
 2. **Serving** — a length-prefixed binary protocol
    (:mod:`repro.serve.protocol`) over a Unix socket or TCP.  Four
    request types: ``disk_of`` (answered inline off the resident table),
-   ``batch_response_times`` (shipped to the worker fleet, or a
-   thread-pool executor when ``workers=0``), ``degraded_plan`` (fault
-   scenario → replication plan, computed on the executor), ``stats``.
+   ``batch_response_times`` and ``degraded_plan`` (computed on an
+   in-process thread pool; the ``cnative`` batch kernel releases the
+   GIL, so batches run in parallel), ``stats``.
 3. **Admission control** — at most ``max_inflight`` batch requests may
    be in flight; excess batches are *shed* to the scalar per-query path
    computed inline (``serve.shed``).  Shedding trades batch-kernel
    throughput for bounded queueing — answers stay byte-identical
    because scalar and batch paths are certified equal (QA422).
 4. **Drain** — SIGTERM/SIGINT stops accepting, lets in-flight requests
-   complete (bounded by ``drain_timeout``), stops the fleet, unlinks
-   every shared segment through the arena ledger (with the prefix-sweep
-   fallback), and writes the metrics export if configured.
+   complete (bounded by ``drain_timeout``), shuts the thread pool down,
+   and writes the metrics export if configured.
 
 Observability: every request increments ``serve.requests``, records a
 ``serve.latency.<type>.seconds`` histogram observation, and (when
@@ -39,7 +34,7 @@ import asyncio
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -56,7 +51,6 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import global_registry
 from repro.obs.trace import trace, trace_event
 from repro.serve import protocol
-from repro.serve.workers import WorkerFleet, compute_batch_response_times
 
 _LOG = get_logger("repro.serve.server")
 
@@ -123,14 +117,9 @@ class ServeConfig:
     unix_path: Optional[str] = None
     host: Optional[str] = None
     port: int = 0
-    workers: int = 0
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     drain_timeout: float = DEFAULT_DRAIN_TIMEOUT
     metrics_out: Optional[str] = None
-    backend: Optional[str] = None
-    #: Skip the shared-memory arena (workers=0 single-process setups
-    #: and tests that must not touch /dev/shm).
-    use_shm: bool = True
 
     def __post_init__(self) -> None:
         if not self.specs:
@@ -153,7 +142,7 @@ _REQUEST_NAMES = {
 
 
 class DeclusterServer:
-    """One daemon instance: preloaded engines, fleet, asyncio server."""
+    """One daemon instance: preloaded engines, thread pool, asyncio server."""
 
     def __init__(self, config: ServeConfig):
         self.config = config
@@ -161,12 +150,9 @@ class DeclusterServer:
         self._allocations: Dict[
             Tuple[str, Tuple[int, ...], int], Any
         ] = {}
-        self._arena = None
-        self._fleet: Optional[WorkerFleet] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._pending: Dict[int, asyncio.Future] = {}
         self._inflight_batches = 0
         self._busy_requests = 0
         self._draining = False
@@ -179,22 +165,8 @@ class DeclusterServer:
     # -- startup ------------------------------------------------------
 
     def _preload(self) -> None:
-        """Materialize every spec once; publish over the broker."""
-        from repro.core.shm import (
-            SharedAllocationArena,
-            reap_stale_server_segments,
-        )
-
+        """Materialize every spec once into the process-wide cache."""
         cache = global_cache()
-        if self.config.use_shm and self.config.workers > 0:
-            # Collect orphans of crashed predecessors before creating
-            # segments of our own, so a restart loop cannot accrete.
-            reap_stale_server_segments()
-            self._arena = SharedAllocationArena.try_create(
-                server_owned=True
-            )
-            if self._arena is not None:
-                cache.set_broker(self._arena.broker)
         for spec in self.config.specs:
             grid = Grid(spec.dims)
             with trace("serve.preload", spec=spec.render()):
@@ -210,28 +182,16 @@ class DeclusterServer:
             )
 
     async def start(self) -> None:
-        """Preload, start the fleet, and bind the listening socket."""
+        """Preload, start the thread pool, and bind the listening socket."""
         self._loop = asyncio.get_running_loop()
         self._shutdown_event = asyncio.Event()
         self._idle_event = asyncio.Event()
         self._idle_event.set()
         self._preload()
-        if self.config.workers > 0:
-            broker = (
-                self._arena.broker if self._arena is not None else None
-            )
-            self._fleet = WorkerFleet(
-                count=self.config.workers,
-                broker=broker,
-                backend=self.config.backend,
-                resolve=self._resolve_from_pump,
-            )
-            self._fleet.start()
-        else:
-            self._executor = ThreadPoolExecutor(
-                max_workers=max(2, (os.cpu_count() or 1)),
-                thread_name_prefix="serve-compute",
-            )
+        self._executor = ThreadPoolExecutor(
+            max_workers=max(2, (os.cpu_count() or 1)),
+            thread_name_prefix="serve-compute",
+        )
         if self.config.unix_path is not None:
             self._server = await asyncio.start_unix_server(
                 self._handle_connection, path=self.config.unix_path
@@ -245,10 +205,9 @@ class DeclusterServer:
             sock = self._server.sockets[0]
             self.bound_address = sock.getsockname()[:2]
         _LOG.info(
-            "serving %d spec(s) on %s (workers=%d, max_inflight=%d)",
+            "serving %d spec(s) on %s (max_inflight=%d)",
             len(self.config.specs),
             self.config.unix_path or self.bound_address,
-            self.config.workers,
             self.config.max_inflight,
         )
 
@@ -294,26 +253,28 @@ class DeclusterServer:
                 self._busy_requests,
             )
             global_registry().inc("serve.drain_timeouts")
-        for writer in list(self._connections):
+        # Close what is left and give each transport the drain grace
+        # period to flush its buffer before the loop goes away.
+        writers = list(self._connections)
+        for writer in writers:
             writer.close()
+        try:
+            await asyncio.wait_for(
+                asyncio.gather(
+                    *(writer.wait_closed() for writer in writers),
+                    return_exceptions=True,
+                ),
+                timeout=self.config.drain_timeout,
+            )
+        except asyncio.TimeoutError:
+            _LOG.warning("drain timeout: unflushed responses dropped")
         self.teardown()
 
     def teardown(self) -> None:
-        """Stop the fleet, unlink shm, export metrics (idempotent)."""
-        if self._fleet is not None:
-            self._fleet.stop()
-            self._fleet = None
+        """Stop the thread pool, export metrics (idempotent)."""
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
-        if self._arena is not None:
-            global_cache().set_broker(None)
-            self._arena.close()
-            self._arena = None
-        for future in self._pending.values():
-            if not future.done():
-                future.cancel()
-        self._pending.clear()
         if self.config.metrics_out:
             registry = global_registry()
             global_cache().publish_metrics(registry)
@@ -323,27 +284,6 @@ class DeclusterServer:
             )
 
     # -- request plumbing ---------------------------------------------
-
-    def _resolve_from_pump(
-        self, task_id: int, ok: bool, payload: Any
-    ) -> None:
-        """Fleet result-pump callback (runs on the pump thread)."""
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            return
-        try:
-            loop.call_soon_threadsafe(
-                self._complete_task, task_id, ok, payload
-            )
-        except RuntimeError:
-            # Loop shut down between the check and the call: the
-            # pending future was already cancelled by teardown.
-            pass
-
-    def _complete_task(self, task_id: int, ok: bool, payload: Any) -> None:
-        future = self._pending.pop(task_id, None)
-        if future is not None and not future.done():
-            future.set_result((ok, payload))
 
     def _enter_request(self) -> None:
         self._busy_requests += 1
@@ -384,17 +324,18 @@ class DeclusterServer:
                 if frame is None:
                     return
                 kind, header, body = frame
+                # A request stays in flight until its response is
+                # handed to the socket, so a drain never cuts one off.
                 self._enter_request()
                 try:
                     response = await self._dispatch(kind, header, body)
-                finally:
-                    self._exit_request()
-                try:
                     writer.write(response)
                     await writer.drain()
                 except (ConnectionError, OSError) as exc:
                     _LOG.debug("response write failed: %r", exc)
                     return
+                finally:
+                    self._exit_request()
         finally:
             self._connections.discard(writer)
             writer.close()
@@ -535,7 +476,7 @@ class DeclusterServer:
         self, header: Dict[str, Any], body: bytes
     ) -> bytes:
         key, engine = self._spec_engine(header)
-        scheme, dims, num_disks = key
+        dims = key[1]
         lower, upper = self._decode_bounds(header, body, dims)
         if self._inflight_batches >= self.config.max_inflight:
             # Overloaded: shed to the scalar per-query path, inline.
@@ -550,17 +491,12 @@ class DeclusterServer:
         lo, hi = self._clip_bounds(lower, upper, dims)
         self._inflight_batches += 1
         try:
-            if self._fleet is not None:
-                times = await self._batch_via_fleet(
-                    scheme, dims, num_disks, lo, hi
-                )
-            else:
-                assert self._executor is not None and self._loop
-                times = await self._loop.run_in_executor(
-                    self._executor,
-                    engine.batch_response_times,
-                    QueryBatch(lo, hi, dims),
-                )
+            assert self._executor is not None and self._loop
+            times = await self._loop.run_in_executor(
+                self._executor,
+                engine.batch_response_times,
+                QueryBatch(lo, hi, dims),
+            )
         finally:
             self._inflight_batches -= 1
         return protocol.encode_frame(
@@ -588,23 +524,6 @@ class DeclusterServer:
                 )
                 times[index] = response_time(allocation, query)
         return times
-
-    async def _batch_via_fleet(
-        self,
-        scheme: str,
-        dims: Tuple[int, ...],
-        num_disks: int,
-        lo: np.ndarray,
-        hi: np.ndarray,
-    ) -> np.ndarray:
-        assert self._fleet is not None and self._loop is not None
-        future = self._loop.create_future()
-        task_id = self._fleet.submit(scheme, dims, num_disks, lo, hi)
-        self._pending[task_id] = future
-        ok, payload = await future
-        if not ok:
-            raise ServeError(f"worker failed the batch: {payload}")
-        return np.frombuffer(payload, dtype=np.int64)
 
     async def _req_degraded_plan(
         self, header: Dict[str, Any], body: bytes
@@ -645,12 +564,8 @@ class DeclusterServer:
                     scenario=scenario,
                 )
 
-        if self._executor is not None and self._loop is not None:
-            plan = await self._loop.run_in_executor(
-                self._executor, _plan
-            )
-        else:
-            plan = _plan()
+        assert self._executor is not None and self._loop is not None
+        plan = await self._loop.run_in_executor(self._executor, _plan)
         return protocol.encode_frame(
             protocol.RESPONSE_OK,
             {
@@ -675,16 +590,13 @@ class DeclusterServer:
                 "draining": self._draining,
                 "inflight": self._busy_requests,
                 "max_inflight": self.config.max_inflight,
-                "workers": (
-                    self._fleet.pids() if self._fleet is not None else []
-                ),
                 "specs": [
                     spec.render() for spec in self.config.specs
                 ],
                 "counters": {
                     name: int(value)
                     for name, value in sorted(counters.items())
-                    if name.startswith(("serve.", "shm.", "cache."))
+                    if name.startswith(("serve.", "cache."))
                 },
             },
         )

@@ -177,7 +177,6 @@ class TestMmapEngineMemo:
         assert second is first
         stats = cache.stats()
         assert stats.mmap_hits == 1
-        assert stats.mmap_shared_hits == 0
 
     def test_closed_handle_is_reopened_not_served(self, tmp_path):
         cache = AllocationCache(maxsize=4)
@@ -207,11 +206,6 @@ class TestMmapEngineMemo:
             reference.sliding_response_times((2, 2)),
         )
 
-    def test_shared_lookup_none_without_broker(self, tmp_path):
-        cache = AllocationCache(maxsize=4)
-        assert cache.shared_mmap_engine("dm", Grid((8, 5)), 2) is None
-        assert cache.stats().mmap_shared_hits == 0
-
     def test_stats_and_report_carry_mmap_counters(self, tmp_path):
         cache = AllocationCache(maxsize=4)
         path = self._spill(cache, tmp_path)
@@ -219,7 +213,6 @@ class TestMmapEngineMemo:
         cache.mmap_engine("dm", Grid((8, 5)), 2, path)
         report = cache.as_report_dict()
         assert report["mmap_hits"] == 1
-        assert report["mmap_shared_hits"] == 0
 
 
 class TestEntryReportResidency:

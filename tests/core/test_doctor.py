@@ -369,69 +369,3 @@ class TestDoctorCli:
         assert code == 0
         assert "removed" in out
         assert not os.path.exists(path)
-
-
-@pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform"
-)
-class TestShmScan:
-    """Classification of leftover shared-memory segments."""
-
-    def _segment(self, suffix):
-        from multiprocessing import shared_memory
-
-        from repro.core.shm import SHM_NAME_PREFIX
-
-        try:
-            return shared_memory.SharedMemory(
-                name=f"{SHM_NAME_PREFIX}-{suffix}", create=True, size=64
-            )
-        except (OSError, FileNotFoundError):
-            pytest.skip("shared memory unavailable here")
-
-    def _scan_for(self, name):
-        from repro.doctor import scan_shm_segments
-
-        short = name.lstrip("/")
-        for issue in scan_shm_segments():
-            if issue.path.endswith(short):
-                return issue
-        raise AssertionError(f"segment {short} not reported")
-
-    def _cleanup(self, segment):
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-
-    def test_untagged_segment_is_stale(self):
-        segment = self._segment("crashed-deadbeef")
-        try:
-            issue = self._scan_for(segment.name)
-            assert issue.kind == "shm"
-            assert issue.state == "stale"
-            assert "crashed run" in issue.detail
-            assert issue.removals  # collectable
-        finally:
-            self._cleanup(segment)
-
-    def test_live_owner_segment_is_in_use_and_kept(self):
-        segment = self._segment(f"srv{os.getpid()}-doctest")
-        try:
-            issue = self._scan_for(segment.name)
-            assert issue.state == "in-use"
-            assert str(os.getpid()) in issue.detail
-            assert issue.removals == []  # never collected while live
-        finally:
-            self._cleanup(segment)
-
-    def test_dead_owner_segment_is_orphaned_stale(self):
-        segment = self._segment("srv999999-doctest")
-        try:
-            issue = self._scan_for(segment.name)
-            assert issue.state == "stale"
-            assert "orphaned server segment" in issue.detail
-            assert issue.removals
-        finally:
-            self._cleanup(segment)

@@ -26,7 +26,6 @@ from repro.core.sat import (
     sat_byte_budget,
     sat_dtype,
 )
-from repro.core.shm import MmapSatHandle
 
 
 def _queries(grid):
@@ -293,37 +292,6 @@ class TestMmapRoundTrip:
                 engine.allocation
         finally:
             engine.sat.close()
-
-
-class TestMmapSatHandle:
-    def test_handle_round_trip(self, tmp_path):
-        grid = Grid((6, 4))
-        path = tmp_path / "sat.npy"
-        SummedAreaTable.build_chunked(
-            get_scheme("fx"), grid, 2, byte_budget=1024, path=path
-        ).close()
-        handle = MmapSatHandle(path=str(path))
-        assert handle.nbytes == path.stat().st_size
-        sat = handle.attach()
-        engine = handle.attach_engine()
-        try:
-            queries = _queries(grid)
-            reference = ResponseTimeEngine(
-                get_scheme("fx").allocate(grid, 2)
-            ).batch_response_times(queries)
-            assert np.array_equal(
-                engine.batch_response_times(queries), reference
-            )
-            assert sat.dims == grid.dims
-        finally:
-            sat.close()
-            engine.sat.close()
-
-    def test_handle_is_picklable(self, tmp_path):
-        import pickle
-
-        handle = MmapSatHandle(path=str(tmp_path / "sat.npy"))
-        assert pickle.loads(pickle.dumps(handle)) == handle
 
 
 class TestQueryBatchIntegration:

@@ -32,11 +32,11 @@ class TestPlanParsing:
 
     def test_mode_and_times(self, tmp_path):
         plan = IoFaultPlan.from_spec(
-            "shm.attach:error:1", str(tmp_path)
+            "sat.read:error:1", str(tmp_path)
         )
         with pytest.raises(InjectedIOFault):
-            plan.apply("shm.attach")
-        plan.apply("shm.attach")
+            plan.apply("sat.read")
+        plan.apply("sat.read")
 
     def test_multiple_entries(self):
         plan = IoFaultPlan.from_spec("sat.read; sat.write:2")
@@ -133,28 +133,6 @@ class TestInjectionPoints:
         monkeypatch.setenv(IO_FAULTS_ENV, "compile")
         with pytest.raises(InjectedIOFault):
             _compile_library("int x;")
-
-    def test_shm_attach_point_degrades_to_private_build(
-        self, monkeypatch
-    ):
-        shm = pytest.importorskip("repro.core.shm")
-        arena = shm.SharedAllocationArena.try_create()
-        if arena is None:
-            pytest.skip("no shared-memory support here")
-        try:
-            grid = Grid((6, 6))
-            allocation = get_scheme("dm").allocate(grid, 2)
-            arena.broker.publish("dm", grid, 2, allocation)
-            shm.detach_all()
-            monkeypatch.setenv(IO_FAULTS_ENV, "shm.attach")
-            # The broker treats the failed attach as a miss: the
-            # caller gets None and rebuilds privately.
-            assert arena.broker.get("dm", grid, 2) is None
-        finally:
-            monkeypatch.delenv(IO_FAULTS_ENV, raising=False)
-            shm.detach_all()
-            arena.close()
-
 
 class TestConcurrentHitCounting:
     def test_hits_are_unique_across_threads(self, tmp_path):

@@ -22,7 +22,6 @@ def _metrics_document():
                 "cache.hits": 8,
                 "cache.misses": 2,
                 "cache.evictions": 1,
-                "shm.shares": 3,
                 "runner.retries": 2,
             },
             "histograms": {
@@ -64,11 +63,6 @@ class TestMetricsRendering:
         assert "80% hit rate" in text
         assert "retries=2" in text
         assert "E1" in text
-
-    def test_shm_counters_rendered(self):
-        text = render_metrics_summary(_metrics_document())
-        assert "shared memory" in text
-        assert "3 shares" in text
 
     def test_empty_aggregate_still_renders(self):
         text = render_metrics_summary(

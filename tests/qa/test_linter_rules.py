@@ -1,9 +1,11 @@
 """Each lint rule exercised against inline good/bad fixture snippets."""
 
+import pathlib
 import textwrap
 
-from repro.qa.linter import lint_source
+from repro.qa.linter import lint_paths, lint_source
 
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 def codes(findings):
     return {finding.rule for finding in findings}
@@ -32,6 +34,23 @@ class TestSyntaxError:
     def test_unparseable_file_is_a_finding(self):
         findings = lint("def broken(:\n")
         assert codes(findings) == {"QA001"}
+
+    def test_broken_file_in_a_tree_yields_one_qa001(self):
+        base = FIXTURES / "syntax"
+        qa001 = [
+            f for f in lint_paths([base], root=base) if f.rule == "QA001"
+        ]
+        assert len(qa001) == 1
+        assert qa001[0].file == "broken.py"
+        assert "syntax error" in qa001[0].message
+
+    def test_sibling_findings_still_reported(self):
+        base = FIXTURES / "syntax"
+        sibling = {
+            f.rule for f in lint_paths([base], root=base)
+            if f.file == "sibling.py"
+        }
+        assert "QA201" in sibling  # the stdlib random import
 
 
 class TestSchemeNameRule:

@@ -120,30 +120,6 @@ class TestCliSubcommand:
         assert "qa" in capsys.readouterr().out
 
 
-class TestNoFlowFlag:
-    def test_no_flow_drops_reachability_findings(self, tmp_path):
-        (tmp_path / "worker.py").write_text(
-            "__all__ = [\"job\"]\n"
-            "STATE = {}\n\n\n"
-            "def job(n):\n"
-            "    STATE[n] = n\n"
-            "    return n\n"
-        )
-        (tmp_path / "driver.py").write_text(
-            "\"\"\"Submits worker.job.\"\"\"\n\n"
-            "from concurrent.futures import ProcessPoolExecutor\n\n"
-            "import worker\n\n"
-            "__all__ = [\"run\"]\n\n\n"
-            "def run(jobs):\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        return [pool.submit(worker.job, j) for j in jobs]\n"
-        )
-        assert qa_main(["--no-contracts", str(tmp_path)]) == 1
-        assert (
-            qa_main(["--no-contracts", "--no-flow", str(tmp_path)]) == 0
-        )
-
-
 class TestSelfCheck:
     def test_shipped_source_tree_passes_committed_baseline(self):
         # src/repro, scripts/ and benchmarks/ must pass the linter with

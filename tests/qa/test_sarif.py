@@ -8,11 +8,11 @@ from repro.qa.sarif import SARIF_VERSION, render_sarif, write_sarif
 
 FINDINGS = [
     Finding(
-        rule="QA601",
+        rule="QA501",
         severity=Severity.ERROR,
-        file="src/repro/core/shm.py",
+        file="src/repro/core/cache.py",
         line=188,
-        message="mutable module global mutated by worker code",
+        message="bare except: catches KeyboardInterrupt and SystemExit",
     ),
     Finding(
         rule="QA302",
@@ -40,17 +40,17 @@ class TestSarifStructure:
             entry["id"]
             for entry in render()["runs"][0]["tool"]["driver"]["rules"]
         }
-        assert {"QA001", "QA601", "QA701", "QA502"} <= rules
+        assert {"QA001", "QA501", "QA701", "QA502"} <= rules
 
     def test_result_fields(self):
         results = render()["runs"][0]["results"]
         assert len(results) == 2
         by_rule = {entry["ruleId"]: entry for entry in results}
-        qa601 = by_rule["QA601"]
-        assert qa601["level"] == "error"
-        location = qa601["locations"][0]["physicalLocation"]
+        qa501 = by_rule["QA501"]
+        assert qa501["level"] == "error"
+        location = qa501["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == (
-            "src/repro/core/shm.py"
+            "src/repro/core/cache.py"
         )
         assert location["region"]["startLine"] == 188
         assert by_rule["QA302"]["level"] == "warning"
@@ -64,7 +64,7 @@ class TestSarifStructure:
     def test_fingerprint_matches_baseline_identity(self):
         results = render()["runs"][0]["results"]
         by_rule = {entry["ruleId"]: entry for entry in results}
-        assert by_rule["QA601"]["partialFingerprints"]["reproQa/v1"] == (
+        assert by_rule["QA501"]["partialFingerprints"]["reproQa/v1"] == (
             FINDINGS[0].fingerprint
         )
 
@@ -88,7 +88,7 @@ class TestSarifSuppressions:
         baseline = Baseline.from_findings([FINDINGS[0]])
         results = render(baseline=baseline)["runs"][0]["results"]
         by_rule = {entry["ruleId"]: entry for entry in results}
-        assert by_rule["QA601"]["suppressions"][0]["kind"] == "external"
+        assert by_rule["QA501"]["suppressions"][0]["kind"] == "external"
         assert "suppressions" not in by_rule["QA302"]
 
     def test_unbaselined_log_has_no_suppressions(self):

@@ -1,8 +1,12 @@
 """QA701-QA704: the vectorization/perf rule family."""
 
+import pathlib
 import textwrap
 
-from repro.qa.linter import lint_source
+from repro.qa.linter import lint_paths, lint_source
+
+VECTORIZATION_RULES = ("QA701", "QA702", "QA703", "QA704")
+CORPUS = pathlib.Path(__file__).parent / "fixtures" / "vectorization"
 
 
 def codes(findings):
@@ -376,3 +380,31 @@ class TestShippedHotModulesStayClean:
                 if f.rule in ("QA701", "QA702", "QA703", "QA704")
             ]
             assert hot == [], "\n".join(f.render() for f in hot)
+
+
+class TestFixtureCorpus:
+    """Every QA7xx rule fires on the known-bad file and stays silent on
+    its batched rewrite."""
+
+    @staticmethod
+    def _findings(subdir):
+        base = CORPUS / subdir
+        return [
+            finding for finding in lint_paths([base], root=base)
+            if finding.rule in VECTORIZATION_RULES
+        ]
+
+    def test_every_rule_fires_on_the_scalar_kernels(self):
+        fired = {
+            (finding.file, finding.rule)
+            for finding in self._findings("bad")
+        }
+        assert fired == {
+            ("hot_scalar.py", rule) for rule in VECTORIZATION_RULES
+        }
+
+    def test_batched_rewrites_are_silent(self):
+        findings = self._findings("good")
+        assert findings == [], "\n".join(
+            finding.render() for finding in findings
+        )

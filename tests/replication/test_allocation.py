@@ -14,6 +14,16 @@ from repro.replication.allocation import (
 )
 
 
+#: (M, offset) pairs: residues 1, M // 2 and M - 1, each shifted by
+#: -2M and +3M, for disk counts on both sides of uint8's 128 mark.
+_WIDE_OFFSET_CASES = [
+    (num_disks, residue + shift * num_disks)
+    for num_disks in (2, 3, 8, 129, 255, 256)
+    for residue in sorted({1, num_disks // 2, num_disks - 1})
+    for shift in (-2, 3)
+]
+
+
 @pytest.fixture
 def grid():
     return Grid((8, 8))
@@ -59,19 +69,34 @@ class TestConstruction:
 
 
 class TestChained:
-    def test_offset_applies_modulo(self, grid):
-        primary = get_scheme("hcam").allocate(grid, 4)
-        replicated = chained_replication(primary, offset=3)
+    @pytest.mark.parametrize(
+        "num_disks, offset", [(4, 3), (4, -1), (8, 300)]
+    )
+    def test_offset_applies_modulo(self, grid, num_disks, offset):
+        primary = get_scheme("hcam").allocate(grid, num_disks)
+        replicated = chained_replication(primary, offset=offset)
         assert np.array_equal(
-            replicated.backup.table, (primary.table + 3) % 4
+            replicated.backup.table,
+            (primary.table + offset % num_disks) % num_disks,
         )
 
-    def test_zero_offset_rejected(self, grid):
+    @pytest.mark.parametrize("num_disks, offset", _WIDE_OFFSET_CASES)
+    def test_any_integer_offset_is_exact_up_to_256_disks(
+        self, num_disks, offset
+    ):
+        # id + shift reaches 2M - 2, past uint8 once M > 128.
+        primary = get_scheme("dm").allocate(Grid((num_disks, 2)), num_disks)
+        assert primary.table.max() == num_disks - 1
+        replicated = chained_replication(primary, offset=offset)
+        expected = (primary.table.astype(np.int64) + offset) % num_disks
+        assert np.array_equal(replicated.backup.table, expected)
+        assert (replicated.backup.table != primary.table).all()
+
+    @pytest.mark.parametrize("offset", [0, 4, -4, 400])
+    def test_zero_offset_rejected(self, grid, offset):
         primary = get_scheme("dm").allocate(grid, 4)
         with pytest.raises(SchemeError):
-            chained_replication(primary, offset=0)
-        with pytest.raises(SchemeError):
-            chained_replication(primary, offset=4)
+            chained_replication(primary, offset=offset)
 
     def test_single_disk_rejected(self, grid):
         primary = get_scheme("dm").allocate(grid, 1)

@@ -3,9 +3,8 @@
 The suite has no async test runner, so the server's event loop runs on
 a dedicated thread and tests talk to it through the blocking
 :class:`~repro.serve.client.ServeClient` — exactly the shape of a real
-deployment, minus the process boundary.  ``workers=0`` keeps the fleet
-out of unit tests (it needs a spawnable ``__main__``; the subprocess
-integration test covers it).
+deployment, minus the process boundary (``test_drain.py`` covers the
+real CLI daemon as a subprocess).
 """
 
 import asyncio
@@ -30,7 +29,6 @@ class ServerHarness:
         kwargs = {
             "specs": [parse_spec(SPEC)],
             "unix_path": self.socket_path,
-            "workers": 0,
             "max_inflight": 4,
         }
         kwargs.update(config_kwargs)

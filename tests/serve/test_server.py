@@ -94,7 +94,10 @@ class TestRequests:
             disks, allocation.table[tuple(coords.T)]
         )
 
-    def test_degraded_plan_matches_local_planner(self, serve_harness):
+    @pytest.mark.parametrize("offset", [1, -1])
+    def test_degraded_plan_matches_local_planner(
+        self, serve_harness, offset
+    ):
         from repro.faults.models import FailStop, FaultScenario
         from repro.replication.allocation import chained_replication
         from repro.replication.planner import plan_query
@@ -102,7 +105,7 @@ class TestRequests:
         allocation = global_cache().allocation(
             SCHEME, Grid(DIMS), NUM_DISKS
         )
-        replicated = chained_replication(allocation, offset=1)
+        replicated = chained_replication(allocation, offset=offset)
         scenario = FaultScenario(NUM_DISKS, [FailStop((3,))])
         local = plan_query(
             replicated, RangeQuery((0, 0), (7, 7)),
@@ -110,7 +113,8 @@ class TestRequests:
         )
         with serve_harness.client() as client:
             served = client.degraded_plan(
-                SCHEME, DIMS, NUM_DISKS, (0, 0), (7, 7), failed=(3,)
+                SCHEME, DIMS, NUM_DISKS, (0, 0), (7, 7), failed=(3,),
+                offset=offset,
             )
         assert served["response_time"] == local.response_time
         assert served["num_lost"] == local.num_lost

@@ -294,6 +294,10 @@ class TestRemovedPoolFlags:
             ["--build-workers", "2", "schemes"],
             ["experiment", "all", "--quick", "--workers", "2"],
             ["experiment", "all", "--quick", "--timeout", "5"],
+            ["serve", "--spec", "ecc:16x16:8", "--unix", "s.sock",
+             "--serve-workers", "2"],
+            ["serve-bench", "--serve-workers", "2"],
+            ["qa", "--no-flow"],
         ],
     )
     def test_pool_flags_are_usage_errors(self, argv, capsys):
