@@ -37,11 +37,10 @@ from repro.faults.degraded import (
     batch_degraded_response_times,
     batch_query_availability,
     degraded_optimal_response_time,
-    replicated_query_is_available,
 )
 from repro.faults.models import FaultInjector, FaultScenario
 from repro.replication.allocation import chained_replication
-from repro.replication.planner import plan_query
+from repro.replication.planner import plan_batch
 
 __all__ = [
     "DEFAULT_FAILURE_COUNTS",
@@ -121,15 +120,25 @@ def run(
     }
 
     injector = FaultInjector(seed)
+    scenario_groups = [
+        _sampled_scenarios(injector, num_disks, num_failures, num_scenarios)
+        for num_failures in failure_counts
+    ]
+    # The replicated series plans every scenario of the sweep in one
+    # batch: the pair-class counts are scenario-independent too.
+    planned_times, planned_lost = plan_batch(
+        replicated,
+        placements,
+        method,
+        [scenario for group in scenario_groups for scenario in group],
+    )
     series_names = schemes + [REPLICATED_SERIES]
     rt_series = {name: [] for name in series_names}
     avail_series = {name: [] for name in series_names}
     rt_optimal: List[float] = []
     x_values: List[int] = []
-    for num_failures in failure_counts:
-        scenarios = _sampled_scenarios(
-            injector, num_disks, num_failures, num_scenarios
-        )
+    row = 0
+    for num_failures, scenarios in zip(failure_counts, scenario_groups):
         evaluations = len(scenarios) * len(placements)
         x_values.append(num_failures)
         rt_optimal.append(
@@ -156,18 +165,11 @@ def run(
                 )
             rt_series[name].append(total_rt / evaluations)
             avail_series[name].append(answered / evaluations)
+        first, row = row, row + len(scenarios)
         total_rt = 0.0
-        answered = 0
-        for scenario in scenarios:
-            for query in placements:
-                plan = plan_query(
-                    replicated, query, method=method, scenario=scenario
-                )
-                total_rt += plan.completion_time
-                if replicated_query_is_available(
-                    replicated, query, scenario
-                ):
-                    answered += 1
+        for value in planned_times[first:row].ravel().tolist():
+            total_rt += value
+        answered = int((planned_lost[first:row] == 0).sum())
         rt_series[REPLICATED_SERIES].append(total_rt / evaluations)
         avail_series[REPLICATED_SERIES].append(answered / evaluations)
 

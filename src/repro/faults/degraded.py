@@ -15,13 +15,14 @@ it is *lost*.  The degraded metrics therefore split in two:
 
 Replicated layouts route around faults instead of losing queries; their
 degraded semantics live in the replica planner
-(:func:`repro.replication.planner.plan_query` with a ``scenario``) and the
+(:func:`repro.replication.planner.plan_query` with a ``scenario``, and
+:func:`~repro.replication.planner.plan_batch` for whole batches) and the
 availability helpers below that consult both copies.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 import numpy as np
 
@@ -194,16 +195,26 @@ def replicated_availability(
     queries: Iterable[RangeQuery],
     scenario: FaultScenario,
 ) -> float:
-    """Fraction of ``queries`` with every bucket reachable under faults."""
+    """Fraction of ``queries`` with every bucket reachable under faults.
+
+    One batched plan (:func:`repro.replication.planner.plan_batch`): a
+    query is available when it loses no bucket.
+    :func:`replicated_query_is_available` is the per-query oracle.
+    """
+    from repro.replication.planner import plan_batch
+
+    _check_scenario(replicated.num_disks, scenario)
     queries = list(queries)
     if not queries:
         return 1.0
-    answered = sum(
-        1
-        for query in queries
-        if replicated_query_is_available(replicated, query, scenario)
-    )
-    return answered / len(queries)
+    for query in queries:
+        if query.ndim != replicated.grid.ndim:
+            raise FaultError(
+                f"{query.ndim}-d query does not match "
+                f"{replicated.grid.ndim}-d allocation"
+            )
+    lost = plan_batch(replicated, queries, scenarios=[scenario])[1][0]
+    return int((lost == 0).sum()) / len(queries)
 
 
 def degraded_optimal_response_time(
@@ -235,15 +246,10 @@ def degraded_optimal_response_time(
         return float(optimal_response_time(num_buckets, len(surviving)))
     # Candidate completion times are load * factor products; the optimum
     # is the smallest candidate whose induced capacities cover n buckets.
-    candidates: List[float] = sorted(
-        {
-            load * factor
-            for factor in factors
-            for load in range(1, num_buckets + 1)
-        }
+    candidates = np.unique(
+        np.outer(np.arange(1, num_buckets + 1, dtype=np.int64), factors)
     )
-    for time in candidates:
-        capacity = sum(scenario.capacity(d, time) for d in surviving)
-        if capacity >= num_buckets:
-            return float(time)
-    return float(candidates[-1])
+    covered = scenario.capacities(candidates)[:, list(surviving)].sum(
+        axis=1
+    ) >= num_buckets
+    return float(candidates[int(np.argmax(covered))])

@@ -187,15 +187,32 @@ class FaultScenario:
         reachable by ``L`` buckets always admits them and no fudge
         epsilon ever admits an ``L`` whose finish time exceeds ``time``.
         """
-        if self.is_failed(disk) or time <= 0:
-            return 0
-        factor = self.factor(disk)
-        load = int(time / factor)
-        while (load + 1) * factor <= time:
-            load += 1
-        while load > 0 and load * factor > time:
-            load -= 1
-        return load
+        return int(self.capacities([time])[0, int(disk)])
+
+    def capacities(self, times: Sequence[float]) -> np.ndarray:
+        """:meth:`capacity` of every disk at every time, ``(n, M)`` int64.
+
+        Row ``i`` holds, per disk, the largest ``L`` with
+        ``L * factor_d <= times[i]`` on the float product, and 0 for
+        failed disks and for times ``<= 0``.  The division's estimate is
+        corrected on the products themselves, one step at a time, so the
+        rule never depends on how the quotient rounded.
+        """
+        times = np.asarray(times, dtype=np.float64).reshape(-1, 1)
+        factors = self._factors
+        loads = np.floor(np.maximum(times, 0.0) / factors).astype(np.int64)
+        while True:
+            short = (loads + 1) * factors <= times
+            if not short.any():
+                break
+            loads += short
+        while True:
+            over = (loads > 0) & (loads * factors > times)
+            if not over.any():
+                break
+            loads -= over
+        loads[:, sorted(self._failed)] = 0
+        return loads
 
     def surviving(self) -> Tuple[int, ...]:
         """Ids of the disks still serving, ascending."""

@@ -14,6 +14,7 @@ from repro.replication.allocation import (
 from repro.replication.planner import (
     QueryPlan,
     degraded_replicated_response_time,
+    plan_batch,
     plan_query,
     replicated_response_time,
     replication_speedup,
@@ -25,6 +26,7 @@ __all__ = [
     "orthogonal_replication",
     "QueryPlan",
     "degraded_replicated_response_time",
+    "plan_batch",
     "plan_query",
     "replicated_response_time",
     "replication_speedup",

@@ -2,7 +2,7 @@
 
 With two copies per bucket, answering a query becomes an assignment
 problem: pick one disk from each bucket's pair so the busiest disk reads
-as few buckets as possible.  Two planners are provided:
+as few buckets as possible.  Three ways to plan:
 
 * :func:`plan_query` with ``method="flow"`` — **exact**, and sized by the
   array rather than the query.  A bucket only ever chooses between its
@@ -19,6 +19,22 @@ as few buckets as possible.  Two planners are provided:
   ``S <= M`` disks the query can use, up to the all-primary plan's time
   — finds the optimum, each step warm-started from the last feasible
   orientation.
+* :func:`plan_batch` — the same exact optimum for a **whole batch** of
+  queries and scenarios, without building any assignment.  The pair
+  classes are the ``M * M`` "disks" of an ordinary allocation, so one
+  engine corner gather counts every query's classes.  The optimum then
+  comes from Hall's condition (Hakimi's orientation theorem with forced
+  and lost buckets): target ``T`` is feasible iff every disk subset
+  ``S`` has ``e(S) <= sum_{d in S} capacity(d, T)``, where ``e(S)``
+  counts the buckets whose surviving copies all lie in ``S``.  ``e`` for
+  all ``2^M`` subsets is one matmul of the class counts against a 0/1
+  class-in-subset matrix, and one binary search over the ``load *
+  factor`` candidates serves every query at once.  The smallest feasible
+  candidate is the optimal plan's own ``load * factor`` product, so the
+  result equals :func:`plan_query`'s completion time bit for bit.  It
+  applies to ``method="flow"`` on at most :data:`HALL_MAX_DISKS` disks
+  when the class table fits the SAT byte budget; otherwise the batch is
+  planned query by query.
 * ``method="greedy"`` — assign buckets in row-major order to the
   currently less-loaded of their two disks.  Near-optimal in practice and
   what a real executor would run.
@@ -27,7 +43,7 @@ The exact planner's class flows expand to :attr:`QueryPlan.assignment`
 deterministically: within each (primary, backup) class the first ``x``
 buckets in row-major order read the primary and the rest the backup.
 
-Both planners also run in **degraded mode**: pass a
+All three also run in **degraded mode**: pass a
 :class:`~repro.faults.models.FaultScenario` and the planner only considers
 surviving replicas (a bucket with both copies on failed disks is recorded
 as *lost*), while straggler factors turn the objective into the weighted
@@ -35,7 +51,7 @@ completion time ``max_d load_d * factor_d``.  The exact path maps each
 class to its surviving choices (both disks, one forced disk, or lost) and
 binary-searches the discrete set of ``load * factor`` products.  A
 candidate ``T`` becomes per-disk capacities through
-:meth:`~repro.faults.models.FaultScenario.capacity` — the largest ``L``
+:meth:`~repro.faults.models.FaultScenario.capacities` — the largest ``L``
 with ``L * factor_d <= T`` on the same float products — so capacities
 are exact: no epsilon can admit a load that finishes after ``T`` or
 refuse one that finishes exactly at it.  The solver is plain Python and
@@ -54,25 +70,37 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.allocation import DiskAllocation
 from repro.core.exceptions import QueryError
-from repro.core.query import RangeQuery
+from repro.core.query import QueryBatch, RangeQuery
 from repro.faults.models import FaultScenario
+from repro.obs.trace import trace
 from repro.replication.allocation import ReplicatedAllocation
 
 __all__ = [
     "Coords",
+    "HALL_MAX_DISKS",
     "QueryPlan",
     "degraded_replicated_response_time",
+    "plan_batch",
     "plan_query",
     "replicated_response_time",
     "replication_speedup",
 ]
 
 Coords = Tuple[int, ...]
+
+#: Largest disk count whose ``2^M`` disk subsets :func:`plan_batch`
+#: enumerates; larger arrays plan query by query.
+HALL_MAX_DISKS = 12
+
+#: Most entries of one ``(queries, 2^M)`` block on the Hall path (32 MiB
+#: of float64), so the subset matrices stay small at any batch size.
+_HALL_BLOCK_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -319,9 +347,7 @@ def _plan_exact(
         time = float(candidates[middle])
         trial = [row[:] for row in movable]
         trial_loads = loads[:]
-        capacities = [
-            scenario.capacity(disk, time) for disk in range(num_disks)
-        ]
+        capacities = scenario.capacities([time])[0].tolist()
         if _rebalance(trial, trial_loads, capacities):
             movable, loads = trial, trial_loads
             high = middle
@@ -368,16 +394,8 @@ def plan_query(
     unreachable buckets in :attr:`QueryPlan.lost`) and minimizes the
     weighted completion time under straggler factors.
     """
-    if method not in ("flow", "greedy"):
-        raise QueryError(
-            f"unknown planning method {method!r}; use 'flow' or 'greedy'"
-        )
+    _validate(replicated, method, [scenario])
     num_disks = replicated.num_disks
-    if scenario is not None and scenario.num_disks != num_disks:
-        raise QueryError(
-            f"scenario covers {scenario.num_disks} disks but the "
-            f"allocation uses {num_disks}"
-        )
     grid = replicated.grid
     if query.ndim != grid.ndim:
         raise QueryError(
@@ -423,6 +441,166 @@ def plan_query(
         factors=factors,
         lost=lost,
     )
+
+
+def _validate(
+    replicated: ReplicatedAllocation,
+    method: str,
+    scenarios: Sequence[Optional[FaultScenario]],
+) -> None:
+    if method not in ("flow", "greedy"):
+        raise QueryError(
+            f"unknown planning method {method!r}; use 'flow' or 'greedy'"
+        )
+    for scenario in scenarios:
+        if scenario is not None and (
+            scenario.num_disks != replicated.num_disks
+        ):
+            raise QueryError(
+                f"scenario covers {scenario.num_disks} disks but the "
+                f"allocation uses {replicated.num_disks}"
+            )
+
+
+def _hall_applies(replicated: ReplicatedAllocation, method: str) -> bool:
+    """Whether :func:`plan_batch` can take the Hall path.
+
+    Exact planning only, at most :data:`HALL_MAX_DISKS` disks, and a
+    pair-class SAT (``M * M`` channels) inside the SAT byte budget.
+    """
+    from repro.core.sat import sat_byte_budget, sat_dtype
+
+    num_disks = replicated.num_disks
+    if method != "flow" or num_disks > HALL_MAX_DISKS:
+        return False
+    grid = replicated.grid
+    cells = int(np.prod([d + 1 for d in grid.dims], dtype=np.int64))
+    itemsize = sat_dtype(grid.num_buckets).itemsize
+    return cells * num_disks * num_disks * itemsize <= sat_byte_budget()
+
+
+def _pair_class_counts(
+    replicated: ReplicatedAllocation, batch: QueryBatch
+) -> np.ndarray:
+    """Buckets per ``(primary, backup)`` class of every query, ``(N, M*M)``.
+
+    The classes ``primary * M + backup`` are the "disks" of an ordinary
+    allocation, so the engine's SAT build and corner gather count them.
+    """
+    from repro.core.engine import ResponseTimeEngine
+
+    num_disks = replicated.num_disks
+    classes = DiskAllocation(
+        replicated.grid,
+        num_disks * num_disks,
+        replicated.primary.table.astype(np.int64) * num_disks
+        + replicated.backup.table,
+    )
+    return ResponseTimeEngine(classes).batch_disk_counts(batch)
+
+
+def _hall_plan(
+    counts: np.ndarray, scenario: FaultScenario
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Optimal completion times and lost counts from class counts.
+
+    Hall's condition: target ``T`` is feasible iff every disk subset
+    ``S`` has ``e(S) <= sum_{d in S} capacity(d, T)``, where ``e(S)``
+    counts the buckets whose surviving copies all lie in ``S``.  ``e`` is
+    one matmul against the class-in-subset matrix; the smallest feasible
+    ``load * factor`` candidate is binary-searched for all queries at
+    once.
+    """
+    num_disks = scenario.num_disks
+    alive = np.ones(num_disks, dtype=bool)
+    alive[sorted(scenario.failed)] = False
+    bits = np.where(alive, 1 << np.arange(num_disks), 0)
+    # Surviving copies of class p * M + b as a disk bit set (0: lost).
+    survivors = (bits[:, None] | bits[None, :]).ravel()[:, None]
+    subsets = np.arange(1 << num_disks)
+    inside = ((subsets & survivors) == survivors) & (survivors != 0)
+    inside = inside.astype(np.float64)
+    member = (subsets >> np.arange(num_disks)[:, None]) & 1
+    member = member.astype(np.float64)
+
+    lost = counts[:, survivors[:, 0] == 0].sum(axis=1)
+    served = counts.sum(axis=1) - lost
+    times = np.zeros(counts.shape[0], dtype=np.float64)
+    top = int(served.max())
+    if top == 0:
+        return times, lost
+    candidates = np.unique(
+        np.outer(
+            np.arange(1, top + 1, dtype=np.int64),
+            np.unique(scenario.factors[alive]),
+        )
+    )
+    block = max(1, _HALL_BLOCK_ENTRIES >> num_disks)
+    for start in range(0, counts.shape[0], block):
+        rows = slice(start, start + block)
+        demand = counts[rows].astype(np.float64) @ inside
+        low = np.zeros(demand.shape[0], dtype=np.int64)
+        high = np.where(served[rows] > 0, candidates.size - 1, 0)
+        while True:
+            pending = np.flatnonzero(low < high)
+            if not pending.size:
+                break
+            middle = (low[pending] + high[pending]) // 2
+            supply = scenario.capacities(candidates[middle]) @ member
+            fits = (demand[pending] <= supply).all(axis=1)
+            high[pending[fits]] = middle[fits]
+            low[pending[~fits]] = middle[~fits] + 1
+        times[rows] = np.where(served[rows] > 0, candidates[low], 0.0)
+    return times, lost
+
+
+def plan_batch(
+    replicated: ReplicatedAllocation,
+    queries: Sequence[RangeQuery],
+    method: str = "flow",
+    scenarios: Sequence[Optional[FaultScenario]] = (None,),
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Planned completion time and lost buckets of a batch, per scenario.
+
+    Returns ``(times, lost)``, both shaped ``(len(scenarios),
+    len(queries))``: entry ``[k, i]`` equals
+    ``plan_query(replicated, queries[i], method, scenarios[k])``'s
+    :attr:`~QueryPlan.completion_time` (float64, bit for bit) and
+    :attr:`~QueryPlan.num_lost`.  ``None`` is the healthy scenario.
+
+    Exact planning on at most :data:`HALL_MAX_DISKS` disks counts the
+    pair classes once for the whole batch and reads every scenario's
+    optimum off Hall's condition (``_hall_plan``); anything else plans
+    query by query.  No bucket assignment is built either way.
+    """
+    _validate(replicated, method, scenarios)
+    num_disks = replicated.num_disks
+    batch = QueryBatch.from_queries(queries, replicated.grid)
+    shape = (len(scenarios), len(batch))
+    times = np.zeros(shape, dtype=np.float64)
+    lost = np.zeros(shape, dtype=np.int64)
+    hall = _hall_applies(replicated, method)
+    with trace(
+        "planner.batch",
+        num_queries=len(batch),
+        num_disks=num_disks,
+        path="hall" if hall else "per_query",
+    ):
+        if not len(batch):
+            return times, lost
+        if hall:
+            counts = _pair_class_counts(replicated, batch)
+            for k, scenario in enumerate(scenarios):
+                times[k], lost[k] = _hall_plan(
+                    counts, scenario or FaultScenario.healthy(num_disks)
+                )
+            return times, lost
+        for k, scenario in enumerate(scenarios):
+            for i, query in enumerate(queries):
+                plan = plan_query(replicated, query, method, scenario)
+                times[k, i] = plan.completion_time
+                lost[k, i] = plan.num_lost
+        return times, lost
 
 
 def replicated_response_time(

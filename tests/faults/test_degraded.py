@@ -155,6 +155,47 @@ class TestReplicatedAvailability:
             chained, RangeQuery((20, 20), (22, 22)), scenario
         )
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_batch_fraction_matches_scalar_oracle(self, seed):
+        from repro.core.query import RangeQuery
+        from repro.replication.allocation import orthogonal_replication
+
+        rng = np.random.default_rng(seed)
+        num_disks = int(rng.integers(3, 9))
+        grid = Grid((9, 7))
+        replicated = orthogonal_replication(grid, num_disks, "dm", "hcam")
+        queries = []
+        for _ in range(30):
+            lower = [int(rng.integers(0, side + 2)) for side in grid.dims]
+            upper = [
+                low + int(rng.integers(0, side))
+                for low, side in zip(lower, grid.dims)
+            ]
+            queries.append(RangeQuery(tuple(lower), tuple(upper)))
+        # Every fail-stop count, up to all but one disk.
+        for num_failed in range(1, num_disks):
+            failed = rng.choice(num_disks, num_failed, replace=False)
+            scenario = FaultScenario(num_disks, [FailStop(failed.tolist())])
+            expected = sum(
+                replicated_query_is_available(replicated, q, scenario)
+                for q in queries
+            ) / len(queries)
+            assert replicated_availability(
+                replicated, queries, scenario
+            ) == expected
+
+    def test_batch_rejects_mismatched_queries(self, chained):
+        from repro.core.query import RangeQuery
+
+        with pytest.raises(FaultError):
+            replicated_availability(
+                chained, [RangeQuery((0,), (1,))], FaultScenario(4)
+            )
+        with pytest.raises(FaultError):
+            replicated_availability(
+                chained, [query_at((0, 0), (2, 2))], FaultScenario(5)
+            )
+
 
 class TestDegradedOptimum:
     def test_healthy_is_ceiling_bound(self):

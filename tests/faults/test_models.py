@@ -120,6 +120,84 @@ class TestFaultScenario:
         assert "1x2.5" in text
 
 
+def _reference_capacity(scenario, disk, time):
+    """The scalar float-product rule, one step at a time."""
+    if scenario.is_failed(disk) or time <= 0:
+        return 0
+    factor = scenario.factor(disk)
+    load = int(time / factor)
+    while (load + 1) * factor <= time:
+        load += 1
+    while load > 0 and load * factor > time:
+        load -= 1
+    return load
+
+
+class TestCapacities:
+    """``capacities`` is the one capacity rule; ``capacity`` reads it."""
+
+    FACTORS = (4 / 3, 1.1, 1.7, 1 + 1e-10, 3.0, 0.1 * 13)
+
+    def _times(self, rng, scenario):
+        products = [
+            load * factor
+            for factor in scenario.factors.tolist()
+            for load in range(0, 40)
+        ]
+        exact = np.array(products)
+        return np.concatenate([
+            exact,
+            np.nextafter(exact, 0),
+            np.nextafter(exact, np.inf),
+            rng.uniform(-2.0, 60.0, size=64),
+            [0.0, -1.0, 1.0, 2.0],
+        ])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_scalar_rule_elementwise(self, seed):
+        rng = np.random.default_rng(seed)
+        num_disks = int(rng.integers(2, 7))
+        faults = [
+            Slowdown(
+                int(rng.integers(0, num_disks)),
+                self.FACTORS[int(rng.integers(0, len(self.FACTORS)))],
+            )
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        if seed % 3:
+            faults.append(FailStop(int(rng.integers(0, num_disks))))
+        scenario = FaultScenario(num_disks, faults)
+        times = self._times(rng, scenario)
+        table = scenario.capacities(times)
+        assert table.shape == (times.size, num_disks)
+        assert table.dtype == np.int64
+        for row, time in enumerate(times.tolist()):
+            for disk in range(num_disks):
+                expected = _reference_capacity(scenario, disk, time)
+                assert table[row, disk] == expected
+                assert scenario.capacity(disk, time) == expected
+
+    def test_exact_products_and_their_neighbours(self):
+        scenario = FaultScenario(2, [Slowdown(1, 1 + 1e-10)])
+        factor = scenario.factor(1)
+        loads = np.arange(1, 500)
+        products = loads * factor
+        assert scenario.capacities(products)[:, 1].tolist() == (
+            loads.tolist()
+        )
+        assert scenario.capacities(np.nextafter(products, 0))[
+            :, 1
+        ].tolist() == (loads - 1).tolist()
+
+    def test_failed_disks_and_non_positive_times_are_zero(self):
+        scenario = FaultScenario(3, [FailStop(2), Slowdown(1, 2.0)])
+        assert scenario.capacities([7.0, 0.0, -3.0]).tolist() == [
+            [7, 3, 0],
+            [0, 0, 0],
+            [0, 0, 0],
+        ]
+
+
 class TestFaultInjector:
     def test_same_seed_replays_exactly(self):
         first = FaultInjector(seed=7).scenarios(8, 2, 5)

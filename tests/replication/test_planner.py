@@ -14,6 +14,7 @@ from repro.replication import (
     chained_replication,
     degraded_replicated_response_time,
     orthogonal_replication,
+    plan_batch,
     plan_query,
     replicated_response_time,
     replication_speedup,
@@ -561,6 +562,202 @@ class TestNetworkxDifferential:
         assert degraded.completion_time == _networkx_completion(
             replicated, query, scenario
         )
+        times, _ = plan_batch(replicated, [query], scenarios=[None, scenario])
+        assert times.tolist() == [
+            [healthy.completion_time], [degraded.completion_time]
+        ]
+
+
+def _random_layout(rng, ndim, num_disks, style):
+    """A seeded chained or random orthogonal layout on a 1-3-D grid."""
+    from repro.core.allocation import DiskAllocation
+    from repro.replication import ReplicatedAllocation
+
+    low, high = {1: (4, 30), 2: (3, 9), 3: (2, 5)}[ndim]
+    grid = Grid(tuple(int(s) for s in rng.integers(low, high, size=ndim)))
+    primary = rng.integers(0, num_disks, size=grid.dims)
+    if style == "chained":
+        return chained_replication(
+            DiskAllocation(grid, num_disks, primary),
+            offset=int(rng.integers(1, num_disks)),
+        )
+    backup = rng.integers(0, num_disks, size=grid.dims)
+    clash = backup == primary
+    backup[clash] = (backup[clash] + 1) % num_disks
+    return ReplicatedAllocation(
+        DiskAllocation(grid, num_disks, primary),
+        DiskAllocation(grid, num_disks, backup),
+    )
+
+
+def _random_batch(rng, grid, count=10):
+    """Queries inside, overhanging, and wholly outside ``grid``."""
+    queries = []
+    for _ in range(count):
+        lower = [int(rng.integers(0, side + 2)) for side in grid.dims]
+        upper = [
+            low + int(rng.integers(0, side + 1))
+            for low, side in zip(lower, grid.dims)
+        ]
+        queries.append(RangeQuery(tuple(lower), tuple(upper)))
+    queries.append(RangeQuery(grid.dims, tuple(d + 2 for d in grid.dims)))
+    queries.append(
+        RangeQuery((0,) * grid.ndim, tuple(d + 3 for d in grid.dims))
+    )
+    return queries
+
+
+def _batch_scenarios(rng, num_disks):
+    """Healthy, fail-stop (up to all but one disk) and straggler cases."""
+    failed = rng.choice(
+        num_disks, int(rng.integers(1, num_disks)), replace=False
+    )
+    return [
+        None,
+        FaultScenario.healthy(num_disks),
+        FaultScenario(num_disks, [FailStop(failed.tolist())]),
+        FaultScenario(num_disks, [Slowdown(0, 1 + 1e-10)]),
+        _random_scenario(rng, num_disks),
+        _random_scenario(rng, num_disks),
+    ]
+
+
+def _assert_batch_matches(replicated, queries, scenarios, method="flow"):
+    times, lost = plan_batch(replicated, queries, method, scenarios)
+    assert times.shape == lost.shape == (len(scenarios), len(queries))
+    assert times.dtype == np.float64 and lost.dtype == np.int64
+    for k, scenario in enumerate(scenarios):
+        for i, query in enumerate(queries):
+            plan = plan_query(replicated, query, method, scenario)
+            assert times[k, i] == plan.completion_time, (k, i)
+            assert lost[k, i] == plan.num_lost, (k, i)
+
+
+def _batch_paths(replicated, queries, **kwargs):
+    """The ``path`` attribute of every ``planner.batch`` span of a call."""
+    from repro.obs.trace import global_tracer
+
+    tracer = global_tracer()
+    was_enabled = tracer.enabled
+    tracer.enable()
+    try:
+        before = len(tracer.spans())
+        plan_batch(replicated, queries, **kwargs)
+        spans = tracer.spans()[before:]
+    finally:
+        if not was_enabled:
+            tracer.disable()
+            tracer.clear()
+    return [
+        (span["attrs"]["path"], span["attrs"]["num_queries"],
+         span["attrs"]["num_disks"])
+        for span in spans
+        if span["name"] == "planner.batch"
+    ]
+
+
+class TestBatchPlanner:
+    """``plan_batch`` equals per-query ``plan_query``, exactly."""
+
+    @pytest.mark.parametrize("num_disks", range(2, 13))
+    @pytest.mark.parametrize("style", ["chained", "orthogonal"])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_hall_path_matches_plan_query(self, ndim, style, num_disks):
+        rng = np.random.default_rng(
+            4000 + 100 * ndim + 10 * num_disks + (style == "chained")
+        )
+        replicated = _random_layout(rng, ndim, num_disks, style)
+        queries = _random_batch(rng, replicated.grid)
+        assert _batch_paths(replicated, queries) == [
+            ("hall", len(queries), num_disks)
+        ]
+        _assert_batch_matches(
+            replicated, queries, _batch_scenarios(rng, num_disks)
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_paper_layouts_match_plan_query(self, seed):
+        rng = np.random.default_rng(5000 + seed)
+        num_disks = int(rng.integers(3, 13))
+        grid = Grid((16, 16))
+        replicated = (
+            chained_replication(get_scheme("dm").allocate(grid, num_disks))
+            if seed % 2
+            else orthogonal_replication(grid, num_disks, "dm", "hcam")
+        )
+        queries = [
+            query_at(origin, (side, side))
+            for side in (2, 4, 7)
+            for origin in ((0, 0), (3, 5), (11, 9), (15, 15))
+        ]
+        _assert_batch_matches(
+            replicated, queries, _batch_scenarios(rng, num_disks)
+        )
+
+    def test_many_disks_take_the_per_query_path(self):
+        rng = np.random.default_rng(6000)
+        replicated = _random_layout(rng, 2, 13, "orthogonal")
+        queries = _random_batch(rng, replicated.grid, count=6)
+        assert _batch_paths(replicated, queries) == [
+            ("per_query", len(queries), 13)
+        ]
+        _assert_batch_matches(replicated, queries, _batch_scenarios(rng, 13))
+
+    def test_class_table_over_budget_takes_the_per_query_path(
+        self, chained_dm, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_SAT_BUDGET", "1024")
+        queries = [query_at((1, 2), (4, 4)), query_at((9, 0), (7, 3))]
+        assert _batch_paths(chained_dm, queries) == [("per_query", 2, 8)]
+        _assert_batch_matches(
+            chained_dm, queries, [None, FaultScenario(8, [FailStop(3)])]
+        )
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_greedy_matches_plan_query(self, ndim):
+        rng = np.random.default_rng(7000 + ndim)
+        replicated = _random_layout(rng, ndim, 5, "orthogonal")
+        queries = _random_batch(rng, replicated.grid, count=6)
+        assert _batch_paths(replicated, queries, method="greedy") == [
+            ("per_query", len(queries), 5)
+        ]
+        _assert_batch_matches(
+            replicated, queries, _batch_scenarios(rng, 5), method="greedy"
+        )
+
+    @pytest.mark.parametrize("method", ["flow", "greedy"])
+    def test_empty_batch(self, chained_dm, method):
+        times, lost = plan_batch(
+            chained_dm, [], method, [None, FaultScenario(8, [FailStop(1)])]
+        )
+        assert times.shape == lost.shape == (2, 0)
+
+    def test_outside_and_overhanging_queries(self, chained_dm):
+        queries = [
+            RangeQuery((40, 40), (42, 42)),
+            RangeQuery((14, 14), (20, 20)),
+            RangeQuery((0, 0), (30, 30)),
+        ]
+        times, lost = plan_batch(chained_dm, queries)
+        assert times[0, 0] == 0.0 and lost[0, 0] == 0
+        _assert_batch_matches(
+            chained_dm, queries, [None, FaultScenario(8, [FailStop([0, 1])])]
+        )
+
+    def test_one_span_per_call(self, chained_dm):
+        queries = [query_at((0, 0), (2, 2))] * 50
+        assert _batch_paths(
+            chained_dm, queries, scenarios=[None] * 3
+        ) == [("hall", 50, 8)]
+
+    def test_invalid_arguments_rejected(self, chained_dm):
+        query = query_at((0, 0), (2, 2))
+        with pytest.raises(QueryError, match="unknown planning method"):
+            plan_batch(chained_dm, [query], "astar")
+        with pytest.raises(QueryError, match="scenario covers"):
+            plan_batch(chained_dm, [query], scenarios=[FaultScenario(4)])
+        with pytest.raises(QueryError, match="does not match"):
+            plan_batch(chained_dm, [RangeQuery((0,), (1,))])
 
 
 class TestExactCapacities:

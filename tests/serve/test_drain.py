@@ -139,6 +139,11 @@ def test_sigterm_answers_the_inflight_batch_then_exits(tmp_path):
             # this client, or the drain would not wait for it.
             time.sleep(1.0)
             process.send_signal(signal.SIGTERM)
+            # Let the daemon handle the signal before reading: a read
+            # started at once can drain the whole response in the same
+            # event-loop turn that delivers SIGTERM, and the request
+            # then finishes before the drain counts it.
+            time.sleep(0.5)
             response = protocol.recv_frame(sock)
 
         assert response is not None, "in-flight batch was dropped"
