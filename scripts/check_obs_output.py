@@ -11,6 +11,9 @@ written by ``repro-decluster experiment`` are well-formed:
   an instrumented run that silently skips an experiment is a bug;
 * parent/child span ids are consistent (every non-null ``parent_id``
   names a span from the same process);
+* every X5 ``runner.experiment`` span holds exactly one
+  ``simulation.sweep`` span per X5 scheme — one span per sweep, never
+  one per rate or per query;
 * the metrics document has the current schema and its ``aggregate``
   section covers the allocation-cache counters;
 * with ``--expect-retry``, at least one ``runner.retry`` event and a
@@ -37,12 +40,13 @@ import argparse
 import json
 import sys
 
+from repro.experiments.exp_load_sweep import DEFAULT_SCHEMES
 from repro.experiments.runner import EXPERIMENT_KEYS
 from repro.obs.metrics import METRICS_SCHEMA_VERSION
 from repro.obs.summary import load_metrics, load_trace
 from repro.obs.trace import SPAN_FIELDS, TRACE_SCHEMA_VERSION
 
-__all__ = ['check_metrics', 'check_trace', 'main',
+__all__ = ['check_metrics', 'check_sweep_spans', 'check_trace', 'main',
            'parse_counter_expectation']
 
 #: Field -> accepted types, for every JSONL line.
@@ -98,6 +102,7 @@ def check_trace(path, errors, expect_retry):
                 f"span from pid {span.get('pid')}"
             )
 
+    check_sweep_spans(path, spans, errors)
     traced_keys = {
         span["attrs"].get("key")
         for span in spans
@@ -121,6 +126,34 @@ def check_trace(path, errors, expect_retry):
         f"{len(ids_by_pid)} process(es), experiments "
         f"{sorted(k for k in traced_keys if k)}"
     )
+
+
+def check_sweep_spans(path, spans, errors):
+    """One ``simulation.sweep`` per X5 scheme inside each X5 experiment."""
+    by_id = {(span["pid"], span["span_id"]): span for span in spans}
+
+    def experiment_of(span):
+        while span is not None and span.get("name") != "runner.experiment":
+            span = by_id.get((span["pid"], span.get("parent_id")))
+        return span
+
+    sweeps = {}
+    for span in spans:
+        if span.get("name") == "simulation.sweep":
+            owner = experiment_of(span)
+            if owner is not None and owner["attrs"].get("key") == "X5":
+                key = (owner["pid"], owner["span_id"])
+                sweeps[key] = sweeps.get(key, 0) + 1
+    for span in spans:
+        if (span.get("name") == "runner.experiment"
+                and span["attrs"].get("key") == "X5"):
+            found = sweeps.get((span["pid"], span["span_id"]), 0)
+            if found != len(DEFAULT_SCHEMES):
+                errors.append(
+                    f"{path}: X5 experiment span {span['span_id']} holds "
+                    f"{found} simulation.sweep span(s), expected "
+                    f"{len(DEFAULT_SCHEMES)} (one per scheme)"
+                )
 
 
 def parse_counter_expectation(spec):

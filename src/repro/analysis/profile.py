@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.allocation import DiskAllocation
 from repro.core.cost import (
-    buckets_per_disk,
+    batch_disk_counts,
     optimal_response_time,
     sliding_response_times,
 )
@@ -124,10 +124,7 @@ def disk_heat(
     queries = list(queries)
     if not queries:
         raise QueryError("workload contains no queries")
-    heat = np.zeros(allocation.num_disks, dtype=np.int64)
-    for query in queries:
-        heat += buckets_per_disk(allocation, query)
-    return heat
+    return batch_disk_counts(allocation, queries).sum(axis=0)
 
 
 def heat_imbalance(heat: np.ndarray) -> float:

@@ -131,13 +131,16 @@ class DeclusteredDatabase:
         """
         if not workload:
             raise WorkloadError("pool workload contains no queries")
-        heat = np.zeros(self._num_disks, dtype=np.int64)
-        from repro.core.cost import buckets_per_disk
+        from repro.core.cost import batch_disk_counts
 
+        queries: Dict[str, List[RangeQuery]] = {}
         for name, value_ranges in workload:
-            gridfile = self.relation(name)
-            query = gridfile.range_query(value_ranges)
-            heat += buckets_per_disk(gridfile.allocation, query)
+            query = self.relation(name).range_query(value_ranges)
+            queries.setdefault(name, []).append(query)
+        heat = np.zeros(self._num_disks, dtype=np.int64)
+        for name, relation_queries in queries.items():
+            allocation = self.relation(name).allocation
+            heat += batch_disk_counts(allocation, relation_queries).sum(axis=0)
         return heat
 
     def auto_place(

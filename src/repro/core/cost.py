@@ -32,6 +32,7 @@ __all__ = [
     "BATCH_THRESHOLD",
     "additive_deviation",
     "average_response_time",
+    "batch_disk_counts",
     "buckets_per_disk",
     "optimal_response_time",
     "optimal_times",
@@ -123,11 +124,25 @@ def relative_deviation(allocation: DiskAllocation, query: RangeQuery) -> float:
     return (response_time(allocation, query) - opt) / opt
 
 
-#: Batch size from which ``response_times`` builds a summed-area-table
-#: engine instead of looping: below this the per-query bincount loop is
-#: cheaper than the one-time SAT precomputation.  Results are
-#: bit-identical either way, so the threshold only moves time around.
+#: Batch size from which ``response_times`` and ``batch_disk_counts``
+#: build a summed-area-table engine instead of looping: below this the
+#: per-query bincount loop is cheaper than the one-time SAT
+#: precomputation.  Results are bit-identical either way, so the
+#: threshold only moves time around.
 BATCH_THRESHOLD = 16
+
+
+def _batch_engine(
+    allocation: DiskAllocation,
+    num_queries: int,
+    engine: Optional["ResponseTimeEngine"],
+) -> Optional["ResponseTimeEngine"]:
+    """``engine``, or one built on the fly for a batch that warrants it."""
+    if engine is None and num_queries >= BATCH_THRESHOLD:
+        from repro.core.engine import ResponseTimeEngine
+
+        engine = ResponseTimeEngine(allocation)
+    return engine
 
 
 def response_times(
@@ -145,16 +160,36 @@ def response_times(
     the scalar loop stays the reference oracle.
     """
     queries = list(queries)
-    if engine is None and len(queries) >= BATCH_THRESHOLD:
-        from repro.core.engine import ResponseTimeEngine
-
-        engine = ResponseTimeEngine(allocation)
+    engine = _batch_engine(allocation, len(queries), engine)
     if engine is not None:
         return engine.batch_response_times(queries)
     return np.fromiter(
         (response_time(allocation, q) for q in queries),
         dtype=np.int64,
         count=len(queries),
+    )
+
+
+def batch_disk_counts(
+    allocation: DiskAllocation,
+    queries: Iterable[RangeQuery],
+    engine: Optional["ResponseTimeEngine"] = None,
+) -> np.ndarray:
+    """Per-query per-disk bucket counts, int64 of shape ``(N, M)``.
+
+    Row ``n`` is :func:`buckets_per_disk` of ``queries[n]`` (clipping
+    included).  Same engine rule as :func:`response_times`: the given
+    engine, or one built for a batch of :data:`BATCH_THRESHOLD` or more
+    queries, answers it with one corner gather; smaller batches stack
+    the scalar oracle.
+    """
+    queries = list(queries)
+    engine = _batch_engine(allocation, len(queries), engine)
+    if engine is not None:
+        return engine.batch_disk_counts(queries)
+    rows = [buckets_per_disk(allocation, query) for query in queries]
+    return np.array(rows, dtype=np.int64).reshape(
+        len(queries), allocation.num_disks
     )
 
 

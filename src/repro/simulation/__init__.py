@@ -1,4 +1,13 @@
-"""Physical-disk timing model and parallel I/O stream simulation."""
+"""Physical-disk timing model and parallel I/O stream simulation.
+
+Both simulators run on arrays: one batch gather
+(:func:`repro.core.cost.batch_disk_counts`) gives a stream's ``(N, M)``
+per-query per-disk bucket counts, and one call of
+:meth:`DiskModel.service_times_ms` turns them into service times.  The
+closed loop is then a per-disk ``cumsum``; the open system runs the FIFO
+recurrence down the query axis for every arrival rate at once.  Each is
+bit-identical to the per-query loop it replaced.
+"""
 
 from repro.simulation.disk import DiskModel
 from repro.simulation.open_system import (

@@ -19,6 +19,9 @@ worst case) or once when they happen to be laid out contiguously
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence, Union
+
+import numpy as np
 
 from repro.core.exceptions import SimulationError
 
@@ -84,15 +87,33 @@ class DiskModel:
         ``sequential=True`` charges one positioning cost for the whole run
         (buckets laid out contiguously); the default charges it per bucket
         (buckets scattered across the platter, the declustered layout's
-        conservative assumption).
+        conservative assumption).  The scalar form of
+        :meth:`service_times_ms`.
         """
-        if num_buckets < 0:
+        return float(self.service_times_ms([num_buckets], sequential)[0])
+
+    def service_times_ms(
+        self, counts: Union[np.ndarray, Sequence[int]], sequential: bool = False
+    ) -> np.ndarray:
+        """:meth:`service_time_ms` of every entry of ``counts``, float64.
+
+        ``counts`` is any array of bucket counts (typically the ``(N, M)``
+        per-query per-disk counts of a batch); the result has its shape.
+        A zero count costs 0.0 (the disk is not touched at all).
+        """
+        counts = np.asarray(counts)
+        if counts.size and counts.min() < 0:
             raise SimulationError(
-                f"bucket count must be non-negative, got {num_buckets}"
+                f"bucket count must be non-negative, got {counts.min()}"
             )
-        if num_buckets == 0:
-            return 0.0
-        transfer = num_buckets * self.transfer_ms_per_bucket
+        buckets = counts.astype(np.float64)
         if sequential:
-            return self.random_access_ms + transfer
-        return num_buckets * (self.random_access_ms + self.transfer_ms_per_bucket)
+            times = (
+                self.random_access_ms
+                + buckets * self.transfer_ms_per_bucket
+            )
+        else:
+            times = buckets * (
+                self.random_access_ms + self.transfer_ms_per_bucket
+            )
+        return np.where(counts == 0, 0.0, times)

@@ -11,6 +11,15 @@ model of that:
   order, starting a segment no earlier than its query's arrival;
 * a query completes when all its per-disk segments do.
 
+The model runs on arrays.  One engine gather gives the ``(N, M)`` bucket
+counts and one :meth:`~repro.simulation.disk.DiskModel.service_times_ms`
+call every service time; the per-disk recurrence
+``free = max(free, a_n) + s_n`` then steps down the query axis over all
+rates and disks at once.  :func:`saturation_sweep` shares the counts
+across its rates and opens one ``simulation.sweep`` span;
+:meth:`OpenSystemSimulator.run` is the same pass with one rate and opens
+one ``simulation.run`` span.
+
 The declustering insight it exposes: at *light* load the best scheme is
 the one with the lowest response time (the paper's metric — HCAM/cyclic
 win small queries), while near *saturation* per-query latency is queue-
@@ -27,9 +36,10 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.allocation import DiskAllocation
-from repro.core.cost import buckets_per_disk
+from repro.core.cost import batch_disk_counts
 from repro.core.exceptions import SimulationError
 from repro.core.query import RangeQuery
+from repro.obs.trace import trace
 from repro.simulation.disk import DiskModel
 
 __all__ = [
@@ -118,27 +128,53 @@ class OpenSystemSimulator:
             raise SimulationError(
                 "arrival times must be non-decreasing"
             )
-        num_disks = self._allocation.num_disks
-        free_at = np.zeros(num_disks, dtype=np.float64)
-        busy = np.zeros(num_disks, dtype=np.float64)
-        report = OpenSystemReport(disk_busy_ms=[0.0] * num_disks)
-        for query, arrival in zip(queries, arrivals):
-            counts = buckets_per_disk(self._allocation, query)
-            finish = float(arrival)
-            for disk_id, count in enumerate(counts):
-                if count == 0:
-                    continue
-                service = self._disk.service_time_ms(
-                    int(count), sequential=self._sequential
-                )
-                start = max(free_at[disk_id], arrival)
-                free_at[disk_id] = start + service
-                busy[disk_id] += service
-                finish = max(finish, free_at[disk_id])
-            report.latencies_ms.append(finish - float(arrival))
-        report.makespan_ms = float(free_at.max())
-        report.disk_busy_ms = busy.tolist()
-        return report
+        with trace(
+            "simulation.run",
+            num_queries=len(queries),
+            num_disks=self._allocation.num_disks,
+        ):
+            counts = batch_disk_counts(self._allocation, queries)
+            services = self._disk.service_times_ms(counts, self._sequential)
+            return _fifo_reports(services, arrivals[np.newaxis, :])[0]
+
+
+def _fifo_reports(
+    services: np.ndarray, arrivals: np.ndarray
+) -> List[OpenSystemReport]:
+    """One report per row of ``arrivals`` over the same service times.
+
+    ``services`` is ``(N, M)`` (0.0 where a query does not touch a disk)
+    and ``arrivals`` is ``(R, N)``, one non-decreasing stream per rate.
+    Each disk runs the FIFO recurrence ``free = max(free, a_n) + s_n``
+    over the queries that touch it, in query order, for every rate at
+    once; untouched disks keep their ``free`` and do not bound the
+    query's finish.  The recurrence stays sequential on purpose: its
+    closed form (``C_n + max_j (a_j - C_{j-1})``) reassociates the sums
+    and moves low-order bits.
+    """
+    num_rates, num_queries = arrivals.shape
+    touched = services > 0.0
+    free = np.zeros((num_rates, services.shape[1]), dtype=np.float64)
+    finish = np.empty((num_rates, num_queries), dtype=np.float64)
+    for n in range(num_queries):
+        mask = touched[n]
+        arrival = arrivals[:, n, np.newaxis]
+        done = np.maximum(free, arrival) + services[n]
+        np.copyto(free, done, where=mask)
+        finish[:, n] = done.max(axis=1, where=mask, initial=-np.inf)
+    latencies = np.maximum(finish, arrivals) - arrivals
+    # Sequential column sums: the per-disk busy time adds the services
+    # in query order, exactly as each disk accumulates them.
+    busy = np.cumsum(services, axis=0)[-1].tolist()
+    makespans = free.max(axis=1)
+    return [
+        OpenSystemReport(
+            latencies_ms=latencies[r].tolist(),
+            makespan_ms=float(makespans[r]),
+            disk_busy_ms=list(busy),
+        )
+        for r in range(num_rates)
+    ]
 
 
 def saturation_sweep(
@@ -151,14 +187,25 @@ def saturation_sweep(
     """Run the same query list at several Poisson arrival rates.
 
     One report per rate; the arrival process is re-drawn per rate with
-    the same seed so the only varying factor is the load level.
+    the same seed so the only varying factor is the load level.  The
+    counts and service times are computed once and every rate runs
+    through the same FIFO pass.
     """
     queries = list(queries)
     if not queries:
         raise SimulationError("query stream is empty")
-    reports = []
-    simulator = OpenSystemSimulator(allocation, disk)
-    for rate in rates_per_second:
-        arrivals = poisson_arrivals(len(queries), rate, seed=seed)
-        reports.append(simulator.run(queries, arrivals))
-    return reports
+    rates = list(rates_per_second)
+    with trace(
+        "simulation.sweep",
+        num_queries=len(queries),
+        num_rates=len(rates),
+        num_disks=allocation.num_disks,
+    ):
+        if not rates:
+            return []
+        counts = batch_disk_counts(allocation, queries)
+        services = disk.service_times_ms(counts)
+        arrivals = np.stack(
+            [poisson_arrivals(len(queries), rate, seed=seed) for rate in rates]
+        )
+        return _fifo_reports(services, arrivals)

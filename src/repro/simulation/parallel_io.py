@@ -9,7 +9,8 @@ Converts the combinatorial cost model into simulated milliseconds:
   per-disk FIFO queues, reporting per-query latency and per-disk busy time
   and utilization.  This exposes what bucket counting hides: with a stream
   of queries, imbalance also costs *throughput*, because a hot disk delays
-  every later query that needs it.
+  every later query that needs it.  Every query is submitted at t=0, so
+  the queues are one ``cumsum`` of the batch's service-time array.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, List
 import numpy as np
 
 from repro.core.allocation import DiskAllocation
-from repro.core.cost import buckets_per_disk
+from repro.core.cost import batch_disk_counts, buckets_per_disk
 from repro.core.exceptions import SimulationError
 from repro.core.query import RangeQuery
 from repro.simulation.disk import DiskModel
@@ -40,11 +41,7 @@ def query_time_ms(
 ) -> float:
     """Simulated wall-clock time of one query (max disk service time)."""
     counts = buckets_per_disk(allocation, query)
-    return max(
-        (disk.service_time_ms(int(c), sequential=sequential)
-         for c in counts),
-        default=0.0,
-    )
+    return float(disk.service_times_ms(counts, sequential).max())
 
 
 @dataclass
@@ -108,30 +105,22 @@ class ParallelIOSimulator:
         self._sequential = sequential
 
     def run(self, queries: Iterable[RangeQuery]) -> StreamReport:
-        """Simulate the stream and return latency/utilization figures."""
-        num_disks = self._allocation.num_disks
-        free_at = np.zeros(num_disks, dtype=np.float64)
-        busy = np.zeros(num_disks, dtype=np.float64)
-        report = StreamReport(disk_busy_ms=[0.0] * num_disks)
-        submitted_any = False
-        for query in queries:
-            submitted_any = True
-            submit_time = 0.0  # closed loop: all queries submitted at t=0
-            counts = buckets_per_disk(self._allocation, query)
-            finish = submit_time
-            for disk_id, count in enumerate(counts):
-                if count == 0:
-                    continue
-                service = self._disk.service_time_ms(
-                    int(count), sequential=self._sequential
-                )
-                start = max(free_at[disk_id], submit_time)
-                free_at[disk_id] = start + service
-                busy[disk_id] += service
-                finish = max(finish, free_at[disk_id])
-            report.latencies_ms.append(finish - submit_time)
-        if not submitted_any:
+        """Simulate the stream and return latency/utilization figures.
+
+        Every query is submitted at t=0, so each disk's queue is the
+        running sum of its service times in query order: one ``cumsum``
+        down the query axis gives every disk's finish times, and a query
+        finishes at the latest of them over the disks it touches.
+        """
+        queries = list(queries)
+        if not queries:
             raise SimulationError("query stream is empty")
-        report.makespan_ms = float(free_at.max())
-        report.disk_busy_ms = busy.tolist()
-        return report
+        counts = batch_disk_counts(self._allocation, queries)
+        services = self._disk.service_times_ms(counts, self._sequential)
+        free_at = np.cumsum(services, axis=0)
+        finish = np.max(free_at, axis=1, where=counts > 0, initial=0.0)
+        return StreamReport(
+            latencies_ms=finish.tolist(),
+            makespan_ms=float(free_at[-1].max()),
+            disk_busy_ms=free_at[-1].tolist(),
+        )

@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.core.allocation import DiskAllocation
-from repro.core.cost import buckets_per_disk
+from repro.core.cost import batch_disk_counts
 from repro.core.exceptions import SimulationError
 from repro.core.query import RangeQuery
 from repro.simulation.disk import DiskModel
@@ -45,12 +45,7 @@ def _per_disk_work(
     """Bucket counts per (query, disk), shape ``(num_queries, M)``."""
     if not queries:
         raise SimulationError("batch contains no queries")
-    work = np.zeros(
-        (len(queries), allocation.num_disks), dtype=np.int64
-    )
-    for i, query in enumerate(queries):
-        work[i] = buckets_per_disk(allocation, query)
-    return work
+    return batch_disk_counts(allocation, queries)
 
 
 def lpt_order(

@@ -8,7 +8,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cost import optimal_response_time, response_time
+from repro.core.cost import (
+    optimal_response_time,
+    response_time,
+    sliding_response_times,
+)
 from repro.core.grid import Grid
 from repro.core.query import query_at
 from repro.core.registry import get_scheme
@@ -19,7 +23,11 @@ from repro.replication import (
     plan_query,
     replicated_response_time,
 )
-from repro.schemes.cyclic import CyclicScheme, coprime_skips
+from repro.schemes.cyclic import (
+    CyclicScheme,
+    coprime_skips,
+    exhaustive_skip,
+)
 
 
 class TestCyclicProperties:
@@ -66,6 +74,41 @@ class TestCyclicProperties:
         col = data.draw(st.integers(0, side - width))
         query = query_at((row, col), (1, width))
         assert response_time(allocation, query) == 1
+
+    @given(
+        dims=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+        num_disks=st.integers(1, 24),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exhaustive_skip_matches_sliding_mean_search(
+        self, dims, num_disks, data
+    ):
+        # Oracle: score every coprime skip by its mean RT over *all*
+        # placements of each shape, from the full sliding-window array.
+        grid = Grid(dims)
+        shapes = data.draw(
+            st.none()
+            | st.lists(
+                st.tuples(st.integers(1, dims[0]), st.integers(1, dims[1])),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        targets = shapes or [
+            tuple(min(s, d) for d in dims) for s in (2, 3)
+        ]
+        best_skip, best_cost = None, None
+        for skip in coprime_skips(num_disks):
+            allocation = CyclicScheme(skip=skip).allocate(grid, num_disks)
+            cost = 0.0
+            for shape in targets:
+                times = sliding_response_times(allocation, shape)
+                assert (times == times.flat[0]).all()
+                cost += float(times.mean())
+            if best_cost is None or cost < best_cost - 1e-12:
+                best_skip, best_cost = skip, cost
+        assert exhaustive_skip(num_disks, grid, shapes) == best_skip
 
 
 class TestAnnealingProperties:

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.cost import average_response_time
-from repro.core.exceptions import SchemeError, SchemeNotApplicableError
+from repro.core.exceptions import (
+    QueryError,
+    SchemeError,
+    SchemeNotApplicableError,
+)
 from repro.core.grid import Grid
 from repro.schemes.cyclic import (
     CyclicScheme,
@@ -63,6 +67,11 @@ class TestSkipSelection:
                 alloc, (2, 2)
             ) + average_response_time(alloc, (3, 3))
             assert best_cost <= cost + 1e-9
+
+    @pytest.mark.parametrize("shapes", [[(17, 2)], [(2, 2, 2)], [(0, 3)]])
+    def test_exhaustive_skip_rejects_bad_target_shapes(self, shapes):
+        with pytest.raises(QueryError):
+            exhaustive_skip(8, Grid((16, 16)), shapes)
 
 
 class TestCyclicScheme:
