@@ -14,6 +14,10 @@ written by ``repro-decluster experiment`` are well-formed:
 * every X5 ``runner.experiment`` span holds exactly one
   ``simulation.sweep`` span per X5 scheme — one span per sweep, never
   one per rate or per query;
+* every X4, X5, X7 and EPM ``runner.experiment`` span holds at least
+  one ``workload.batch`` span (one per batch-builder call, carrying its
+  ``kind`` and ``num_queries``) — those experiments build their
+  workloads as query batches;
 * the metrics document has the current schema and its ``aggregate``
   section covers the allocation-cache counters;
 * with ``--expect-retry``, at least one ``runner.retry`` event and a
@@ -46,8 +50,15 @@ from repro.obs.metrics import METRICS_SCHEMA_VERSION
 from repro.obs.summary import load_metrics, load_trace
 from repro.obs.trace import SPAN_FIELDS, TRACE_SCHEMA_VERSION
 
-__all__ = ['check_metrics', 'check_sweep_spans', 'check_trace', 'main',
+__all__ = ['BATCH_EXPERIMENTS', 'BATCH_KINDS', 'check_batch_spans',
+           'check_metrics', 'check_sweep_spans', 'check_trace', 'main',
            'parse_counter_expectation']
+
+#: Experiments whose workloads come from the batch builders.
+BATCH_EXPERIMENTS = ("X4", "X5", "X7", "EPM")
+
+#: The ``kind`` attribute of each batch builder's ``workload.batch`` span.
+BATCH_KINDS = ("placements", "random", "partial_match")
 
 #: Field -> accepted types, for every JSONL line.
 _FIELD_TYPES = {
@@ -103,6 +114,7 @@ def check_trace(path, errors, expect_retry):
             )
 
     check_sweep_spans(path, spans, errors)
+    check_batch_spans(path, spans, errors)
     traced_keys = {
         span["attrs"].get("key")
         for span in spans
@@ -128,8 +140,12 @@ def check_trace(path, errors, expect_retry):
     )
 
 
-def check_sweep_spans(path, spans, errors):
-    """One ``simulation.sweep`` per X5 scheme inside each X5 experiment."""
+def _owner_counts(spans, name, keys):
+    """``{(pid, experiment span id): count}`` of ``name`` spans under ``keys``.
+
+    A span belongs to the nearest enclosing ``runner.experiment`` span;
+    only experiments whose ``key`` attribute is in ``keys`` are counted.
+    """
     by_id = {(span["pid"], span["span_id"]): span for span in spans}
 
     def experiment_of(span):
@@ -137,23 +153,61 @@ def check_sweep_spans(path, spans, errors):
             span = by_id.get((span["pid"], span.get("parent_id")))
         return span
 
-    sweeps = {}
+    found = {}
     for span in spans:
-        if span.get("name") == "simulation.sweep":
+        if span.get("name") == name:
             owner = experiment_of(span)
-            if owner is not None and owner["attrs"].get("key") == "X5":
+            if owner is not None and owner["attrs"].get("key") in keys:
                 key = (owner["pid"], owner["span_id"])
-                sweeps[key] = sweeps.get(key, 0) + 1
+                found[key] = found.get(key, 0) + 1
+    return found
+
+
+def _experiment_spans(spans, keys):
+    return [
+        span for span in spans
+        if span.get("name") == "runner.experiment"
+        and span["attrs"].get("key") in keys
+    ]
+
+
+def check_sweep_spans(path, spans, errors):
+    """One ``simulation.sweep`` per X5 scheme inside each X5 experiment."""
+    sweeps = _owner_counts(spans, "simulation.sweep", ("X5",))
+    for span in _experiment_spans(spans, ("X5",)):
+        found = sweeps.get((span["pid"], span["span_id"]), 0)
+        if found != len(DEFAULT_SCHEMES):
+            errors.append(
+                f"{path}: X5 experiment span {span['span_id']} holds "
+                f"{found} simulation.sweep span(s), expected "
+                f"{len(DEFAULT_SCHEMES)} (one per scheme)"
+            )
+
+
+def check_batch_spans(path, spans, errors):
+    """``workload.batch`` spans inside each X4, X5, X7 and EPM experiment.
+
+    Each must name its builder (``kind``) and its ``num_queries``.
+    """
     for span in spans:
-        if (span.get("name") == "runner.experiment"
-                and span["attrs"].get("key") == "X5"):
-            found = sweeps.get((span["pid"], span["span_id"]), 0)
-            if found != len(DEFAULT_SCHEMES):
-                errors.append(
-                    f"{path}: X5 experiment span {span['span_id']} holds "
-                    f"{found} simulation.sweep span(s), expected "
-                    f"{len(DEFAULT_SCHEMES)} (one per scheme)"
-                )
+        if span.get("name") != "workload.batch":
+            continue
+        attrs = span.get("attrs", {})
+        if attrs.get("kind") not in BATCH_KINDS or not isinstance(
+            attrs.get("num_queries"), int
+        ):
+            errors.append(
+                f"{path}: workload.batch span {span.get('span_id')} has "
+                f"attrs {attrs!r}, expected a kind in {BATCH_KINDS} and "
+                "an integer num_queries"
+            )
+    batches = _owner_counts(spans, "workload.batch", BATCH_EXPERIMENTS)
+    for span in _experiment_spans(spans, BATCH_EXPERIMENTS):
+        if not batches.get((span["pid"], span["span_id"]), 0):
+            errors.append(
+                f"{path}: {span['attrs']['key']} experiment span "
+                f"{span['span_id']} holds no workload.batch span"
+            )
 
 
 def parse_counter_expectation(spec):

@@ -17,19 +17,20 @@ A scheme is *strictly optimal* when RT = OPT for every query in some class
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.allocation import DiskAllocation
 from repro.core.exceptions import QueryError
-from repro.core.query import RangeQuery
+from repro.core.query import QueryBatch, RangeQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.engine import ResponseTimeEngine
 
 __all__ = [
     "BATCH_THRESHOLD",
+    "Workload",
     "additive_deviation",
     "average_response_time",
     "batch_disk_counts",
@@ -105,9 +106,13 @@ def _effective_optimal(allocation: DiskAllocation, query: RangeQuery) -> int:
 
 
 def additive_deviation(allocation: DiskAllocation, query: RangeQuery) -> int:
-    """``RT - OPT`` for one query; 0 means the scheme was optimal on it."""
-    return response_time(allocation, query) - query_optimal(
-        query, allocation.num_disks
+    """``RT - OPT`` for one query; 0 means the scheme was optimal on it.
+
+    OPT is taken over the query's buckets inside the grid, as in
+    :func:`relative_deviation`, so the deviation is never negative.
+    """
+    return response_time(allocation, query) - _effective_optimal(
+        allocation, query
     )
 
 
@@ -124,21 +129,31 @@ def relative_deviation(allocation: DiskAllocation, query: RangeQuery) -> float:
     return (response_time(allocation, query) - opt) / opt
 
 
-#: Batch size from which ``response_times`` and ``batch_disk_counts``
+#: List size from which ``response_times`` and ``batch_disk_counts``
 #: build a summed-area-table engine instead of looping: below this the
 #: per-query bincount loop is cheaper than the one-time SAT
-#: precomputation.  Results are bit-identical either way, so the
-#: threshold only moves time around.
+#: precomputation.  A :class:`~repro.core.query.QueryBatch` always takes
+#: the engine.  Results are bit-identical either way, so the threshold
+#: only moves time around.
 BATCH_THRESHOLD = 16
+
+#: A workload argument: query objects, or a prebuilt bounds batch.
+Workload = Union[Iterable[RangeQuery], QueryBatch]
 
 
 def _batch_engine(
     allocation: DiskAllocation,
-    num_queries: int,
+    queries: Union[Sequence[RangeQuery], QueryBatch],
     engine: Optional["ResponseTimeEngine"],
 ) -> Optional["ResponseTimeEngine"]:
-    """``engine``, or one built on the fly for a batch that warrants it."""
-    if engine is None and num_queries >= BATCH_THRESHOLD:
+    """``engine``, or one built on the fly for a workload that warrants it.
+
+    A batch always gets an engine (it is never expanded back into query
+    objects); a query list does from :data:`BATCH_THRESHOLD` queries.
+    """
+    if engine is None and (
+        isinstance(queries, QueryBatch) or len(queries) >= BATCH_THRESHOLD
+    ):
         from repro.core.engine import ResponseTimeEngine
 
         engine = ResponseTimeEngine(allocation)
@@ -147,7 +162,7 @@ def _batch_engine(
 
 def response_times(
     allocation: DiskAllocation,
-    queries: Iterable[RangeQuery],
+    queries: Workload,
     engine: Optional["ResponseTimeEngine"] = None,
 ) -> np.ndarray:
     """Vector of response times, one per query.
@@ -155,12 +170,14 @@ def response_times(
     When ``engine`` (a :class:`~repro.core.engine.ResponseTimeEngine`
     built on the same allocation) is given, the whole batch is answered
     through its summed-area table with no per-query Python loop; with no
-    engine one is built on the fly once the batch reaches
+    engine one is built on the fly for a
+    :class:`~repro.core.query.QueryBatch` or once a query list reaches
     :data:`BATCH_THRESHOLD` queries.  All three paths are bit-identical —
     the scalar loop stays the reference oracle.
     """
-    queries = list(queries)
-    engine = _batch_engine(allocation, len(queries), engine)
+    if not isinstance(queries, QueryBatch):
+        queries = list(queries)
+    engine = _batch_engine(allocation, queries, engine)
     if engine is not None:
         return engine.batch_response_times(queries)
     return np.fromiter(
@@ -172,19 +189,20 @@ def response_times(
 
 def batch_disk_counts(
     allocation: DiskAllocation,
-    queries: Iterable[RangeQuery],
+    queries: Workload,
     engine: Optional["ResponseTimeEngine"] = None,
 ) -> np.ndarray:
     """Per-query per-disk bucket counts, int64 of shape ``(N, M)``.
 
     Row ``n`` is :func:`buckets_per_disk` of ``queries[n]`` (clipping
     included).  Same engine rule as :func:`response_times`: the given
-    engine, or one built for a batch of :data:`BATCH_THRESHOLD` or more
-    queries, answers it with one corner gather; smaller batches stack
-    the scalar oracle.
+    engine, or one built for a batch or a list of
+    :data:`BATCH_THRESHOLD` or more queries, answers it with one corner
+    gather; smaller lists stack the scalar oracle.
     """
-    queries = list(queries)
-    engine = _batch_engine(allocation, len(queries), engine)
+    if not isinstance(queries, QueryBatch):
+        queries = list(queries)
+    engine = _batch_engine(allocation, queries, engine)
     if engine is not None:
         return engine.batch_disk_counts(queries)
     rows = [buckets_per_disk(allocation, query) for query in queries]
@@ -194,9 +212,20 @@ def batch_disk_counts(
 
 
 def optimal_times(
-    queries: Sequence[RangeQuery], num_disks: int
+    queries: Union[Sequence[RangeQuery], QueryBatch], num_disks: int
 ) -> np.ndarray:
-    """Vector of OPT values, one per query."""
+    """Vector of OPT values, one per query.
+
+    A query list gives each query's :func:`query_optimal` (its full
+    bucket count); a :class:`~repro.core.query.QueryBatch` holds clipped
+    bounds, so it gives the effective OPT of the part inside the grid
+    (0 for a row clipped to nothing), as ``_effective_optimal`` does.
+    """
+    if isinstance(queries, QueryBatch):
+        if num_disks <= 0:
+            raise QueryError(f"disk count must be positive: {num_disks}")
+        buckets = np.prod(queries.hi - queries.lo, axis=1)
+        return -(-buckets // num_disks)
     return np.fromiter(
         (query_optimal(q, num_disks) for q in queries),
         dtype=np.int64,

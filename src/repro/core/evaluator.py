@@ -17,6 +17,7 @@ import numpy as np
 from repro.core.allocation import DiskAllocation
 from repro.core.cache import AllocationCache
 from repro.core.cost import (
+    Workload,
     optimal_response_time,
     optimal_times,
     response_times,
@@ -25,7 +26,7 @@ from repro.core.cost import (
 from repro.core.engine import ResponseTimeEngine
 from repro.core.exceptions import QueryError
 from repro.core.grid import Grid
-from repro.core.query import RangeQuery, shapes_with_area
+from repro.core.query import QueryBatch, shapes_with_area
 from repro.core.registry import scheme_label
 
 __all__ = [
@@ -75,21 +76,30 @@ class EvaluationResult:
 
 def evaluate_allocation_on_queries(
     allocation: DiskAllocation,
-    queries: Sequence[RangeQuery],
+    queries: Workload,
     scheme_name: str = "custom",
     engine: Optional[ResponseTimeEngine] = None,
 ) -> EvaluationResult:
-    """Evaluate an explicit query list against one allocation.
+    """Evaluate an explicit query list, or a query batch, on one allocation.
 
-    When ``engine`` is given the whole batch is answered through the
-    integral-image :meth:`~repro.core.engine.ResponseTimeEngine.batch_response_times`
-    path; results are bit-identical to the scalar per-query loop.
+    When ``engine`` is given, or ``queries`` is a
+    :class:`~repro.core.query.QueryBatch`, the whole batch is answered
+    through the integral-image
+    :meth:`~repro.core.engine.ResponseTimeEngine.batch_response_times`
+    path; results are bit-identical to the scalar per-query loop.  OPT
+    is the effective optimum of each query's part inside the grid (0
+    for a query entirely outside it), the same clipping the response
+    times use.
     """
-    queries = list(queries)
-    if not queries:
+    if isinstance(queries, QueryBatch):
+        batch = queries
+    else:
+        queries = list(queries)
+        batch = QueryBatch.from_queries(queries, allocation.grid)
+    if not len(batch):
         raise QueryError("workload contains no queries")
     times = response_times(allocation, queries, engine=engine)
-    optima = optimal_times(queries, allocation.num_disks)
+    optima = optimal_times(batch, allocation.num_disks)
     return EvaluationResult(
         scheme=scheme_name,
         num_queries=len(queries),
@@ -222,14 +232,17 @@ class SchemeEvaluator:
         return self._cache.engine(scheme_name, self._grid, self._num_disks)
 
     def evaluate_queries(
-        self, queries: Sequence[RangeQuery]
+        self, queries: Workload
     ) -> List[EvaluationResult]:
-        """All schemes against an explicit query list.
+        """All schemes against an explicit query list or query batch.
 
         Uses the cached engine's batch path (one fancy-indexing gather
-        per SAT corner for the whole list) unless ``use_engine=False``.
+        per SAT corner for the whole workload) unless
+        ``use_engine=False``; a :class:`~repro.core.query.QueryBatch` is
+        never expanded into query objects.
         """
-        queries = list(queries)
+        if not isinstance(queries, QueryBatch):
+            queries = list(queries)
         return [
             evaluate_allocation_on_queries(
                 self.allocation(name),

@@ -18,19 +18,22 @@ predicates into bucket intervals is the grid file's job
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.exceptions import QueryError
 from repro.core.grid import Coords, Grid
+from repro.obs.trace import trace
 
 __all__ = [
     "QueryBatch",
     "RangeQuery",
     "all_placements",
     "partial_match_query",
+    "placement_batch",
     "point_query",
     "query_at",
     "shapes_with_area",
@@ -166,16 +169,20 @@ class QueryBatch:
     Converting a sequence of :class:`RangeQuery` objects into ``(N, k)``
     bounds arrays is a per-query Python loop — for large batches it can
     cost as much as the kernel that answers them.  A ``QueryBatch`` does
-    that conversion **once**; the engine's batch methods accept it in
-    place of a query sequence, so repeated evaluations of the same
-    workload (benchmarks, backend comparisons, repeated experiments) pay
-    the conversion a single time.
+    that conversion **once**, or skips it: the workload builders
+    (:func:`placement_batch`, :func:`repro.workloads.queries.
+    random_shape_batch`, :func:`repro.workloads.queries.
+    partial_match_batch`) write the bounds arrays directly.  The engine,
+    the cost functions, the evaluator, the replica planner and the
+    open-system simulator accept a batch in place of a query sequence
+    and answer it without building a query object.
 
     Attributes
     ----------
     lo, hi:
         Clipped bounds, shape ``(N, k)`` int64 each, lower inclusive /
-        upper exclusive.  A query clipped to nothing has a zero-extent
+        upper exclusive, with ``0 <= lo <= hi <= dims`` (checked on
+        construction).  A query clipped to nothing has a zero-extent
         box (``hi == lo``), preserving the scalar path's 0-bucket
         semantics.
     dims:
@@ -196,6 +203,15 @@ class QueryBatch:
         if lo.shape[1] != len(dims):
             raise QueryError(
                 f"{lo.shape[1]}-d bounds do not match grid {dims}"
+            )
+        extents = np.asarray(dims, dtype=np.int64)
+        valid = (lo >= 0) & (lo <= hi) & (hi <= extents)
+        if not valid.all():
+            row = int(np.flatnonzero(~valid.all(axis=1))[0])
+            raise QueryError(
+                f"batch row {row} violates 0 <= lo <= hi <= dims: "
+                f"lo={lo[row].tolist()} hi={hi[row].tolist()} "
+                f"dims={tuple(dims)}"
             )
         self.lo = lo
         self.hi = hi
@@ -222,6 +238,33 @@ class QueryBatch:
         lo = np.minimum(lower, dims)
         hi = np.maximum(np.minimum(upper + 1, dims), lo)
         return cls(lo, hi, grid.dims)
+
+    @classmethod
+    def concatenate(cls, batches: Sequence["QueryBatch"]) -> "QueryBatch":
+        """The rows of ``batches`` in order, as one batch on their grid."""
+        if not batches:
+            raise QueryError("nothing to concatenate")
+        dims = batches[0].dims
+        if any(batch.dims != dims for batch in batches):
+            raise QueryError("cannot concatenate batches of different grids")
+        return cls(
+            np.concatenate([batch.lo for batch in batches]),
+            np.concatenate([batch.hi for batch in batches]),
+            dims,
+        )
+
+    def take(self, rows: Union[slice, np.ndarray]) -> "QueryBatch":
+        """The batch of the selected rows (a slice or an index array)."""
+        return QueryBatch(self.lo[rows], self.hi[rows], self.dims)
+
+    def iter_queries(self) -> Iterator[RangeQuery]:
+        """Each row as a :class:`RangeQuery`, lazily.
+
+        For callers that need query objects; a row clipped to nothing
+        has no query object and raises :class:`QueryError`.
+        """
+        for lower, upper in zip(self.lo.tolist(), self.hi.tolist()):
+            yield RangeQuery(lower, tuple(u - 1 for u in upper))
 
     def __len__(self) -> int:
         return int(self.lo.shape[0])
@@ -293,12 +336,13 @@ def query_at(origin: Sequence[int], shape: Sequence[int]) -> RangeQuery:
     return RangeQuery(origin, upper)
 
 
-def all_placements(grid: Grid, shape: Sequence[int]) -> Iterator[RangeQuery]:
+def placement_batch(grid: Grid, shape: Sequence[int]) -> QueryBatch:
     """Every placement of a query of the given shape inside the grid.
 
-    This is how the experiments compute *exact* average response times: the
-    mean over all placements replaces the paper's random sampling with a
-    zero-variance enumeration (feasible because cost evaluation is cheap).
+    Rows are in row-major origin order (the order of
+    :func:`all_placements`); a shape that does not fit gives an empty
+    batch.  The origins are one ``np.indices`` call; no query object is
+    built.
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) != grid.ndim:
@@ -307,12 +351,25 @@ def all_placements(grid: Grid, shape: Sequence[int]) -> Iterator[RangeQuery]:
         )
     if any(s <= 0 for s in shape):
         raise QueryError(f"query side lengths must be positive, got {shape}")
-    if any(s > d for s, d in zip(shape, grid.dims)):
-        return iter(())
-    origins = itertools.product(
-        *(range(d - s + 1) for s, d in zip(shape, grid.dims))
-    )
-    return (query_at(origin, shape) for origin in origins)
+    extents = tuple(max(d - s + 1, 0) for s, d in zip(shape, grid.dims))
+    count = math.prod(extents)
+    with trace("workload.batch", kind="placements", num_queries=count):
+        origins = np.indices(extents, dtype=np.int64).reshape(
+            grid.ndim, count
+        ).T
+        sides = np.asarray(shape, dtype=np.int64)
+        return QueryBatch(origins, origins + sides, grid.dims)
+
+
+def all_placements(grid: Grid, shape: Sequence[int]) -> Iterator[RangeQuery]:
+    """Every placement of a query of the given shape inside the grid.
+
+    This is how the experiments compute *exact* average response times: the
+    mean over all placements replaces the paper's random sampling with a
+    zero-variance enumeration (feasible because cost evaluation is cheap).
+    The query-object view of :func:`placement_batch`.
+    """
+    return placement_batch(grid, shape).iter_queries()
 
 
 def shapes_with_area(

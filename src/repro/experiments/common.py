@@ -15,12 +15,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.evaluator import SchemeEvaluator
 from repro.core.exceptions import WorkloadError
 from repro.core.grid import Grid
+from repro.core.query import QueryBatch, placement_batch
 from repro.core.registry import PAPER_SCHEMES, scheme_label
 
 __all__ = [
     "ExperimentResult",
     "default_area_sweep",
     "mean_rt_for_shapes",
+    "strided_placements",
     "sweep_shapes",
 ]
 
@@ -151,6 +153,23 @@ def sweep_shapes(
         optimal=optimal,
         config=full_config,
     )
+
+
+def strided_placements(
+    grid: Grid, shape: Sequence[int], max_placements: Optional[int]
+) -> QueryBatch:
+    """Every placement of ``shape``, thinned to ``max_placements`` rows.
+
+    A batch with more rows than ``max_placements`` keeps every
+    ``len // max_placements``-th row from the first, up to
+    ``max_placements`` of them — a deterministic stride that bounds the
+    exact planner's work.  ``None`` keeps every placement.
+    """
+    batch = placement_batch(grid, shape)
+    if max_placements is not None and len(batch) > max_placements:
+        stride = len(batch) // max_placements
+        batch = batch.take(slice(0, stride * max_placements, stride))
+    return batch
 
 
 def default_area_sweep(grid: Grid, max_area: Optional[int] = None) -> List[int]:

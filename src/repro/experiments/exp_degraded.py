@@ -30,9 +30,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.cache import global_cache
 from repro.core.exceptions import WorkloadError
 from repro.core.grid import Grid
-from repro.core.query import all_placements
 from repro.core.registry import PAPER_SCHEMES
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, strided_placements
 from repro.faults.degraded import (
     batch_degraded_response_times,
     batch_query_availability,
@@ -99,14 +98,11 @@ def run(
     replicated = chained_replication(allocations[schemes[0]])
 
     shape = (side,) * grid.ndim
-    placements = list(all_placements(grid, shape))
-    if not placements:
+    placements = strided_placements(grid, shape, max_placements)
+    if not len(placements):
         raise WorkloadError(
             f"query side {side} does not fit in grid {grid.dims}"
         )
-    if max_placements is not None and len(placements) > max_placements:
-        stride = len(placements) // max_placements
-        placements = placements[:: max(stride, 1)][:max_placements]
     area = side ** grid.ndim
 
     # The (N, M) disk-count matrix is scenario-independent, so the batch

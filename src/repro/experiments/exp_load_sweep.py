@@ -24,7 +24,7 @@ from repro.core.grid import Grid
 from repro.experiments.common import ExperimentResult
 from repro.simulation.disk import DiskModel
 from repro.simulation.open_system import saturation_sweep
-from repro.workloads.queries import random_queries_of_shape
+from repro.workloads.queries import random_shape_batch
 
 __all__ = [
     "DEFAULT_RATES",
@@ -50,9 +50,7 @@ def run(
     grid = Grid(grid_dims)
     schemes = list(schemes or DEFAULT_SCHEMES)
     shape = tuple(int(s) for s in shape)
-    queries = random_queries_of_shape(
-        grid, shape, num_queries, seed=seed
-    )
+    queries = random_shape_batch(grid, shape, num_queries, seed=seed)
     area = 1
     for side in shape:
         area *= side

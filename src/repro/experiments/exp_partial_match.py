@@ -23,6 +23,7 @@ from repro.core.grid import Grid
 from repro.core.query import RangeQuery, partial_match_query
 from repro.core.registry import PAPER_SCHEMES
 from repro.experiments.common import ExperimentResult
+from repro.workloads.queries import partial_match_batch
 
 __all__ = [
     "partial_match_queries_with",
@@ -34,20 +35,12 @@ __all__ = [
 def partial_match_queries_with(
     grid: Grid, num_specified: int
 ) -> list:
-    """Every PM query with exactly ``num_specified`` bound attributes."""
-    queries = []
-    for axes in itertools.combinations(range(grid.ndim), num_specified):
-        value_ranges = [
-            range(grid.dims[a]) if a in axes else [None]
-            for a in range(grid.ndim)
-        ]
-        for values in itertools.product(*value_ranges):
-            spec = [
-                values[a] if a in axes else None
-                for a in range(grid.ndim)
-            ]
-            queries.append(partial_match_query(grid, spec))
-    return queries
+    """Every PM query with exactly ``num_specified`` bound attributes.
+
+    The query-object view of
+    :func:`repro.workloads.queries.partial_match_batch`.
+    """
+    return list(partial_match_batch(grid, num_specified).iter_queries())
 
 
 def run(
@@ -67,8 +60,8 @@ def run(
     series = {name: [] for name in schemes}
     optimal = []
     for num_specified in range(1, grid.ndim):
-        queries = partial_match_queries_with(grid, num_specified)
-        results = evaluator.evaluate_queries(queries)
+        batch = partial_match_batch(grid, num_specified)
+        results = evaluator.evaluate_queries(batch)
         x_values.append(num_specified)
         optimal.append(results[0].mean_optimal)
         for result in results:

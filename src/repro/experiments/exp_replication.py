@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 from repro.core.cache import global_cache
 from repro.core.cost import optimal_response_time
 from repro.core.grid import Grid
-from repro.core.query import all_placements
-from repro.experiments.common import ExperimentResult
+from repro.core.query import QueryBatch
+from repro.experiments.common import ExperimentResult, strided_placements
 from repro.replication.allocation import (
     chained_replication,
     orthogonal_replication,
@@ -68,11 +68,8 @@ def run(
     placements_by_side = []
     for side in sides:
         shape = (side,) * grid.ndim
-        placements = list(all_placements(grid, shape))
-        if max_placements is not None and len(placements) > max_placements:
-            stride = len(placements) // max_placements
-            placements = placements[:: max(stride, 1)][:max_placements]
-        if not placements:
+        placements = strided_placements(grid, shape, max_placements)
+        if not len(placements):
             raise ValueError(
                 f"side {side} does not fit in grid {grid.dims}"
             )
@@ -94,7 +91,7 @@ def run(
     # Each replicated layout plans every side's placements in one batch.
     # Healthy planned times are whole numbers, so the float sums are
     # exact and each mean equals the old sum-of-ints division.
-    everything = [q for group in placements_by_side for q in group]
+    everything = QueryBatch.concatenate(placements_by_side)
     for name, replicated in (("dm+chain", chained), ("dm+hcam", orthogonal)):
         times = plan_batch(replicated, everything, method)[0][0]
         start = 0

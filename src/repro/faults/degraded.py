@@ -22,14 +22,17 @@ availability helpers below that consult both copies.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from repro.core.allocation import DiskAllocation
-from repro.core.cost import buckets_per_disk, optimal_response_time
+from repro.core.cost import (
+    Workload,
+    batch_disk_counts,
+    buckets_per_disk,
+    optimal_response_time,
+)
 from repro.core.exceptions import FaultError
-from repro.core.query import RangeQuery
+from repro.core.query import QueryBatch, RangeQuery
 from repro.faults.models import FaultScenario
 from repro.replication.allocation import ReplicatedAllocation
 
@@ -140,21 +143,26 @@ def query_is_available(
 
 def availability(
     allocation: DiskAllocation,
-    queries: Iterable[RangeQuery],
+    queries: Workload,
     scenario: FaultScenario,
 ) -> float:
     """Fraction of ``queries`` answerable in full under ``scenario``.
 
-    1.0 for an empty workload by convention (nothing was lost).
+    1.0 for an empty workload by convention (nothing was lost).  One
+    :func:`~repro.core.cost.batch_disk_counts` call and
+    :func:`batch_query_availability`; :func:`query_is_available` is the
+    per-query oracle.  ``queries`` is a query list or a
+    :class:`~repro.core.query.QueryBatch`.
     """
-    queries = list(queries)
-    if not queries:
+    if not isinstance(queries, QueryBatch):
+        queries = list(queries)
+    if not len(queries):
         return 1.0
-    answered = sum(
-        1
-        for query in queries
-        if query_is_available(allocation, query, scenario)
-    )
+    _check_scenario(allocation.num_disks, scenario)
+    if not scenario.failed:
+        return 1.0
+    counts = batch_disk_counts(allocation, queries)
+    answered = int(batch_query_availability(counts, scenario).sum())
     return answered / len(queries)
 
 
@@ -192,7 +200,7 @@ def replicated_query_is_available(
 
 def replicated_availability(
     replicated: ReplicatedAllocation,
-    queries: Iterable[RangeQuery],
+    queries: Workload,
     scenario: FaultScenario,
 ) -> float:
     """Fraction of ``queries`` with every bucket reachable under faults.
@@ -200,19 +208,22 @@ def replicated_availability(
     One batched plan (:func:`repro.replication.planner.plan_batch`): a
     query is available when it loses no bucket.
     :func:`replicated_query_is_available` is the per-query oracle.
+    ``queries`` is a query list or a
+    :class:`~repro.core.query.QueryBatch`.
     """
     from repro.replication.planner import plan_batch
 
     _check_scenario(replicated.num_disks, scenario)
-    queries = list(queries)
-    if not queries:
+    if not isinstance(queries, QueryBatch):
+        queries = list(queries)
+        for query in queries:
+            if query.ndim != replicated.grid.ndim:
+                raise FaultError(
+                    f"{query.ndim}-d query does not match "
+                    f"{replicated.grid.ndim}-d allocation"
+                )
+    if not len(queries):
         return 1.0
-    for query in queries:
-        if query.ndim != replicated.grid.ndim:
-            raise FaultError(
-                f"{query.ndim}-d query does not match "
-                f"{replicated.grid.ndim}-d allocation"
-            )
     lost = plan_batch(replicated, queries, scenarios=[scenario])[1][0]
     return int((lost == 0).sum()) / len(queries)
 

@@ -70,7 +70,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -556,7 +556,7 @@ def _hall_plan(
 
 def plan_batch(
     replicated: ReplicatedAllocation,
-    queries: Sequence[RangeQuery],
+    queries: Union[Sequence[RangeQuery], QueryBatch],
     method: str = "flow",
     scenarios: Sequence[Optional[FaultScenario]] = (None,),
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -567,15 +567,27 @@ def plan_batch(
     ``plan_query(replicated, queries[i], method, scenarios[k])``'s
     :attr:`~QueryPlan.completion_time` (float64, bit for bit) and
     :attr:`~QueryPlan.num_lost`.  ``None`` is the healthy scenario.
+    ``queries`` is a query list or a :class:`~repro.core.query.QueryBatch`
+    on the allocation's grid.
 
     Exact planning on at most :data:`HALL_MAX_DISKS` disks counts the
     pair classes once for the whole batch and reads every scenario's
     optimum off Hall's condition (``_hall_plan``); anything else plans
-    query by query.  No bucket assignment is built either way.
+    row by row, each row's clipped box as the query (a row clipped to
+    nothing plans to time 0 with nothing lost).  No bucket assignment
+    is built either way.
     """
     _validate(replicated, method, scenarios)
     num_disks = replicated.num_disks
-    batch = QueryBatch.from_queries(queries, replicated.grid)
+    if isinstance(queries, QueryBatch):
+        batch = queries
+        if batch.dims != replicated.grid.dims:
+            raise QueryError(
+                f"batch clipped for grid {batch.dims} does not match "
+                f"allocation grid {replicated.grid.dims}"
+            )
+    else:
+        batch = QueryBatch.from_queries(queries, replicated.grid)
     shape = (len(scenarios), len(batch))
     times = np.zeros(shape, dtype=np.float64)
     lost = np.zeros(shape, dtype=np.int64)
@@ -595,8 +607,12 @@ def plan_batch(
                     counts, scenario or FaultScenario.healthy(num_disks)
                 )
             return times, lost
+        nonempty = np.flatnonzero((batch.hi > batch.lo).all(axis=1))
+        rows = list(
+            zip(nonempty.tolist(), batch.take(nonempty).iter_queries())
+        )
         for k, scenario in enumerate(scenarios):
-            for i, query in enumerate(queries):
+            for i, query in rows:
                 plan = plan_query(replicated, query, method, scenario)
                 times[k, i] = plan.completion_time
                 lost[k, i] = plan.num_lost

@@ -36,9 +36,9 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.allocation import DiskAllocation
-from repro.core.cost import batch_disk_counts
+from repro.core.cost import Workload, batch_disk_counts
 from repro.core.exceptions import SimulationError
-from repro.core.query import RangeQuery
+from repro.core.query import QueryBatch
 from repro.obs.trace import trace
 from repro.simulation.disk import DiskModel
 
@@ -110,13 +110,18 @@ class OpenSystemSimulator:
 
     def run(
         self,
-        queries: Sequence[RangeQuery],
+        queries: Workload,
         arrivals_ms: Sequence[float],
     ) -> OpenSystemReport:
-        """Simulate the arrival stream; queries must be arrival-ordered."""
-        queries = list(queries)
+        """Simulate the arrival stream; queries must be arrival-ordered.
+
+        ``queries`` is a query list or a
+        :class:`~repro.core.query.QueryBatch` (answered on the engine).
+        """
+        if not isinstance(queries, QueryBatch):
+            queries = list(queries)
         arrivals = np.asarray(arrivals_ms, dtype=np.float64)
-        if not queries:
+        if not len(queries):
             raise SimulationError("query stream is empty")
         if arrivals.shape != (len(queries),):
             raise SimulationError(
@@ -179,20 +184,22 @@ def _fifo_reports(
 
 def saturation_sweep(
     allocation: DiskAllocation,
-    queries: Sequence[RangeQuery],
+    queries: Workload,
     rates_per_second: Sequence[float],
     disk: DiskModel = DiskModel(),
     seed=0,
 ) -> List[OpenSystemReport]:
-    """Run the same query list at several Poisson arrival rates.
+    """Run the same workload at several Poisson arrival rates.
 
     One report per rate; the arrival process is re-drawn per rate with
     the same seed so the only varying factor is the load level.  The
     counts and service times are computed once and every rate runs
-    through the same FIFO pass.
+    through the same FIFO pass.  ``queries`` is a query list or a
+    :class:`~repro.core.query.QueryBatch` (answered on the engine).
     """
-    queries = list(queries)
-    if not queries:
+    if not isinstance(queries, QueryBatch):
+        queries = list(queries)
+    if not len(queries):
         raise SimulationError("query stream is empty")
     rates = list(rates_per_second)
     with trace(

@@ -16,9 +16,11 @@ from repro.workloads.summary import (
 from repro.workloads.queries import (
     aspect_ratio_shapes,
     exhaustive_workload,
+    partial_match_batch,
     random_partial_match_queries,
     random_queries_of_shape,
     random_range_queries,
+    random_shape_batch,
     square_shape,
     zipf_placed_queries,
 )
@@ -29,7 +31,9 @@ __all__ = [
     "exhaustive_workload",
     "random_range_queries",
     "random_queries_of_shape",
+    "random_shape_batch",
     "random_partial_match_queries",
+    "partial_match_batch",
     "zipf_placed_queries",
     "Dataset",
     "uniform_dataset",

@@ -10,11 +10,19 @@ Two styles, matching how the paper sweeps its parameters:
   enumeration is not the point (mixed sizes, skewed placement, partial
   match).  All generators take an explicit ``rng`` or ``seed`` so every
   experiment is reproducible.
+
+The experiments' workloads come from the array builders —
+:func:`repro.core.query.placement_batch`, :func:`random_shape_batch` and
+:func:`partial_match_batch` — which write a
+:class:`~repro.core.query.QueryBatch`'s bounds with one vectorised
+origin rule each and build no query object.  The list generators of the
+same workloads are views over them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -22,19 +30,23 @@ import numpy as np
 from repro.core.exceptions import WorkloadError
 from repro.core.grid import Grid
 from repro.core.query import (
+    QueryBatch,
     RangeQuery,
     all_placements,
     partial_match_query,
     query_at,
     shapes_with_area,
 )
+from repro.obs.trace import trace
 
 __all__ = [
     "aspect_ratio_shapes",
     "exhaustive_workload",
+    "partial_match_batch",
     "random_partial_match_queries",
     "random_queries_of_shape",
     "random_range_queries",
+    "random_shape_batch",
     "square_shape",
     "zipf_placed_queries",
 ]
@@ -114,13 +126,18 @@ def random_range_queries(
     return queries
 
 
-def random_queries_of_shape(
+def random_shape_batch(
     grid: Grid,
     shape: Sequence[int],
     count: int,
     seed=0,
-) -> List[RangeQuery]:
-    """Random placements of one fixed shape (sampled with replacement)."""
+) -> QueryBatch:
+    """Random placements of one fixed shape (sampled with replacement).
+
+    The origins are one ``rng.integers(0, highs, size=(count, k))``
+    call, which draws the same values, and leaves the generator in the
+    same state, as ``count * k`` scalar draws in row-major order.
+    """
     if count <= 0:
         raise WorkloadError(f"query count must be positive, got {count}")
     shape = tuple(int(s) for s in shape)
@@ -133,14 +150,58 @@ def random_queries_of_shape(
             f"shape {shape} does not fit in grid {grid.dims}"
         )
     rng = _rng_from(seed)
-    queries = []
-    for _ in range(count):
-        origin = [
-            int(rng.integers(0, d - s + 1))
-            for s, d in zip(shape, grid.dims)
-        ]
-        queries.append(query_at(origin, shape))
-    return queries
+    with trace("workload.batch", kind="random", num_queries=count):
+        sides = np.asarray(shape, dtype=np.int64)
+        highs = np.asarray(grid.dims, dtype=np.int64) - sides + 1
+        origins = rng.integers(0, highs, size=(count, grid.ndim))
+        return QueryBatch(origins, origins + sides, grid.dims)
+
+
+def random_queries_of_shape(
+    grid: Grid,
+    shape: Sequence[int],
+    count: int,
+    seed=0,
+) -> List[RangeQuery]:
+    """Random placements of one fixed shape (sampled with replacement).
+
+    The query-object view of :func:`random_shape_batch`.
+    """
+    return list(random_shape_batch(grid, shape, count, seed).iter_queries())
+
+
+def partial_match_batch(grid: Grid, num_specified: int) -> QueryBatch:
+    """Every partial-match query with exactly ``num_specified`` bound axes.
+
+    One block per set of bound axes, in ``itertools.combinations``
+    order; within a block the bound values run row-major (one
+    ``np.indices`` call) and the free axes span their whole domain.
+    """
+    ndim = grid.ndim
+    if not 0 <= num_specified <= ndim:
+        raise WorkloadError(
+            f"num_specified {num_specified} outside [0, {ndim}]"
+        )
+    combos = list(itertools.combinations(range(ndim), num_specified))
+    sizes = [math.prod(grid.dims[a] for a in axes) for axes in combos]
+    with trace(
+        "workload.batch", kind="partial_match", num_queries=sum(sizes)
+    ):
+        dims = np.asarray(grid.dims, dtype=np.int64)
+        lows, highs = [], []
+        for axes, size in zip(combos, sizes):
+            values = np.indices(
+                [grid.dims[a] for a in axes], dtype=np.int64
+            ).reshape(len(axes), size).T
+            lo = np.zeros((size, ndim), dtype=np.int64)
+            hi = np.repeat(dims[np.newaxis, :], size, axis=0)
+            lo[:, axes] = values
+            hi[:, axes] = values + 1
+            lows.append(lo)
+            highs.append(hi)
+        return QueryBatch(
+            np.concatenate(lows), np.concatenate(highs), grid.dims
+        )
 
 
 def random_partial_match_queries(

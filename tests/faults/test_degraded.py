@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.cost import buckets_per_disk, response_time
+from repro.core.cost import BATCH_THRESHOLD, buckets_per_disk, response_time
 from repro.core.exceptions import FaultError
 from repro.core.grid import Grid
-from repro.core.query import all_placements, query_at
+from repro.core.query import QueryBatch, RangeQuery, all_placements, query_at
 from repro.core.registry import get_scheme
 from repro.faults.degraded import (
     availability,
@@ -112,6 +112,44 @@ class TestAvailability:
 
     def test_empty_workload_is_fully_available(self, dm):
         assert availability(dm, [], FaultScenario(4, [FailStop(0)])) == 1.0
+
+
+def _availability_workload(grid, count, seed):
+    """Inside, overhanging and wholly outside queries."""
+    rng = np.random.default_rng(seed)
+    queries = []
+    for _ in range(count):
+        lower = [int(rng.integers(0, d + 2)) for d in grid.dims]
+        upper = [lo + int(rng.integers(0, 4)) for lo in lower]
+        queries.append(RangeQuery(tuple(lower), tuple(upper)))
+    queries.append(RangeQuery((6, 6), (12, 12)))
+    queries.append(RangeQuery((9, 9), (10, 10)))
+    return queries
+
+
+class TestBatchedAvailability:
+    """``availability`` (one batch) against the per-query oracle."""
+
+    @pytest.mark.parametrize(
+        "count", [0, 3, BATCH_THRESHOLD - 3, BATCH_THRESHOLD, 60]
+    )
+    @pytest.mark.parametrize(
+        "failed", [(), (0,), (1, 3), (0, 1, 2, 3)]
+    )
+    def test_matches_query_is_available(self, dm, grid, count, failed):
+        queries = _availability_workload(grid, count, seed=count)
+        scenario = FaultScenario(4, [FailStop(list(failed))] if failed else [])
+        answered = sum(
+            query_is_available(dm, query, scenario) for query in queries
+        )
+        expected = answered / len(queries)
+        assert availability(dm, queries, scenario) == expected
+        batch = QueryBatch.from_queries(queries, grid)
+        assert availability(dm, batch, scenario) == expected
+
+    def test_scenario_size_checked(self, dm):
+        with pytest.raises(FaultError):
+            availability(dm, [query_at((0, 0), (2, 2))], FaultScenario(8))
 
 
 class TestReplicatedAvailability:

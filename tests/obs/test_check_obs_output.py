@@ -1,4 +1,4 @@
-"""The X5 sweep-span leg of ``scripts/check_obs_output.py``."""
+"""The span legs of ``scripts/check_obs_output.py``."""
 
 import importlib.util
 from pathlib import Path
@@ -46,3 +46,42 @@ def test_one_sweep_per_scheme(checker, num_sweeps):
     else:
         assert len(errors) == 1
         assert f"holds {num_sweeps} simulation.sweep" in errors[0]
+
+
+def batch_trace(missing=(), attrs=None):
+    spans = []
+    for index, key in enumerate(("X4", "X5", "X7", "EPM", "E1")):
+        spans.append(span(f"1-{index}", "runner.experiment", key=key))
+        if key not in missing:
+            spans.append(span(f"1-p{index}", "plan", f"1-{index}"))
+            spans.append(span(
+                f"1-b{index}", "workload.batch", f"1-p{index}",
+                **(attrs or {"kind": "placements", "num_queries": 4}),
+            ))
+    return spans
+
+
+def test_batch_spans_present(checker):
+    errors = []
+    checker.check_batch_spans("t.jsonl", batch_trace(missing=("E1",)), errors)
+    assert errors == []
+
+
+@pytest.mark.parametrize("key", ["X4", "X5", "X7", "EPM"])
+def test_batch_span_missing_under_an_experiment(checker, key):
+    errors = []
+    checker.check_batch_spans("t.jsonl", batch_trace(missing=(key,)), errors)
+    assert len(errors) == 1
+    assert f"{key} experiment span" in errors[0]
+
+
+@pytest.mark.parametrize(
+    "attrs",
+    [{"kind": "placements"}, {"kind": "other", "num_queries": 3},
+     {"num_queries": 3}],
+)
+def test_batch_span_attrs_required(checker, attrs):
+    errors = []
+    checker.check_batch_spans("t.jsonl", batch_trace(attrs=attrs), errors)
+    assert len(errors) == 5
+    assert all("workload.batch span" in error for error in errors)

@@ -6,7 +6,13 @@ import pytest
 from repro.core.cost import optimal_response_time, response_time
 from repro.core.exceptions import QueryError
 from repro.core.grid import Grid
-from repro.core.query import RangeQuery, all_placements, query_at
+from repro.core.query import (
+    QueryBatch,
+    RangeQuery,
+    all_placements,
+    placement_batch,
+    query_at,
+)
 from repro.core.registry import get_scheme
 from repro.faults.degraded import degraded_optimal_response_time
 from repro.faults.models import FailStop, FaultScenario, Slowdown
@@ -749,6 +755,30 @@ class TestBatchPlanner:
         assert _batch_paths(
             chained_dm, queries, scenarios=[None] * 3
         ) == [("hall", 50, 8)]
+
+    @pytest.mark.parametrize(
+        "num_disks, method",
+        [(5, "flow"), (13, "flow"), (5, "greedy")],
+    )
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_batch_input_matches_the_list(self, ndim, num_disks, method):
+        # The per-query fallback (greedy, or more than 12 disks) reads
+        # rows from the batch, rows clipped to nothing included.
+        rng = np.random.default_rng(8000 + 10 * ndim + num_disks)
+        replicated = _random_layout(rng, ndim, num_disks, "orthogonal")
+        queries = _random_batch(rng, replicated.grid, count=6)
+        batch = QueryBatch.from_queries(queries, replicated.grid)
+        scenarios = _batch_scenarios(rng, num_disks)
+        from_batch = plan_batch(replicated, batch, method, scenarios)
+        from_list = plan_batch(replicated, queries, method, scenarios)
+        for ours, theirs in zip(from_batch, from_list):
+            np.testing.assert_array_equal(ours, theirs)
+        _assert_batch_matches(replicated, queries, scenarios, method)
+
+    def test_batch_for_another_grid_rejected(self, chained_dm):
+        batch = placement_batch(Grid((8, 8)), (2, 2))
+        with pytest.raises(QueryError, match="does not match"):
+            plan_batch(chained_dm, batch)
 
     def test_invalid_arguments_rejected(self, chained_dm):
         query = query_at((0, 0), (2, 2))
