@@ -57,6 +57,9 @@ run_step "resume round-trip" python scripts/smoke_resume.py
 # kill-at-tile-boundary -> byte-identical resume, on-disk corruption ->
 # detected + rebuilt, compile fault -> numpy-reference degradation.
 run_step "chaos smoke (I/O fault injection)" python scripts/smoke_chaos.py
+# Doctor sweep: whatever corrupt or stale SAT spills and kernel-cache
+# entries are left behind get classified and removed.
+run_step "doctor --gc" python -m repro doctor --gc
 # Serving smoke: boot the real `repro serve` daemon, check a batch
 # byte for byte, get a degraded_plan with offset=-1 answered, SIGTERM-
 # drain with exit 0, and prove the traffic in the metrics export (the
@@ -91,6 +94,9 @@ run_step "obs smoke (instrumented run + injected retry)" \
 run_step "obs output check" \
     python scripts/check_obs_output.py \
         "${obs_tmp}/trace.jsonl" "${obs_tmp}/metrics.json" --expect-retry
+run_step "obs summary" \
+    python -m repro obs summary \
+        --metrics "${obs_tmp}/metrics.json" --trace "${obs_tmp}/trace.jsonl"
 rm -rf "${obs_tmp}"
 
 if [ "${failed}" -ne 0 ]; then

@@ -24,7 +24,7 @@ from repro.core.exceptions import (
     WorkloadError,
 )
 from repro.core.grid import Grid
-from repro.core.query import RangeQuery
+from repro.core.query import QueryBatch, RangeQuery
 from repro.core.registry import get_scheme, scheme_label
 
 __all__ = [
@@ -92,6 +92,7 @@ def advise(
     queries = list(queries)
     if not queries:
         raise WorkloadError("the advisor needs a non-empty workload")
+    batch = QueryBatch.of(queries, grid)
     names = list(candidates or DEFAULT_CANDIDATES)
     if include_workload_aware and "workload-aware" not in names:
         names.append("workload-aware")
@@ -109,7 +110,7 @@ def advise(
         except SchemeNotApplicableError:
             continue  # e.g. ECC on a non-power-of-two configuration
         result = evaluate_allocation_on_queries(
-            allocation, queries, scheme_name=name
+            allocation, batch, scheme_name=name
         )
         recommendations.append(
             Recommendation(

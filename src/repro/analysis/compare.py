@@ -22,7 +22,7 @@ from repro.core.exceptions import (
     WorkloadError,
 )
 from repro.core.grid import Grid
-from repro.core.query import RangeQuery
+from repro.core.query import QueryBatch, RangeQuery
 from repro.core.registry import get_scheme, scheme_label
 
 __all__ = [
@@ -79,8 +79,8 @@ def dominance_matrix(
     """
     from repro.core.registry import PAPER_SCHEMES
 
-    queries = list(queries)
-    if not queries:
+    batch = QueryBatch.of(queries, grid)
+    if not len(batch):
         raise WorkloadError("workload contains no queries")
     names: List[str] = []
     times: Dict[str, np.ndarray] = {}
@@ -90,7 +90,7 @@ def dominance_matrix(
         except SchemeNotApplicableError:
             continue
         names.append(name)
-        times[name] = response_times(allocation, queries)
+        times[name] = response_times(allocation, batch)
     if len(names) < 2:
         raise WorkloadError(
             "need at least two applicable schemes to compare, got "
@@ -108,7 +108,7 @@ def dominance_matrix(
                     (times[a] < times[b]).mean()
                 )
     return DominanceMatrix(
-        schemes=tuple(names), wins=wins, num_queries=len(queries)
+        schemes=tuple(names), wins=wins, num_queries=len(batch)
     )
 
 

@@ -684,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "print allocation-cache counters plus per-entry table dtype, "
-            "sizes, and shared-memory residency to stderr"
+            "sizes, and mapped/resident bytes to stderr"
         ),
     )
     p_exp.add_argument(
@@ -692,7 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help=(
-            "record spans (experiments, engine, shared memory, retries) "
+            "record spans (experiments, engine, planner, simulator, "
+            "retries) "
             "and write them as JSONL to FILE"
         ),
     )
@@ -853,8 +854,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         metavar="N",
         help=(
-            "batch requests in flight before the server sheds to the "
-            "scalar path (answers stay byte-identical)"
+            "batch requests on the thread pool before the server sheds "
+            "further batches, answering them inline (same answers)"
         ),
     )
     p_serve.add_argument(

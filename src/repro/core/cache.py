@@ -370,8 +370,10 @@ class AllocationCache:
         """Export the counters into an obs metrics registry.
 
         Sets the ``cache.*`` counters to the cache's *cumulative* values
-        (rather than incrementing), matching the cumulative-snapshot
-        semantics of :meth:`repro.obs.metrics.MetricsRegistry.payload`.
+        with :meth:`repro.obs.metrics.MetricsRegistry.set_counter`
+        (rather than incrementing), so the snapshot
+        :meth:`~repro.obs.metrics.MetricsRegistry.to_json_dict` writes
+        holds the totals.
         Called at publication points (end of a CLI run, a daemon's
         drain), never on the lookup hot path, so instrumentation stays
         free when unused.

@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "BATCH_THRESHOLD",
-    "Workload",
     "additive_deviation",
     "average_response_time",
     "batch_disk_counts",
@@ -129,86 +128,85 @@ def relative_deviation(allocation: DiskAllocation, query: RangeQuery) -> float:
     return (response_time(allocation, query) - opt) / opt
 
 
-#: List size from which ``response_times`` and ``batch_disk_counts``
-#: build a summed-area-table engine instead of looping: below this the
-#: per-query bincount loop is cheaper than the one-time SAT
-#: precomputation.  A :class:`~repro.core.query.QueryBatch` always takes
-#: the engine.  Results are bit-identical either way, so the threshold
-#: only moves time around.
+#: Batch size from which ``response_times`` and ``batch_disk_counts``
+#: build a summed-area-table engine when none is given: a smaller batch
+#: is counted one table slice per row, which is cheaper than the
+#: one-time SAT precomputation.  Query lists and
+#: :class:`~repro.core.query.QueryBatch` inputs follow the same rule
+#: (both pass :meth:`~repro.core.query.QueryBatch.of` first), and the
+#: results are bit-identical either way, so the threshold only moves
+#: time around.
 BATCH_THRESHOLD = 16
-
-#: A workload argument: query objects, or a prebuilt bounds batch.
-Workload = Union[Iterable[RangeQuery], QueryBatch]
 
 
 def _batch_engine(
     allocation: DiskAllocation,
-    queries: Union[Sequence[RangeQuery], QueryBatch],
+    batch: QueryBatch,
     engine: Optional["ResponseTimeEngine"],
 ) -> Optional["ResponseTimeEngine"]:
-    """``engine``, or one built on the fly for a workload that warrants it.
-
-    A batch always gets an engine (it is never expanded back into query
-    objects); a query list does from :data:`BATCH_THRESHOLD` queries.
-    """
-    if engine is None and (
-        isinstance(queries, QueryBatch) or len(queries) >= BATCH_THRESHOLD
-    ):
+    """``engine``, or one built on the fly for a batch that warrants it."""
+    if engine is None and len(batch) >= BATCH_THRESHOLD:
         from repro.core.engine import ResponseTimeEngine
 
         engine = ResponseTimeEngine(allocation)
     return engine
 
 
+def _sliced_counts(
+    allocation: DiskAllocation, batch: QueryBatch
+) -> np.ndarray:
+    """Per-disk counts of a small batch, one table slice per row."""
+    num_disks = allocation.num_disks
+    counts = np.zeros((len(batch), num_disks), dtype=np.int64)
+    rows = zip(batch.lo.tolist(), batch.hi.tolist())
+    for row, (lower, upper) in enumerate(rows):
+        region = allocation.table[tuple(map(slice, lower, upper))]
+        counts[row] = np.bincount(region.ravel(), minlength=num_disks)
+    return counts
+
+
 def response_times(
     allocation: DiskAllocation,
-    queries: Workload,
+    queries: Union[Iterable[RangeQuery], QueryBatch],
     engine: Optional["ResponseTimeEngine"] = None,
 ) -> np.ndarray:
     """Vector of response times, one per query.
 
-    When ``engine`` (a :class:`~repro.core.engine.ResponseTimeEngine`
-    built on the same allocation) is given, the whole batch is answered
-    through its summed-area table with no per-query Python loop; with no
-    engine one is built on the fly for a
-    :class:`~repro.core.query.QueryBatch` or once a query list reaches
-    :data:`BATCH_THRESHOLD` queries.  All three paths are bit-identical —
-    the scalar loop stays the reference oracle.
+    ``queries`` (a query iterable or a
+    :class:`~repro.core.query.QueryBatch`) passes
+    :meth:`~repro.core.query.QueryBatch.of` once.  When ``engine`` (a
+    :class:`~repro.core.engine.ResponseTimeEngine` built on the same
+    allocation) is given, the whole batch is answered through its
+    summed-area table; with no engine one is built on the fly from
+    :data:`BATCH_THRESHOLD` rows, and a smaller batch is counted slice
+    by slice.  Every path is bit-identical to the scalar
+    :func:`response_time` oracle.
     """
-    if not isinstance(queries, QueryBatch):
-        queries = list(queries)
-    engine = _batch_engine(allocation, queries, engine)
+    batch = QueryBatch.of(queries, allocation.grid)
+    engine = _batch_engine(allocation, batch, engine)
     if engine is not None:
-        return engine.batch_response_times(queries)
-    return np.fromiter(
-        (response_time(allocation, q) for q in queries),
-        dtype=np.int64,
-        count=len(queries),
-    )
+        return engine.batch_response_times(batch)
+    return _sliced_counts(allocation, batch).max(axis=1)
 
 
 def batch_disk_counts(
     allocation: DiskAllocation,
-    queries: Workload,
+    queries: Union[Iterable[RangeQuery], QueryBatch],
     engine: Optional["ResponseTimeEngine"] = None,
 ) -> np.ndarray:
     """Per-query per-disk bucket counts, int64 of shape ``(N, M)``.
 
     Row ``n`` is :func:`buckets_per_disk` of ``queries[n]`` (clipping
-    included).  Same engine rule as :func:`response_times`: the given
-    engine, or one built for a batch or a list of
-    :data:`BATCH_THRESHOLD` or more queries, answers it with one corner
-    gather; smaller lists stack the scalar oracle.
+    included).  Same size rule as :func:`response_times`: the given
+    engine, or one built for :data:`BATCH_THRESHOLD` or more rows,
+    answers it with one corner gather; a smaller batch is counted slice
+    by slice.
     """
-    if not isinstance(queries, QueryBatch):
-        queries = list(queries)
-    engine = _batch_engine(allocation, queries, engine)
+    batch = QueryBatch.of(queries, allocation.grid)
+    engine = _batch_engine(allocation, batch, engine)
     if engine is not None:
-        return engine.batch_disk_counts(queries)
-    rows = [buckets_per_disk(allocation, query) for query in queries]
-    return np.array(rows, dtype=np.int64).reshape(
-        len(queries), allocation.num_disks
-    )
+        return engine.batch_disk_counts(batch)
+    return _sliced_counts(allocation, batch)
 
 
 def optimal_times(
@@ -325,19 +323,24 @@ def placements_at_optimal(
 def per_query_costs(
     allocation: DiskAllocation, queries: Sequence[RangeQuery]
 ) -> List[dict]:
-    """RT, OPT and deviations for each query — handy for reports and tests."""
-    rows = []
-    for query in queries:
-        rt = response_time(allocation, query)
-        opt = _effective_optimal(allocation, query)
-        rows.append(
-            {
-                "query": query,
-                "buckets": query.num_buckets,
-                "response_time": rt,
-                "optimal": opt,
-                "additive_deviation": rt - opt,
-                "relative_deviation": (rt - opt) / opt if opt else 0.0,
-            }
-        )
-    return rows
+    """RT, OPT and deviations for each query — handy for reports and tests.
+
+    ``buckets``, the response time and OPT all count the query's
+    buckets inside the grid.
+    """
+    queries = list(queries)
+    batch = QueryBatch.of(queries, allocation.grid)
+    buckets = np.prod(batch.hi - batch.lo, axis=1).tolist()
+    times = response_times(allocation, batch).tolist()
+    optima = optimal_times(batch, allocation.num_disks).tolist()
+    return [
+        {
+            "query": query,
+            "buckets": size,
+            "response_time": rt,
+            "optimal": opt,
+            "additive_deviation": rt - opt,
+            "relative_deviation": (rt - opt) / opt if opt else 0.0,
+        }
+        for query, size, rt, opt in zip(queries, buckets, times, optima)
+    ]

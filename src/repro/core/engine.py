@@ -34,7 +34,7 @@ a contract (QA42x) and the scalar kernel remains the reference oracle.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,9 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "ResponseTimeEngine",
 ]
-
-#: A batch argument: either raw queries or pre-clipped bounds.
-Queries = Union[Sequence[RangeQuery], QueryBatch]
 
 _NUMPY_REFERENCE = NumpyBackend()
 
@@ -238,42 +235,26 @@ class ResponseTimeEngine:
     # Batched rectangle queries
     # ------------------------------------------------------------------
 
-    def _batch_bounds(
-        self, queries: Queries
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Clipped half-open bounds of a query batch.
-
-        Returns ``(lo, hi)`` of shape ``(N, k)`` each: the queries
-        intersected with the grid, lower inclusive / upper exclusive.  A
-        query clipped to nothing gets a zero-extent box (``hi == lo``), so
-        every downstream inclusion–exclusion term cancels exactly — the
-        same 0-bucket semantics the scalar path's ``clip_to`` produces.
-        A prebuilt :class:`~repro.core.query.QueryBatch` skips the
-        conversion entirely.
-        """
-        grid = self._sat.grid
-        if isinstance(queries, QueryBatch):
-            if queries.dims != grid.dims:
-                raise QueryError(
-                    f"batch clipped for grid {queries.dims} does not "
-                    f"match engine grid {grid.dims}"
-                )
-            return queries.lo, queries.hi
-        batch = QueryBatch.from_queries(queries, grid)
-        return batch.lo, batch.hi
-
-    def batch_disk_counts(self, queries: Queries) -> np.ndarray:
+    def batch_disk_counts(
+        self, queries: Union[Iterable[RangeQuery], QueryBatch]
+    ) -> np.ndarray:
         """Per-query per-disk bucket counts, shape ``(N, M)``.
 
         Row ``n`` equals :func:`repro.core.cost.buckets_per_disk` for
         ``queries[n]`` (clipping included).  The whole batch is answered
         with one gather per SAT corner — ``2^k`` kernel operations
-        regardless of N, on whichever backend is active.
+        regardless of N, on whichever backend is active.  Like every
+        ``batch_*`` method, ``queries`` passes
+        :meth:`~repro.core.query.QueryBatch.of` on the engine's grid.
         """
-        lo, hi = self._batch_bounds(queries)
-        return active_backend().batch_disk_counts(self._sat, lo, hi)
+        batch = QueryBatch.of(queries, self._sat.grid)
+        return active_backend().batch_disk_counts(
+            self._sat, batch.lo, batch.hi
+        )
 
-    def batch_response_times(self, queries: Queries) -> np.ndarray:
+    def batch_response_times(
+        self, queries: Union[Iterable[RangeQuery], QueryBatch]
+    ) -> np.ndarray:
         """Response time of every query in the batch, shape ``(N,)``.
 
         Bit-identical to calling
@@ -281,33 +262,36 @@ class ResponseTimeEngine:
         inclusion–exclusion, same clipping), with no per-query Python
         loop.
         """
-        with trace("engine.batch_response_times", num_queries=len(queries)):
-            lo, hi = self._batch_bounds(queries)
+        batch = QueryBatch.of(queries, self._sat.grid)
+        with trace("engine.batch_response_times", num_queries=len(batch)):
             return active_backend().batch_response_times(
-                self._sat, lo, hi
+                self._sat, batch.lo, batch.hi
             )
 
-    def batch_optimal(self, queries: Queries) -> np.ndarray:
+    def batch_optimal(
+        self, queries: Union[Iterable[RangeQuery], QueryBatch]
+    ) -> np.ndarray:
         """Effective OPT per query, shape ``(N,)``.
 
         Matches the scalar ``_effective_optimal`` semantics: OPT is taken
         over the query's buckets *inside* the grid (``ceil(|Q ∩ grid| /
         M)``), and a query clipped to nothing has OPT 0.
         """
-        lo, hi = self._batch_bounds(queries)
-        if lo.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
-        buckets = np.prod(hi - lo, axis=1)
+        batch = QueryBatch.of(queries, self._sat.grid)
+        buckets = np.prod(batch.hi - batch.lo, axis=1)
         return -(-buckets // self.num_disks)
 
-    def batch_deviations(self, queries: Queries) -> np.ndarray:
+    def batch_deviations(
+        self, queries: Union[Iterable[RangeQuery], QueryBatch]
+    ) -> np.ndarray:
         """Relative deviation ``(RT - OPT) / OPT`` per query, ``(N,)``.
 
         Matches :func:`repro.core.cost.relative_deviation` query by query,
         including the 0.0 convention for queries that clip to nothing.
         """
-        times = self.batch_response_times(queries)
-        optima = self.batch_optimal(queries)
+        batch = QueryBatch.of(queries, self._sat.grid)
+        times = self.batch_response_times(batch)
+        optima = self.batch_optimal(batch)
         safe = np.maximum(optima, 1)
         return np.where(
             optima == 0, 0.0, (times - optima) / safe

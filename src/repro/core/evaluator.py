@@ -10,14 +10,13 @@ average response time, average optimal, and the deviation between them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.allocation import DiskAllocation
 from repro.core.cache import AllocationCache
 from repro.core.cost import (
-    Workload,
     optimal_response_time,
     optimal_times,
     response_times,
@@ -26,7 +25,7 @@ from repro.core.cost import (
 from repro.core.engine import ResponseTimeEngine
 from repro.core.exceptions import QueryError
 from repro.core.grid import Grid
-from repro.core.query import QueryBatch, shapes_with_area
+from repro.core.query import QueryBatch, RangeQuery, shapes_with_area
 from repro.core.registry import scheme_label
 
 __all__ = [
@@ -76,33 +75,27 @@ class EvaluationResult:
 
 def evaluate_allocation_on_queries(
     allocation: DiskAllocation,
-    queries: Workload,
+    queries: Union[Iterable[RangeQuery], QueryBatch],
     scheme_name: str = "custom",
     engine: Optional[ResponseTimeEngine] = None,
 ) -> EvaluationResult:
-    """Evaluate an explicit query list, or a query batch, on one allocation.
+    """Evaluate a query iterable, or a query batch, on one allocation.
 
-    When ``engine`` is given, or ``queries`` is a
-    :class:`~repro.core.query.QueryBatch`, the whole batch is answered
-    through the integral-image
-    :meth:`~repro.core.engine.ResponseTimeEngine.batch_response_times`
-    path; results are bit-identical to the scalar per-query loop.  OPT
-    is the effective optimum of each query's part inside the grid (0
-    for a query entirely outside it), the same clipping the response
-    times use.
+    ``queries`` passes :meth:`~repro.core.query.QueryBatch.of` once and
+    is answered by :func:`~repro.core.cost.response_times` (on
+    ``engine`` when given); results are bit-identical to the scalar
+    per-query loop.  OPT is the effective optimum of each query's part
+    inside the grid (0 for a query entirely outside it), the same
+    clipping the response times use.
     """
-    if isinstance(queries, QueryBatch):
-        batch = queries
-    else:
-        queries = list(queries)
-        batch = QueryBatch.from_queries(queries, allocation.grid)
+    batch = QueryBatch.of(queries, allocation.grid)
     if not len(batch):
         raise QueryError("workload contains no queries")
-    times = response_times(allocation, queries, engine=engine)
+    times = response_times(allocation, batch, engine=engine)
     optima = optimal_times(batch, allocation.num_disks)
     return EvaluationResult(
         scheme=scheme_name,
-        num_queries=len(queries),
+        num_queries=len(batch),
         mean_response_time=float(times.mean()),
         mean_optimal=float(optima.mean()),
         worst_response_time=int(times.max()),
@@ -169,12 +162,9 @@ class SchemeEvaluator:
         The configuration under evaluation (default: the paper's schemes).
     cache:
         The allocation cache to draw from; ``None`` means the shared
-        :func:`~repro.core.cache.global_cache`.
-    use_engine:
-        When true (the default) shape sweeps use the
-        :class:`~repro.core.engine.ResponseTimeEngine` fast path; when
-        false they use the scalar reference kernel.  Results are
-        bit-identical either way.
+        :func:`~repro.core.cache.global_cache`.  Every workload is
+        answered on the cached
+        :class:`~repro.core.engine.ResponseTimeEngine`.
 
     Examples
     --------
@@ -190,7 +180,6 @@ class SchemeEvaluator:
         num_disks: int,
         schemes: Optional[Sequence[str]] = None,
         cache: Optional[AllocationCache] = None,
-        use_engine: bool = True,
     ):
         from repro.core.cache import global_cache
         from repro.core.registry import PAPER_SCHEMES
@@ -199,7 +188,6 @@ class SchemeEvaluator:
         self._num_disks = int(num_disks)
         self._scheme_names = list(schemes or PAPER_SCHEMES)
         self._cache = cache if cache is not None else global_cache()
-        self._use_engine = bool(use_engine)
 
     @property
     def grid(self) -> Grid:
@@ -232,23 +220,21 @@ class SchemeEvaluator:
         return self._cache.engine(scheme_name, self._grid, self._num_disks)
 
     def evaluate_queries(
-        self, queries: Workload
+        self, queries: Union[Iterable[RangeQuery], QueryBatch]
     ) -> List[EvaluationResult]:
-        """All schemes against an explicit query list or query batch.
+        """All schemes against a query iterable or a query batch.
 
-        Uses the cached engine's batch path (one fancy-indexing gather
-        per SAT corner for the whole workload) unless
-        ``use_engine=False``; a :class:`~repro.core.query.QueryBatch` is
-        never expanded into query objects.
+        ``queries`` passes :meth:`~repro.core.query.QueryBatch.of` once
+        for all schemes, and each scheme answers it on its cached engine
+        (one gather per SAT corner for the whole workload).
         """
-        if not isinstance(queries, QueryBatch):
-            queries = list(queries)
+        batch = QueryBatch.of(queries, self._grid)
         return [
             evaluate_allocation_on_queries(
                 self.allocation(name),
-                queries,
+                batch,
                 scheme_name=name,
-                engine=self.engine(name) if self._use_engine else None,
+                engine=self.engine(name),
             )
             for name in self._scheme_names
         ]
@@ -262,7 +248,7 @@ class SchemeEvaluator:
                 self.allocation(name),
                 shapes,
                 scheme_name=name,
-                engine=self.engine(name) if self._use_engine else None,
+                engine=self.engine(name),
             )
             for name in self._scheme_names
         ]

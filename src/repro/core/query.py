@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -172,22 +172,24 @@ class QueryBatch:
     that conversion **once**, or skips it: the workload builders
     (:func:`placement_batch`, :func:`repro.workloads.queries.
     random_shape_batch`, :func:`repro.workloads.queries.
-    partial_match_batch`) write the bounds arrays directly.  The engine,
-    the cost functions, the evaluator, the replica planner and the
-    open-system simulator accept a batch in place of a query sequence
-    and answer it without building a query object.
+    partial_match_batch`) write the bounds arrays directly.  Every
+    multi-query entry point (the engine, the cost functions, the
+    evaluator, the replica planner, the availability checks and the
+    open-system simulator) starts with :meth:`of`, so a batch is
+    answered without building a query object and a query list is
+    converted exactly once.
 
     Attributes
     ----------
     lo, hi:
         Clipped bounds, shape ``(N, k)`` int64 each, lower inclusive /
-        upper exclusive, with ``0 <= lo <= hi <= dims`` (checked on
-        construction).  A query clipped to nothing has a zero-extent
+        upper exclusive, with ``0 <= lo <= hi <= dims`` (checked by the
+        constructor; :meth:`clip` meets it by construction).  A query clipped to nothing has a zero-extent
         box (``hi == lo``), preserving the scalar path's 0-bucket
         semantics.
     dims:
-        The grid extents the batch was clipped against; the engine
-        refuses batches clipped for a different grid.
+        The grid extents the batch was clipped against; :meth:`of`
+        refuses a batch clipped for a different grid.
     """
 
     __slots__ = ("lo", "hi", "dims")
@@ -218,26 +220,68 @@ class QueryBatch:
         self.dims = tuple(int(d) for d in dims)
 
     @classmethod
+    def of(
+        cls,
+        queries: Union[Iterable[RangeQuery], "QueryBatch"],
+        grid: Grid,
+    ) -> "QueryBatch":
+        """The workload ``queries`` as a batch on ``grid``.
+
+        The one entry rule of every multi-query API: a batch passes
+        through once its grid matches, and anything else (a list, a
+        generator, any iterable of queries) is clipped by
+        :meth:`from_queries` once.
+        """
+        if isinstance(queries, QueryBatch):
+            if queries.dims != grid.dims:
+                raise QueryError(
+                    f"batch clipped for grid {queries.dims} does not "
+                    f"match grid {grid.dims}"
+                )
+            return queries
+        return cls.from_queries(queries, grid)
+
+    @classmethod
     def from_queries(
-        cls, queries: Sequence[RangeQuery], grid: Grid
+        cls, queries: Iterable[RangeQuery], grid: Grid
     ) -> "QueryBatch":
         """Clip ``queries`` against ``grid`` (the one-time conversion)."""
         ndim = grid.ndim
+        lower = []
+        upper = []
         for query in queries:
             if query.ndim != ndim:
                 raise QueryError(
                     f"{query.ndim}-d query does not match "
                     f"{ndim}-d grid"
                 )
-        if not len(queries):
-            empty = np.zeros((0, ndim), dtype=np.int64)
-            return cls(empty, empty.copy(), grid.dims)
-        dims = np.asarray(grid.dims, dtype=np.int64)
-        lower = np.array([q.lower for q in queries], dtype=np.int64)
-        upper = np.array([q.upper for q in queries], dtype=np.int64)
-        lo = np.minimum(lower, dims)
-        hi = np.maximum(np.minimum(upper + 1, dims), lo)
-        return cls(lo, hi, grid.dims)
+            lower.append(query.lower)
+            upper.append(query.upper)
+        return cls.clip(
+            np.array(lower, dtype=np.int64).reshape(-1, ndim),
+            np.array(upper, dtype=np.int64).reshape(-1, ndim),
+            grid.dims,
+        )
+
+    @classmethod
+    def clip(
+        cls, lower: np.ndarray, upper: np.ndarray, dims: Coords
+    ) -> "QueryBatch":
+        """Clip inclusive ``(N, k)`` bounds against the grid ``dims``.
+
+        The one clip rule: ``lower`` must satisfy ``0 <= lower <=
+        upper`` (as every :class:`RangeQuery` and every decoded wire
+        request does), and ``upper`` may overhang the grid.  The clipped
+        rows meet the ``0 <= lo <= hi <= dims`` invariant by
+        construction, so they are not checked again; a row wholly
+        outside the grid becomes a zero-extent box at the grid's edge.
+        """
+        extents = np.asarray(dims, dtype=np.int64)
+        batch = cls.__new__(cls)
+        batch.lo = np.minimum(lower, extents)
+        batch.hi = np.maximum(np.minimum(upper + 1, extents), batch.lo)
+        batch.dims = tuple(int(d) for d in dims)
+        return batch
 
     @classmethod
     def concatenate(cls, batches: Sequence["QueryBatch"]) -> "QueryBatch":

@@ -22,16 +22,17 @@ availability helpers below that consult both copies.
 
 from __future__ import annotations
 
+from typing import Iterable, Union
+
 import numpy as np
 
 from repro.core.allocation import DiskAllocation
 from repro.core.cost import (
-    Workload,
     batch_disk_counts,
     buckets_per_disk,
     optimal_response_time,
 )
-from repro.core.exceptions import FaultError
+from repro.core.exceptions import FaultError, QueryError
 from repro.core.query import QueryBatch, RangeQuery
 from repro.faults.models import FaultScenario
 from repro.replication.allocation import ReplicatedAllocation
@@ -143,7 +144,7 @@ def query_is_available(
 
 def availability(
     allocation: DiskAllocation,
-    queries: Workload,
+    queries: Union[Iterable[RangeQuery], QueryBatch],
     scenario: FaultScenario,
 ) -> float:
     """Fraction of ``queries`` answerable in full under ``scenario``.
@@ -151,19 +152,19 @@ def availability(
     1.0 for an empty workload by convention (nothing was lost).  One
     :func:`~repro.core.cost.batch_disk_counts` call and
     :func:`batch_query_availability`; :func:`query_is_available` is the
-    per-query oracle.  ``queries`` is a query list or a
-    :class:`~repro.core.query.QueryBatch`.
+    per-query oracle.  ``queries`` is a query iterable or a
+    :class:`~repro.core.query.QueryBatch`; it passes
+    :meth:`~repro.core.query.QueryBatch.of` once.
     """
-    if not isinstance(queries, QueryBatch):
-        queries = list(queries)
-    if not len(queries):
+    batch = QueryBatch.of(queries, allocation.grid)
+    if not len(batch):
         return 1.0
     _check_scenario(allocation.num_disks, scenario)
     if not scenario.failed:
         return 1.0
-    counts = batch_disk_counts(allocation, queries)
+    counts = batch_disk_counts(allocation, batch)
     answered = int(batch_query_availability(counts, scenario).sum())
-    return answered / len(queries)
+    return answered / len(batch)
 
 
 def replicated_query_is_available(
@@ -200,7 +201,7 @@ def replicated_query_is_available(
 
 def replicated_availability(
     replicated: ReplicatedAllocation,
-    queries: Workload,
+    queries: Union[Iterable[RangeQuery], QueryBatch],
     scenario: FaultScenario,
 ) -> float:
     """Fraction of ``queries`` with every bucket reachable under faults.
@@ -208,24 +209,22 @@ def replicated_availability(
     One batched plan (:func:`repro.replication.planner.plan_batch`): a
     query is available when it loses no bucket.
     :func:`replicated_query_is_available` is the per-query oracle.
-    ``queries`` is a query list or a
-    :class:`~repro.core.query.QueryBatch`.
+    ``queries`` is a query iterable or a
+    :class:`~repro.core.query.QueryBatch`; it passes
+    :meth:`~repro.core.query.QueryBatch.of` once, and a workload that
+    does not fit the allocation's grid raises :class:`FaultError`.
     """
     from repro.replication.planner import plan_batch
 
     _check_scenario(replicated.num_disks, scenario)
-    if not isinstance(queries, QueryBatch):
-        queries = list(queries)
-        for query in queries:
-            if query.ndim != replicated.grid.ndim:
-                raise FaultError(
-                    f"{query.ndim}-d query does not match "
-                    f"{replicated.grid.ndim}-d allocation"
-                )
-    if not len(queries):
+    try:
+        batch = QueryBatch.of(queries, replicated.grid)
+    except QueryError as exc:
+        raise FaultError(str(exc)) from exc
+    if not len(batch):
         return 1.0
-    lost = plan_batch(replicated, queries, scenarios=[scenario])[1][0]
-    return int((lost == 0).sum()) / len(queries)
+    lost = plan_batch(replicated, batch, scenarios=[scenario])[1][0]
+    return int((lost == 0).sum()) / len(batch)
 
 
 def degraded_optimal_response_time(

@@ -70,7 +70,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -556,7 +556,7 @@ def _hall_plan(
 
 def plan_batch(
     replicated: ReplicatedAllocation,
-    queries: Union[Sequence[RangeQuery], QueryBatch],
+    queries: Union[Iterable[RangeQuery], QueryBatch],
     method: str = "flow",
     scenarios: Sequence[Optional[FaultScenario]] = (None,),
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -567,8 +567,9 @@ def plan_batch(
     ``plan_query(replicated, queries[i], method, scenarios[k])``'s
     :attr:`~QueryPlan.completion_time` (float64, bit for bit) and
     :attr:`~QueryPlan.num_lost`.  ``None`` is the healthy scenario.
-    ``queries`` is a query list or a :class:`~repro.core.query.QueryBatch`
-    on the allocation's grid.
+    ``queries`` is a query iterable or a
+    :class:`~repro.core.query.QueryBatch` on the allocation's grid; it
+    passes :meth:`~repro.core.query.QueryBatch.of` once.
 
     Exact planning on at most :data:`HALL_MAX_DISKS` disks counts the
     pair classes once for the whole batch and reads every scenario's
@@ -579,15 +580,7 @@ def plan_batch(
     """
     _validate(replicated, method, scenarios)
     num_disks = replicated.num_disks
-    if isinstance(queries, QueryBatch):
-        batch = queries
-        if batch.dims != replicated.grid.dims:
-            raise QueryError(
-                f"batch clipped for grid {batch.dims} does not match "
-                f"allocation grid {replicated.grid.dims}"
-            )
-    else:
-        batch = QueryBatch.from_queries(queries, replicated.grid)
+    batch = QueryBatch.of(queries, replicated.grid)
     shape = (len(scenarios), len(batch))
     times = np.zeros(shape, dtype=np.float64)
     lost = np.zeros(shape, dtype=np.int64)

@@ -106,17 +106,12 @@ def _expected_times(
     engine = global_cache().engine(
         config.scheme, Grid(config.dims), config.num_disks
     )
-    expected = []
-    for lower, upper, _frame in pool:
-        dims_arr = np.asarray(config.dims, dtype=np.int64)
-        lo = np.minimum(lower, dims_arr)
-        hi = np.maximum(np.minimum(upper + 1, dims_arr), lo)
-        expected.append(
-            engine.batch_response_times(
-                QueryBatch(lo, hi, config.dims)
-            )
+    return [
+        engine.batch_response_times(
+            QueryBatch.clip(lower, upper, config.dims)
         )
-    return expected
+        for lower, upper, _frame in pool
+    ]
 
 
 @dataclass

@@ -1,12 +1,10 @@
-"""Clients for the serve daemon: blocking and asyncio flavors.
+"""The blocking client for the serve daemon.
 
-:class:`ServeClient` is the blocking client used by the CLI, the test
-suite, and the bench load generator's per-connection threads; it speaks
-the :mod:`repro.serve.protocol` frames over a plain socket.
-:class:`AsyncServeClient` is the asyncio counterpart for callers
-already inside an event loop.
+:class:`ServeClient` is used by the CLI, the test suite, and the bench
+load generator's per-connection threads; it speaks the
+:mod:`repro.serve.protocol` frames over a plain socket.
 
-Both convert :data:`~repro.serve.protocol.RESPONSE_ERROR` frames into
+It converts :data:`~repro.serve.protocol.RESPONSE_ERROR` frames into
 raised :class:`~repro.core.exceptions.ServeError` /
 :class:`~repro.core.exceptions.ProtocolError`, so callers handle server
 failures the same way as local library failures.
@@ -22,7 +20,7 @@ import numpy as np
 from repro.core.exceptions import ProtocolError, ServeError
 from repro.serve import protocol
 
-__all__ = ["AsyncServeClient", "ServeClient"]
+__all__ = ["ServeClient"]
 
 
 def _raise_for_error(kind: int, header: Dict[str, Any]) -> None:
@@ -33,29 +31,6 @@ def _raise_for_error(kind: int, header: Dict[str, Any]) -> None:
     if error == "ProtocolError":
         raise ProtocolError(message)
     raise ServeError(f"{error}: {message}")
-
-
-def _batch_request_parts(
-    scheme: str,
-    dims: Sequence[int],
-    num_disks: int,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> Tuple[Dict[str, Any], bytes]:
-    lower = np.ascontiguousarray(lower, dtype=np.int64)
-    upper = np.ascontiguousarray(upper, dtype=np.int64)
-    if lower.shape != upper.shape or lower.ndim != 2:
-        raise ServeError(
-            f"lower/upper must be matching (N, k) arrays, got "
-            f"{lower.shape} and {upper.shape}"
-        )
-    header = {
-        "scheme": scheme,
-        "dims": [int(d) for d in dims],
-        "num_disks": int(num_disks),
-        "count": int(lower.shape[0]),
-    }
-    return header, lower.tobytes() + upper.tobytes()
 
 
 class ServeClient:
@@ -165,13 +140,24 @@ class ServeClient:
         """Response times for inclusive (lower, upper) query bounds.
 
         Returns ``(times, shed)`` — ``shed`` reports whether the server
-        answered on the overload (scalar) path.
+        was at its in-flight limit and answered inline.
         """
-        header, body = _batch_request_parts(
-            scheme, dims, num_disks, lower, upper
-        )
+        lower = np.ascontiguousarray(lower, dtype=np.int64)
+        upper = np.ascontiguousarray(upper, dtype=np.int64)
+        if lower.shape != upper.shape or lower.ndim != 2:
+            raise ServeError(
+                f"lower/upper must be matching (N, k) arrays, got "
+                f"{lower.shape} and {upper.shape}"
+            )
         response_header, response_body = self.request(
-            protocol.REQUEST_BATCH_RT, header, body
+            protocol.REQUEST_BATCH_RT,
+            {
+                "scheme": scheme,
+                "dims": [int(d) for d in dims],
+                "num_disks": int(num_disks),
+                "count": int(lower.shape[0]),
+            },
+            lower.tobytes() + upper.tobytes(),
         )
         times = protocol.array_from_bytes(
             response_body, (int(response_header["count"]),)
@@ -203,79 +189,3 @@ class ServeClient:
             },
         )
         return header
-
-
-class AsyncServeClient:
-    """Asyncio client; create with :meth:`connect`."""
-
-    def __init__(self, reader, writer):
-        self._reader = reader
-        self._writer = writer
-
-    @classmethod
-    async def connect(
-        cls,
-        unix_path: Optional[str] = None,
-        host: Optional[str] = None,
-        port: int = 0,
-    ) -> "AsyncServeClient":
-        import asyncio
-
-        if unix_path is not None:
-            reader, writer = await asyncio.open_unix_connection(unix_path)
-        elif host is not None:
-            reader, writer = await asyncio.open_connection(host, port)
-        else:
-            raise ServeError(
-                "AsyncServeClient needs unix_path or host/port"
-            )
-        return cls(reader, writer)
-
-    async def close(self) -> None:
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    async def request(
-        self,
-        kind: int,
-        header: Optional[Dict[str, Any]] = None,
-        body: bytes = b"",
-    ) -> Tuple[Dict[str, Any], bytes]:
-        self._writer.write(protocol.encode_frame(kind, header, body))
-        await self._writer.drain()
-        frame = await protocol.read_frame(self._reader)
-        if frame is None:
-            raise ServeError("server closed the connection")
-        response_kind, response_header, response_body = frame
-        _raise_for_error(response_kind, response_header)
-        return response_header, response_body
-
-    async def ping(self) -> Dict[str, Any]:
-        header, _body = await self.request(protocol.REQUEST_PING)
-        return header
-
-    async def stats(self) -> Dict[str, Any]:
-        header, _body = await self.request(protocol.REQUEST_STATS)
-        return header
-
-    async def batch_response_times(
-        self,
-        scheme: str,
-        dims: Sequence[int],
-        num_disks: int,
-        lower: np.ndarray,
-        upper: np.ndarray,
-    ) -> Tuple[np.ndarray, bool]:
-        header, body = _batch_request_parts(
-            scheme, dims, num_disks, lower, upper
-        )
-        response_header, response_body = await self.request(
-            protocol.REQUEST_BATCH_RT, header, body
-        )
-        times = protocol.array_from_bytes(
-            response_body, (int(response_header["count"]),)
-        )
-        return times, bool(response_header.get("shed", False))

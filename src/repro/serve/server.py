@@ -13,10 +13,9 @@ Life of the server:
    in-process thread pool; the ``cnative`` batch kernel releases the
    GIL, so batches run in parallel), ``stats``.
 3. **Admission control** — at most ``max_inflight`` batch requests may
-   be in flight; excess batches are *shed* to the scalar per-query path
-   computed inline (``serve.shed``).  Shedding trades batch-kernel
-   throughput for bounded queueing — answers stay byte-identical
-   because scalar and batch paths are certified equal (QA422).
+   be in flight on the thread pool; an excess batch is *shed*: answered
+   inline on the event loop by the same engine call (``serve.shed``,
+   ``shed: true`` in the reply) instead of queueing behind the pool.
 4. **Drain** — SIGTERM/SIGINT stops accepting, lets in-flight requests
    complete (bounded by ``drain_timeout``), shuts the thread pool down,
    and writes the metrics export if configured.
@@ -460,70 +459,36 @@ class DeclusterServer:
             )
         return lower, upper
 
-    @staticmethod
-    def _clip_bounds(
-        lower: np.ndarray, upper: np.ndarray, dims: Tuple[int, ...]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        # Mirrors QueryBatch.from_queries exactly, so wire-decoded
-        # bounds produce the same clipped arrays — and therefore
-        # byte-identical response times — as the in-process path.
-        dims_arr = np.asarray(dims, dtype=np.int64)
-        lo = np.minimum(lower, dims_arr)
-        hi = np.maximum(np.minimum(upper + 1, dims_arr), lo)
-        return lo, hi
-
     async def _req_batch_response_times(
         self, header: Dict[str, Any], body: bytes
     ) -> bytes:
         key, engine = self._spec_engine(header)
         dims = key[1]
         lower, upper = self._decode_bounds(header, body, dims)
-        if self._inflight_batches >= self.config.max_inflight:
-            # Overloaded: shed to the scalar per-query path, inline.
-            # Slower per query but unqueued — and byte-identical to the
-            # batch kernel by the QA422 equivalence contract.
-            times = self._shed_scalar(key, lower, upper)
-            return protocol.encode_frame(
-                protocol.RESPONSE_OK,
-                {"count": int(times.shape[0]), "shed": True},
-                protocol.array_to_bytes(times),
-            )
-        lo, hi = self._clip_bounds(lower, upper, dims)
-        self._inflight_batches += 1
-        try:
-            assert self._executor is not None and self._loop
-            times = await self._loop.run_in_executor(
-                self._executor,
-                engine.batch_response_times,
-                QueryBatch(lo, hi, dims),
-            )
-        finally:
-            self._inflight_batches -= 1
+        # The decoded bounds satisfy clip's precondition, so the batch
+        # is the one the in-process path would build from the same
+        # queries — and the answers are byte-identical to it.
+        batch = QueryBatch.clip(lower, upper, dims)
+        shed = self._inflight_batches >= self.config.max_inflight
+        if shed:
+            # Overloaded: answer inline on the loop instead of queueing
+            # behind the thread pool.
+            global_registry().inc("serve.shed")
+            times = engine.batch_response_times(batch)
+        else:
+            self._inflight_batches += 1
+            try:
+                assert self._executor is not None and self._loop
+                times = await self._loop.run_in_executor(
+                    self._executor, engine.batch_response_times, batch
+                )
+            finally:
+                self._inflight_batches -= 1
         return protocol.encode_frame(
             protocol.RESPONSE_OK,
-            {"count": int(times.shape[0]), "shed": False},
+            {"count": int(times.shape[0]), "shed": shed},
             protocol.array_to_bytes(times),
         )
-
-    def _shed_scalar(
-        self,
-        key: Tuple[str, Tuple[int, ...], int],
-        lower: np.ndarray,
-        upper: np.ndarray,
-    ) -> np.ndarray:
-        from repro.core.cost import response_time
-
-        global_registry().inc("serve.shed")
-        allocation = self._allocations[key]
-        with trace("serve.shed_scalar", count=int(lower.shape[0])):
-            times = np.empty(lower.shape[0], dtype=np.int64)
-            for index in range(lower.shape[0]):
-                query = RangeQuery(
-                    tuple(int(c) for c in lower[index]),
-                    tuple(int(c) for c in upper[index]),
-                )
-                times[index] = response_time(allocation, query)
-        return times
 
     async def _req_degraded_plan(
         self, header: Dict[str, Any], body: bytes

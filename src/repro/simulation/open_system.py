@@ -31,14 +31,14 @@ measured by experiment X5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 
 from repro.core.allocation import DiskAllocation
-from repro.core.cost import Workload, batch_disk_counts
+from repro.core.cost import batch_disk_counts
 from repro.core.exceptions import SimulationError
-from repro.core.query import QueryBatch
+from repro.core.query import QueryBatch, RangeQuery
 from repro.obs.trace import trace
 from repro.simulation.disk import DiskModel
 
@@ -110,22 +110,22 @@ class OpenSystemSimulator:
 
     def run(
         self,
-        queries: Workload,
+        queries: Union[Iterable[RangeQuery], QueryBatch],
         arrivals_ms: Sequence[float],
     ) -> OpenSystemReport:
         """Simulate the arrival stream; queries must be arrival-ordered.
 
-        ``queries`` is a query list or a
-        :class:`~repro.core.query.QueryBatch` (answered on the engine).
+        ``queries`` is a query iterable or a
+        :class:`~repro.core.query.QueryBatch`; it passes
+        :meth:`~repro.core.query.QueryBatch.of` once.
         """
-        if not isinstance(queries, QueryBatch):
-            queries = list(queries)
+        batch = QueryBatch.of(queries, self._allocation.grid)
         arrivals = np.asarray(arrivals_ms, dtype=np.float64)
-        if not len(queries):
+        if not len(batch):
             raise SimulationError("query stream is empty")
-        if arrivals.shape != (len(queries),):
+        if arrivals.shape != (len(batch),):
             raise SimulationError(
-                f"{len(queries)} queries but "
+                f"{len(batch)} queries but "
                 f"{arrivals.shape[0] if arrivals.ndim == 1 else '?'} "
                 "arrival times"
             )
@@ -135,10 +135,10 @@ class OpenSystemSimulator:
             )
         with trace(
             "simulation.run",
-            num_queries=len(queries),
+            num_queries=len(batch),
             num_disks=self._allocation.num_disks,
         ):
-            counts = batch_disk_counts(self._allocation, queries)
+            counts = batch_disk_counts(self._allocation, batch)
             services = self._disk.service_times_ms(counts, self._sequential)
             return _fifo_reports(services, arrivals[np.newaxis, :])[0]
 
@@ -184,7 +184,7 @@ def _fifo_reports(
 
 def saturation_sweep(
     allocation: DiskAllocation,
-    queries: Workload,
+    queries: Union[Iterable[RangeQuery], QueryBatch],
     rates_per_second: Sequence[float],
     disk: DiskModel = DiskModel(),
     seed=0,
@@ -194,25 +194,25 @@ def saturation_sweep(
     One report per rate; the arrival process is re-drawn per rate with
     the same seed so the only varying factor is the load level.  The
     counts and service times are computed once and every rate runs
-    through the same FIFO pass.  ``queries`` is a query list or a
-    :class:`~repro.core.query.QueryBatch` (answered on the engine).
+    through the same FIFO pass.  ``queries`` is a query iterable or a
+    :class:`~repro.core.query.QueryBatch`; it passes
+    :meth:`~repro.core.query.QueryBatch.of` once.
     """
-    if not isinstance(queries, QueryBatch):
-        queries = list(queries)
-    if not len(queries):
+    batch = QueryBatch.of(queries, allocation.grid)
+    if not len(batch):
         raise SimulationError("query stream is empty")
     rates = list(rates_per_second)
     with trace(
         "simulation.sweep",
-        num_queries=len(queries),
+        num_queries=len(batch),
         num_rates=len(rates),
         num_disks=allocation.num_disks,
     ):
         if not rates:
             return []
-        counts = batch_disk_counts(allocation, queries)
+        counts = batch_disk_counts(allocation, batch)
         services = disk.service_times_ms(counts)
         arrivals = np.stack(
-            [poisson_arrivals(len(queries), rate, seed=seed) for rate in rates]
+            [poisson_arrivals(len(batch), rate, seed=seed) for rate in rates]
         )
         return _fifo_reports(services, arrivals)

@@ -1,8 +1,8 @@
 """Query batches as workload inputs: bounds checks and batch-accepting APIs.
 
 Every API that takes a query list also takes a
-:class:`~repro.core.query.QueryBatch`, answers it on the engine path and
-never turns it back into :class:`~repro.core.query.RangeQuery` objects.
+:class:`~repro.core.query.QueryBatch` and never turns it back into
+:class:`~repro.core.query.RangeQuery` objects.
 """
 
 import numpy as np

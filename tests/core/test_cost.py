@@ -21,6 +21,7 @@ from repro.core.cost import (
 from repro.core.exceptions import QueryError
 from repro.core.grid import Grid
 from repro.core.query import RangeQuery, all_placements, query_at
+from repro.core.registry import get_scheme
 
 
 class TestOptimalBound:
@@ -206,6 +207,16 @@ class TestEmptyQueryDeviations:
         assert relative_deviation(
             checkerboard_allocation, overhanging
         ) == 0.0
+
+    def test_bucket_count_is_clipped_to_the_grid(self):
+        # (2,2)-(5,5) on a 4x4 grid keeps its 2x2 corner: 4 buckets,
+        # the count OPT 1 is taken over.
+        dm = get_scheme("dm").allocate(Grid((4, 4)), 4)
+        (row,) = per_query_costs(dm, [RangeQuery((2, 2), (5, 5))])
+        assert row["buckets"] == 4
+        assert row["optimal"] == 1
+        (outside,) = per_query_costs(dm, [RangeQuery((6, 6), (7, 7))])
+        assert outside["buckets"] == 0
 
     def test_fitting_queries_unchanged(self, checkerboard_allocation):
         q = query_at((0, 0), (2, 2))

@@ -114,10 +114,14 @@ class TestEvaluatorIntegration:
     def test_scheme_evaluator_paths_agree(self):
         grid = Grid((8, 8))
         shapes = [(1, 1), (2, 2), (4, 2), (8, 8)]
-        fast = SchemeEvaluator(grid, 4, ["dm", "fx"]).evaluate_shapes(shapes)
-        slow = SchemeEvaluator(
-            grid, 4, ["dm", "fx"], use_engine=False
-        ).evaluate_shapes(shapes)
+        evaluator = SchemeEvaluator(grid, 4, ["dm", "fx"])
+        fast = evaluator.evaluate_shapes(shapes)
+        slow = [
+            evaluate_allocation_on_shapes(
+                evaluator.allocation(name), shapes, scheme_name=name
+            )
+            for name in evaluator.scheme_names
+        ]
         assert fast == slow
 
     def test_engine_rejects_unfitting_shape_like_scalar_path(

@@ -11,7 +11,7 @@ from repro.core.cost import (
     sliding_response_times,
 )
 from repro.core.grid import Grid
-from repro.core.query import RangeQuery, query_at, shapes_with_area
+from repro.core.query import QueryBatch, RangeQuery, query_at, shapes_with_area
 
 dims_2d = st.tuples(
     st.integers(min_value=1, max_value=10),
@@ -155,3 +155,57 @@ class TestCostProperties:
         assert response_time(allocation, large) >= response_time(
             allocation, small
         )
+
+
+@st.composite
+def inclusive_bounds(draw):
+    """Grid extents plus ``0 <= lower <= upper`` rows that may overhang
+    the grid or lie wholly outside it."""
+    ndim = draw(st.integers(1, 3))
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(ndim))
+    count = draw(st.integers(0, 8))
+    lower = [
+        [draw(st.integers(0, d + 3)) for d in dims] for _ in range(count)
+    ]
+    upper = [
+        [lo + draw(st.integers(0, d + 3)) for lo, d in zip(row, dims)]
+        for row in lower
+    ]
+    shape = (count, ndim)
+    return (
+        np.array(lower, dtype=np.int64).reshape(shape),
+        np.array(upper, dtype=np.int64).reshape(shape),
+        dims,
+    )
+
+
+class TestQueryBatchClip:
+    @settings(max_examples=200, deadline=None)
+    @given(inclusive_bounds())
+    def test_clip_output_is_what_the_checked_constructor_accepts(
+        self, bounds
+    ):
+        lower, upper, dims = bounds
+        clipped = QueryBatch.clip(lower, upper, dims)
+        checked = QueryBatch(clipped.lo, clipped.hi, dims)
+        pairs = ((clipped.lo, checked.lo), (clipped.hi, checked.hi))
+        for ours, theirs in pairs:
+            assert ours.dtype == theirs.dtype == np.int64
+            assert ours.flags.c_contiguous
+            np.testing.assert_array_equal(ours, theirs)
+        assert clipped.dims == checked.dims
+
+    @settings(max_examples=200, deadline=None)
+    @given(inclusive_bounds())
+    def test_clip_matches_each_row_clipped_to_the_grid(self, bounds):
+        lower, upper, dims = bounds
+        clipped = QueryBatch.clip(lower, upper, dims)
+        grid = Grid(dims)
+        for row, (lo, up) in enumerate(zip(lower.tolist(), upper.tolist())):
+            inside = RangeQuery(lo, up).clip_to(grid)
+            sides = (clipped.hi[row] - clipped.lo[row]).tolist()
+            if inside is None:
+                assert 0 in sides
+            else:
+                assert clipped.lo[row].tolist() == list(inside.lower)
+                assert sides == list(inside.side_lengths)

@@ -9,7 +9,7 @@ from repro.core.allocation import DiskAllocation
 from repro.core.cache import AllocationCache
 from repro.core.cost import response_time, sliding_response_times
 from repro.core.engine import ResponseTimeEngine
-from repro.core.evaluator import SchemeEvaluator
+from repro.core.evaluator import SchemeEvaluator, evaluate_allocation_on_shapes
 from repro.core.grid import Grid
 from repro.core.query import all_placements
 from repro.core.registry import PAPER_SCHEMES
@@ -64,12 +64,14 @@ class TestKernelEquivalence:
         fast = SchemeEvaluator(
             grid, 8, PAPER_SCHEMES, cache=AllocationCache()
         )
-        slow = SchemeEvaluator(
-            grid, 8, PAPER_SCHEMES, cache=AllocationCache(),
-            use_engine=False,
-        )
         shapes = [(1, 1), (2, 2), (4, 1), (3, 5), (16, 16)]
-        assert fast.evaluate_shapes(shapes) == slow.evaluate_shapes(shapes)
+        slow = [
+            evaluate_allocation_on_shapes(
+                fast.allocation(name), shapes, scheme_name=name
+            )
+            for name in PAPER_SCHEMES
+        ]
+        assert fast.evaluate_shapes(shapes) == slow
 
 
 class TestCacheProperties:

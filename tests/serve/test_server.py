@@ -136,8 +136,8 @@ class TestSheddingPath:
         self, serve_harness
     ):
         # Pin the admission gauge at the limit from the loop thread: the
-        # next batch must take the scalar path, visibly (shed=True) and
-        # correctly (byte-identical per the QA422 equivalence).
+        # next batch must be answered inline, visibly (shed=True) and
+        # byte-identically to the in-process engine.
         server = serve_harness.server
         loop = serve_harness.loop
 
@@ -160,6 +160,44 @@ class TestSheddingPath:
         assert shed
         assert stats["counters"]["serve.shed"] >= 1
         np.testing.assert_array_equal(times, _local_times(lower, upper))
+
+
+    def test_shed_batch_builds_no_query_objects(
+        self, serve_harness, monkeypatch
+    ):
+        # A shed batch runs the same engine call inline: no RangeQuery
+        # per row, and overhanging rows clip exactly as in-process.
+        server = serve_harness.server
+        loop = serve_harness.loop
+        lower, upper = _random_batch(count=64, seed=22)
+        upper[::3] += 5
+        want = _local_times(lower, upper)
+        made = []
+        original = RangeQuery.__post_init__
+
+        def counted(query):
+            made.append(query)
+            original(query)
+
+        monkeypatch.setattr(RangeQuery, "__post_init__", counted)
+
+        def saturate():
+            server._inflight_batches = server.config.max_inflight
+
+        def release():
+            server._inflight_batches = 0
+
+        loop.call_soon_threadsafe(saturate)
+        try:
+            with serve_harness.client() as client:
+                times, shed = client.batch_response_times(
+                    SCHEME, DIMS, NUM_DISKS, lower, upper
+                )
+        finally:
+            loop.call_soon_threadsafe(release)
+        assert shed
+        assert made == []
+        np.testing.assert_array_equal(times, want)
 
 
 class TestErrorPaths:
