@@ -1,13 +1,12 @@
-"""The kernel-backend interface: the three hot loops, swappable.
+"""The kernel-backend interface: the two summed-area-table loops, swappable.
 
-A :class:`KernelBackend` implements the library's hot kernels —
+A :class:`KernelBackend` implements the library's two hot kernels —
 
 1. the batched 2^k-corner query gather behind
-   :meth:`~repro.core.engine.ResponseTimeEngine.batch_response_times`,
+   :meth:`~repro.core.engine.ResponseTimeEngine.batch_response_times`, and
 2. the sliding-window shape sweep behind
-   :func:`repro.core.cost.sliding_response_times`, and
-3. the whole-grid allocation-table kernels the arithmetic schemes
-   (``dm``/``gdm``/``fx``) build their ``disk_array`` from —
+   :meth:`~repro.core.engine.ResponseTimeEngine.sliding_response_times`
+   and :func:`repro.core.cost.sliding_response_times` —
 
 against a shared, backend-neutral data model: clipped half-open bounds
 arrays and :class:`~repro.core.sat.SummedAreaTable` objects.  The numpy
@@ -24,7 +23,7 @@ of silently running something else.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -90,42 +89,6 @@ class KernelBackend(abc.ABC):
         Output shape ``(d_1 - s_1 + 1, ..., d_k - s_k + 1)`` int64; the
         caller guarantees the shape fits the grid.
         """
-
-    @abc.abstractmethod
-    def sliding_response_times(
-        self,
-        table: np.ndarray,
-        num_disks: int,
-        shape: Sequence[int],
-    ) -> np.ndarray:
-        """RT of ``shape`` at every placement, from a raw allocation table.
-
-        The one-shot (no engine) path of
-        :func:`repro.core.cost.sliding_response_times`; the caller
-        guarantees the shape fits.
-        """
-
-    # -- 3. whole-grid allocation-table kernels ------------------------
-
-    @abc.abstractmethod
-    def linear_mod_table(
-        self,
-        dims: Tuple[int, ...],
-        coefficients: Tuple[int, ...],
-        num_disks: int,
-    ) -> np.ndarray:
-        """``(sum_j c_j · i_j) mod M`` over every bucket, int64.
-
-        The DM/GDM family's whole-grid kernel; the modulo follows
-        python semantics (result in ``[0, M)`` for negative
-        coefficients too).
-        """
-
-    @abc.abstractmethod
-    def xor_mod_table(
-        self, dims: Tuple[int, ...], num_disks: int
-    ) -> np.ndarray:
-        """``(i_1 XOR ... XOR i_k) mod M`` over every bucket, int64 (FX)."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -31,7 +31,7 @@ import os
 import shutil
 import subprocess
 import tempfile
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -203,55 +203,6 @@ void window_rt_{suffix}(
 }}
 """
 
-_TABLE_KERNELS = r"""
-/* Whole-grid allocation-table kernels (row-major, python modulo). */
-
-void linear_mod_table(
-    const int64_t *dims, const int64_t *coeffs,
-    int32_t ndim, int64_t num_disks, int64_t *out)
-{
-    int64_t coords[64];
-    int64_t total = 1;
-    for (int32_t a = 0; a < ndim; a++) {
-        coords[a] = 0;
-        total *= dims[a];
-    }
-    for (int64_t i = 0; i < total; i++) {
-        int64_t value = 0;
-        for (int32_t a = 0; a < ndim; a++)
-            value += coeffs[a] * coords[a];
-        int64_t disk = value % num_disks;
-        if (disk < 0) disk += num_disks;
-        out[i] = disk;
-        for (int32_t a = ndim - 1; a >= 0; a--) {
-            if (++coords[a] < dims[a]) break;
-            coords[a] = 0;
-        }
-    }
-}
-
-void xor_mod_table(
-    const int64_t *dims, int32_t ndim, int64_t num_disks, int64_t *out)
-{
-    int64_t coords[64];
-    int64_t total = 1;
-    for (int32_t a = 0; a < ndim; a++) {
-        coords[a] = 0;
-        total *= dims[a];
-    }
-    for (int64_t i = 0; i < total; i++) {
-        int64_t value = 0;
-        for (int32_t a = 0; a < ndim; a++)
-            value ^= coords[a];
-        out[i] = value % num_disks;
-        for (int32_t a = ndim - 1; a >= 0; a--) {
-            if (++coords[a] < dims[a]) break;
-            coords[a] = 0;
-        }
-    }
-}
-"""
-
 _SCRATCH_HELPER = r"""
 #include <stddef.h>
 #include <stdint.h>
@@ -277,7 +228,6 @@ def _kernel_source() -> str:
                 max_ndim=_MAX_NDIM,
             )
         )
-    parts.append(_TABLE_KERNELS)
     return "\n".join(parts)
 
 
@@ -525,66 +475,3 @@ class CNativeBackend(KernelBackend):
             out.ctypes.data_as(_PTR_I64),
         )
         return out.reshape(tuple(int(d) for d in out_dims))
-
-    def sliding_response_times(
-        self,
-        table: np.ndarray,
-        num_disks: int,
-        shape: Sequence[int],
-    ) -> np.ndarray:
-        # One-shot path: build the SAT (numpy cumsums — same O(M·buckets)
-        # cost as a single legacy pass), then run the fused C sweep.
-        library = self._library()
-        if library is None or table.ndim > _MAX_NDIM:
-            return self._reference.sliding_response_times(
-                table, num_disks, shape
-            )
-        from repro.core.allocation import DiskAllocation
-        from repro.core.grid import Grid
-
-        allocation = DiskAllocation(
-            Grid(table.shape), num_disks, table
-        )
-        sat = SummedAreaTable.build(allocation)
-        return self.window_response_times(sat, shape)
-
-    # -- whole-grid allocation-table kernels ---------------------------
-
-    def linear_mod_table(
-        self,
-        dims: Tuple[int, ...],
-        coefficients: Tuple[int, ...],
-        num_disks: int,
-    ) -> np.ndarray:
-        library = self._library()
-        if library is None or len(dims) > 64:
-            return self._reference.linear_mod_table(
-                dims, coefficients, num_disks
-            )
-        dims_arr = np.array(dims, dtype=np.int64)
-        coeffs_arr = np.array(coefficients, dtype=np.int64)
-        out = np.zeros(int(dims_arr.prod()), dtype=np.int64)
-        library.linear_mod_table(
-            dims_arr.ctypes.data_as(_PTR_I64),
-            coeffs_arr.ctypes.data_as(_PTR_I64),
-            ctypes.c_int32(len(dims)),
-            ctypes.c_int64(num_disks),
-            out.ctypes.data_as(_PTR_I64),
-        )
-        return out.reshape(dims)
-
-    def xor_mod_table(
-        self, dims: Tuple[int, ...], num_disks: int
-    ) -> np.ndarray:
-        library = self._library()
-        if library is None or len(dims) > 64:
-            return self._reference.xor_mod_table(dims, num_disks)
-        dims_arr = np.array(dims, dtype=np.int64)
-        out = np.zeros(int(dims_arr.prod()), dtype=np.int64)
-        library.xor_mod_table(
-            dims_arr.ctypes.data_as(_PTR_I64),
-            ctypes.c_int32(len(dims)),
-            ctypes.c_int64(num_disks),
-            out.ctypes.data_as(_PTR_I64),
-        )
-        return out.reshape(dims)

@@ -20,7 +20,6 @@ from repro.core.cost import (
     optimal_response_time,
     optimal_times,
     response_times,
-    sliding_response_times,
 )
 from repro.core.engine import ResponseTimeEngine
 from repro.core.exceptions import QueryError
@@ -112,21 +111,19 @@ def evaluate_allocation_on_shapes(
     """Evaluate shapes over *all* placements (exact, zero-variance means).
 
     Every placement of every shape counts as one query; shapes that do not
-    fit in the grid are rejected.  When ``engine`` (an integral-image
-    :class:`~repro.core.engine.ResponseTimeEngine` built on the same
-    allocation) is given, it answers the sliding sweeps; results are
-    bit-identical either way — the scalar path is the reference oracle.
+    fit in the grid are rejected.  Every shape is swept on one
+    integral-image :class:`~repro.core.engine.ResponseTimeEngine`: the
+    given ``engine`` (built on the same allocation), or one built here.
     """
     shapes = [tuple(int(s) for s in shape) for shape in shapes]
     if not shapes:
         raise QueryError("workload contains no shapes")
+    if engine is None:
+        engine = ResponseTimeEngine(allocation)
     all_times: List[np.ndarray] = []
     all_optima: List[np.ndarray] = []
     for shape in shapes:
-        if engine is not None:
-            times = engine.sliding_response_times(shape)
-        else:
-            times = sliding_response_times(allocation, shape)
+        times = engine.sliding_response_times(shape)
         if times.size == 0:
             raise QueryError(
                 f"shape {shape} does not fit in grid {allocation.grid.dims}"

@@ -35,6 +35,7 @@ from repro.core.cost import (
 from repro.core.exceptions import FaultError, QueryError
 from repro.core.query import QueryBatch, RangeQuery
 from repro.faults.models import FaultScenario
+from repro.obs.trace import trace
 from repro.replication.allocation import ReplicatedAllocation
 
 __all__ = [
@@ -157,14 +158,19 @@ def availability(
     :meth:`~repro.core.query.QueryBatch.of` once.
     """
     batch = QueryBatch.of(queries, allocation.grid)
-    if not len(batch):
-        return 1.0
-    _check_scenario(allocation.num_disks, scenario)
-    if not scenario.failed:
-        return 1.0
-    counts = batch_disk_counts(allocation, batch)
-    answered = int(batch_query_availability(counts, scenario).sum())
-    return answered / len(batch)
+    with trace(
+        "faults.availability",
+        num_queries=len(batch),
+        num_disks=allocation.num_disks,
+    ):
+        if not len(batch):
+            return 1.0
+        _check_scenario(allocation.num_disks, scenario)
+        if not scenario.failed:
+            return 1.0
+        counts = batch_disk_counts(allocation, batch)
+        answered = int(batch_query_availability(counts, scenario).sum())
+        return answered / len(batch)
 
 
 def replicated_query_is_available(
@@ -221,10 +227,15 @@ def replicated_availability(
         batch = QueryBatch.of(queries, replicated.grid)
     except QueryError as exc:
         raise FaultError(str(exc)) from exc
-    if not len(batch):
-        return 1.0
-    lost = plan_batch(replicated, batch, scenarios=[scenario])[1][0]
-    return int((lost == 0).sum()) / len(batch)
+    with trace(
+        "faults.replicated_availability",
+        num_queries=len(batch),
+        num_disks=replicated.num_disks,
+    ):
+        if not len(batch):
+            return 1.0
+        lost = plan_batch(replicated, batch, scenarios=[scenario])[1][0]
+        return int((lost == 0).sum()) / len(batch)
 
 
 def degraded_optimal_response_time(

@@ -16,11 +16,12 @@ instead of exhaustively; the findings note when sampling was used.
 
 A second pass (:func:`check_engine`, QA42x) certifies the integral-image
 response-time engine: on seeded-random allocations over the same small
-grids, :class:`~repro.core.engine.ResponseTimeEngine` must agree
-bucket-for-bucket with the scalar ``sliding_response_times`` kernel and
-with brute-force per-placement ``response_time`` for every fitting shape,
-and its batched path (QA422) with the scalar per-query functions on
-mixed in-grid/clipped/outside batches.
+grids, :class:`~repro.core.engine.ResponseTimeEngine` must agree with
+brute-force per-placement ``response_time`` for every fitting shape
+(QA421), and its batched path (QA422) with the scalar per-query
+functions on mixed in-grid/clipped/outside batches.  (QA420, which
+compared the engine sweep with ``cost.sliding_response_times``, is
+retired: both are now the same summed-area-table kernel.)
 
 The scheme pass also certifies the vectorized allocation kernels
 (QA430/QA431): every scheme's ``disk_array`` must be callable on each
@@ -357,10 +358,8 @@ def check_engine(config: Optional[ContractConfig] = None) -> List[Finding]:
     """Certify the integral-image engine against its reference oracles.
 
     For every grid/disk combo in ``config`` a seeded-random allocation is
-    drawn and every fitting query shape is checked two ways:
+    drawn and every fitting query shape is checked:
 
-    * **QA420** — engine ``sliding_response_times`` differs from the
-      scalar :func:`repro.core.cost.sliding_response_times` kernel;
     * **QA421** — engine result differs from brute-force
       :func:`repro.core.cost.response_time` evaluated placement by
       placement (the definitional oracle);
@@ -373,11 +372,7 @@ def check_engine(config: Optional[ContractConfig] = None) -> List[Finding]:
     exhaustive over shapes rather than sampled.
     """
     from repro.core.allocation import DiskAllocation
-    from repro.core.cost import (
-        relative_deviation,
-        response_time,
-        sliding_response_times,
-    )
+    from repro.core.cost import relative_deviation, response_time
     from repro.core.engine import ResponseTimeEngine
     from repro.core.query import RangeQuery, all_placements
 
@@ -394,20 +389,7 @@ def check_engine(config: Optional[ContractConfig] = None) -> List[Finding]:
             for shape in itertools.product(
                 *(range(1, d + 1) for d in dims)
             ):
-                reference = sliding_response_times(allocation, shape)
                 computed = engine.sliding_response_times(shape)
-                if not np.array_equal(reference, computed):
-                    findings.append(
-                        _finding(
-                            "response-time-engine",
-                            "QA420",
-                            f"engine disagrees with the scalar sliding "
-                            f"kernel for shape {shape} on a random "
-                            f"allocation ({where}, seed "
-                            f"{ENGINE_CONTRACT_SEED})",
-                        )
-                    )
-                    break
                 brute_ok = all(
                     computed[tuple(query.lower)]
                     == response_time(allocation, query)
@@ -512,9 +494,7 @@ def check_backends(
       in-grid, boundary-clipped, and zero-bucket (fully outside)
       queries included;
     * the sliding-window sweep (``window_response_times``) for every
-      fitting shape;
-    * the whole-grid allocation-table kernels (``linear_mod_table``
-      with negative coefficients included, ``xor_mod_table``).
+      fitting shape.
 
     Memory-mapped tables are certified too: every backend's batch
     kernels over a multi-tile chunked table must match the in-RAM
@@ -556,18 +536,6 @@ def check_backends(
                 shape: reference.window_response_times(sat, shape)
                 for shape in fitting_shapes
             }
-            coefficient_sets = [
-                (1,) * grid.ndim,
-                tuple(
-                    (-1) ** axis * (axis + 2)
-                    for axis in range(grid.ndim)
-                ),
-            ]
-            want_tables = [
-                reference.linear_mod_table(dims, coeffs, num_disks)
-                for coeffs in coefficient_sets
-            ]
-            want_xor = reference.xor_mod_table(dims, num_disks)
             for backend in others:
                 if not np.array_equal(
                     want_counts,
@@ -609,30 +577,6 @@ def check_backends(
                             f"sliding-window kernel disagrees with the "
                             f"numpy reference for shape {bad_shape} "
                             f"({where}, seed {ENGINE_CONTRACT_SEED})",
-                        )
-                    )
-                    continue
-                tables_ok = all(
-                    np.array_equal(
-                        want,
-                        backend.linear_mod_table(
-                            dims, coeffs, num_disks
-                        ),
-                    )
-                    for want, coeffs in zip(
-                        want_tables, coefficient_sets
-                    )
-                ) and np.array_equal(
-                    want_xor, backend.xor_mod_table(dims, num_disks)
-                )
-                if not tables_ok:
-                    findings.append(
-                        _finding(
-                            f"backend:{backend.name}",
-                            "QA423",
-                            f"allocation-table kernel disagrees with "
-                            f"the numpy reference ({where}, negative "
-                            f"coefficients included)",
                         )
                     )
     findings.extend(_check_mmap_layout(config))

@@ -34,6 +34,7 @@ from repro.core.exceptions import SchemeError
 from repro.core.grid import Grid
 from repro.schemes.base import DeclusteringScheme
 from repro.schemes.cyclic import coprime_skips, rphm_skip
+from repro.schemes.disk_modulo import linear_mod_disks
 
 __all__ = [
     "LatticeScheme",
@@ -79,7 +80,7 @@ def exhaustive_coefficients(
     thinned deterministically (every n-th combination), which keeps the
     search exact in 2-d/3-d and principled beyond.
     """
-    from repro.core.cost import sliding_response_times
+    from repro.core.engine import ResponseTimeEngine
 
     if num_disks == 1:
         return (0,) * grid.ndim
@@ -96,12 +97,15 @@ def exhaustive_coefficients(
     best_cost = None
     for tail in combos:
         coefficients = (1,) + tail
-        table = np.zeros(grid.dims, dtype=np.int64)
-        for coefficient, axis in zip(coefficients, arrays):
-            table += coefficient * axis
-        allocation = DiskAllocation(grid, num_disks, table % num_disks)
+        engine = ResponseTimeEngine(
+            DiskAllocation(
+                grid,
+                num_disks,
+                linear_mod_disks(coefficients, arrays, num_disks),
+            )
+        )
         cost = sum(
-            float(sliding_response_times(allocation, shape).mean())
+            float(engine.sliding_response_times(shape).mean())
             for shape in shapes
         )
         if best_cost is None or cost < best_cost - 1e-12:
@@ -179,13 +183,11 @@ class LatticeScheme(DeclusteringScheme):
         ) % num_disks
 
     def disk_array(self, grid: Grid, num_disks: int) -> np.ndarray:
-        coefficients = self.coefficients_for(grid, num_disks)
-        table = np.zeros(grid.dims, dtype=np.int64)
-        for coefficient, axis in zip(
-            coefficients, grid.coordinate_arrays()
-        ):
-            table += coefficient * axis
-        return table % num_disks
+        return linear_mod_disks(
+            self.coefficients_for(grid, num_disks),
+            grid.coordinate_arrays(),
+            num_disks,
+        )
 
     def __repr__(self) -> str:
         return (

@@ -9,9 +9,10 @@ computationally by :mod:`repro.theory.search`.
 
 This module provides the exact checker: it enumerates every query *shape*
 and compares the sliding-window response times of all placements against the
-optimal bound.  Cost is ``O(num_shapes * M * num_buckets)`` which is
-perfectly tractable for the grid sizes where strict optimality is even
-conceivable.
+optimal bound, every shape swept on one summed-area table.  Cost is
+``O(M * num_buckets)`` for the table plus ``O(2^k * M * placements)`` per
+shape, which is perfectly tractable for the grid sizes where strict
+optimality is even conceivable.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro.core.allocation import DiskAllocation
-from repro.core.cost import optimal_response_time, sliding_response_times
+from repro.core.cost import optimal_response_time
+from repro.core.engine import ResponseTimeEngine
 from repro.core.grid import Coords
 from repro.core.query import RangeQuery, query_at
 
@@ -86,6 +88,7 @@ def verify_strict_optimality(
     """
     grid = allocation.grid
     num_disks = allocation.num_disks
+    engine = ResponseTimeEngine(allocation)
     best_witness: Optional[Tuple[int, RangeQuery, int, int]] = None
     shapes_checked = 0
     for shape in iter_query_shapes(grid.dims):
@@ -96,7 +99,7 @@ def verify_strict_optimality(
             continue
         shapes_checked += 1
         optimum = optimal_response_time(area, num_disks)
-        times = sliding_response_times(allocation, shape)
+        times = engine.sliding_response_times(shape)
         worst = int(times.max())
         if worst > optimum:
             origin = np.unravel_index(int(times.argmax()), times.shape)

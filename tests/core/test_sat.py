@@ -226,24 +226,6 @@ class TestMappedWindowSweep:
         finally:
             mapped.close()
 
-    def test_disk_window_counts(self, scheme_name, dims, tmp_path):
-        in_ram, mapped = self._tables(scheme_name, dims, tmp_path)
-        try:
-            for shape in [(1,) * len(dims), tuple(min(2, d) for d in dims),
-                          dims]:
-                counts = ResponseTimeEngine.from_sat(
-                    mapped
-                ).disk_window_counts(shape)
-                assert counts.shape[0] == 3  # (M, *placements)
-                assert np.array_equal(
-                    counts,
-                    ResponseTimeEngine.from_sat(in_ram).disk_window_counts(
-                        shape
-                    ),
-                )
-        finally:
-            mapped.close()
-
 
 class TestMmapRoundTrip:
     def test_open_mmap_recovers_grid_and_disks(self, tmp_path):

@@ -270,3 +270,53 @@ class TestDegradedOptimum:
     def test_negative_buckets_rejected(self):
         with pytest.raises(FaultError):
             degraded_optimal_response_time(-1, FaultScenario.healthy(2))
+
+
+def _fault_spans(action):
+    """``(name, attrs)`` of every ``faults.*`` span ``action`` opens."""
+    from repro.obs.trace import global_tracer
+
+    tracer = global_tracer()
+    was_enabled = tracer.enabled
+    tracer.enable()
+    try:
+        before = len(tracer.spans())
+        action()
+        spans = tracer.spans()[before:]
+    finally:
+        if not was_enabled:
+            tracer.disable()
+            tracer.clear()
+    return [
+        (span["name"], span["attrs"])
+        for span in spans
+        if span["name"].startswith("faults.")
+    ]
+
+
+class TestAvailabilitySpans:
+    """One span per availability call, never one per query."""
+
+    @pytest.mark.parametrize("count", [5, 500])
+    def test_one_availability_span_per_call(self, dm, grid, count):
+        queries = _availability_workload(grid, count - 2, seed=count)
+        scenario = FaultScenario(4, [FailStop(1)])
+        spans = _fault_spans(lambda: availability(dm, queries, scenario))
+        assert spans == [
+            ("faults.availability", {"num_queries": count, "num_disks": 4})
+        ]
+
+    @pytest.mark.parametrize("count", [5, 500])
+    def test_one_replicated_span_per_call(self, chained, grid, count):
+        queries = _availability_workload(grid, count - 2, seed=count)
+        scenario = FaultScenario(4, [FailStop([0, 1])])
+        spans = _fault_spans(
+            lambda: replicated_availability(chained, queries, scenario)
+        )
+        assert spans == [
+            (
+                "faults.replicated_availability",
+                {"num_queries": count, "num_disks": 4},
+            )
+        ]
+

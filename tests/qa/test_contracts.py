@@ -291,7 +291,7 @@ class TestEngineContract:
             corrupted,
         )
         findings = check_engine(CONFIG)
-        assert "QA420" in codes(findings)
+        assert "QA421" in codes(findings)
         assert all(f.file == "registry:response-time-engine"
                    for f in findings)
 
