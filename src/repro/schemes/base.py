@@ -31,16 +31,17 @@ __all__ = ["DeclusteringScheme", "block_coordinate_arrays"]
 def block_coordinate_arrays(
     grid: Grid, start: int, stop: int
 ) -> List[np.ndarray]:
-    """Coordinate arrays for the row-slab ``start:stop`` along axis 0.
+    """Coordinate vectors for the row-slab ``start:stop`` along axis 0.
 
-    Same contract as ``grid.coordinate_arrays()`` restricted to buckets
-    whose first coordinate lies in ``[start, stop)`` — axis-0 values are
-    the *absolute* coordinates, so scheme rules evaluate unchanged on the
+    Same contract as ``grid.coordinate_arrays()`` (open vectors that
+    broadcast to the slab's shape) restricted to buckets whose first
+    coordinate lies in ``[start, stop)`` — axis-0 values are the
+    *absolute* coordinates, so scheme rules evaluate unchanged on the
     slab.  This is what lets the chunked SAT builder materialize a
     beyond-RAM grid one slab at a time.
     """
     shape = (stop - start,) + grid.dims[1:]
-    coords = list(np.indices(shape, dtype=np.int64))
+    coords = list(np.indices(shape, dtype=np.int64, sparse=True))
     coords[0] += start
     return coords
 

@@ -104,7 +104,9 @@ class TestIteration:
 
     def test_coordinate_arrays_agree_with_iteration(self):
         grid = Grid((3, 4))
-        arrays = grid.coordinate_arrays()
+        vectors = grid.coordinate_arrays()
+        assert [v.shape for v in vectors] == [(3, 1), (1, 4)]
+        arrays = np.broadcast_arrays(*vectors)
         for coords in grid.iter_buckets():
             for axis in range(grid.ndim):
                 assert arrays[axis][coords] == coords[axis]
