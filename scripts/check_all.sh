@@ -81,19 +81,17 @@ rm -rf "${serve_tmp}"
 # a disabled tracer span must stay effectively free; the serve daemon
 # must answer byte-identically over the wire (qps floor on 4+ cores).
 run_step "batch + native bench gate" python scripts/check_bench_gate.py
-# Observability smoke: a fully instrumented run with one injected crash
-# must export a valid trace + metrics pair that records every
-# experiment, the cache counters, and the retry.
+# Observability smoke: a fully instrumented run must export a valid
+# trace + metrics pair that records every experiment and the cache
+# counters.
 obs_tmp="$(mktemp -d)"
-run_step "obs smoke (instrumented run + injected retry)" \
-    env REPRO_RUNNER_FAULTS="E2:crash:1" \
-        REPRO_RUNNER_FAULTS_STATE="${obs_tmp}/faults" \
+run_step "obs smoke (instrumented run)" \
     python -m repro experiment all --quick \
         --trace "${obs_tmp}/trace.jsonl" \
         --metrics-out "${obs_tmp}/metrics.json"
 run_step "obs output check" \
     python scripts/check_obs_output.py \
-        "${obs_tmp}/trace.jsonl" "${obs_tmp}/metrics.json" --expect-retry
+        "${obs_tmp}/trace.jsonl" "${obs_tmp}/metrics.json"
 run_step "obs summary" \
     python -m repro obs summary \
         --metrics "${obs_tmp}/metrics.json" --trace "${obs_tmp}/trace.jsonl"

@@ -20,9 +20,6 @@ written by ``repro-decluster experiment`` are well-formed:
   workloads as query batches;
 * the metrics document has the current schema and its ``aggregate``
   section covers the allocation-cache counters;
-* with ``--expect-retry``, at least one ``runner.retry`` event and a
-  nonzero ``runner.retries`` counter are present — the mode CI uses
-  after injecting a crash via ``REPRO_RUNNER_FAULTS``;
 * with ``--expect-counter NAME[:MIN]`` (repeatable), the named
   aggregate counter must be present with at least ``MIN`` (default 1)
   — the chaos leg uses this to prove recovery paths actually fired
@@ -36,8 +33,7 @@ written by ``repro-decluster experiment`` are well-formed:
 Usage::
 
     PYTHONPATH=src python scripts/check_obs_output.py \
-        trace.jsonl metrics.json [--expect-retry] \
-        [--expect-counter NAME[:MIN] ...]
+        trace.jsonl metrics.json [--expect-counter NAME[:MIN] ...]
 """
 
 import argparse
@@ -74,7 +70,7 @@ _FIELD_TYPES = {
 }
 
 
-def check_trace(path, errors, expect_retry):
+def check_trace(path, errors):
     spans = load_trace(path)
     if not spans:
         errors.append(f"{path}: empty trace")
@@ -127,12 +123,6 @@ def check_trace(path, errors, expect_retry):
         errors.append(
             f"{path}: no runner.experiment span for {missing_keys}"
         )
-    if expect_retry:
-        retries = [
-            span for span in spans if span.get("name") == "runner.retry"
-        ]
-        if not retries:
-            errors.append(f"{path}: expected a runner.retry event")
     print(
         f"obs check: {path}: {len(spans)} span(s), "
         f"{len(ids_by_pid)} process(es), experiments "
@@ -218,8 +208,7 @@ def parse_counter_expectation(spec):
     return name, int(minimum) if minimum else 1
 
 
-def check_metrics(path, errors, expect_retry, expect_counters=(),
-                  full=True):
+def check_metrics(path, errors, expect_counters=(), full=True):
     """Validate a ``--metrics-out`` document.
 
     ``full=False`` (the ``--counters-only`` mode) keeps the layout and
@@ -250,11 +239,6 @@ def check_metrics(path, errors, expect_retry, expect_counters=(),
                 )
         if not timed:
             errors.append(f"{path}: no experiment.*.seconds histograms")
-    if expect_retry and counters.get("runner.retries", 0) < 1:
-        errors.append(
-            f"{path}: expected runner.retries >= 1, got "
-            f"{counters.get('runner.retries', 0)}"
-        )
     for name, minimum in expect_counters:
         actual = counters.get(name, 0)
         if actual < minimum:
@@ -286,11 +270,6 @@ def main(argv=None) -> int:
         "--counters-only metrics.json --expect-counter NAME:MIN)",
     )
     parser.add_argument(
-        "--expect-retry",
-        action="store_true",
-        help="require an injected retry to be visible in both files",
-    )
-    parser.add_argument(
         "--expect-counter",
         action="append",
         default=[],
@@ -312,8 +291,7 @@ def main(argv=None) -> int:
         metrics_path = args.metrics or args.trace
         try:
             check_metrics(
-                metrics_path, errors, args.expect_retry,
-                expect_counters, full=False,
+                metrics_path, errors, expect_counters, full=False
             )
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             errors.append(f"{metrics_path}: {exc}")
@@ -321,13 +299,11 @@ def main(argv=None) -> int:
         if args.metrics is None:
             parser.error("metrics file required unless --counters-only")
         try:
-            check_trace(args.trace, errors, args.expect_retry)
+            check_trace(args.trace, errors)
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             errors.append(f"{args.trace}: {exc}")
         try:
-            check_metrics(
-                args.metrics, errors, args.expect_retry, expect_counters
-            )
+            check_metrics(args.metrics, errors, expect_counters)
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             errors.append(f"{args.metrics}: {exc}")
 

@@ -4,9 +4,9 @@
 Drives the real CLI end to end, the way an operator would experience a
 mid-suite crash:
 
-1. run ``experiment all --quick`` with an injected always-crashing
-   experiment and a checkpoint file — the run must *fail* and leave the
-   completed experiments checkpointed;
+1. run ``experiment all --quick`` with an injected failure at X5
+   (``REPRO_IO_FAULTS=experiment.X5``) and a checkpoint file — the run
+   must *fail* and leave the completed experiments checkpointed;
 2. re-run with ``--resume`` and no faults — the run must succeed,
    reusing the checkpoint;
 3. run a clean serial suite and require the resumed report to match it
@@ -34,10 +34,10 @@ def run_cli(extra, fault_spec=None):
         str(REPO / "src")
         + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     )
-    env.pop("REPRO_RUNNER_FAULTS", None)
-    env.pop("REPRO_RUNNER_FAULTS_STATE", None)
+    env.pop("REPRO_IO_FAULTS", None)
+    env.pop("REPRO_IO_FAULTS_STATE", None)
     if fault_spec is not None:
-        env["REPRO_RUNNER_FAULTS"] = fault_spec
+        env["REPRO_IO_FAULTS"] = fault_spec
     return subprocess.run(
         CLI + extra,
         cwd=REPO,
@@ -58,8 +58,8 @@ def main():
         checkpoint = pathlib.Path(tmp) / "runner-checkpoint.pkl"
 
         crashed = run_cli(
-            ["--retries", "0", "--checkpoint", str(checkpoint)],
-            fault_spec="X5:crash",
+            ["--checkpoint", str(checkpoint)],
+            fault_spec="experiment.X5",
         )
         if crashed.returncode == 0:
             return fail("sabotaged run unexpectedly succeeded")

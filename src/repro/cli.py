@@ -202,20 +202,12 @@ DEFAULT_CHECKPOINT = ".repro-runner-checkpoint.pkl"
 
 
 def _runner_kwargs(args) -> dict:
-    """Self-healing options shared by every ``experiment`` invocation."""
-    from repro.experiments.runner import DEFAULT_BACKOFF, DEFAULT_RETRIES
-
+    """``run_all`` options of an ``experiment all`` invocation."""
     checkpoint = args.checkpoint
     if checkpoint is None and args.resume:
         checkpoint = DEFAULT_CHECKPOINT
     return {
         "quick": args.quick,
-        "retries": (
-            DEFAULT_RETRIES if args.retries is None else args.retries
-        ),
-        "backoff": (
-            DEFAULT_BACKOFF if args.backoff is None else args.backoff
-        ),
         "checkpoint": checkpoint,
         "resume": args.resume,
     }
@@ -224,11 +216,25 @@ def _runner_kwargs(args) -> dict:
 def _cmd_experiment(args) -> int:
     from repro.experiments import runner
     from repro.experiments.reporting import render_table
-    from repro.experiments.runner import render_all, render_thm
 
     wanted = args.which.upper()
     if wanted == "DEGRADED":
         wanted = "X7"
+    if wanted not in runner.EXPERIMENT_KEYS + ("X6", "ALL"):
+        print(
+            f"unknown experiment {args.which!r}; "
+            f"known: E1 E2 E3 E4 E5 X1 EPM X3 X4 X5 X6 X7 "
+            f"degraded THM all",
+            file=sys.stderr,
+        )
+        return 2
+    if wanted != "ALL" and (args.checkpoint is not None or args.resume):
+        print(
+            "--checkpoint/--resume describe a whole-suite run; "
+            "use them with 'experiment all'",
+            file=sys.stderr,
+        )
+        return 2
     _setup_obs(args)
     if wanted == "X6":
         from repro.experiments import exp_growth
@@ -241,40 +247,28 @@ def _cmd_experiment(args) -> int:
         _finish_obs(args)
         return 0
     if wanted == "ALL":
-        print(render_all(runner.run_all(**_runner_kwargs(args))))
+        print(runner.render_all(runner.run_all(**_runner_kwargs(args))))
         _finish_obs(args)
         _print_cache_stats(args)
         return 0
-    results = runner.run_all(**_runner_kwargs(args))
+    result = runner.run_experiment(wanted, args.quick)
     _finish_obs(args)
-    key_map = {
-        "E4": ("E4a", "E4b"),
-        "X7": ("X7a", "X7b"),
-        "THM": ("THM",),
-    }
-    keys = key_map.get(wanted, (wanted,))
     exportable = []
-    for key in keys:
-        if key not in results:
-            print(
-                f"unknown experiment {args.which!r}; "
-                f"known: E1 E2 E3 E4 E5 X1 EPM X3 X4 X5 X6 X7 "
-                f"degraded THM all",
-                file=sys.stderr,
-            )
-            return 2
-        result = results[key]
-        if key == "THM":
-            print(render_thm(result))
-        elif key.startswith("E3"):
-            print(render_table(result.result_2d))
-            print()
-            print(render_table(result.result_3d))
-            exportable.extend([result.result_2d, result.result_3d])
-        else:
-            print(render_table(result))
-            exportable.append(result)
+    if wanted == "THM":
+        print(runner.render_thm(result))
         print()
+    elif wanted == "E3":
+        exportable = [result.result_2d, result.result_3d]
+        print(render_table(result.result_2d))
+        print()
+        print(render_table(result.result_3d))
+        print()
+    else:
+        # E4 and X7 return their result pair (E4a/E4b, X7a/X7b).
+        exportable = list(result) if wanted in ("E4", "X7") else [result]
+        for series in exportable:
+            print(render_table(series))
+            print()
     if args.csv is not None or args.json is not None:
         if not exportable:
             print(
@@ -651,19 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default=None, help="also write the series as JSON"
     )
     p_exp.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        help="extra attempts per failing experiment (default: 2)",
-    )
-    p_exp.add_argument(
-        "--backoff",
-        type=float,
-        default=None,
-        help="base delay between retries, doubling per retry "
-        "(default: 0.5s)",
-    )
-    p_exp.add_argument(
         "--checkpoint",
         default=None,
         help=(
@@ -692,8 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help=(
-            "record spans (experiments, engine, planner, simulator, "
-            "retries) "
+            "record spans (experiments, engine, planner, simulator) "
             "and write them as JSONL to FILE"
         ),
     )
@@ -710,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="LEVEL",
         help=(
-            "emit library logs (SAT rebuilds, runner retries, ...) to "
+            "emit library logs (SAT rebuilds, build resumes, ...) to "
             "stderr at LEVEL (debug, info, warning, ...)"
         ),
     )

@@ -111,8 +111,8 @@ class FaultError(DeclusteringError):
 class RunnerError(DeclusteringError):
     """The experiment runner could not complete the suite.
 
-    Raised when an experiment keeps failing after its bounded retries are
-    exhausted, or a checkpoint file cannot be used for the requested run.
+    Raised when an experiment fails (the run stops at the first failure),
+    or a checkpoint file cannot be used for the requested run.
     """
 
 

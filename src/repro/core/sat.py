@@ -74,7 +74,6 @@ _LOG = get_logger("repro.core.sat")
 
 __all__ = [
     "DEFAULT_BYTE_BUDGET",
-    "LEGACY_SHARDS_SUFFIX",
     "SummedAreaTable",
     "build_carry_path",
     "build_journal_path",
@@ -167,13 +166,6 @@ def build_journal_path(path: Union[str, os.PathLike]) -> str:
 def build_carry_path(path: Union[str, os.PathLike]) -> str:
     """The carry-plane checkpoint matching the journal's last tile."""
     return os.fspath(path) + ".carry.npy"
-
-
-#: Suffix of the phase-1 shard log that parallel builds of earlier
-#: versions left beside ``<path>.partial``.  No build reads it any more:
-#: :meth:`SummedAreaTable.build_chunked` deletes it, and ``repro doctor``
-#: reports it as a stale sidecar.
-LEGACY_SHARDS_SUFFIX = ".shards.json"
 
 
 def _remove_quietly(*paths: str) -> None:
@@ -386,9 +378,8 @@ class SummedAreaTable:
         ``path`` picks up from the last journaled tile, so the resumed
         table is byte-identical to an uninterrupted build (the journal's
         tile size wins even if the byte budget changed).
-        ``resume=False`` ignores and removes any prior journal.  A shard
-        log left by an older parallel build (``LEGACY_SHARDS_SUFFIX``)
-        is always removed; without a journal the build starts fresh.
+        ``resume=False`` ignores and removes any prior journal; without
+        a journal the build starts fresh.
         Tile digests are streamed into a sidecar manifest that
         :meth:`open_mmap` verifies (see :mod:`repro.core.integrity`).
         A build that *raises* cleans up after itself: temp-file builds
@@ -414,7 +405,6 @@ class SummedAreaTable:
         shape = _padded_shape(num_disks, dims)
         scheme_name = getattr(scheme, "name", "") or ""
 
-        _remove_quietly(path + LEGACY_SHARDS_SUFFIX)
         journal = None
         if resume and not owns_temp:
             journal = cls._load_build_journal(

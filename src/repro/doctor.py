@@ -2,11 +2,9 @@
 
 The artifact layer leaves two kinds of state on a machine: spilled
 summed-area tables (``repro-sat-*.npy`` plus manifest and, after a
-crash, ``.partial``/``.journal.json``/``.carry.npy`` build sidecars,
-plus ``.shards.json`` shard logs that parallel builds of earlier
-versions left behind), the compiled-kernel cache (``reprokern-*.so``
-with digest sidecars, and ``.c``/``.tmp`` leftovers from failed
-compiles).  The doctor walks both:
+crash, ``.partial``/``.journal.json``/``.carry.npy`` build sidecars),
+and the compiled-kernel cache (``reprokern-*.so`` with digest sidecars,
+and ``.c``/``.tmp`` leftovers from failed compiles).  The doctor walks both:
 
 * **report** (default): verify every artifact against its sidecar
   (:mod:`repro.core.integrity`), classify each finding, and exit
@@ -25,7 +23,7 @@ Classifications:
     e.g. a zero-byte ``.so``) — gc removes it;
 ``stale``
     leftover staging state no live build owns (partials + journals,
-    old shard logs, compile temps, orphaned sidecars), or
+    compile temps, orphaned sidecars), or
     a spilled SAT of the retired disk-first layout (a schema-1
     manifest, or no manifest at all, so its layout is unknowable) —
     gc removes it;
@@ -56,7 +54,6 @@ from repro.core.integrity import (
     verify_sat,
 )
 from repro.core.sat import (
-    LEGACY_SHARDS_SUFFIX,
     build_carry_path,
     build_journal_path,
     build_partial_path,
@@ -154,9 +151,7 @@ def scan_sat_artifacts(
 
     Only repro-owned files are considered: ``repro-sat-*`` temp spills,
     any ``.npy`` with a manifest sidecar, and chunked-build staging
-    sets (``*.partial`` / ``*.journal.json`` / ``*.carry.npy``).  A
-    ``*.npy.shards.json`` shard log from an older parallel build is
-    stale on its own: no build reads it any more.
+    sets (``*.partial`` / ``*.journal.json`` / ``*.carry.npy``).
     """
     directory = directory or _sat_dir()
     level = verify_level(level)
@@ -182,11 +177,6 @@ def scan_sat_artifacts(
             for suffix in (".partial", ".journal.json", ".carry.npy"):
                 if leftover.endswith(suffix):
                     staged.add(leftover[: -len(suffix)])
-    shard_logs = sorted(
-        glob.glob(
-            os.path.join(directory, "*.npy" + LEGACY_SHARDS_SUFFIX)
-        )
-    )
 
     for path in sorted(tables):
         manifest = manifest_path(path)
@@ -284,19 +274,6 @@ def scan_sat_artifacts(
                 path=base,
                 detail=detail,
                 removals=parts,
-            )
-        )
-    for shard_log in shard_logs:
-        issues.append(
-            ArtifactIssue(
-                kind="sat-build",
-                state="stale",
-                path=shard_log,
-                detail=(
-                    "shard log left by an older parallel build; no "
-                    "build reads it"
-                ),
-                removals=[shard_log],
             )
         )
     return issues

@@ -9,13 +9,14 @@ result type and runs separately via ``repro.experiments.exp_growth`` —
 ``scripts/generate_report.py`` appends it to the full report.)
 
 The suite runs in one process.  Every experiment is deterministic, so
-the report depends only on ``quick``.  The runner is **self-healing**:
-an experiment that raises is retried (``retries`` extra attempts, an
-exponential ``backoff`` between attempts), and with a checkpoint every
-completed result is persisted immediately, so ``run_all(...,
-resume=True)`` — CLI: ``experiment all --resume`` — skips finished
-experiments after a crash or kill.  Fresh and resumed runs produce
-byte-identical reports.
+the report depends only on ``quick`` — and a failed experiment would
+fail the same way again, so the runner **fails fast**: the first
+experiment that raises stops the run with a
+:class:`~repro.core.exceptions.RunnerError` naming its key.  With a
+checkpoint every completed result is persisted immediately, so
+``run_all(..., resume=True)`` — CLI: ``experiment all --resume`` —
+skips finished experiments after a failure or kill.  Fresh and resumed
+runs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -28,18 +29,13 @@ from repro.core.exceptions import RunnerError
 from repro.experiments.checkpoint import RunCheckpoint
 from repro.experiments.exp_num_attributes import deviation_table
 from repro.experiments.reporting import render_table
-from repro.faults.injection import maybe_inject_runner_fault
-from repro.obs.log import get_logger
+from repro.faults.io import maybe_io_fault
 from repro.obs.metrics import global_registry
-from repro.obs.trace import trace, trace_event
+from repro.obs.trace import trace
 from repro.theory.conditions import render_table as render_conditions
 from repro.theory.search import SearchResult
 
-_LOG = get_logger("repro.experiments.runner")
-
 __all__ = [
-    "DEFAULT_BACKOFF",
-    "DEFAULT_RETRIES",
     "EXPERIMENT_KEYS",
     "render_all",
     "render_thm",
@@ -60,12 +56,6 @@ _PAIR_KEYS: Dict[str, Tuple[str, str]] = {
     "E4": ("E4a", "E4b"),
     "X7": ("X7a", "X7b"),
 }
-
-#: How many times a failing experiment is retried before the run aborts.
-DEFAULT_RETRIES = 2
-
-#: Base delay (seconds) between retry rounds; doubles per round.
-DEFAULT_BACKOFF = 0.5
 
 #: Quick-mode keyword arguments per experiment (paper-scale runs pass none).
 _QUICK_KWARGS: Dict[str, Dict[str, object]] = {
@@ -156,23 +146,28 @@ def _job_callable(key: str):
 def run_experiment(key: str, quick: bool = False) -> object:
     """Run one experiment job by key (pair jobs return their result pair).
 
-    Before doing real work it consults the ``REPRO_RUNNER_FAULTS`` chaos
-    plan (see :mod:`repro.faults.injection`) so the self-healing paths
-    can be exercised end to end.
+    Before doing real work it passes the ``experiment.<KEY>`` point of
+    the ``REPRO_IO_FAULTS`` chaos plan (see :mod:`repro.faults.io`), so
+    the checkpoint and resume paths can be exercised end to end.  Any
+    failure is raised as a :class:`~repro.core.exceptions.RunnerError`
+    naming the key.
     """
     if key not in EXPERIMENT_KEYS:
         raise KeyError(
             f"unknown experiment key {key!r}; known: {EXPERIMENT_KEYS}"
         )
-    maybe_inject_runner_fault(key)
     kwargs = (_QUICK_KWARGS if quick else _FULL_KWARGS).get(key, {})
-    with trace("runner.experiment", key=key, quick=quick):
-        start = time.perf_counter()
-        result = _job_callable(key)(**kwargs)
-        global_registry().observe(
-            f"experiment.{key}.seconds", time.perf_counter() - start
-        )
-        return result
+    try:
+        maybe_io_fault(f"experiment.{key}")
+        with trace("runner.experiment", key=key, quick=quick):
+            start = time.perf_counter()
+            result = _job_callable(key)(**kwargs)
+            global_registry().observe(
+                f"experiment.{key}.seconds", time.perf_counter() - start
+            )
+    except Exception as exc:  # qa502: allow — re-raised as RunnerError naming the failed key
+        raise RunnerError(f"experiment {key} failed: {exc!r}") from exc
+    return result
 
 
 def _assemble(raw: Dict[str, object]) -> Dict[str, object]:
@@ -187,63 +182,9 @@ def _assemble(raw: Dict[str, object]) -> Dict[str, object]:
     return results
 
 
-def _retry_round_delay(backoff: float, round_index: int) -> float:
-    """Exponential backoff: ``backoff * 2**round`` seconds, round >= 0."""
-    return backoff * (2.0 ** round_index)
-
-
-def _run_serial(
-    pending: List[str],
-    quick: bool,
-    retries: int,
-    backoff: float,
-    checkpoint: Optional[RunCheckpoint],
-) -> Dict[str, object]:
-    """In-process execution with bounded per-experiment retries."""
-    raw: Dict[str, object] = {}
-    for key in pending:
-        attempt = 0
-        while True:
-            try:
-                result = run_experiment(key, quick)
-            except Exception as exc:  # qa502: allow — every failure is retried, then re-raised as RunnerError
-                attempt += 1
-                if attempt > retries:
-                    raise RunnerError(
-                        f"experiment {key} failed after {attempt} "
-                        f"attempt(s): {exc!r}"
-                    ) from exc
-                delay = _retry_round_delay(backoff, attempt - 1)
-                _record_retry(key, attempt, exc, delay)
-                time.sleep(delay)
-            else:
-                raw[key] = result
-                if checkpoint is not None:
-                    checkpoint.record(key, result)
-                break
-    return raw
-
-
-def _record_retry(
-    key: str, attempt: int, exc: BaseException, delay: float
-) -> None:
-    """Make one retry visible: log line, counter, trace event."""
-    _LOG.warning(
-        "experiment %s attempt %d failed (%r); retrying in %.2fs",
-        key, attempt, exc, delay,
-    )
-    global_registry().inc("runner.retries")
-    trace_event(
-        "runner.retry",
-        key=key, attempt=attempt, delay_s=delay, error=repr(exc),
-    )
-
-
 def run_all(
     quick: bool = False,
     workers: Optional[int] = None,
-    retries: int = DEFAULT_RETRIES,
-    backoff: float = DEFAULT_BACKOFF,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
 ) -> Dict[str, object]:
@@ -254,27 +195,19 @@ def run_all(
     ``perfbench/workload_suite.py``, which still passes ``workers=None``;
     any other value raises :class:`ValueError`.
 
-    Self-healing knobs:
-
-    * ``retries`` / ``backoff`` — extra attempts per failing experiment
-      and the base exponential delay between attempts.  When an
-      experiment still fails after its last retry the run raises
-      :class:`~repro.core.exceptions.RunnerError`.
-    * ``checkpoint`` / ``resume`` — persist every completed result to the
-      given file; with ``resume=True`` previously completed experiments
-      are loaded instead of re-run.  The file is deleted after a fully
-      successful run, so a later ``resume`` starts fresh rather than
-      serving stale results.
+    The first experiment that raises stops the run with a
+    :class:`~repro.core.exceptions.RunnerError` naming its key.
+    ``checkpoint`` / ``resume`` persist every completed result to the
+    given file; with ``resume=True`` previously completed experiments
+    are loaded instead of re-run.  The file is deleted after a fully
+    successful run, so a later ``resume`` starts fresh rather than
+    serving stale results.
     """
     if workers not in (None, 1):
         raise ValueError(
             f"workers must be None or 1 (the suite runs in one "
             f"process): {workers!r}"
         )
-    if retries < 0:
-        raise ValueError(f"retries must be non-negative: {retries}")
-    if backoff < 0:
-        raise ValueError(f"backoff must be non-negative: {backoff}")
     if resume and checkpoint is None:
         raise ValueError("resume=True needs a checkpoint path")
 
@@ -284,8 +217,12 @@ def run_all(
         store = RunCheckpoint(checkpoint, quick=quick)
         if resume:
             raw.update(store.load())
-    pending = [key for key in EXPERIMENT_KEYS if key not in raw]
-    raw.update(_run_serial(pending, quick, retries, backoff, store))
+    for key in EXPERIMENT_KEYS:
+        if key in raw:
+            continue
+        raw[key] = run_experiment(key, quick)
+        if store is not None:
+            store.record(key, raw[key])
     results = _assemble(raw)
     if store is not None:
         store.clear()

@@ -1,32 +1,37 @@
-"""I/O-level chaos injection for the artifact layer.
+"""Chaos injection: the one fault plan of the library.
 
-:mod:`repro.faults.injection` sabotages whole experiment attempts; this
-module reaches *inside* the native data plane, at the exact points where
-a disk-full, a torn write or a corrupted cache would strike in
-production::
+An environment-variable fault plan reaches the exact points where a
+disk-full, a torn write, a corrupted cache or a crashed experiment would
+strike, usable both from the test suite and from the shell::
 
-    REPRO_IO_FAULTS="sat.write:1;compile" \\
+    REPRO_IO_FAULTS="experiment.X5:exit" \\
     REPRO_IO_FAULTS_STATE=/tmp/io-fault-state \\
-        python -m repro evaluate --scheme ecc ...
+        python -m repro experiment all --quick --checkpoint run.pkl
 
 Plan grammar: semicolon-separated ``POINT[:MODE][:TIMES]`` entries.
 
 * ``POINT`` is one of the injection points wired through the library:
 
-  ===============  ====================================================
-  ``sat.write``    before each tile write of a chunked SAT build
-                   (:meth:`~repro.core.sat.SummedAreaTable.build_chunked`)
-  ``sat.read``     on reopening a spilled SAT
-                   (:meth:`~repro.core.sat.SummedAreaTable.open_mmap`)
-  ``compile``      in the native backend's kernel compile/cache path
-                   (:func:`repro.core.backends.native._compile_library`)
-  ===============  ====================================================
+  ====================  ===============================================
+  ``sat.write``         before each tile write of a chunked SAT build
+                        (:meth:`~repro.core.sat.SummedAreaTable.build_chunked`)
+  ``sat.read``          on reopening a spilled SAT
+                        (:meth:`~repro.core.sat.SummedAreaTable.open_mmap`)
+  ``compile``           in the native backend's kernel compile/cache path
+                        (:func:`repro.core.backends.native._compile_library`)
+  ``experiment.<KEY>``  before the runner's experiment ``KEY`` (``E1`` ...
+                        ``THM``) does any work
+                        (:func:`repro.experiments.runner.run_experiment`)
+  ====================  ===============================================
 
+  Points match case-insensitively; an unknown point, or an unknown
+  experiment key, is a :class:`~repro.core.exceptions.FaultError`.
 * ``MODE`` is ``error`` (the default — raise :class:`InjectedIOFault`,
   an ``OSError``, exactly what the real failure would look like) or
   ``exit`` (hard ``os._exit`` mid-operation: the deterministic,
   test-friendly stand-in for SIGKILL / power loss, leaving partial
-  artifacts on disk for the recovery paths to deal with);
+  artifacts and checkpoints on disk for the recovery paths to deal
+  with);
 * ``TIMES`` (default 1) is how many hits of that point to sabotage.
 
 Because ``MODE`` is optional, ``sat.write:2`` means "error mode, twice".
@@ -52,6 +57,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 from repro.core.exceptions import FaultError
 
 __all__ = [
+    "IO_EXIT_STATUS",
     "IO_FAULTS_ENV",
     "IO_FAULTS_STATE_ENV",
     "IO_POINTS",
@@ -63,11 +69,10 @@ __all__ = [
 IO_FAULTS_ENV = "REPRO_IO_FAULTS"
 IO_FAULTS_STATE_ENV = "REPRO_IO_FAULTS_STATE"
 
-#: Exit status of ``exit``-mode faults; distinct from the runner plan's
-#: 17 so harnesses can tell which layer killed a process.
+#: Exit status of ``exit``-mode faults.
 IO_EXIT_STATUS = 23
 
-#: Injection points wired through the library.
+#: Injection points wired through the artifact layer.
 IO_POINTS = ("sat.write", "sat.read", "compile")
 
 _MODES = ("error", "exit")
@@ -80,6 +85,18 @@ class InjectedIOFault(OSError):
     fault exactly like a real failed ``write(2)``/``open(2)`` — any
     handler that special-cases it is cheating the chaos test.
     """
+
+
+def _canonical_point(name: str) -> str:
+    """The wired point ``name`` names, or :class:`FaultError`."""
+    # Deferred: the runner imports this module.
+    from repro.experiments.runner import EXPERIMENT_KEYS
+
+    points = IO_POINTS + tuple(f"experiment.{key}" for key in EXPERIMENT_KEYS)
+    for point in points:
+        if point.lower() == name.lower():
+            return point
+    raise FaultError(f"unknown I/O fault point {name!r}; known: {points}")
 
 
 @dataclass(frozen=True)
@@ -116,12 +133,7 @@ class IoFaultPlan:
                     f"bad I/O fault entry {raw!r}; "
                     f"expected POINT[:MODE][:TIMES]"
                 )
-            point = parts[0].lower()
-            if point not in IO_POINTS:
-                raise FaultError(
-                    f"unknown I/O fault point {point!r}; "
-                    f"known: {IO_POINTS}"
-                )
+            point = _canonical_point(parts[0])
             mode, times = "error", 1
             if len(parts) == 3:
                 mode, times = parts[1].lower(), int(parts[2])
@@ -156,12 +168,11 @@ class IoFaultPlan:
         Without a state directory every hit counts as the first, so the
         fault fires forever — documented hard-down behavior.
 
-        The counter may be bumped from several processes at once (a
-        parallel build's workers and its parent all pass the same
-        seam), so the read-modify-write holds an exclusive ``flock`` —
-        otherwise two processes can read the same value, both claim
-        hit 1, and a ``TIMES=1`` exit plan kills both instead of the
-        one victim the plan named.
+        The counter may be bumped from several processes at once (any
+        processes sharing one state directory), so the read-modify-write
+        holds an exclusive ``flock`` — otherwise two processes can read
+        the same value, both claim hit 1, and a ``TIMES=1`` exit plan
+        kills both instead of the one victim the plan named.
         """
         if self._state_dir is None:
             return 1
@@ -207,8 +218,9 @@ def maybe_io_fault(point: str, detail: str = "") -> None:
     """Apply the environment I/O fault plan to one artifact operation.
 
     No-op unless ``REPRO_IO_FAULTS`` is set; called from the artifact
-    layer's hot seams (see :data:`IO_POINTS`) so chaos plans reach
-    subprocesses through their environment.
+    layer's hot seams (see :data:`IO_POINTS`) and before each runner
+    experiment, so chaos plans reach subprocesses through their
+    environment.
     """
     plan = IoFaultPlan.from_environment()
     if plan is not None:

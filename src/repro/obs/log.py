@@ -3,8 +3,8 @@
 Every module logs through a child of the ``repro`` logger obtained from
 :func:`get_logger`.  The package ships a ``NullHandler`` on the root
 ``repro`` logger, so library code can log unconditionally — warnings
-about spilled-table rebuilds, swallowed cleanup failures, and runner
-retries — without ever printing unless the application opts in
+about spilled-table rebuilds, resumed builds and swallowed cleanup
+failures — without ever printing unless the application opts in
 via :func:`configure_logging` (the CLI's ``--log-level``) or attaches
 its own handlers.
 """

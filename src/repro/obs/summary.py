@@ -2,9 +2,9 @@
 
 Backs ``repro-decluster obs summary``: point it at the ``--metrics-out``
 JSON and/or ``--trace`` JSONL a run produced and it prints per-experiment
-wall times, cache hit rates, serve latencies, and retry counts —
-the distributional view (p50/p95/max, not just means) that parallel
-response-time tuning needs.
+wall times, cache hit rates and serve latencies — the distributional
+view (p50/p95/max, not just means) that parallel response-time tuning
+needs.
 """
 
 from __future__ import annotations
@@ -124,9 +124,6 @@ def render_metrics_summary(document: Dict[str, Any]) -> str:
             f"({rate:.0%} hit rate), "
             f"{cache.get('evictions', 0)} eviction(s)"
         )
-
-    runner = _counter_block(counters, "runner.")
-    lines.append(f"  runner: retries={runner.get('retries', 0)}")
     return "\n".join(lines)
 
 

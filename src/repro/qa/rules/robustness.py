@@ -2,17 +2,18 @@
 
 With the fault-injection subsystem in place (:mod:`repro.faults`), error
 handling is itself load-bearing correctness logic: a swallowed exception
-in the runner's retry loop, the degraded planner, or a checkpoint write
-turns a recoverable fault into a silently wrong report.  Two rules ban
+in the runner, the degraded planner, or a checkpoint write turns a
+recoverable fault into a silently wrong report.  Two rules ban
 the patterns that make failures invisible:
 
 * **QA501** — a bare ``except:`` catches ``KeyboardInterrupt`` and
   ``SystemExit`` along with everything else; the handler cannot even name
   what it intercepted.
 * **QA502** — ``except Exception:`` (or ``BaseException``) whose body is
-  only ``pass``/``...`` discards the failure without recording, retrying,
-  or re-raising.  Broad catches are fine — the self-healing runner relies
-  on them — but only when the handler *does* something with the failure.
+  only ``pass``/``...`` discards the failure without recording or
+  re-raising.  Broad catches are fine — the runner re-raises every
+  experiment failure as a ``RunnerError`` through one — but only when
+  the handler *does* something with the failure.
 
 QA502 supports an **explicit whitelist pragma** for the rare handler
 whose swallowing is deliberate and audited (e.g. a best-effort cleanup

@@ -15,11 +15,6 @@ time and everything at benchmark time.  These rules guard the designated
 * any function carrying a ``# qa7: hot`` marker comment (opt-in for new
   kernels before they earn a dedicated path here).
 
-One carve-out: functions decorated with a JIT compiler (``@njit`` and
-friends) are excluded from every hot region — their scalar loops are
-compiled to native code, exactly what these rules push python code
-toward, not a regression.
-
 The rules:
 
 * **QA701** — a python-level ``for`` loop iterates an ndarray (or a
@@ -78,12 +73,6 @@ _HOT_SCHEME_TOKEN = "disk_array"
 
 #: Opt-in marker for functions not covered by the path rules.
 _HOT_MARKER = re.compile(r"#\s*qa7:\s*hot\b")
-
-#: Decorator names that JIT-compile a function to native code.  Scalar
-#: loops inside them are the *product*, not a missed vectorization — the
-#: QA7xx rules exist to keep interpreted numpy code batch-shaped, so
-#: jitted functions are carved out of every hot region.
-_JIT_DECORATORS = frozenset({"njit", "jit", "vectorize", "guvectorize"})
 
 #: Methods whose result on an array is still an array.
 _ARRAY_METHODS = frozenset(
@@ -151,17 +140,9 @@ class HotRegions:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
         function_lines: Set[int] = set()
-        self.cold_spans: List[Tuple[int, int]] = []
         for func in functions:
             end = func.end_lineno or func.lineno
             function_lines.update(range(func.lineno, end + 1))
-            if any(
-                (dotted_name(d) or dotted_name(getattr(d, "func", d)) or "")
-                .split(".")[-1]
-                in _JIT_DECORATORS
-                for d in func.decorator_list
-            ):
-                self.cold_spans.append((func.lineno, end))
         if not self.module_hot:
             # A marker outside every function makes the module hot.
             for index, line in enumerate(lines, start=1):
@@ -186,10 +167,6 @@ class HotRegions:
                 self.spans.append((func.lineno, end))
 
     def is_hot(self, lineno: int) -> bool:
-        if any(
-            start <= lineno <= end for start, end in self.cold_spans
-        ):
-            return False
         if self.module_hot:
             return True
         return any(start <= lineno <= end for start, end in self.spans)

@@ -75,12 +75,16 @@ def exhaustive_coefficients(
     """The best coefficient vector ``(1, c_2, ..., c_k)`` on small cubes.
 
     Scores each candidate by the summed mean RT of the side-2 and side-3
-    cubes over all placements; ties break lexicographically.  When the
-    full coprime product exceeds ``max_combinations``, candidates are
-    thinned deterministically (every n-th combination), which keeps the
-    search exact in 2-d/3-d and principled beyond.
+    cubes over all placements, compared exactly: each shape's placement
+    count is the same for every candidate, so the score is the integer
+    sum of RT totals over a common denominator.  Ties break
+    lexicographically.  When the full coprime product exceeds
+    ``max_combinations``, candidates are thinned deterministically
+    (every n-th combination), which keeps the search exact in 2-d/3-d
+    and principled beyond.
     """
     from repro.core.engine import ResponseTimeEngine
+    from repro.core.query import placement_extents
 
     if num_disks == 1:
         return (0,) * grid.ndim
@@ -92,9 +96,14 @@ def exhaustive_coefficients(
     shapes = [
         tuple(min(side, d) for d in grid.dims) for side in (2, 3)
     ]
+    placements = [
+        math.prod(placement_extents(grid, shape)[1]) for shape in shapes
+    ]
+    denominator = math.lcm(*placements)
+    weights = [denominator // count for count in placements]
     arrays = grid.coordinate_arrays()
     best = None
-    best_cost = None
+    best_score = None
     for tail in combos:
         coefficients = (1,) + tail
         engine = ResponseTimeEngine(
@@ -104,12 +113,12 @@ def exhaustive_coefficients(
                 linear_mod_disks(coefficients, arrays, num_disks),
             )
         )
-        cost = sum(
-            float(engine.sliding_response_times(shape).mean())
-            for shape in shapes
+        score = sum(
+            weight * int(engine.sliding_response_times(shape).sum())
+            for weight, shape in zip(weights, shapes)
         )
-        if best_cost is None or cost < best_cost - 1e-12:
-            best_cost = cost
+        if best_score is None or score < best_score:
+            best_score = score
             best = coefficients
     return best
 

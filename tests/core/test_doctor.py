@@ -15,7 +15,6 @@ from repro.core.integrity import (
 )
 from repro.core.registry import get_scheme
 from repro.core.sat import (
-    LEGACY_SHARDS_SUFFIX,
     SummedAreaTable,
     build_carry_path,
     build_journal_path,
@@ -174,30 +173,6 @@ class TestLegacyDiskFirstSpill:
         assert issue.state == "stale"
         assert "disk-first" in issue.detail
         assert set(issue.removals) == {path, manifest_path(path)}
-        report = run_doctor(
-            gc=True,
-            scanners=[lambda: scan_sat_artifacts(str(tmp_path))],
-        )
-        assert report.exit_code() == 0
-        assert os.listdir(str(tmp_path)) == []
-
-
-class TestLegacyShardLog:
-    def test_shard_log_is_a_stale_sidecar_gc_removes(self, tmp_path):
-        # What an older parallel build killed in phase 1 left behind.
-        base = os.path.join(str(tmp_path), "repro-sat-p.npy")
-        shard_log = base + LEGACY_SHARDS_SUFFIX
-        with open(build_partial_path(base), "wb") as handle:
-            handle.write(b"half-built")
-        with open(shard_log, "w") as handle:
-            json.dump({"kind": "sat-shards", "done": {"0": "0" * 64}}, handle)
-        by_path = {
-            issue.path: issue for issue in scan_sat_artifacts(str(tmp_path))
-        }
-        assert by_path[shard_log].kind == "sat-build"
-        assert by_path[shard_log].state == "stale"
-        assert by_path[shard_log].removals == [shard_log]
-        assert by_path[base].state == "stale"  # partial, no journal
         report = run_doctor(
             gc=True,
             scanners=[lambda: scan_sat_artifacts(str(tmp_path))],

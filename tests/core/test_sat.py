@@ -297,34 +297,7 @@ class TestQueryBatchIntegration:
             engine.batch_response_times(batch)
 
 
-class TestLegacyShardLog:
-    """Older parallel builds left a ``.shards.json`` log; none reads it."""
-
-    def test_fresh_build_removes_stale_shard_log(self, tmp_path):
-        from repro.core.sat import LEGACY_SHARDS_SUFFIX, build_partial_path
-
-        path = tmp_path / "sat.npy"
-        shard_log = str(path) + LEGACY_SHARDS_SUFFIX
-        # A phase-1 crash of an old parallel build: shard log + partial,
-        # no carry journal.  The build must start fresh, not reuse it.
-        with open(shard_log, "w") as handle:
-            handle.write('{"kind": "sat-shards", "done": {"0": "x"}}')
-        with open(build_partial_path(path), "wb") as handle:
-            handle.write(b"half-built")
-        grid = Grid((9, 7))
-        built = SummedAreaTable.build_chunked(
-            get_scheme("dm"), grid, 3, byte_budget=600, path=path
-        )
-        reference = SummedAreaTable.build(
-            get_scheme("dm").allocate(grid, 3)
-        )
-        try:
-            assert np.array_equal(np.asarray(built.array), reference.array)
-        finally:
-            built.close()
-        assert not os.path.exists(shard_log)
-        assert not os.path.exists(build_partial_path(path))
-
+class TestRetiredParameters:
     def test_workers_parameter_is_gone(self, tmp_path):
         with pytest.raises(TypeError, match="workers"):
             SummedAreaTable.build_chunked(

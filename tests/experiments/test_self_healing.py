@@ -1,9 +1,10 @@
-"""Chaos tests for the self-healing runner and its checkpoint store.
+"""Chaos tests for the fail-fast runner and its checkpoint store.
 
-Faults reach the runner through the ``REPRO_RUNNER_FAULTS`` environment
-plan, so the same injection path covers in-process retries, the
-resume-after-crash flow, and a CLI process that dies outright.  Every
-healed run must match the no-fault report byte for byte.
+Faults reach the runner through the ``experiment.<KEY>`` points of the
+``REPRO_IO_FAULTS`` plan, so the same injection path covers a failing
+experiment, the resume-after-failure flow, and a CLI process that dies
+outright.  Every resumed run must match the no-fault report byte for
+byte.
 """
 
 import os
@@ -17,7 +18,11 @@ import pytest
 from repro.core.exceptions import RunnerError
 from repro.experiments.checkpoint import CHECKPOINT_VERSION, RunCheckpoint
 from repro.experiments.runner import EXPERIMENT_KEYS, render_all, run_all
-from repro.faults.injection import FAULTS_ENV, FAULTS_STATE_ENV
+from repro.faults.io import (
+    IO_EXIT_STATUS,
+    IO_FAULTS_ENV,
+    IO_FAULTS_STATE_ENV,
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,36 +32,22 @@ def baseline():
 
 @pytest.fixture(autouse=True)
 def clean_fault_env(monkeypatch):
-    monkeypatch.delenv(FAULTS_ENV, raising=False)
-    monkeypatch.delenv(FAULTS_STATE_ENV, raising=False)
+    monkeypatch.delenv(IO_FAULTS_ENV, raising=False)
+    monkeypatch.delenv(IO_FAULTS_STATE_ENV, raising=False)
 
 
-def _inject(monkeypatch, tmp_path, spec):
-    monkeypatch.setenv(FAULTS_ENV, spec)
-    monkeypatch.setenv(FAULTS_STATE_ENV, str(tmp_path / "fault-state"))
-
-
-class TestSerialHealing:
-    def test_crash_retried_and_report_identical(
+class TestFailFast:
+    def test_failure_stops_the_run_after_one_attempt(
         self, baseline, monkeypatch, tmp_path
     ):
-        _inject(monkeypatch, tmp_path, "E2:crash:1")
-        healed = run_all(quick=True, retries=2, backoff=0.0)
-        assert render_all(healed) == render_all(baseline)
-
-    @pytest.mark.parametrize("key", EXPERIMENT_KEYS)
-    def test_one_crash_at_each_experiment_heals(
-        self, key, baseline, monkeypatch, tmp_path
-    ):
-        _inject(monkeypatch, tmp_path, f"{key}:crash:1")
-        healed = run_all(quick=True, retries=1, backoff=0.0)
-        assert render_all(healed) == render_all(baseline)
-
-    def test_exhausted_retries_raise(self, monkeypatch):
-        # No state directory: the fault fires on every attempt.
-        monkeypatch.setenv(FAULTS_ENV, "E1:crash")
-        with pytest.raises(RunnerError, match="E1"):
-            run_all(quick=True, retries=1, backoff=0.0)
+        state = tmp_path / "fault-state"
+        monkeypatch.setenv(IO_FAULTS_ENV, "experiment.E2:error:1")
+        monkeypatch.setenv(IO_FAULTS_STATE_ENV, str(state))
+        with pytest.raises(RunnerError, match="experiment E2 failed"):
+            run_all(quick=True)
+        # One attempt consumed the one-hit budget: nothing retried.
+        assert (state / "experiment_E2.hits").read_text() == "1"
+        assert render_all(run_all(quick=True)) == render_all(baseline)
 
 
 class TestCheckpointStore:
@@ -112,20 +103,18 @@ class TestResume:
         self, baseline, monkeypatch, tmp_path
     ):
         path = tmp_path / "ckpt.pkl"
-        # X5 crashes on every attempt: the run dies late, with earlier
-        # experiments already persisted.
-        monkeypatch.setenv(FAULTS_ENV, "X5:crash")
-        with pytest.raises(RunnerError):
-            run_all(quick=True, retries=0, checkpoint=path)
+        # X5 fails: the run stops late, with earlier experiments
+        # already persisted.
+        monkeypatch.setenv(IO_FAULTS_ENV, "experiment.X5")
+        with pytest.raises(RunnerError, match="X5"):
+            run_all(quick=True, checkpoint=path)
         completed = RunCheckpoint(path, quick=True).load()
         assert "E1" in completed and "X5" not in completed
 
-        # Resume with a plan that would crash E1 forever: it must be
+        # Resume with a plan that would fail E1 forever: it must be
         # served from the checkpoint, never re-run.
-        monkeypatch.setenv(FAULTS_ENV, "E1:crash")
-        resumed = run_all(
-            quick=True, checkpoint=path, resume=True, retries=0
-        )
+        monkeypatch.setenv(IO_FAULTS_ENV, "experiment.E1")
+        resumed = run_all(quick=True, checkpoint=path, resume=True)
         assert render_all(resumed) == render_all(baseline)
         # A fully successful run clears its checkpoint.
         assert not path.exists()
@@ -135,13 +124,13 @@ class TestResume:
         self, key, baseline, monkeypatch, tmp_path
     ):
         path = tmp_path / "ckpt.pkl"
-        monkeypatch.setenv(FAULTS_ENV, f"{key}:crash")
+        monkeypatch.setenv(IO_FAULTS_ENV, f"experiment.{key}")
         with pytest.raises(RunnerError, match=key):
-            run_all(quick=True, retries=0, checkpoint=path)
+            run_all(quick=True, checkpoint=path)
         done = EXPERIMENT_KEYS[: EXPERIMENT_KEYS.index(key)]
         assert set(RunCheckpoint(path, quick=True).load()) == set(done)
 
-        monkeypatch.delenv(FAULTS_ENV)
+        monkeypatch.delenv(IO_FAULTS_ENV)
         resumed = run_all(quick=True, checkpoint=path, resume=True)
         assert render_all(resumed) == render_all(baseline)
         assert not path.exists()
@@ -153,21 +142,22 @@ class TestResume:
         # no cleanup — so only the checkpoint survives for --resume.
         path = tmp_path / "ckpt.pkl"
         env = dict(os.environ)
-        env.pop(FAULTS_STATE_ENV, None)
+        env.pop(IO_FAULTS_STATE_ENV, None)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
         command = [
             sys.executable, "-m", "repro", "experiment", "all", "--quick",
             "--checkpoint", str(path),
         ]
         died = subprocess.run(
-            command, env=dict(env, **{FAULTS_ENV: "X5:exit"}),
+            command,
+            env=dict(env, **{IO_FAULTS_ENV: "experiment.X5:exit"}),
             capture_output=True, text=True, timeout=300,
         )
-        assert died.returncode == 17
+        assert died.returncode == IO_EXIT_STATUS
         completed = RunCheckpoint(path, quick=True).load()
         assert "X4" in completed and "X5" not in completed
 
-        env.pop(FAULTS_ENV, None)
+        env.pop(IO_FAULTS_ENV, None)
         resumed = subprocess.run(
             command + ["--resume"], env=env,
             capture_output=True, text=True, timeout=300,

@@ -4,10 +4,11 @@ import os
 
 import pytest
 
-from repro.core.exceptions import FaultError
+from repro.core.exceptions import FaultError, RunnerError
 from repro.core.grid import Grid
 from repro.core.registry import get_scheme
 from repro.core.sat import SummedAreaTable
+from repro.experiments.runner import EXPERIMENT_KEYS, run_experiment
 from repro.faults.io import (
     IO_FAULTS_ENV,
     IO_FAULTS_STATE_ENV,
@@ -39,16 +40,50 @@ class TestPlanParsing:
         plan.apply("sat.read")
 
     def test_multiple_entries(self):
-        plan = IoFaultPlan.from_spec("sat.read; sat.write:2")
+        plan = IoFaultPlan.from_spec("sat.read; ;sat.write:2;")
         with pytest.raises(InjectedIOFault):
             plan.apply("sat.read")
         with pytest.raises(InjectedIOFault):
             plan.apply("sat.write")
         plan.apply("compile")  # not in the plan
 
+    def test_without_state_dir_fires_forever(self):
+        plan = IoFaultPlan.from_spec("experiment.E1:error:1")
+        for _ in range(3):
+            with pytest.raises(InjectedIOFault):
+                plan.apply("experiment.E1")
+
+    def test_malformed_entry_rejected(self):
+        with pytest.raises(FaultError, match="bad I/O fault entry"):
+            IoFaultPlan.from_spec("sat.read:error:1:9")
+
     def test_unknown_point_rejected(self):
         with pytest.raises(FaultError, match="unknown I/O fault point"):
             IoFaultPlan.from_spec("sat.rite")
+
+    @pytest.mark.parametrize("key", EXPERIMENT_KEYS)
+    def test_experiment_point_per_runner_key(self, key):
+        plan = IoFaultPlan.from_spec(f"experiment.{key}")
+        with pytest.raises(InjectedIOFault, match=f"experiment.{key}"):
+            plan.apply(f"experiment.{key}")
+        other = "E1" if key != "E1" else "E2"
+        plan.apply(f"experiment.{other}")  # not in the plan
+
+    def test_experiment_point_matches_case_insensitively(self, tmp_path):
+        plan = IoFaultPlan.from_spec("Experiment.epm:2", str(tmp_path))
+        for _ in range(2):
+            with pytest.raises(InjectedIOFault):
+                plan.apply("experiment.EPM")
+        plan.apply("experiment.EPM")  # third hit passes
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["experiment.E99", "experiment.X6", "experiment.", "experiment"],
+    )
+    def test_unknown_experiment_key_rejected(self, spec):
+        # X6 runs outside the runner, so it has no point either.
+        with pytest.raises(FaultError, match="unknown I/O fault point"):
+            IoFaultPlan.from_spec(f"{spec}:exit")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(FaultError, match="unknown I/O fault mode"):
@@ -123,6 +158,15 @@ class TestInjectionPoints:
         )
         sat.close()
         assert os.path.exists(path)
+
+    def test_experiment_point_fires_before_the_experiment(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv(IO_FAULTS_ENV, "experiment.E2")
+        with pytest.raises(RunnerError, match="experiment E2 failed") as info:
+            run_experiment("E2", quick=True)
+        assert isinstance(info.value.__cause__, InjectedIOFault)
+        run_experiment("E1", quick=True)  # other keys run
 
     def test_compile_point(self, monkeypatch, tmp_path):
         from repro.core.backends.native import _compile_library

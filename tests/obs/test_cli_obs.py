@@ -46,6 +46,17 @@ class TestExperimentInstrumentation:
         assert "engine.sliding_response_times" in names
         assert f"trace: {len(spans)} span(s)" in capsys.readouterr().err
 
+    def test_single_key_traces_exactly_one_experiment(self, tmp_path):
+        trace_path = tmp_path / "trace.jsonl"
+        assert main(
+            ["experiment", "E2", "--quick", "--trace", str(trace_path)]
+        ) == 0
+        experiments = [
+            span for span in load_trace(trace_path)
+            if span["name"] == "runner.experiment"
+        ]
+        assert [span["attrs"]["key"] for span in experiments] == ["E2"]
+
     def test_x6_trace_has_one_grow_span_per_scheme(self, capsys, tmp_path):
         from repro.experiments.exp_growth import DEFAULT_SCHEMES
 

@@ -77,11 +77,11 @@ class TestJsonDocument:
         import json
 
         registry = MetricsRegistry()
-        registry.inc("runner.retries")
+        registry.inc("sat.build_resumes")
         path = tmp_path / "metrics.json"
         registry.write_json(path)
         document = json.loads(path.read_text())
-        assert document["aggregate"]["counters"]["runner.retries"] == 1
+        assert document["aggregate"]["counters"]["sat.build_resumes"] == 1
 
     def test_clear_drops_everything(self):
         registry = MetricsRegistry()

@@ -22,7 +22,6 @@ def _metrics_document():
                 "cache.hits": 8,
                 "cache.misses": 2,
                 "cache.evictions": 1,
-                "runner.retries": 2,
             },
             "histograms": {
                 "experiment.E1.seconds": {
@@ -48,27 +47,27 @@ def _spans():
             "wall_start": 10.1, "duration_s": 0.002, "attrs": {},
         },
         {
-            "schema": 1, "kind": "event", "name": "runner.retry",
+            "schema": 1, "kind": "event", "name": "gridfile.grown",
             "span_id": "8-1", "parent_id": None, "pid": 8,
             "wall_start": 10.2, "duration_s": 0.0,
-            "attrs": {"key": "E2", "attempt": 1},
+            "attrs": {"num_splits": 3, "records_migrated": 40},
         },
     ]
 
 
 class TestMetricsRendering:
-    def test_mentions_pid_hit_rate_and_retries(self):
+    def test_mentions_pid_hit_rate_and_wall_time(self):
         text = render_metrics_summary(_metrics_document())
         assert "metrics summary (pid 1)" in text
         assert "80% hit rate" in text
-        assert "retries=2" in text
         assert "E1" in text
+        assert "runner" not in text
 
-    def test_empty_aggregate_still_renders(self):
+    def test_empty_aggregate_renders_header_only(self):
         text = render_metrics_summary(
             {"aggregate": {}}
         )
-        assert "retries=0" in text
+        assert text == "metrics summary (pid ?)"
 
 
 class TestTraceRendering:
@@ -77,7 +76,7 @@ class TestTraceRendering:
         assert "3 span(s)/event(s) from 2 process(es)" in text
         assert "E1" in text
         assert "engine.build" in text
-        assert "runner.retry" in text and "x1" in text
+        assert "gridfile.grown" in text and "x1" in text
 
     def test_empty_trace_renders_header_only(self):
         text = render_trace_summary([])

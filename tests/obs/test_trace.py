@@ -68,7 +68,7 @@ class TestSpanRecording:
         assert "ValueError" in span["attrs"]["error"]
 
     def test_event_is_zero_duration(self, tracer):
-        tracer.event("runner.retry", key="E2", attempt=1)
+        tracer.event("tick", key="E2", attempt=1)
         (event,) = tracer.spans()
         assert event["kind"] == "event"
         assert event["duration_s"] == 0.0

@@ -77,6 +77,34 @@ class TestHotRegionSelection:
         )
         assert "QA701" in codes(findings)
 
+    def test_jit_decorator_does_not_exempt_a_hot_loop(self):
+        # No backend compiles python loops, so a decorator named like a
+        # JIT compiler leaves the loop as interpreted as any other.
+        findings = lint(
+            """
+            import numpy as np
+            from numba import njit
+
+            @njit
+            def walk(table):
+                table = np.asarray(table)
+                total = 0
+                for value in table:
+                    total += value
+                return total
+
+            @njit(cache=True)
+            def walk_cached(table: np.ndarray):
+                total = 0
+                for value in table:
+                    total += value
+                return total
+            """,
+            path="src/repro/core/backends/jitted.py",
+        )
+        qa701 = [f for f in findings if f.rule == "QA701"]
+        assert len(qa701) == 2
+
 
 class TestHotNdarrayLoopRule:
     def test_range_loop_not_flagged(self):

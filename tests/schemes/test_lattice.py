@@ -1,17 +1,55 @@
 """Unit tests for the k-dimensional lattice scheme."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from repro.core.cost import average_response_time
 from repro.core.exceptions import SchemeError
 from repro.core.grid import Grid
-from repro.schemes.cyclic import CyclicScheme
+from repro.schemes.cyclic import CyclicScheme, coprime_skips
 from repro.schemes.lattice import (
     LatticeScheme,
     exhaustive_coefficients,
     power_coefficients,
 )
+
+
+def _brute_force_pick(dims, num_disks):
+    """The lattice search re-derived bucket by bucket, in exact fractions."""
+    skips = coprime_skips(num_disks)
+    shapes = [tuple(min(side, d) for d in dims) for side in (2, 3)]
+    best, best_cost = None, None
+    for tail in itertools.product(skips, repeat=len(dims) - 1):
+        coefficients = (1,) + tail
+        table = np.zeros(dims, dtype=np.int64)
+        for bucket in itertools.product(*(range(d) for d in dims)):
+            table[bucket] = sum(
+                c * i for c, i in zip(coefficients, bucket)
+            ) % num_disks
+        cost = Fraction(0)
+        for shape in shapes:
+            origins = list(
+                itertools.product(
+                    *(range(d - s + 1) for d, s in zip(dims, shape))
+                )
+            )
+            total = 0
+            for origin in origins:
+                box = tuple(
+                    slice(o, o + s) for o, s in zip(origin, shape)
+                )
+                total += int(
+                    np.bincount(
+                        table[box].ravel(), minlength=num_disks
+                    ).max()
+                )
+            cost += Fraction(total, len(origins))
+        if best_cost is None or cost < best_cost:
+            best, best_cost = coefficients, cost
+    return best
 
 
 class TestCoefficientSelection:
@@ -49,6 +87,26 @@ class TestCoefficientSelection:
         exh = exhaustive_coefficients(grid, num_disks)
         power = power_coefficients(3, num_disks)
         assert score(exh) <= score(power) + 1e-9
+
+
+    @pytest.mark.parametrize(
+        "dims, num_disks",
+        [
+            ((6, 6), 5),
+            ((8, 5), 7),
+            ((9, 4), 8),
+            ((7, 7), 12),
+            ((4, 4, 4), 5),
+            ((5, 4, 3), 4),
+            ((4, 3, 5), 6),
+        ],
+    )
+    def test_exhaustive_pick_matches_exact_brute_force(
+        self, dims, num_disks
+    ):
+        assert exhaustive_coefficients(
+            Grid(dims), num_disks
+        ) == _brute_force_pick(dims, num_disks)
 
 
 class TestLatticeScheme:

@@ -153,6 +153,67 @@ class TestExperimentCommand:
     def test_unknown_experiment_fails(self, capsys):
         assert main(["experiment", "E99", "--quick"]) == 2
 
+    def test_unknown_experiment_fails_before_any_work(
+        self, capsys, monkeypatch
+    ):
+        from repro.experiments import runner
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("an experiment ran")
+
+        monkeypatch.setattr(runner, "run_experiment", no_work)
+        monkeypatch.setattr(runner, "run_all", no_work)
+        assert main(["experiment", "E99", "--quick"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown experiment 'E99'" in captured.err
+
+    def test_single_key_runs_only_that_experiment(
+        self, capsys, monkeypatch
+    ):
+        from repro.experiments import runner
+
+        ran = []
+        original = runner.run_experiment
+
+        def counting(key, quick=False):
+            ran.append(key)
+            return original(key, quick)
+
+        monkeypatch.setattr(runner, "run_experiment", counting)
+        assert main(["experiment", "degraded", "--quick"]) == 0
+        assert ran == ["X7"]
+        out = capsys.readouterr().out
+        assert "[X7a]" in out and "[X7b]" in out
+
+    def test_single_key_failure_is_a_one_line_error(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_IO_FAULTS", "experiment.E2")
+        assert main(["experiment", "E2", "--quick"]) == 1
+        assert "error: experiment E2 failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--resume"], ["--checkpoint", "run.pkl"]],
+    )
+    def test_checkpoint_flags_need_the_whole_suite(
+        self, flags, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiment", "E2", "--quick"] + flags) == 2
+        assert "whole-suite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags", [["--retries", "1"], ["--backoff", "0.5"]]
+    )
+    def test_retry_flags_are_usage_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "all", "--quick"] + flags)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_csv_and_json_export(self, capsys, tmp_path):
         csv_path = tmp_path / "e2.csv"
         json_path = tmp_path / "e2.json"
