@@ -1,18 +1,11 @@
-"""The paper's experiment suite (E1-E5) plus ablations (X1) and the runner."""
+"""The paper's experiment suite (E1-E5) plus ablations (X1) and the runner.
 
-from repro.experiments import (
-    exp_beyond_paper,
-    exp_curve_ablation,
-    exp_db_size,
-    exp_num_attributes,
-    exp_num_disks,
-    exp_growth,
-    exp_load_sweep,
-    exp_partial_match,
-    exp_query_shape,
-    exp_query_size,
-    exp_replication,
-)
+Only the shared result type and the report helpers are re-exported.
+Each ``exp_*`` module is imported on demand (``from repro.experiments
+import exp_growth``), so importing the runner does not load every
+experiment.
+"""
+
 from repro.experiments.common import (
     ExperimentResult,
     default_area_sweep,
@@ -35,15 +28,4 @@ __all__ = [
     "render_deviation_table",
     "to_csv",
     "ascii_plot",
-    "exp_query_size",
-    "exp_query_shape",
-    "exp_num_attributes",
-    "exp_num_disks",
-    "exp_db_size",
-    "exp_curve_ablation",
-    "exp_partial_match",
-    "exp_beyond_paper",
-    "exp_replication",
-    "exp_load_sweep",
-    "exp_growth",
 ]

@@ -23,10 +23,10 @@ functions on mixed in-grid/clipped/outside batches.  (QA420, which
 compared the engine sweep with ``cost.sliding_response_times``, is
 retired: both are now the same summed-area-table kernel.)
 
-The scheme pass also certifies the vectorized allocation kernels
-(QA430/QA431): every scheme's ``disk_array`` must be callable on each
-applicable combo and agree with the scalar ``disk_of`` rule on the same
-(possibly sampled) buckets.
+The scheme pass also certifies the chunked build's slab kernel
+(QA430/QA431): every scheme's ``disk_array_block`` must be callable on
+each applicable combo, return slabs of the right shape, and concatenate
+to the ``allocate`` table.
 """
 
 from __future__ import annotations
@@ -252,7 +252,6 @@ def _check_combo(
         else ""
     )
 
-    scalar_values = {}
     for coords in coords_list:
         values = []
         for _ in range(max(2, config.repeats)):
@@ -303,54 +302,62 @@ def _check_combo(
                 )
             )
             return findings
-        scalar_values[tuple(coords)] = int(value)
-    # The scalar rule held everywhere sampled; now certify the
-    # vectorized kernel against it (QA430: callable and well-shaped,
-    # QA431: bucket-for-bucket agreement on the same sample).  An
-    # expensive scheme without a vectorized override has nothing to
-    # certify — the base fallback *is* the scalar loop, and running it
-    # would defeat the sampling cap.
+    # The scalar rule held everywhere sampled, and QA409 tied allocate's
+    # table to it; now certify the chunked build's slab kernel against
+    # that table (QA430: every slab callable and well-shaped, QA431:
+    # the slabs concatenate to the allocate table).  An expensive scheme
+    # without a block override has nothing to certify — the base block
+    # slices the full table — and rebuilding it would defeat the
+    # sampling cap.
     if (
         sample_limit is not None
-        and type(scheme).disk_array is DeclusteringScheme.disk_array
+        and type(scheme).disk_array_block
+        is DeclusteringScheme.disk_array_block
     ):
         return findings
-    try:
-        disk_array = scheme.disk_array(grid, num_disks)
-    except Exception as exc:
-        findings.append(
-            _finding(
-                name,
-                "QA430",
-                f"disk_array({where}) raised {type(exc).__name__} after "
-                f"check_applicable accepted the configuration: {exc}",
-            )
-        )
-        return findings
-    if tuple(disk_array.shape) != grid.dims:
-        findings.append(
-            _finding(
-                name,
-                "QA430",
-                f"disk_array({where}) returned shape "
-                f"{tuple(disk_array.shape)}, expected {grid.dims}",
-            )
-        )
-        return findings
-    for coords in coords_list:
-        expected = scalar_values[tuple(coords)]
-        if int(disk_array[tuple(coords)]) != expected:
+    rows = grid.dims[0]
+    bounds = sorted({0, rows // 2, rows})
+    slabs = []
+    for start, stop in zip(bounds, bounds[1:]):
+        block = f"disk_array_block({where}, rows [{start}, {stop}))"
+        try:
+            slab = scheme.disk_array_block(grid, num_disks, start, stop)
+        except Exception as exc:
             findings.append(
                 _finding(
                     name,
-                    "QA431",
-                    f"disk_array({where}) assigns bucket {coords} to disk "
-                    f"{int(disk_array[tuple(coords)])} but disk_of returns "
-                    f"{expected} — the vectorized kernel disagrees with "
-                    f"the scalar per-bucket rule{suffix}",
+                    "QA430",
+                    f"{block} raised {type(exc).__name__} after "
+                    f"check_applicable accepted the configuration: {exc}",
                 )
             )
             return findings
+        want_shape = (stop - start,) + grid.dims[1:]
+        if tuple(np.shape(slab)) != want_shape:
+            findings.append(
+                _finding(
+                    name,
+                    "QA430",
+                    f"{block} returned shape {tuple(np.shape(slab))}, "
+                    f"expected {want_shape}",
+                )
+            )
+            return findings
+        slabs.append(slab)
+    table = np.concatenate(slabs)
+    mismatch = np.argwhere(table != base_table)
+    if mismatch.size:
+        coords = tuple(int(c) for c in mismatch[0])
+        findings.append(
+            _finding(
+                name,
+                "QA431",
+                f"disk_array_block({where}) slabs assign bucket {coords} "
+                f"to disk {int(table[coords])} but allocate assigns "
+                f"{int(base_table[coords])} — the chunked build's slab "
+                f"kernel disagrees with the full table",
+            )
+        )
     return findings
 
 

@@ -152,81 +152,36 @@ class QueryPlan:
         return not self.lost
 
 
-def _greedy_assignment(
-    replicated: ReplicatedAllocation, buckets: List[Coords]
-) -> Dict[Coords, int]:
-    loads = np.zeros(replicated.num_disks, dtype=np.int64)
-    assignment: Dict[Coords, int] = {}
-    for coords in buckets:
-        primary, backup = replicated.disks_of(coords)
-        if loads[primary] <= loads[backup]:
-            choice = primary
-        else:
-            choice = backup
-        assignment[coords] = choice
-        loads[choice] += 1
-    return assignment
-
-
-def _surviving_choices(
-    replicated: ReplicatedAllocation,
-    buckets: List[Coords],
-    scenario: FaultScenario,
-) -> Tuple[List[Coords], List[Tuple[int, ...]], List[Coords]]:
-    """Split buckets into (reachable, per-bucket disk choices, lost)."""
-    kept: List[Coords] = []
-    choices: List[Tuple[int, ...]] = []
-    lost: List[Coords] = []
-    for coords in buckets:
-        pair = replicated.disks_of(coords)
-        alive = tuple(
-            dict.fromkeys(
-                d for d in pair if not scenario.is_failed(d)
-            )
-        )
-        if alive:
-            kept.append(coords)
-            choices.append(alive)
-        else:
-            lost.append(coords)
-    return kept, choices, lost
-
-
-def _greedy_weighted(
-    kept: List[Coords],
-    choices: List[Tuple[int, ...]],
-    scenario: FaultScenario,
-    num_disks: int,
-) -> Dict[Coords, int]:
-    """Greedy on weighted finish times; ties prefer the primary copy."""
-    loads = np.zeros(num_disks, dtype=np.int64)
-    assignment: Dict[Coords, int] = {}
-    for coords, alive in zip(kept, choices):
-        best = alive[0]
-        best_cost = (loads[best] + 1) * scenario.factor(best)
-        for disk in alive[1:]:
-            cost = (loads[disk] + 1) * scenario.factor(disk)
-            if cost < best_cost:
-                best, best_cost = disk, cost
-        assignment[coords] = best
-        loads[best] += 1
-    return assignment
-
-
 def _plan_greedy(
     replicated: ReplicatedAllocation,
     buckets: List[Coords],
-    scenario: Optional[FaultScenario],
+    scenario: FaultScenario,
 ) -> Tuple[Dict[Coords, int], Tuple[Coords, ...]]:
-    """The heuristic planner, healthy or degraded."""
-    if scenario is None:
-        return _greedy_assignment(replicated, buckets), ()
-    kept, choices, lost = _surviving_choices(
-        replicated, buckets, scenario
-    )
-    assignment = _greedy_weighted(
-        kept, choices, scenario, replicated.num_disks
-    )
+    """Greedy on weighted finish times, routing around failed disks.
+
+    Each bucket goes to the surviving copy that would finish first,
+    ``(load + 1) * factor``; ties prefer the primary copy, so on healthy
+    disks the rule is "primary unless the backup is strictly less
+    loaded".  Buckets with no surviving copy are returned as lost.
+    """
+    failed = scenario.failed
+    factors = scenario.factors.tolist()
+    loads = [0] * replicated.num_disks
+    assignment: Dict[Coords, int] = {}
+    lost: List[Coords] = []
+    for coords in buckets:
+        best, best_cost = None, None
+        for disk in replicated.disks_of(coords):
+            if disk in failed:
+                continue
+            cost = (loads[disk] + 1) * factors[disk]
+            if best is None or cost < best_cost:
+                best, best_cost = disk, cost
+        if best is None:
+            lost.append(coords)
+        else:
+            assignment[coords] = best
+            loads[best] += 1
     return assignment, tuple(lost)
 
 
@@ -413,19 +368,14 @@ def plan_query(
         )
 
     buckets = list(clipped.iter_buckets())
+    effective = scenario if degraded else FaultScenario.healthy(num_disks)
     if method == "greedy":
-        assignment, lost = _plan_greedy(
-            replicated, buckets, scenario if degraded else None
-        )
+        assignment, lost = _plan_greedy(replicated, buckets, effective)
         chosen = np.fromiter(
             assignment.values(), dtype=np.int64, count=len(assignment)
         )
     else:
-        chosen, lost_mask = _plan_exact(
-            replicated,
-            clipped,
-            scenario if degraded else FaultScenario.healthy(num_disks),
-        )
+        chosen, lost_mask = _plan_exact(replicated, clipped, effective)
         lost = ()
         if lost_mask.any():
             lost = tuple(compress(buckets, lost_mask.tolist()))

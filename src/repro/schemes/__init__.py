@@ -11,13 +11,14 @@ from repro.schemes.baselines import RandomScheme, RoundRobinScheme
 from repro.schemes.cyclic import (
     CyclicScheme,
     coprime_skips,
-    exhaustive_skip,
+    exhaustive_coefficients,
     gfib_skip,
     rphm_skip,
 )
 from repro.schemes.disk_modulo import (
     DiskModuloScheme,
     GeneralizedDiskModuloScheme,
+    LinearModScheme,
 )
 from repro.schemes.ecc_scheme import ECCScheme
 from repro.schemes.fieldwise_xor import AutoFXScheme, ExFXScheme, FXScheme
@@ -26,15 +27,12 @@ from repro.schemes.hilbert_scheme import (
     HCAMScheme,
     ZOrderScheme,
 )
-from repro.schemes.lattice import (
-    LatticeScheme,
-    exhaustive_coefficients,
-    power_coefficients,
-)
+from repro.schemes.lattice import LatticeScheme, power_coefficients
 from repro.schemes.workload_aware import WorkloadAwareScheme
 
 __all__ = [
     "DeclusteringScheme",
+    "LinearModScheme",
     "DiskModuloScheme",
     "GeneralizedDiskModuloScheme",
     "FXScheme",
@@ -50,9 +48,8 @@ __all__ = [
     "coprime_skips",
     "rphm_skip",
     "gfib_skip",
-    "exhaustive_skip",
+    "exhaustive_coefficients",
     "LatticeScheme",
     "power_coefficients",
-    "exhaustive_coefficients",
     "WorkloadAwareScheme",
 ]

@@ -1,4 +1,4 @@
-"""Cyclic (lattice) declustering with chosen skip values.
+"""Cyclic declustering: the 2-d linear rule with a chosen skip.
 
 A direct descendant of the methods the paper evaluates: DM assigns
 ``(i + j) mod M``, i.e. it walks the disks with *skip 1* per column.  The
@@ -9,7 +9,9 @@ cyclic family generalizes the skip,
 which tilts DM's diagonal stripes into a 2-d lattice.  A good ``H``
 spreads any small rectangle over many distinct disks — the strictly
 optimal M = 5 allocation is exactly ``H = 2`` — and fixes DM's small-square
-pathology while keeping its optimal row/column behaviour.
+pathology while keeping its optimal row/column behaviour.  It is the
+linear rule of :class:`~repro.schemes.disk_modulo.LinearModScheme` with
+coefficients ``(1, H)``.
 
 Skip-selection policies (named after the post-paper literature on cyclic
 allocation — Prabhakar, Agrawal & El Abbadi — which grew out of exactly
@@ -21,43 +23,44 @@ the gap this paper exposed):
 * **GFIB** (generalized Fibonacci): ``H`` = the largest Fibonacci number
   < M made coprime to ``M`` by decrement — Fibonacci skips give
   near-uniform lattices for the same reason Fibonacci hashing works.
-* **EXH** (exhaustive): evaluate every coprime skip on a target workload
-  (small squares by default) and keep the best — the strongest, and
+* **EXH** (exhaustive): :func:`exhaustive_coefficients` scores every
+  coprime skip on small squares and keeps the best — the strongest, and
   exactly the "use query information" advice the paper's conclusion
-  gives.  It is cheap because a cyclic table gives a shape the same RT
-  at every placement (moving the window only relabels the disks), so
-  each candidate skip is scored on one window per shape.
+  gives.  The same search picks the k-d coefficient vectors of
+  :mod:`repro.schemes.lattice`.
 
-Only the 2-d case is defined (as in the literature); the schemes raise
+Only the 2-d case is defined (as in the literature); the scheme raises
 for other dimensionalities.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import List, Optional, Sequence
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.exceptions import (
-    QueryError,
-    SchemeError,
-    SchemeNotApplicableError,
-)
+from repro.core.exceptions import SchemeError, SchemeNotApplicableError
 from repro.core.grid import Grid
-from repro.schemes.base import DeclusteringScheme
+from repro.schemes.disk_modulo import LinearModScheme, linear_mod_disks
 
 __all__ = [
     "CyclicScheme",
     "GOLDEN_RATIO",
+    "MAX_EXHAUSTIVE_COMBINATIONS",
     "coprime_skips",
-    "exhaustive_skip",
+    "exhaustive_coefficients",
     "gfib_skip",
     "rphm_skip",
 ]
 
 #: The golden ratio, used by the RPHM default skip.
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
+
+#: Most coefficient vectors :func:`exhaustive_coefficients` scores; a
+#: larger coprime product is thinned to every n-th combination.
+MAX_EXHAUSTIVE_COMBINATIONS = 4096
 
 
 def coprime_skips(num_disks: int) -> List[int]:
@@ -94,87 +97,65 @@ def gfib_skip(num_disks: int) -> int:
     return skip
 
 
-def exhaustive_skip(
-    num_disks: int,
-    grid: Grid,
-    shapes: Optional[Sequence[Sequence[int]]] = None,
-) -> int:
-    """The coprime skip with the lowest mean RT on the target shapes.
+def exhaustive_coefficients(grid: Grid, num_disks: int) -> Tuple[int, ...]:
+    """The best coefficient vector ``(1, c_2, ..., c_k)`` on small cubes.
 
-    Default target: the small squares (2x2 and 3x3) where skip choice
-    matters most; ties break towards the smaller skip for determinism.
-
-    Moving a window's origin by ``(di, dj)`` adds the constant
-    ``di + H * dj`` (mod M) to every disk number inside it: the disks
-    are relabelled, their bucket counts are not.  So a shape has the
-    same RT at every placement, and its mean RT over all placements is
-    the RT of the one window at the origin.
+    Each candidate (every ``c_j`` coprime to ``M``) is scored by the
+    integer sum, over the side-2 and side-3 cubes clipped to the grid,
+    of the RT of the window at the origin.  That is the exact mean RT
+    over all placements: moving a window adds a constant mod ``M`` to
+    every disk inside it, which relabels the disks without changing
+    their bucket counts.  Ties break lexicographically.  When the full
+    coprime product exceeds :data:`MAX_EXHAUSTIVE_COMBINATIONS`,
+    candidates are thinned deterministically (every n-th combination),
+    which keeps the search exhaustive in 2-d/3-d and principled beyond.
     """
-    if grid.ndim != 2:
-        raise SchemeNotApplicableError(
-            f"cyclic declustering is 2-d only, got {grid.ndim}-d grid"
+    if num_disks == 1:
+        return (0,) * grid.ndim
+    tails = list(
+        itertools.product(coprime_skips(num_disks), repeat=grid.ndim - 1)
+    )
+    if len(tails) > MAX_EXHAUSTIVE_COMBINATIONS:
+        stride = math.ceil(len(tails) / MAX_EXHAUSTIVE_COMBINATIONS)
+        tails = tails[::stride]
+    windows = [
+        np.indices(tuple(min(side, d) for d in grid.dims), sparse=True)
+        for side in (2, 3)
+    ]
+
+    def score(tail: Tuple[int, ...]) -> int:
+        return sum(
+            int(
+                np.bincount(
+                    linear_mod_disks((1,) + tail, window, num_disks).ravel()
+                ).max()
+            )
+            for window in windows
         )
-    if shapes is None:
-        shapes = [
-            tuple(min(s, d) for d in grid.dims)
-            for s in (2, 3)
-        ]
-    windows = [_origin_window(grid, shape) for shape in shapes]
-    best_skip = None
-    best_cost = None
-    for skip in coprime_skips(num_disks):
-        cost = 0.0
-        for rows, cols in windows:
-            disks = (rows + skip * cols) % num_disks
-            cost += float(np.bincount(disks.ravel()).max())
-        if best_cost is None or cost < best_cost - 1e-12:
-            best_cost = cost
-            best_skip = skip
-    return best_skip
+
+    return (1,) + min(tails, key=score)
 
 
-def _origin_window(grid: Grid, shape: Sequence[int]):
-    """Row and column index grids of ``shape``'s window at the origin."""
-    shape = tuple(int(s) for s in shape)
-    if len(shape) != 2 or any(s <= 0 for s in shape):
-        raise QueryError(
-            f"target shape {shape} is not a positive 2-d extent"
-        )
-    if any(s > d for s, d in zip(shape, grid.dims)):
-        raise QueryError(
-            f"target shape {shape} does not fit in grid {grid.dims}"
-        )
-    return np.ogrid[: shape[0], : shape[1]]
-
-
-def _cyclic_table(grid: Grid, num_disks: int, skip: int) -> np.ndarray:
-    rows, cols = grid.coordinate_arrays()
-    return (rows + skip * cols) % num_disks
-
-
-class CyclicScheme(DeclusteringScheme):
+class CyclicScheme(LinearModScheme):
     """Cyclic declustering: disk = (i + H*j) mod M with a policy-chosen H.
 
     Parameters
     ----------
     policy:
         ``"rphm"`` (default), ``"gfib"``, or ``"exh"``.
-    skip:
-        Explicit skip overriding the policy (must be coprime to ``M``).
     """
 
     name = "cyclic"
 
     _POLICIES = ("rphm", "gfib", "exh")
 
-    def __init__(self, policy: str = "rphm", skip: Optional[int] = None):
+    def __init__(self, policy: str = "rphm"):
         if policy not in self._POLICIES:
             raise SchemeError(
                 f"unknown cyclic policy {policy!r}; "
                 f"choose from {self._POLICIES}"
             )
         self._policy = policy
-        self._skip = None if skip is None else int(skip)
 
     @property
     def policy(self) -> str:
@@ -188,31 +169,20 @@ class CyclicScheme(DeclusteringScheme):
                 f"cyclic declustering is 2-d only, got {grid.ndim}-d grid"
             )
 
+    def coefficients_for(
+        self, grid: Grid, num_disks: int
+    ) -> Tuple[int, ...]:
+        """``(1, H)`` with the skip ``H`` chosen by the policy."""
+        self.check_applicable(grid, num_disks)
+        if self._policy == "rphm":
+            return (1, rphm_skip(num_disks))
+        if self._policy == "gfib":
+            return (1, gfib_skip(num_disks))
+        return exhaustive_coefficients(grid, num_disks)
+
     def skip_for(self, grid: Grid, num_disks: int) -> int:
         """The skip this scheme would use for the configuration."""
-        self.check_applicable(grid, num_disks)
-        if self._skip is not None:
-            if num_disks > 1 and math.gcd(self._skip, num_disks) != 1:
-                raise SchemeError(
-                    f"explicit skip {self._skip} is not coprime to "
-                    f"M={num_disks}"
-                )
-            return self._skip % max(num_disks, 1)
-        if self._policy == "rphm":
-            return rphm_skip(num_disks)
-        if self._policy == "gfib":
-            return gfib_skip(num_disks)
-        return exhaustive_skip(num_disks, grid)
-
-    def disk_of(self, coords: Sequence[int], grid: Grid, num_disks: int) -> int:
-        skip = self.skip_for(grid, num_disks)
-        return (int(coords[0]) + skip * int(coords[1])) % num_disks
-
-    def disk_array(self, grid: Grid, num_disks: int) -> np.ndarray:
-        skip = self.skip_for(grid, num_disks)
-        return _cyclic_table(grid, num_disks, skip)
+        return self.coefficients_for(grid, num_disks)[1]
 
     def __repr__(self) -> str:
-        return (
-            f"CyclicScheme(policy={self._policy!r}, skip={self._skip})"
-        )
+        return f"CyclicScheme(policy={self._policy!r})"

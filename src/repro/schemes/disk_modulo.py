@@ -1,4 +1,4 @@
-"""Disk Modulo (DM / CMD) and Generalized Disk Modulo (GDM) declustering.
+"""The linear-modulo family: DM / CMD, GDM, and its base rule.
 
 * **DM** (Du & Sobolewski, TODS 1982) assigns bucket ``<i_1, ..., i_k>`` to
   disk ``(i_1 + i_2 + ... + i_k) mod M``.  **CMD** (Li, Srivastava & Rotem,
@@ -6,6 +6,12 @@
   single method, "DM/CMD".
 * **GDM** (Du, BIT 1986) generalizes to ``(c_1 i_1 + ... + c_k i_k) mod M``
   for fixed integer coefficients ``c_j``; DM is the all-ones special case.
+
+Every linear scheme — DM, GDM, and the cyclic and lattice policies of
+:mod:`repro.schemes.cyclic` and :mod:`repro.schemes.lattice` — is a
+:class:`LinearModScheme`: it only chooses the coefficient vector, and the
+base evaluates the one rule per bucket, over the whole grid and over a
+row slab.
 
 DM is strictly optimal for all partial-match queries with exactly one
 unspecified attribute, and for those with at least one unspecified attribute
@@ -18,6 +24,7 @@ small squares pile up on few disks.
 
 from __future__ import annotations
 
+import abc
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +36,7 @@ from repro.schemes.base import DeclusteringScheme, block_coordinate_arrays
 __all__ = [
     "DiskModuloScheme",
     "GeneralizedDiskModuloScheme",
+    "LinearModScheme",
     "linear_mod_disks",
 ]
 
@@ -40,7 +48,7 @@ def linear_mod_disks(
 ) -> np.ndarray:
     """``(c_1 i_1 + ... + c_k i_k) mod M`` over coordinate arrays, int64.
 
-    The whole-grid (or slab) form of the DM/GDM rule: ``coordinate_arrays``
+    The whole-grid (or slab) form of the linear rule: ``coordinate_arrays``
     come from ``grid.coordinate_arrays()`` or
     :func:`~repro.schemes.base.block_coordinate_arrays`.  numpy's modulo
     follows python semantics, so negative coefficients land in
@@ -55,30 +63,55 @@ def linear_mod_disks(
     return np.remainder(total, num_disks, out=total)
 
 
-class DiskModuloScheme(DeclusteringScheme):
-    """DM / CMD: disk = (sum of bucket coordinates) mod M."""
+class LinearModScheme(DeclusteringScheme):
+    """Base of the linear family: disk = (c_1 i_1 + ... + c_k i_k) mod M.
 
-    name = "dm"
+    Subclasses implement :meth:`coefficients_for`; the per-bucket rule,
+    the whole-grid table and the row slab of the chunked build all come
+    from that one vector through :func:`linear_mod_disks`.
+    """
+
+    @abc.abstractmethod
+    def coefficients_for(
+        self, grid: Grid, num_disks: int
+    ) -> Tuple[int, ...]:
+        """The coefficient vector used for this configuration."""
 
     def disk_of(self, coords: Sequence[int], grid: Grid, num_disks: int) -> int:
-        return sum(int(c) for c in coords) % num_disks
+        coefficients = self.coefficients_for(grid, num_disks)
+        return sum(
+            c * int(i) for c, i in zip(coefficients, coords)
+        ) % num_disks
 
     def disk_array(self, grid: Grid, num_disks: int) -> np.ndarray:
         return linear_mod_disks(
-            (1,) * grid.ndim, grid.coordinate_arrays(), num_disks
+            self.coefficients_for(grid, num_disks),
+            grid.coordinate_arrays(),
+            num_disks,
         )
 
     def disk_array_block(
         self, grid: Grid, num_disks: int, start: int, stop: int
     ) -> np.ndarray:
         return linear_mod_disks(
-            (1,) * grid.ndim,
+            self.coefficients_for(grid, num_disks),
             block_coordinate_arrays(grid, start, stop),
             num_disks,
         )
 
 
-class GeneralizedDiskModuloScheme(DeclusteringScheme):
+class DiskModuloScheme(LinearModScheme):
+    """DM / CMD: disk = (sum of bucket coordinates) mod M."""
+
+    name = "dm"
+
+    def coefficients_for(
+        self, grid: Grid, num_disks: int
+    ) -> Tuple[int, ...]:
+        return (1,) * grid.ndim
+
+
+class GeneralizedDiskModuloScheme(LinearModScheme):
     """GDM: disk = (c_1 i_1 + ... + c_k i_k) mod M with fixed coefficients.
 
     Parameters
@@ -104,7 +137,9 @@ class GeneralizedDiskModuloScheme(DeclusteringScheme):
         """The configured coefficient vector (``None`` = all ones)."""
         return self._coefficients
 
-    def _coeffs_for(self, grid: Grid) -> Tuple[int, ...]:
+    def coefficients_for(
+        self, grid: Grid, num_disks: int
+    ) -> Tuple[int, ...]:
         if self._coefficients is None:
             return (1,) * grid.ndim
         if len(self._coefficients) != grid.ndim:
@@ -113,24 +148,6 @@ class GeneralizedDiskModuloScheme(DeclusteringScheme):
                 f"grid has {grid.ndim} attributes"
             )
         return self._coefficients
-
-    def disk_of(self, coords: Sequence[int], grid: Grid, num_disks: int) -> int:
-        coeffs = self._coeffs_for(grid)
-        return sum(c * int(i) for c, i in zip(coeffs, coords)) % num_disks
-
-    def disk_array(self, grid: Grid, num_disks: int) -> np.ndarray:
-        return linear_mod_disks(
-            self._coeffs_for(grid), grid.coordinate_arrays(), num_disks
-        )
-
-    def disk_array_block(
-        self, grid: Grid, num_disks: int, start: int, stop: int
-    ) -> np.ndarray:
-        return linear_mod_disks(
-            self._coeffs_for(grid),
-            block_coordinate_arrays(grid, start, stop),
-            num_disks,
-        )
 
     def __repr__(self) -> str:
         return (

@@ -126,6 +126,10 @@ class TestTileArithmetic:
         ("dm", (6, 5, 4), 5),
         ("fx", (4, 4, 4), 2),
         ("random", (5, 5), 3),
+        ("cyclic", (9, 7), 5),
+        ("cyclic-exh", (8, 6), 7),
+        ("lattice", (6, 5, 4), 7),
+        ("lattice-exh", (5, 4, 3), 6),
     ],
 )
 class TestChunkedBuild:

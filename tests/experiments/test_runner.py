@@ -1,5 +1,10 @@
 """Tests for the all-experiments runner (quick configuration)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments.runner import (
@@ -80,3 +85,30 @@ class TestRenderAll:
         text = render_thm(results["THM"])
         assert "yes" in text and "no" in text
         assert text.count("\n") >= len(results["THM"])
+
+
+class TestLazyExperimentPackage:
+    def test_runner_import_loads_only_what_it_needs(self):
+        probe = (
+            "import json, sys\n"
+            "import repro.experiments.runner, repro.experiments.exp_growth\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "    if m.startswith('repro.experiments.exp_'))))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "..", "src")]
+            + [p for p in (env.get("PYTHONPATH"),) if p]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert json.loads(result.stdout.strip().splitlines()[-1]) == [
+            "repro.experiments.exp_growth",
+            "repro.experiments.exp_num_attributes",
+        ]

@@ -128,6 +128,33 @@ class PartialScheme(DeclusteringScheme):
         return DiskAllocation(grid, num_disks, table.astype(np.int64))
 
 
+class RaisingBlockScheme(GoodScheme):
+    """A sound rule whose chunked-build slab kernel crashes."""
+
+    name = "qa-block-raises"
+
+    def disk_array_block(self, grid, num_disks, start, stop):
+        raise RuntimeError("no slabs")
+
+
+class FullTableBlockScheme(GoodScheme):
+    """Slabs ignore their bounds and return the whole table."""
+
+    name = "qa-block-shape"
+
+    def disk_array_block(self, grid, num_disks, start, stop):
+        return self.disk_array(grid, num_disks)
+
+
+class RestartingBlockScheme(GoodScheme):
+    """Slabs are well-shaped but always start at row 0."""
+
+    name = "qa-block-restarts"
+
+    def disk_array_block(self, grid, num_disks, start, stop):
+        return self.disk_array(grid, num_disks)[: stop - start]
+
+
 class TestBrokenSchemes:
     def test_good_scheme_is_clean(self):
         assert check_scheme("qa-good", GoodScheme, CONFIG) == []
@@ -157,6 +184,24 @@ class TestBrokenSchemes:
             "qa-split-brain", DisagreeingScheme, CONFIG
         )
         assert "QA409" in codes(findings)
+
+    def test_raising_block(self):
+        findings = check_scheme("qa-block-raises", RaisingBlockScheme, CONFIG)
+        assert codes(findings) == {"QA430"}
+        assert "raised RuntimeError" in findings[0].message
+
+    def test_wrong_shaped_block(self):
+        findings = check_scheme(
+            "qa-block-shape", FullTableBlockScheme, CONFIG
+        )
+        assert codes(findings) == {"QA430"}
+        assert "returned shape" in findings[0].message
+
+    def test_wrong_block_contents(self):
+        findings = check_scheme(
+            "qa-block-restarts", RestartingBlockScheme, CONFIG
+        )
+        assert codes(findings) == {"QA431"}
 
     def test_check_applicable_crash(self):
         findings = check_scheme(

@@ -790,6 +790,42 @@ class TestBatchPlanner:
             plan_batch(chained_dm, [RangeQuery((0,), (1,))])
 
 
+def _primary_unless_backup_less_loaded(replicated, buckets):
+    """The healthy greedy rule: primary unless the backup is strictly
+    less loaded so far."""
+    loads = np.zeros(replicated.num_disks, dtype=np.int64)
+    assignment = {}
+    for coords in buckets:
+        primary, backup = replicated.disks_of(coords)
+        choice = primary if loads[primary] <= loads[backup] else backup
+        assignment[coords] = choice
+        loads[choice] += 1
+    return assignment
+
+
+class TestHealthyGreedyRule:
+    @pytest.mark.parametrize("style", ["chained", "orthogonal"])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_healthy_greedy_is_primary_unless_backup_less_loaded(
+        self, style, ndim
+    ):
+        rng = np.random.default_rng(8000 + ndim)
+        for num_disks in (2, 3, 5, 8):
+            replicated = _random_layout(rng, ndim, num_disks, style)
+            for query in _random_batch(rng, replicated.grid):
+                clipped = query.clip_to(replicated.grid)
+                buckets = (
+                    list(clipped.iter_buckets()) if clipped else []
+                )
+                want = _primary_unless_backup_less_loaded(
+                    replicated, buckets
+                )
+                for scenario in (None, FaultScenario.healthy(num_disks)):
+                    plan = plan_query(replicated, query, "greedy", scenario)
+                    assert plan.assignment == want
+                    assert plan.lost == ()
+
+
 class TestExactCapacities:
     """Regressions: capacities decided on the float products themselves."""
 

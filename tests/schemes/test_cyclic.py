@@ -6,20 +6,18 @@ import numpy as np
 import pytest
 
 from repro.core.cost import average_response_time
-from repro.core.exceptions import (
-    QueryError,
-    SchemeError,
-    SchemeNotApplicableError,
-)
+from repro.core.exceptions import SchemeError, SchemeNotApplicableError
 from repro.core.grid import Grid
 from repro.schemes.cyclic import (
     CyclicScheme,
     coprime_skips,
-    exhaustive_skip,
     gfib_skip,
     rphm_skip,
 )
-from repro.schemes.disk_modulo import DiskModuloScheme
+from repro.schemes.disk_modulo import (
+    DiskModuloScheme,
+    GeneralizedDiskModuloScheme,
+)
 
 
 class TestSkipSelection:
@@ -53,46 +51,40 @@ class TestSkipSelection:
         assert gfib_skip(16) == 13
         assert gfib_skip(21) == 13  # F=13 < 21 and gcd(13,21)=1
 
-    def test_exhaustive_skip_is_best_on_target(self):
+    def test_exh_skip_is_best_on_target(self):
         grid = Grid((16, 16))
         num_disks = 8
-        best = exhaustive_skip(num_disks, grid)
-        best_alloc = CyclicScheme(skip=best).allocate(grid, num_disks)
+        best_alloc = CyclicScheme(policy="exh").allocate(grid, num_disks)
         best_cost = average_response_time(
             best_alloc, (2, 2)
         ) + average_response_time(best_alloc, (3, 3))
         for skip in coprime_skips(num_disks):
-            alloc = CyclicScheme(skip=skip).allocate(grid, num_disks)
+            alloc = GeneralizedDiskModuloScheme((1, skip)).allocate(
+                grid, num_disks
+            )
             cost = average_response_time(
                 alloc, (2, 2)
             ) + average_response_time(alloc, (3, 3))
             assert best_cost <= cost + 1e-9
 
-    @pytest.mark.parametrize("shapes", [[(17, 2)], [(2, 2, 2)], [(0, 3)]])
-    def test_exhaustive_skip_rejects_bad_target_shapes(self, shapes):
-        with pytest.raises(QueryError):
-            exhaustive_skip(8, Grid((16, 16)), shapes)
-
 
 class TestCyclicScheme:
-    def test_rule_matches_definition(self):
+    @pytest.mark.parametrize("policy", ["rphm", "gfib", "exh"])
+    def test_rule_matches_definition(self, policy):
         grid = Grid((8, 8))
-        scheme = CyclicScheme(skip=3)
+        scheme = CyclicScheme(policy=policy)
+        skip = scheme.skip_for(grid, 8)
         allocation = scheme.allocate(grid, 8)
         for coords in grid.iter_buckets():
             assert allocation.disk_of(coords) == (
-                coords[0] + 3 * coords[1]
+                coords[0] + skip * coords[1]
             ) % 8
 
     def test_skip_one_is_dm(self):
         grid = Grid((8, 8))
-        cyclic = CyclicScheme(skip=1).allocate(grid, 5)
+        cyclic = GeneralizedDiskModuloScheme((1, 1)).allocate(grid, 5)
         dm = DiskModuloScheme().allocate(grid, 5)
         assert np.array_equal(cyclic.table, dm.table)
-
-    def test_non_coprime_explicit_skip_rejected(self):
-        with pytest.raises(SchemeError):
-            CyclicScheme(skip=4).allocate(Grid((8, 8)), 8)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(SchemeError):

@@ -1,55 +1,13 @@
 """Unit tests for the k-dimensional lattice scheme."""
 
-import itertools
-from fractions import Fraction
-
-import numpy as np
 import pytest
 
 from repro.core.cost import average_response_time
 from repro.core.exceptions import SchemeError
 from repro.core.grid import Grid
-from repro.schemes.cyclic import CyclicScheme, coprime_skips
-from repro.schemes.lattice import (
-    LatticeScheme,
-    exhaustive_coefficients,
-    power_coefficients,
-)
-
-
-def _brute_force_pick(dims, num_disks):
-    """The lattice search re-derived bucket by bucket, in exact fractions."""
-    skips = coprime_skips(num_disks)
-    shapes = [tuple(min(side, d) for d in dims) for side in (2, 3)]
-    best, best_cost = None, None
-    for tail in itertools.product(skips, repeat=len(dims) - 1):
-        coefficients = (1,) + tail
-        table = np.zeros(dims, dtype=np.int64)
-        for bucket in itertools.product(*(range(d) for d in dims)):
-            table[bucket] = sum(
-                c * i for c, i in zip(coefficients, bucket)
-            ) % num_disks
-        cost = Fraction(0)
-        for shape in shapes:
-            origins = list(
-                itertools.product(
-                    *(range(d - s + 1) for d, s in zip(dims, shape))
-                )
-            )
-            total = 0
-            for origin in origins:
-                box = tuple(
-                    slice(o, o + s) for o, s in zip(origin, shape)
-                )
-                total += int(
-                    np.bincount(
-                        table[box].ravel(), minlength=num_disks
-                    ).max()
-                )
-            cost += Fraction(total, len(origins))
-        if best_cost is None or cost < best_cost:
-            best, best_cost = coefficients, cost
-    return best
+from repro.schemes.cyclic import exhaustive_coefficients
+from repro.schemes.disk_modulo import GeneralizedDiskModuloScheme
+from repro.schemes.lattice import LatticeScheme, power_coefficients
 
 
 class TestCoefficientSelection:
@@ -77,8 +35,8 @@ class TestCoefficientSelection:
         num_disks = 8
 
         def score(coefficients):
-            allocation = LatticeScheme(
-                coefficients=coefficients
+            allocation = GeneralizedDiskModuloScheme(
+                coefficients
             ).allocate(grid, num_disks)
             return average_response_time(
                 allocation, (2, 2, 2)
@@ -89,46 +47,18 @@ class TestCoefficientSelection:
         assert score(exh) <= score(power) + 1e-9
 
 
-    @pytest.mark.parametrize(
-        "dims, num_disks",
-        [
-            ((6, 6), 5),
-            ((8, 5), 7),
-            ((9, 4), 8),
-            ((7, 7), 12),
-            ((4, 4, 4), 5),
-            ((5, 4, 3), 4),
-            ((4, 3, 5), 6),
-        ],
-    )
-    def test_exhaustive_pick_matches_exact_brute_force(
-        self, dims, num_disks
-    ):
-        assert exhaustive_coefficients(
-            Grid(dims), num_disks
-        ) == _brute_force_pick(dims, num_disks)
-
-
 class TestLatticeScheme:
-    def test_rule_matches_definition(self):
+    @pytest.mark.parametrize("policy", ["power", "exh"])
+    def test_rule_matches_definition(self, policy):
         grid = Grid((6, 6, 6))
-        scheme = LatticeScheme(coefficients=(1, 2, 3))
+        scheme = LatticeScheme(policy)
+        c = scheme.coefficients_for(grid, 7)
         allocation = scheme.allocate(grid, 7)
         for coords in grid.iter_buckets():
             expected = (
-                coords[0] + 2 * coords[1] + 3 * coords[2]
+                c[0] * coords[0] + c[1] * coords[1] + c[2] * coords[2]
             ) % 7
             assert allocation.disk_of(coords) == expected
-
-    def test_2d_exhaustive_matches_cyclic_quality(self):
-        grid = Grid((16, 16))
-        num_disks = 8
-        lattice = LatticeScheme(policy="exh").allocate(grid, num_disks)
-        cyclic = CyclicScheme(policy="exh").allocate(grid, num_disks)
-        for shape in [(2, 2), (3, 3)]:
-            assert average_response_time(
-                lattice, shape
-            ) == pytest.approx(average_response_time(cyclic, shape))
 
     def test_3d_exhaustive_beats_dm_on_small_cubes(self):
         grid = Grid((8, 8, 8))
@@ -139,16 +69,6 @@ class TestLatticeScheme:
         assert average_response_time(
             lattice, (2, 2, 2)
         ) < average_response_time(dm, (2, 2, 2))
-
-    def test_non_coprime_explicit_coefficients_rejected(self):
-        with pytest.raises(SchemeError):
-            LatticeScheme(coefficients=(1, 4)).allocate(Grid((8, 8)), 8)
-
-    def test_coefficient_arity_mismatch_rejected(self):
-        with pytest.raises(SchemeError):
-            LatticeScheme(coefficients=(1, 2)).allocate(
-                Grid((4, 4, 4)), 5
-            )
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(SchemeError):

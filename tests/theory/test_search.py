@@ -107,7 +107,7 @@ class TestEnumeration:
             assert verify_strict_optimality(allocation).strictly_optimal
 
     def test_five_disk_solutions_are_the_two_lattices(self):
-        from repro.schemes.cyclic import CyclicScheme
+        from repro.schemes.disk_modulo import GeneralizedDiskModuloScheme
         from repro.theory.search import enumerate_strictly_optimal
 
         solutions = {
@@ -115,7 +115,7 @@ class TestEnumeration:
             for s in enumerate_strictly_optimal(Grid((5, 5)), 5)
         }
         lattices = {
-            CyclicScheme(skip=skip)
+            GeneralizedDiskModuloScheme((1, skip))
             .allocate(Grid((5, 5)), 5)
             .canonicalized()
             .table.tobytes()
