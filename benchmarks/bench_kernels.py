@@ -493,20 +493,26 @@ def run_chunked_smoke(
     byte_budget=None,
     num_check_queries=8,
     seed=BATCH_SEED,
+    backend=None,
 ) -> dict:
     """Build a beyond-RAM chunked SAT and verify it end to end.
 
     Builds the summed-area table for ``grid_dims`` (default 1024³ — over
     a billion buckets, ~8.6 GB on disk at M=2) tile by tile under the
-    configured byte budget, then checks the result three ways: the
+    configured byte budget, with ``backend``'s tile kernel (default: the
+    active backend), then checks the result three ways: the
     per-query disk counts of random rectangles must sum to the clipped
     query volume, a tiny corner query is brute-forced against
     ``scheme.disk_of`` bucket by bucket, and the tile working set must
-    fit the budget.  The spilled file is removed afterwards.
+    fit the budget.  The record names the backend and carries the
+    manifest's tile digests, so builds on two backends can be compared.
+    The spilled file is removed afterwards.
     """
     import numpy as np
 
+    from repro.core.backends import active_backend_name, use_backend
     from repro.core.engine import ResponseTimeEngine
+    from repro.core.integrity import SatManifest, manifest_path
     from repro.core.query import QueryBatch
     from repro.core.sat import SummedAreaTable, sat_byte_budget
 
@@ -522,13 +528,16 @@ def run_chunked_smoke(
     # overshoot a tiny budget; that is the only allowed excess.
     within_budget = working_set <= budget or rows == 1
 
-    start = time.perf_counter()
-    sat = SummedAreaTable.build_chunked(
-        scheme_obj, grid, num_disks, byte_budget=budget
-    )
-    build_seconds = time.perf_counter() - start
+    backend = backend or active_backend_name()
+    with use_backend(backend):
+        start = time.perf_counter()
+        sat = SummedAreaTable.build_chunked(
+            scheme_obj, grid, num_disks, byte_budget=budget
+        )
+        build_seconds = time.perf_counter() - start
     try:
         sat_file_bytes = os.path.getsize(sat.path)
+        tile_digests = SatManifest.load(sat.path).tile_digests
         engine = ResponseTimeEngine.from_sat(sat)
 
         queries = _random_queries(grid, num_check_queries, seed)
@@ -553,9 +562,11 @@ def run_chunked_smoke(
         path = sat.path
         sat.close()
         os.unlink(path)
+        os.unlink(manifest_path(path))
 
     return {
         "benchmark": "chunked_sat_smoke",
+        "backend": backend,
         "grid": list(grid_dims),
         "num_buckets": grid.num_buckets,
         "num_disks": num_disks,
@@ -565,6 +576,7 @@ def run_chunked_smoke(
         "tile_working_set_bytes": working_set,
         "within_budget": within_budget,
         "sat_file_bytes": sat_file_bytes,
+        "tile_digests": tile_digests,
         "build_seconds": round(build_seconds, 3),
         "num_check_queries": num_check_queries,
         "volume_invariant_ok": volume_ok,

@@ -13,9 +13,10 @@ The native-backend leg re-times every registered kernel backend on the
 ``REPRO_NATIVE_MIN_SPEEDUP`` (default 3x) over the numpy batch kernel,
 skipped with a warning when no compiled backend is available.  A live
 chunked summed-area-table build (``REPRO_NATIVE_SMOKE_GRID``, default
-96x96x96 under a 4 MiB budget) exercises the tiled beyond-RAM path, and
-the committed ``BENCH_native.json`` must record a completed full-scale
-1024³ smoke within its byte budget.
+96x96x96 under a 4 MiB budget) exercises the tiled beyond-RAM path on
+numpy and on each available compiled backend (same tile digests
+required), and the committed ``BENCH_native.json`` must record a
+completed full-scale 1024³ smoke within its byte budget.
 
 The mapped-table leg requires ``cnative`` to agree bit-for-bit with
 the numpy gather over the same memory-mapped (disk-last) table and beat
@@ -88,8 +89,10 @@ def _check_native(floor_env: str) -> "list[str]":
     the numpy reference is always correct, just slower.  A live chunked
     build then runs on a CI-sized grid (``REPRO_NATIVE_SMOKE_GRID``,
     default 96x96x96 here) under a deliberately tiny budget so the tiled
-    path is actually exercised, and the committed ``BENCH_native.json``
-    is checked for a completed full-scale (1024³ by default) smoke.
+    path is actually exercised, once on numpy and once more on every
+    available compiled backend, whose tile digests must equal numpy's;
+    the committed ``BENCH_native.json`` is checked for a completed
+    full-scale (1024³ by default) smoke.
     """
     failures = []
     floor = float(os.environ.get(floor_env, "3"))
@@ -126,21 +129,33 @@ def _check_native(floor_env: str) -> "list[str]":
             )
     smoke_grid = os.environ.get(NATIVE_SMOKE_GRID_ENV, "96x96x96")
     dims = tuple(int(part) for part in smoke_grid.lower().split("x"))
-    smoke = run_chunked_smoke(grid_dims=dims, byte_budget=4 << 20)
-    print(json.dumps(smoke, indent=2))
-    if not smoke["completed"]:
-        failures.append(
-            f"live chunked smoke on {smoke_grid} failed: "
-            f"within_budget={smoke['within_budget']} "
-            f"volume_ok={smoke['volume_invariant_ok']} "
-            f"brute_force_ok={smoke['brute_force_ok']}"
+    reference = None
+    for backend in ["numpy"] + [entry["backend"] for entry in native]:
+        smoke = run_chunked_smoke(
+            grid_dims=dims, byte_budget=4 << 20, backend=backend
         )
-    else:
-        print(
-            f"bench gate: live chunked smoke on {smoke_grid} ok "
-            f"({smoke['tile_rows']}-row tiles, "
-            f"{smoke['build_seconds']}s)"
-        )
+        print(json.dumps(smoke, indent=2))
+        where = f"live chunked smoke on {smoke_grid} ({backend})"
+        if not smoke["completed"]:
+            failures.append(
+                f"{where} failed: "
+                f"within_budget={smoke['within_budget']} "
+                f"volume_ok={smoke['volume_invariant_ok']} "
+                f"brute_force_ok={smoke['brute_force_ok']}"
+            )
+        elif reference is not None and (
+            smoke["tile_digests"] != reference["tile_digests"]
+        ):
+            failures.append(
+                f"{where}: table digests differ from the numpy build"
+            )
+        else:
+            print(
+                f"bench gate: {where} ok "
+                f"({smoke['tile_rows']}-row tiles, "
+                f"{smoke['build_seconds']}s)"
+            )
+        reference = reference or smoke
     if DEFAULT_NATIVE_JSON.exists():
         committed = json.loads(DEFAULT_NATIVE_JSON.read_text())
         full = committed.get("chunked_smoke", {})

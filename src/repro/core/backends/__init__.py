@@ -1,4 +1,4 @@
-"""Pluggable kernel backends for the library's two summed-area-table loops.
+"""Pluggable kernel backends for the library's three summed-area-table loops.
 
 The registry maps backend names to :class:`~repro.core.backends.base.
 KernelBackend` instances.  Resolution order for the active backend:

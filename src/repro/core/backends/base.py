@@ -1,15 +1,18 @@
-"""The kernel-backend interface: the two summed-area-table loops, swappable.
+"""The kernel-backend interface: the three summed-area-table loops, swappable.
 
-A :class:`KernelBackend` implements the library's two hot kernels —
+A :class:`KernelBackend` implements the library's three hot kernels —
 
 1. the batched 2^k-corner query gather behind
-   :meth:`~repro.core.engine.ResponseTimeEngine.batch_response_times`, and
+   :meth:`~repro.core.engine.ResponseTimeEngine.batch_response_times`,
 2. the sliding-window shape sweep behind
    :meth:`~repro.core.engine.ResponseTimeEngine.sliding_response_times`
-   and :func:`repro.core.cost.sliding_response_times` —
+   and :func:`repro.core.cost.sliding_response_times`, and
+3. the SAT tile fill behind :meth:`~repro.core.sat.SummedAreaTable.build`
+   and :meth:`~repro.core.sat.SummedAreaTable.build_chunked` —
 
 against a shared, backend-neutral data model: clipped half-open bounds
-arrays and :class:`~repro.core.sat.SummedAreaTable` objects.  The numpy
+arrays, disk-id blocks and :class:`~repro.core.sat.SummedAreaTable`
+objects.  The numpy
 implementation is the **bit-identical reference**; every other backend
 is certified against it by the QA423 contract rule, so swapping
 backends can only move time around, never results.
@@ -88,6 +91,29 @@ class KernelBackend(abc.ABC):
 
         Output shape ``(d_1 - s_1 + 1, ..., d_k - s_k + 1)`` int64; the
         caller guarantees the shape fits the grid.
+        """
+
+    # -- 3. SAT tile fill ----------------------------------------------
+
+    @abc.abstractmethod
+    def fill_tile(
+        self,
+        out: np.ndarray,
+        block: np.ndarray,
+        num_disks: int,
+        carry: np.ndarray,
+    ) -> None:
+        """Write one tile of SAT rows into ``out``, carry included.
+
+        ``block`` holds the disk ids of ``rows`` consecutive rows of
+        the leading axis, shape ``(rows, d_2, ..., d_k)``; ``carry`` is
+        the SAT row just before the tile, shape ``(d_2 + 1, ..., d_k +
+        1, M)`` (all zeros for the first tile).  ``out`` is the
+        C-contiguous ``(rows, d_2 + 1, ..., d_k + 1, M)`` destination in
+        the SAT dtype; its prior contents are ignored, and every element
+        is written, the trailing axes' zero pad planes included, so a
+        torn tile left in a mapped file is simply overwritten.  A disk
+        id outside ``[0, M)`` counts on no disk.
         """
 
     def __repr__(self) -> str:

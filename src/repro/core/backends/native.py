@@ -18,6 +18,15 @@ query is answered in ``2^k`` cache-line reads with no intermediates at
 all.  In-RAM and memory-mapped tables are served by the same call: a
 data pointer plus element strides.
 
+The tile kernel builds the table the queries read.  numpy fills a tile
+in four passes over it (a one-hot ``np.equal``, then one ``cumsum``
+per axis); the C sweep writes each ``M``-vector once, from its
+indicator, the running per-disk count along the innermost axis, and
+already-written neighbours of this row and the previous one (the carry
+plane for a tile's first row).  ``build_chunked`` hands it the mapped
+slab of the ``.npy`` file itself, so a tile is never staged in an
+anonymous buffer and copied.
+
 Bit-identity with the numpy reference is certified by QA423 and the
 backend property tests; the speedup floor is gated by
 ``scripts/check_bench_gate.py`` (BENCH_native.json).
@@ -55,6 +64,14 @@ __all__ = ["CNativeBackend"]
 #: Hard cap on query/grid arity the C kernels accept (2^k corner tables
 #: are stack-allocated).
 _MAX_NDIM = 16
+
+#: Disk-id block dtypes the tile kernel reads in place (C suffix → C
+#: type): ``uint8`` allocation tables and ``int64`` scheme blocks.  Any
+#: other block is converted to ``int64`` first.
+_BLOCK_TYPES = {"u8": "uint8_t", "i64": "int64_t"}
+
+#: SAT dtypes with a compiled variant, and their C suffix.
+_SAT_SUFFIXES = {np.dtype(np.int32): "i32", np.dtype(np.int64): "i64"}
 
 _KERNEL_TEMPLATE = r"""
 #include <stdint.h>
@@ -203,6 +220,117 @@ void window_rt_{suffix}(
 }}
 """
 
+_TILE_TEMPLATE = r"""
+/* One SAT tile in one sweep, written straight into `out` (rows, d_2+1,
+   ..., d_k+1, M), every element including the zero pad planes.  With
+   `prev` the row before (the carry plane for row 0) and `acc` the
+   running per-disk count along the innermost axis, each element is
+
+       out[r, j] = prev[j] + acc + sum over non-empty subsets S of the
+                   outer trailing axes of (-1)^(|S|+1) *
+                   (out[r, j - e_S] - prev[j - e_S]),
+
+   i.e. inclusion-exclusion over already-written neighbours.  Sums run
+   in the unsigned twin of the SAT dtype: intermediate terms may wrap,
+   the result is exact because every true entry fits the SAT dtype.
+   dims holds the UNPADDED block extents (rows, d_2, ..., d_k). */
+
+void fill_tile_{suffix}_{bsuffix}(
+    {utype} *out, const {btype} *block, const {utype} *carry,
+    const int64_t *dims, int32_t ndim, int32_t num_disks,
+    int64_t *scratch)
+{{
+    {utype} *acc = ({utype} *)aligned_acc(scratch);
+    const int64_t M = num_disks;
+    const int32_t t = ndim - 1;      /* trailing (non-tile) axes */
+    int64_t pstride[{max_ndim}];     /* element strides in one out row */
+    int64_t bstride[{max_ndim}];     /* element strides in one block row */
+    int64_t coords[{max_ndim}];
+    int64_t noff[1 << ({max_ndim} - 2)];
+    int32_t nodd[1 << ({max_ndim} - 2)];
+    int64_t plane = M, brow = 1;
+    for (int32_t a = t; a >= 1; a--) {{
+        pstride[a] = plane;
+        plane *= dims[a] + 1;
+        bstride[a] = brow;
+        brow *= dims[a];
+    }}
+    if (t == 0) {{                   /* 1-d grid: a row is one M-vector */
+        for (int64_t r = 0; r < dims[0]; r++) {{
+            {utype} *row = out + r * M;
+            const {utype} *prev = r ? row - M : carry;
+            for (int64_t m = 0; m < M; m++) row[m] = prev[m];
+            {btype} d = block[r];
+            if ((uint64_t)d < (uint64_t)M) row[d] += 1;
+        }}
+        return;
+    }}
+    const int32_t outer = t - 1;     /* trailing axes 1 .. t-1 */
+    const int32_t nsub = 1 << outer;
+    for (int32_t s = 1; s < nsub; s++) {{
+        int64_t off = 0;
+        int32_t odd = 0;
+        for (int32_t a = 0; a < outer; a++)
+            if ((s >> a) & 1) {{
+                off += pstride[a + 1];
+                odd ^= 1;
+            }}
+        noff[s] = off;
+        nodd[s] = odd;
+    }}
+    const int64_t inner = dims[t];
+    const int64_t line = (inner + 1) * M;
+    const int64_t nlines = plane / line;
+    for (int64_t r = 0; r < dims[0]; r++) {{
+        {utype} *cur = out + r * plane;
+        const {utype} *prev = r ? cur - plane : carry;
+        const {btype} *brow_ptr = block + r * brow;
+        for (int32_t a = 1; a < t; a++) coords[a] = 0;
+        for (int64_t l = 0; l < nlines; l++) {{
+            {utype} *o = cur + l * line;
+            int32_t pad = 0;
+            int64_t boff = 0;
+            for (int32_t a = 1; a < t; a++) {{
+                if (coords[a] == 0) pad = 1;
+                else boff += (coords[a] - 1) * bstride[a];
+            }}
+            if (pad) {{
+                for (int64_t i = 0; i < line; i++) o[i] = 0;
+            }} else {{
+                const {utype} *p = prev + l * line;
+                const {btype} *b = brow_ptr + boff;
+                for (int64_t m = 0; m < M; m++) {{
+                    o[m] = 0;
+                    acc[m] = 0;
+                }}
+                for (int64_t x = 1; x <= inner; x++) {{
+                    {btype} d = b[x - 1];
+                    if ((uint64_t)d < (uint64_t)M) acc[d] += 1;
+                    {utype} *e = o + x * M;
+                    const {utype} *q = p + x * M;
+                    for (int64_t m = 0; m < M; m++) e[m] = q[m] + acc[m];
+                    for (int32_t s = 1; s < nsub; s++) {{
+                        const {utype} *en = e - noff[s];
+                        const {utype} *qn = q - noff[s];
+                        if (nodd[s]) {{
+                            for (int64_t m = 0; m < M; m++)
+                                e[m] += en[m] - qn[m];
+                        }} else {{
+                            for (int64_t m = 0; m < M; m++)
+                                e[m] -= en[m] - qn[m];
+                        }}
+                    }}
+                }}
+            }}
+            for (int32_t a = t - 1; a >= 1; a--) {{
+                if (++coords[a] <= dims[a]) break;
+                coords[a] = 0;
+            }}
+        }}
+    }}
+}}
+"""
+
 _SCRATCH_HELPER = r"""
 #include <stddef.h>
 #include <stdint.h>
@@ -228,6 +356,16 @@ def _kernel_source() -> str:
                 max_ndim=_MAX_NDIM,
             )
         )
+        for bsuffix, btype in _BLOCK_TYPES.items():
+            parts.append(
+                _TILE_TEMPLATE.format(
+                    suffix=suffix,
+                    utype="u" + ctype,
+                    bsuffix=bsuffix,
+                    btype=btype,
+                    max_ndim=_MAX_NDIM,
+                )
+            )
     return "\n".join(parts)
 
 
@@ -316,6 +454,17 @@ def _compile_library(source: str) -> str:
 
 _PTR_I64 = ctypes.POINTER(ctypes.c_int64)
 
+#: ``fill_tile_*``: out, block, carry, dims, ndim, num_disks, scratch.
+_FILL_TILE_ARGTYPES = (
+    ctypes.c_void_p,
+    ctypes.c_void_p,
+    ctypes.c_void_p,
+    _PTR_I64,
+    ctypes.c_int32,
+    ctypes.c_int32,
+    _PTR_I64,
+)
+
 
 class CNativeBackend(KernelBackend):
     """Fused C kernels over the disk-last SAT (see module docs)."""
@@ -336,6 +485,13 @@ class CNativeBackend(KernelBackend):
                 # _compile_library digest-verifies cache hits and
                 # sidecars fresh compiles; this is the verified load.
                 self._lib = ctypes.CDLL(lib_path)  # qa503: allow — digest-verified by _compile_library
+                for suffix in _SAT_SUFFIXES.values():
+                    for bsuffix in _BLOCK_TYPES:
+                        kernel = getattr(
+                            self._lib, f"fill_tile_{suffix}_{bsuffix}"
+                        )
+                        kernel.argtypes = _FILL_TILE_ARGTYPES
+                        kernel.restype = None
             except Exception as exc:
                 detail = ""
                 stderr = getattr(exc, "stderr", None)
@@ -373,18 +529,14 @@ class CNativeBackend(KernelBackend):
         array = sat.array
         if sat.ndim > _MAX_NDIM or array.strides[-1] != array.itemsize:
             return None
-        if array.dtype == np.int32:
-            suffix, ctype = "i32", ctypes.c_int32
-        elif array.dtype == np.int64:
-            suffix, ctype = "i64", ctypes.c_int64
-        else:
+        suffix = _SAT_SUFFIXES.get(array.dtype)
+        if suffix is None:
             return None
         itemsize = array.itemsize
         strides = np.array(
             [s // itemsize for s in array.strides[:-1]], dtype=np.int64
         )
-        pointer = array.ctypes.data_as(ctypes.POINTER(ctype))
-        return suffix, pointer, strides
+        return suffix, array.ctypes.data_as(ctypes.c_void_p), strides
 
     @staticmethod
     def _bounds_c(lo: np.ndarray, hi: np.ndarray):
@@ -475,3 +627,48 @@ class CNativeBackend(KernelBackend):
             out.ctypes.data_as(_PTR_I64),
         )
         return out.reshape(tuple(int(d) for d in out_dims))
+
+    # -- SAT tile fill -------------------------------------------------
+
+    def fill_tile(
+        self,
+        out: np.ndarray,
+        block: np.ndarray,
+        num_disks: int,
+        carry: np.ndarray,
+    ) -> None:
+        suffix = _SAT_SUFFIXES.get(out.dtype)
+        library = self._library()
+        shape = block.shape[:1] + tuple(d + 1 for d in block.shape[1:])
+        if (
+            library is None
+            or suffix is None
+            or block.ndim > _MAX_NDIM
+            or out.size == 0
+            or not out.flags.c_contiguous
+            or out.shape != shape + (num_disks,)
+            or carry.shape != out.shape[1:]
+            or carry.dtype != out.dtype
+        ):
+            # Past the corner-table bound, or not a layout the sweep
+            # can write in place: the reference fills (or rejects) it.
+            self._reference.fill_tile(out, block, num_disks, carry)
+            return
+        if block.dtype == np.uint8:
+            bsuffix = "u8"
+            block = np.ascontiguousarray(block)
+        else:
+            bsuffix = "i64"
+            block = np.ascontiguousarray(block, dtype=np.int64)
+        carry = np.ascontiguousarray(carry)
+        dims = np.array(block.shape, dtype=np.int64)
+        scratch = np.empty(num_disks + 8, dtype=np.int64)
+        getattr(library, f"fill_tile_{suffix}_{bsuffix}")(
+            out.ctypes.data_as(ctypes.c_void_p),
+            block.ctypes.data_as(ctypes.c_void_p),
+            carry.ctypes.data_as(ctypes.c_void_p),
+            dims.ctypes.data_as(_PTR_I64),
+            ctypes.c_int32(block.ndim),
+            ctypes.c_int32(num_disks),
+            scratch.ctypes.data_as(_PTR_I64),
+        )

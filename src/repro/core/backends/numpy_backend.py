@@ -1,9 +1,10 @@
 """The numpy kernel backend — always available, the bit-identical reference.
 
-Both kernels read a :class:`~repro.core.sat.SummedAreaTable`; the
-compiled backend is certified against them by QA423, and the scalar
-per-query functions remain the reference oracle above *this* backend
-(QA421/QA422).
+The two query kernels read a :class:`~repro.core.sat.SummedAreaTable`
+and the tile kernel writes one; the compiled backend is certified
+against all three by QA423 and the backend property tests, and the
+scalar per-query functions remain the reference oracle above *this*
+backend (QA421/QA422).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.allocation import table_dtype
 from repro.core.backends.base import KernelBackend
 from repro.core.sat import SummedAreaTable
 
@@ -74,3 +76,31 @@ class NumpyBackend(KernelBackend):
             else:
                 counts += term
         return counts
+
+    # -- SAT tile fill ---------------------------------------------------
+
+    def fill_tile(
+        self,
+        out: np.ndarray,
+        block: np.ndarray,
+        num_disks: int,
+        carry: np.ndarray,
+    ) -> None:
+        # The pad planes are zeroed and the disk indicators land past
+        # them; prefix sums then run along every trailing axis, the
+        # carry joins the first row, and the leading-axis sum runs last
+        # (cumsums commute), so a later tile needs only this tile's last
+        # row.
+        ndim = block.ndim
+        for axis in range(1, ndim):
+            out[(slice(None),) * axis + (0,)] = 0
+        disks = np.arange(
+            num_disks,
+            dtype=np.promote_types(block.dtype, table_dtype(num_disks)),
+        )
+        interior = (slice(None),) + (slice(1, None),) * (ndim - 1)
+        np.equal(block[..., np.newaxis], disks, out=out[interior])
+        for axis in range(1, ndim):
+            np.cumsum(out, axis=axis, out=out)
+        out[0] += carry
+        np.cumsum(out, axis=0, out=out)

@@ -30,10 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "BATCH_THRESHOLD",
+    "ENGINE_ENTRIES_PER_ROW",
     "additive_deviation",
     "average_response_time",
     "batch_disk_counts",
     "buckets_per_disk",
+    "engine_rows",
     "optimal_response_time",
     "optimal_times",
     "per_query_costs",
@@ -128,15 +130,28 @@ def relative_deviation(allocation: DiskAllocation, query: RangeQuery) -> float:
     return (response_time(allocation, query) - opt) / opt
 
 
-#: Batch size from which ``response_times`` and ``batch_disk_counts``
-#: build a summed-area-table engine when none is given: a smaller batch
-#: is counted one table slice per row, which is cheaper than the
-#: one-time SAT precomputation.  Query lists and
-#: :class:`~repro.core.query.QueryBatch` inputs follow the same rule
-#: (both pass :meth:`~repro.core.query.QueryBatch.of` first), and the
-#: results are bit-identical either way, so the threshold only moves
-#: time around.
+#: Fewest rows for which ``response_times`` and ``batch_disk_counts``
+#: build a summed-area-table engine when none is given, on the smallest
+#: grids: below it, counting one table slice per row is cheaper than the
+#: engine's fixed set-up cost.
 BATCH_THRESHOLD = 16
+
+#: SAT entries (buckets × M) whose build costs about as much as one
+#: sliced row.  The engine build grows with the table while the sliced
+#: count grows with the rows, so a batch gets an engine from
+#: ``BATCH_THRESHOLD + buckets * M // ENGINE_ENTRIES_PER_ROW`` rows
+#: (measured crossovers in docs/performance.md, "Engine or slices").
+#: Query lists and :class:`~repro.core.query.QueryBatch` inputs follow
+#: the same rule (both pass :meth:`~repro.core.query.QueryBatch.of`
+#: first), and the results are bit-identical either way, so the rule
+#: only moves time around.
+ENGINE_ENTRIES_PER_ROW = 512
+
+
+def engine_rows(allocation: DiskAllocation) -> int:
+    """Rows from which an engine-less batch on ``allocation`` builds one."""
+    entries = allocation.grid.num_buckets * allocation.num_disks
+    return BATCH_THRESHOLD + entries // ENGINE_ENTRIES_PER_ROW
 
 
 def _batch_engine(
@@ -145,7 +160,7 @@ def _batch_engine(
     engine: Optional["ResponseTimeEngine"],
 ) -> Optional["ResponseTimeEngine"]:
     """``engine``, or one built on the fly for a batch that warrants it."""
-    if engine is None and len(batch) >= BATCH_THRESHOLD:
+    if engine is None and len(batch) >= engine_rows(allocation):
         from repro.core.engine import ResponseTimeEngine
 
         engine = ResponseTimeEngine(allocation)
@@ -178,8 +193,8 @@ def response_times(
     :class:`~repro.core.engine.ResponseTimeEngine` built on the same
     allocation) is given, the whole batch is answered through its
     summed-area table; with no engine one is built on the fly from
-    :data:`BATCH_THRESHOLD` rows, and a smaller batch is counted slice
-    by slice.  Every path is bit-identical to the scalar
+    :func:`engine_rows` rows, and a smaller batch is counted slice by
+    slice.  Every path is bit-identical to the scalar
     :func:`response_time` oracle.
     """
     batch = QueryBatch.of(queries, allocation.grid)

@@ -13,13 +13,15 @@ per-disk counts, so every 2^k-corner lookup reads one contiguous
 ``M``-vector.  This module owns that structure:
 
 * :meth:`SummedAreaTable.build` — the in-RAM build: the whole
-  allocation table as a single tile of the tile kernel;
+  allocation table as a single tile of the tile kernel, whose carry is
+  the leading zero plane;
 * :meth:`SummedAreaTable.build_chunked` — a **tiled build that never
   materializes the whole grid**: the allocation is generated tile by
   tile (:meth:`~repro.schemes.base.DeclusteringScheme.disk_array_block`),
-  the same tile kernel runs per tile, the leading-axis sum is carried
-  across tiles, and each tile lands as one contiguous slab of a
-  memory-mapped ``.npy`` file, all under a configurable byte budget.
+  the same tile kernel runs per tile, writing straight into the tile's
+  contiguous slab of a memory-mapped ``.npy`` file, and the
+  leading-axis sum is carried across tiles as one plane, all under a
+  configurable byte budget.
   This is what makes beyond-RAM grids (1024³ and up — billions of
   buckets, a scenario the 1994 paper could not touch) buildable and
   queryable on ordinary hardware;
@@ -29,9 +31,12 @@ per-disk counts, so every 2^k-corner lookup reads one contiguous
 * :meth:`SummedAreaTable.corner_counts` — the batched 2^k-corner gather,
   one fancy-index gather per corner for in-RAM and mapped tables alike.
 
-All arithmetic is exact integer work; the in-RAM and spilled tables of
-the same allocation are bit-identical arrays, which the QA423 backend
-contract certifies.
+The tile kernel is the active backend's
+(:meth:`~repro.core.backends.base.KernelBackend.fill_tile`; numpy's
+cumsum passes or ``cnative``'s one-pass C sweep).  All arithmetic is
+exact integer work; the in-RAM and spilled tables of the same
+allocation are bit-identical arrays on every backend, which the QA423
+backend contract certifies.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.allocation import DiskAllocation, table_dtype
+from repro.core.allocation import DiskAllocation
 from repro.core.exceptions import AllocationError, QueryError
 from repro.core.grid import Grid
 from repro.core.integrity import (
@@ -115,29 +120,6 @@ def sat_dtype(num_buckets: int) -> np.dtype:
 
 def _padded_shape(num_disks: int, dims: Sequence[int]) -> Tuple[int, ...]:
     return tuple(int(d) + 1 for d in dims) + (int(num_disks),)
-
-
-def _fill_tile(out: np.ndarray, block: np.ndarray, num_disks: int) -> None:
-    """The tile kernel: one tile's carry-free SAT rows, written into ``out``.
-
-    ``block`` holds the disk ids of rows ``[start, stop)`` of the
-    leading axis, shape ``(rows, d_2, ..., d_k)``; ``out`` is the
-    zero-filled ``(rows, d_2 + 1, ..., d_k + 1, M)`` destination.  The
-    disk indicators land past the trailing axes' zero pad planes, then
-    prefix sums run along every spatial axis — trailing axes first and
-    the tile axis last (cumsums commute), so the only state a later
-    tile needs is the last row, a single carry plane.
-    """
-    ndim = block.ndim
-    disks = np.arange(
-        num_disks,
-        dtype=np.promote_types(block.dtype, table_dtype(num_disks)),
-    )
-    interior = (slice(None),) + (slice(1, None),) * (ndim - 1)
-    np.equal(block[..., np.newaxis], disks, out=out[interior])
-    for axis in range(1, ndim):
-        np.cumsum(out, axis=axis, out=out)
-    np.cumsum(out, axis=0, out=out)
 
 
 # ----------------------------------------------------------------------
@@ -215,15 +197,19 @@ class SummedAreaTable:
     def build(cls, allocation: DiskAllocation) -> "SummedAreaTable":
         """In-RAM build from a materialized allocation (the default path).
 
-        The whole table is one tile: the tile kernel fills every row
-        past the leading zero plane, and there is no carry to add.
+        The whole table is one tile: the active backend's tile kernel
+        fills every row past the leading zero plane, which is its carry.
         """
+        from repro.core.backends import active_backend
+
         table = allocation.table
         sat = np.zeros(
             _padded_shape(allocation.num_disks, table.shape),
             dtype=sat_dtype(table.size),
         )
-        _fill_tile(sat[1:], table, allocation.num_disks)
+        active_backend().fill_tile(
+            sat[1:], table, allocation.num_disks, sat[0]
+        )
         sat.setflags(write=False)
         return cls(sat, allocation.grid, allocation.num_disks)
 
@@ -232,7 +218,10 @@ class SummedAreaTable:
         """``(per_row_bytes, carry_bytes)`` of one chunked-build tile.
 
         Per row: the SAT chunk row per disk, plus the int64 coordinate
-        arithmetic of the allocation block (ndim temporaries).
+        arithmetic of the allocation block (ndim temporaries).  The
+        chunk is written in place in the mapped file, but those are
+        still the pages a tile touches, so the estimate — and with it
+        every tile boundary and manifest — is what it always was.
         """
         rest_padded = 1
         for d in grid.dims[1:]:
@@ -365,9 +354,10 @@ class SummedAreaTable:
         The grid is swept in tiles of :meth:`tile_rows` rows along the
         leading axis; each tile's allocation block comes from
         ``scheme.disk_array_block`` (so the full table is never
-        materialized), the tile kernel computes its prefix sums, and the
-        leading-axis sum is carried across tiles.  With disks last, a
-        tile is one contiguous slab of the file.  ``path``
+        materialized), and the active backend's tile kernel writes its
+        prefix sums, the carried leading-axis sum included, straight
+        into the tile's slab of the mapped file (with disks last, a
+        tile is one contiguous slab).  ``path``
         defaults to a fresh temp file (``REPRO_SAT_DIR`` overrides the
         directory); the caller owns the file's lifetime.
 
@@ -387,6 +377,8 @@ class SummedAreaTable:
         partial + journal set for a later resume (``repro doctor``
         reports and can garbage-collect them).
         """
+        from repro.core.backends import active_backend
+
         owns_temp = path is None
         if path is None:
             directory = os.environ.get(
@@ -470,28 +462,26 @@ class SummedAreaTable:
                     )  # qa503: allow — creating the staged partial
                     # this build owns; nothing is being trusted.
 
+                backend = active_backend()
                 for start in range(first_start, dims[0], rows):
                     stop = min(start + rows, dims[0])
-                    chunk = np.zeros(
-                        (stop - start,) + shape[1:], dtype=dtype
-                    )
-                    _fill_tile(
+                    # The tile is computed in place in its mapped slab;
+                    # whatever a killed run left there is overwritten.
+                    chunk = out[start + 1 : stop + 1]
+                    backend.fill_tile(
                         chunk,
                         scheme.disk_array_block(
                             grid, num_disks, start, stop
                         ),
                         num_disks,
+                        carry,
                     )
-                    chunk += carry
                     carry = chunk[-1].copy()
-                    out[start + 1 : stop + 1] = chunk
                     # Tile data must be durable before the journal may
                     # claim it — flush, then checkpoint, then journal.
                     out.flush()
                     tile_starts.append(start)
                     tile_digests.append(sha256_hex(chunk.data))
-                    # Free the tile before the next one is built, so
-                    # peak memory stays one tile, not two.
                     del chunk
                     cls._checkpoint_tile(
                         journal_file,

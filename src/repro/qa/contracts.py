@@ -503,9 +503,10 @@ def check_backends(
     * the sliding-window sweep (``window_response_times``) for every
       fitting shape.
 
-    Memory-mapped tables are certified too: every backend's batch
-    kernels over a multi-tile chunked table must match the in-RAM
-    reference.  Unavailable backends are skipped, not failed —
+    Memory-mapped tables are certified too: a multi-tile chunked table
+    built under each backend's tile kernel must equal the numpy in-RAM
+    table, and every backend's batch kernels over it must match the
+    in-RAM reference.  Unavailable backends are skipped, not failed —
     availability is a property of the machine, not of the code.
     """
     from repro.core import backends as backend_registry
@@ -593,10 +594,12 @@ def check_backends(
 def _check_mmap_layout(config: ContractConfig) -> List[Finding]:
     """QA423 for the chunked/memory-mapped SAT: mapped == in-RAM.
 
-    Over one multi-tile chunked table, **every** available backend's
-    batch kernels — numpy and ``cnative`` alike — must be bit-identical
-    to the numpy reference over the in-RAM table on the mixed batch
-    (clipped and zero-bucket queries included).
+    One multi-tile chunked table is built under **every** available
+    backend's tile kernel; each must equal the numpy in-RAM table
+    element for element, and every backend's batch kernels over each
+    mapped table must be bit-identical to the numpy reference over the
+    in-RAM table on the mixed batch (clipped and zero-bucket queries
+    included).
     """
     import os
     import tempfile
@@ -612,53 +615,69 @@ def _check_mmap_layout(config: ContractConfig) -> List[Finding]:
     dims = max(config.grids, key=len)
     grid = Grid(dims)
     num_disks = config.disks[-1]
-    with tempfile.TemporaryDirectory(prefix="repro-qa423-") as tmp:
-        chunked = SummedAreaTable.build_chunked(
-            scheme,
-            grid,
-            num_disks,
-            byte_budget=1024,  # forces several tiles even on tiny grids
-            path=os.path.join(tmp, "sat.npy"),
-        )
-        try:
-            allocation = DiskAllocation(
+    where = f"grid={dims}, M={num_disks}, scheme=dm"
+    available = backend_registry.available_backends()
+    numpy_backend = backend_registry.get_backend("numpy")
+    with backend_registry.use_backend("numpy"):
+        reference = SummedAreaTable.build(
+            DiskAllocation(
                 grid, num_disks, scheme.disk_array(grid, num_disks)
             )
-            reference = SummedAreaTable.build(allocation)
-            batch = QueryBatch.from_queries(_mixed_queries(grid), grid)
-            numpy_backend = backend_registry.get_backend("numpy")
-            want_counts = numpy_backend.batch_disk_counts(
-                reference, batch.lo, batch.hi
-            )
-            want_rts = numpy_backend.batch_response_times(
-                reference, batch.lo, batch.hi
-            )
-            for backend in backend_registry.available_backends():
-                if not np.array_equal(
-                    want_counts,
-                    backend.batch_disk_counts(
-                        chunked, batch.lo, batch.hi
-                    ),
-                ) or not np.array_equal(
-                    want_rts,
-                    backend.batch_response_times(
-                        chunked, batch.lo, batch.hi
-                    ),
-                ):
+        )
+    batch = QueryBatch.from_queries(_mixed_queries(grid), grid)
+    want_counts = numpy_backend.batch_disk_counts(
+        reference, batch.lo, batch.hi
+    )
+    want_rts = numpy_backend.batch_response_times(
+        reference, batch.lo, batch.hi
+    )
+    with tempfile.TemporaryDirectory(prefix="repro-qa423-") as tmp:
+        for builder in available:
+            with backend_registry.use_backend(builder.name):
+                chunked = SummedAreaTable.build_chunked(
+                    scheme,
+                    grid,
+                    num_disks,
+                    byte_budget=1024,  # several tiles even on tiny grids
+                    path=os.path.join(tmp, f"sat-{builder.name}.npy"),
+                )
+            try:
+                if not np.array_equal(chunked.array, reference.array):
                     findings.append(
                         _finding(
-                            f"backend:{backend.name}",
+                            f"backend:{builder.name}",
                             "QA423",
-                            f"batch kernel over the "
-                            f"memory-mapped SAT disagrees with the "
-                            f"in-RAM reference on the mixed batch "
-                            f"(clipped and zero-bucket queries "
-                            f"included, grid={dims}, M={num_disks}, "
-                            f"scheme=dm)",
+                            f"chunked SAT built by the tile kernel "
+                            f"differs from the numpy in-RAM table "
+                            f"({where})",
                         )
                     )
-        finally:
-            chunked.close()
+                    continue
+                for backend in available:
+                    if not np.array_equal(
+                        want_counts,
+                        backend.batch_disk_counts(
+                            chunked, batch.lo, batch.hi
+                        ),
+                    ) or not np.array_equal(
+                        want_rts,
+                        backend.batch_response_times(
+                            chunked, batch.lo, batch.hi
+                        ),
+                    ):
+                        findings.append(
+                            _finding(
+                                f"backend:{backend.name}",
+                                "QA423",
+                                f"batch kernel over the memory-mapped "
+                                f"SAT built on {builder.name} disagrees "
+                                f"with the in-RAM reference on the "
+                                f"mixed batch (clipped and zero-bucket "
+                                f"queries included, {where})",
+                            )
+                        )
+            finally:
+                chunked.close()
     return findings
 
 

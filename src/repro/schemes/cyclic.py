@@ -35,6 +35,7 @@ for other dimensionalities.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import List, Tuple
@@ -109,17 +110,29 @@ def exhaustive_coefficients(grid: Grid, num_disks: int) -> Tuple[int, ...]:
     coprime product exceeds :data:`MAX_EXHAUSTIVE_COMBINATIONS`,
     candidates are thinned deterministically (every n-th combination),
     which keeps the search exhaustive in 2-d/3-d and principled beyond.
+
+    The pick depends only on the extents and ``M``, so it is memoized
+    per ``(dims, M)``: the ``-exh`` schemes' scalar ``disk_of`` asks
+    for it on every bucket.
     """
+    return _exhaustive_search(tuple(grid.dims), int(num_disks))
+
+
+@functools.lru_cache(maxsize=256)
+def _exhaustive_search(
+    dims: Tuple[int, ...], num_disks: int
+) -> Tuple[int, ...]:
+    """:func:`exhaustive_coefficients` keyed by hashable extents."""
     if num_disks == 1:
-        return (0,) * grid.ndim
+        return (0,) * len(dims)
     tails = list(
-        itertools.product(coprime_skips(num_disks), repeat=grid.ndim - 1)
+        itertools.product(coprime_skips(num_disks), repeat=len(dims) - 1)
     )
     if len(tails) > MAX_EXHAUSTIVE_COMBINATIONS:
         stride = math.ceil(len(tails) / MAX_EXHAUSTIVE_COMBINATIONS)
         tails = tails[::stride]
     windows = [
-        np.indices(tuple(min(side, d) for d in grid.dims), sparse=True)
+        np.indices(tuple(min(side, d) for d in dims), sparse=True)
         for side in (2, 3)
     ]
 

@@ -52,12 +52,14 @@ def linear_mod_disks(
     come from ``grid.coordinate_arrays()`` or
     :func:`~repro.schemes.base.block_coordinate_arrays`.  numpy's modulo
     follows python semantics, so negative coefficients land in
-    ``[0, M)`` exactly as in ``disk_of``.
+    ``[0, M)`` exactly as in ``disk_of``.  Each coefficient is reduced
+    mod ``M`` first (the same residue), so no product can wrap int64
+    however large the coefficient.
     """
     # Open coordinate vectors keep every partial sum small; only the
     # last addition broadcasts to the full table.
     total = sum(
-        coefficient * axis_coords
+        (int(coefficient) % num_disks) * axis_coords
         for coefficient, axis_coords in zip(coefficients, coordinate_arrays)
     )
     return np.remainder(total, num_disks, out=total)

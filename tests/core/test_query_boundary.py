@@ -12,8 +12,10 @@ import pytest
 
 from repro.core.cost import (
     BATCH_THRESHOLD,
+    ENGINE_ENTRIES_PER_ROW,
     batch_disk_counts,
     buckets_per_disk,
+    engine_rows,
     response_time,
     response_times,
 )
@@ -217,6 +219,59 @@ class TestSizeRule:
         assert len(batch) < BATCH_THRESHOLD
         response_times(context.allocation, batch)
         batch_disk_counts(context.allocation, batch)
+
+
+class TestEngineRule:
+    """The engine-or-slices rule weighs rows against the table size."""
+
+    @staticmethod
+    def _batch(grid, count, seed=11):
+        rng = np.random.default_rng(seed)
+        dims = np.array(grid.dims)
+        lo = rng.integers(0, dims, size=(count, grid.ndim))
+        hi = np.minimum(lo + rng.integers(1, 9, size=lo.shape), dims)
+        return QueryBatch(lo, hi, grid.dims)
+
+    @staticmethod
+    def _count_engines(monkeypatch):
+        built = []
+        original = ResponseTimeEngine.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResponseTimeEngine, "__init__", counted)
+        return built
+
+    def test_threshold_grows_with_the_table(self):
+        small = get_scheme("dm").allocate(Grid((6, 5)), 3)
+        large = get_scheme("hcam").allocate(Grid((64, 64)), 16)
+        assert engine_rows(small) == BATCH_THRESHOLD
+        assert engine_rows(large) == (
+            BATCH_THRESHOLD + 64 * 64 * 16 // ENGINE_ENTRIES_PER_ROW
+        )
+
+    def test_mid_size_batch_on_a_large_grid_is_sliced(self, monkeypatch):
+        grid = Grid((64, 64))
+        allocation = get_scheme("hcam").allocate(grid, 16)
+        below = self._batch(grid, 64)
+        above = self._batch(grid, engine_rows(allocation))
+        want = [
+            [response_time(allocation, q) for q in batch.iter_queries()]
+            for batch in (below, above)
+        ]
+        built = self._count_engines(monkeypatch)
+        assert response_times(allocation, below).tolist() == want[0]
+        assert built == []
+        assert response_times(allocation, above).tolist() == want[1]
+        assert built == [1]
+        np.testing.assert_array_equal(
+            batch_disk_counts(allocation, below),
+            np.array([buckets_per_disk(allocation, q)
+                      for q in below.iter_queries()]),
+        )
+        assert built == [1]
 
 
 def test_scheme_evaluator_converts_a_list_once(monkeypatch):

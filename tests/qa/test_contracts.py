@@ -344,3 +344,33 @@ class TestEngineContract:
         from repro.qa.contracts import check_engine
 
         assert check_engine(CONFIG) == check_engine(CONFIG)
+
+
+class TestBackendContract:
+    def test_shipped_backends_are_clean(self):
+        from repro.qa.contracts import check_backends
+
+        assert check_backends(CONFIG) == []
+
+    def test_broken_tile_kernel_is_caught(self, monkeypatch):
+        from repro.core import backends as backend_registry
+        from repro.core.backends.numpy_backend import NumpyBackend
+        from repro.qa.contracts import check_backends
+
+        class BrokenTile(NumpyBackend):
+            name = "qa-broken-tile"
+
+            def fill_tile(self, out, block, num_disks, carry):
+                super().fill_tile(out, block, num_disks, carry)
+                out[-1, ..., 0] += 1
+
+        monkeypatch.setitem(
+            backend_registry._REGISTRY, BrokenTile.name, BrokenTile()
+        )
+        findings = check_backends(CONFIG)
+        assert findings
+        assert {f.rule for f in findings} == {"QA423"}
+        assert {f.file for f in findings} == {
+            "registry:backend:qa-broken-tile"
+        }
+        assert any("tile kernel" in f.message for f in findings)

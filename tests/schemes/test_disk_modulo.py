@@ -100,3 +100,25 @@ class TestGeneralizedDiskModulo:
             assert allocation.disk_of(coords) == scheme.disk_of(
                 coords, ragged_grid, 6
             )
+
+    @pytest.mark.parametrize(
+        "coefficients", [(2**62, 1), (1, -(2**62) - 5), (3**45, 2**63 + 7)]
+    )
+    def test_huge_coefficients_do_not_wrap(self, coefficients):
+        """The whole-grid and slab rules equal ``disk_of`` (python ints)."""
+        grid, num_disks = Grid((8, 8)), 3
+        scheme = GeneralizedDiskModuloScheme(coefficients)
+        expected = np.array(
+            [scheme.disk_of(c, grid, num_disks) for c in grid.iter_buckets()]
+        ).reshape(grid.dims)
+        assert np.array_equal(scheme.disk_array(grid, num_disks), expected)
+        assert np.array_equal(
+            scheme.disk_array_block(grid, num_disks, 3, 7), expected[3:7]
+        )
+
+    def test_large_coefficient_bucket_regression(self):
+        scheme = GeneralizedDiskModuloScheme((2**62, 1))
+        grid = Grid((8, 8))
+        assert scheme.disk_of((4, 0), grid, 3) == 1
+        assert scheme.disk_array(grid, 3)[4, 0] == 1
+        assert scheme.allocate(grid, 3).disk_of((4, 0)) == 1

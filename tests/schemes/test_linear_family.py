@@ -159,3 +159,21 @@ def test_skip_for_is_the_second_coefficient():
         assert scheme.coefficients_for(grid, 8) == (
             1, scheme.skip_for(grid, 8)
         )
+
+
+@pytest.mark.parametrize(
+    "name, dims", [("cyclic-exh", (9, 7)), ("lattice-exh", (5, 4, 3))]
+)
+def test_exh_disk_of_searches_once_per_configuration(name, dims):
+    """Scalar ``disk_of`` calls reuse one search per ``(dims, M)``."""
+    from repro.schemes.cyclic import _exhaustive_search
+
+    scheme, grid = get_scheme(name), Grid(dims)
+    table = scheme.disk_array(grid, 7)
+    _exhaustive_search.cache_clear()
+    for bucket in grid.iter_buckets():
+        assert scheme.disk_of(bucket, grid, 7) == table[bucket]
+    assert _exhaustive_search.cache_info().misses == 1
+    scheme.disk_of((0,) * len(dims), grid, 5)
+    scheme.disk_of((0,) * len(dims), Grid((6,) + dims[1:]), 7)
+    assert _exhaustive_search.cache_info().misses == 3
