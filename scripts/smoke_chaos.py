@@ -8,8 +8,8 @@ mechanism fired, via :mod:`repro.obs` counters:
 1. **Kill-and-resume** — an ``exit``-mode fault kills a chunked SAT
    build at a tile boundary (the deterministic stand-in for SIGKILL /
    power loss).  The subprocess must die with
-   :data:`repro.faults.io.IO_EXIT_STATUS`, leave its journal and
-   partial behind, and a clean re-run must resume and produce a file
+   :data:`repro.faults.io.IO_EXIT_STATUS`, leave its partial and
+   the partial's manifest behind, and a clean re-run must resume and produce a file
    byte-identical to an uninterrupted reference build.
 2. **Corrupt-and-rebuild** — a spilled table is bit-flipped on disk;
    :meth:`repro.core.cache.AllocationCache.mmap_engine` must detect the
@@ -35,11 +35,10 @@ _REPO = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(_REPO / "src"))
 
 from repro.core.grid import Grid  # noqa: E402
-from repro.core.integrity import file_sha256  # noqa: E402
+from repro.core.integrity import file_sha256, manifest_path  # noqa: E402
 from repro.core.registry import get_scheme  # noqa: E402
 from repro.core.sat import (  # noqa: E402
     SummedAreaTable,
-    build_journal_path,
     build_partial_path,
 )
 from repro.faults.io import (  # noqa: E402
@@ -113,8 +112,8 @@ def _check_kill_and_resume(workdir: str) -> "list[str]":
         )
     if not os.path.exists(build_partial_path(path)):
         errors.append("killed build left no .partial to resume from")
-    if not os.path.exists(build_journal_path(path)):
-        errors.append("killed build left no journal")
+    if not os.path.exists(manifest_path(build_partial_path(path))):
+        errors.append("killed build left no partial manifest")
 
     resumed = _run_build(path, {})
     if resumed.returncode != 0 or "BUILD-OK" not in resumed.stdout:

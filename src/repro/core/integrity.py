@@ -12,7 +12,9 @@ worse).  This module is the trust boundary:
   (``<table>.npy.manifest.json``) recording dtype, shape, disk count,
   tile layout, and a sha256 digest per build tile — streamed during the
   chunked build, so hashing rides along with the tile writes at near
-  zero extra cost;
+  zero extra cost.  While that build runs, the same manifest of its
+  ``.partial`` (rewritten after every flushed tile) is the record a
+  killed build resumes from;
 * every cached ``.so`` gets a **digest sidecar**
   (``<lib>.so.sha256``) written at compile time;
 * :func:`verify_sat` / :func:`verify_library` check an artifact against
@@ -65,7 +67,6 @@ _LOG = get_logger("repro.core.integrity")
 __all__ = [
     "DISK_FIRST_SCHEMA",
     "MANIFEST_SCHEMA_VERSION",
-    "SAT_JOURNAL_KIND",
     "SatManifest",
     "VERIFY_ENV",
     "VERIFY_LEVELS",
@@ -94,11 +95,6 @@ MANIFEST_SCHEMA_VERSION = 2
 #: The last schema whose spills stored the SAT disk-first,
 #: ``(M, d_1+1, ..., d_k+1)``; such tables are refused, never misread.
 DISK_FIRST_SCHEMA = 1
-
-#: ``kind`` discriminator of the chunked-build carry journal.  Shared
-#: with :mod:`repro.doctor`, which classifies a matching journal as
-#: resumable.
-SAT_JOURNAL_KIND = "sat-journal"
 
 #: Read granularity for whole-file hashing (1 MiB keeps memory flat).
 _HASH_CHUNK = 1 << 20

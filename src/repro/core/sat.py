@@ -41,13 +41,11 @@ backend contract certifies.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from typing import (
     TYPE_CHECKING,
     Dict,
-    List,
     Optional,
     Sequence,
     Tuple,
@@ -57,13 +55,11 @@ from typing import (
 import numpy as np
 
 from repro.core.allocation import DiskAllocation
-from repro.core.exceptions import AllocationError, QueryError
+from repro.core.exceptions import AllocationError, IntegrityError, QueryError
 from repro.core.grid import Grid
 from repro.core.integrity import (
-    MANIFEST_SCHEMA_VERSION,
-    SAT_JOURNAL_KIND,
     SatManifest,
-    atomic_write_json,
+    manifest_path,
     sha256_hex,
     verify_sat,
 )
@@ -80,8 +76,6 @@ _LOG = get_logger("repro.core.sat")
 __all__ = [
     "DEFAULT_BYTE_BUDGET",
     "SummedAreaTable",
-    "build_carry_path",
-    "build_journal_path",
     "build_partial_path",
     "sat_byte_budget",
     "sat_dtype",
@@ -123,31 +117,22 @@ def _padded_shape(num_disks: int, dims: Sequence[int]) -> Tuple[int, ...]:
 
 
 # ----------------------------------------------------------------------
-# Crash-safe chunked-build sidecars
+# Crash-safe chunked-build staging
 # ----------------------------------------------------------------------
 #
-# A chunked build never writes the final path directly.  It writes
-# ``<path>.partial`` plus a tile journal and a carry-plane checkpoint,
-# each updated with an atomic rename after every completed tile, then
-# renames the partial into place.  A SIGKILL at any moment therefore
-# leaves either (a) nothing at the final path plus a resumable
-# partial/journal pair, or (b) the finished table — never a torn file
-# under the real name.
+# A chunked build never writes the final path directly.  It stages two
+# files: ``<path>.partial`` and that partial's own ``SatManifest``
+# (``manifest_path(partial)``), rewritten with an atomic rename after
+# every flushed tile, so it never names a tile the disk does not hold.
+# The finished pair is published with two renames.  A SIGKILL at any
+# moment therefore leaves either (a) nothing at the final path plus a
+# resumable partial/manifest pair, or (b) the finished table — never a
+# torn file under the real name.
 
 
 def build_partial_path(path: Union[str, os.PathLike]) -> str:
     """Where a chunked build stages its output before the final rename."""
     return os.fspath(path) + ".partial"
-
-
-def build_journal_path(path: Union[str, os.PathLike]) -> str:
-    """The tile journal recording how far a chunked build has gotten."""
-    return os.fspath(path) + ".journal.json"
-
-
-def build_carry_path(path: Union[str, os.PathLike]) -> str:
-    """The carry-plane checkpoint matching the journal's last tile."""
-    return os.fspath(path) + ".carry.npy"
 
 
 def _remove_quietly(*paths: str) -> None:
@@ -260,84 +245,97 @@ class SummedAreaTable:
         return int(rows) * per_row + carry
 
     @classmethod
-    def _load_build_journal(
+    def _open_partial(
         cls,
-        path: str,
-        dtype: np.dtype,
-        shape: Tuple[int, ...],
-        scheme_name: str,
-    ) -> Optional[Dict[str, object]]:
-        """A prior interrupted build's journal, validated, or ``None``.
+        scheme: "DeclusteringScheme",
+        grid: Grid,
+        num_disks: int,
+        partial: str,
+        params: Dict[str, object],
+    ) -> Tuple[Optional[np.memmap], Optional[SatManifest]]:
+        """An interrupted build's partial, mapped writable, and its manifest.
 
-        Returns the journal document only when every identity field
-        (dtype, shape, scheme) matches the requested build, the partial
-        file exists, the tile bookkeeping is self-consistent, and the
-        carry checkpoint's digest matches what the journal recorded —
-        anything less and resuming could not be byte-identical, so the
-        stale sidecars are removed and the build starts fresh.
+        The partial's own manifest, loaded through
+        :meth:`SatManifest.load`, must name the requested dtype, shape,
+        disk count and ``params`` (scheme and extents), and whole tiles
+        from row 0.  The committed slabs are re-hashed and the longest
+        prefix whose digests match is kept; the last kept tile is then
+        recomputed from ``scheme.disk_array_block`` into a scratch
+        buffer, carried by the row before it, and must hash the same —
+        which ties the partial to this allocation, not merely to a
+        scheme name.  The returned manifest lists the kept tiles only.
+        Anything less and resuming could not be byte-identical: the
+        staging pair is removed and ``(None, None)`` returned, so the
+        build starts fresh.
         """
-        journal_file = build_journal_path(path)
-        carry_file = build_carry_path(path)
-        partial = build_partial_path(path)
+        from repro.core.backends import active_backend
 
-        def _discard(why: str) -> None:
+        dtype = sat_dtype(grid.num_buckets)
+        shape = _padded_shape(num_disks, grid.dims)
+        leading = grid.dims[0]
+
+        def _discard(why: str) -> Tuple[None, None]:
             _LOG.warning(
-                "discarding unusable build journal for %s: %s", path, why
+                "discarding unusable partial build %s: %s", partial, why
             )
-            _remove_quietly(journal_file, carry_file, partial)
+            _remove_quietly(partial, manifest_path(partial))
+            return None, None
 
         try:
-            with open(journal_file) as handle:
-                journal = json.load(handle)
+            manifest = SatManifest.load(partial)
         except FileNotFoundError:
-            return None
-        except (OSError, ValueError) as exc:
-            _discard(f"unreadable ({exc!r})")
-            return None
-        try:
-            ok = (
-                int(journal["schema"]) == MANIFEST_SCHEMA_VERSION
-                and journal["kind"] == SAT_JOURNAL_KIND
-                and str(journal["dtype"]) == dtype.str
-                and tuple(journal["shape"]) == shape
-                and str(journal.get("scheme", "")) == scheme_name
-                and int(journal["tile_rows"]) >= 1
-                and 0 < int(journal["next_start"]) <= shape[0] - 1
-                and len(journal["tile_starts"])
-                == len(journal["tile_digests"])
-            )
-        except (KeyError, TypeError, ValueError):
-            ok = False
-        if ok:
-            rows = int(journal["tile_rows"])
-            expected_starts = list(
-                range(0, int(journal["next_start"]), rows)
-            )
-            ok = [int(s) for s in journal["tile_starts"]] == (
-                expected_starts
-            )
-        if not ok:
-            _discard("identity or tile bookkeeping mismatch")
-            return None
-        if not os.path.exists(partial):
-            _discard("partial file is gone")
-            return None
-        try:
-            carry = np.load(carry_file)  # qa503: allow — digest-checked
-            # against the journal on the next line before any use.
-            carry = np.ascontiguousarray(carry)
-        except (OSError, ValueError):
-            _discard("carry checkpoint unreadable")
-            return None
-        if (
-            carry.dtype != dtype
-            or carry.shape != shape[1:]
-            or sha256_hex(carry.data) != journal.get("carry_sha256")
+            return None, None
+        except IntegrityError as exc:
+            return _discard(str(exc))
+        rows, starts = manifest.tile_rows, manifest.tile_starts
+        if not (
+            manifest.dtype == dtype.str
+            and manifest.shape == shape
+            and manifest.num_disks == int(num_disks)
+            and manifest.params == params
+            and rows >= 1
+            and starts == list(range(0, rows * len(starts), rows))
+            and 0 < len(starts)
+            and starts[-1] < leading
         ):
-            _discard("carry checkpoint does not match the journal")
-            return None
-        journal["carry"] = carry
-        return journal
+            return _discard("identity or tile bookkeeping mismatch")
+        try:
+            if os.path.getsize(partial) != manifest.file_bytes:
+                raise ValueError(
+                    f"not the {manifest.file_bytes} bytes its manifest "
+                    f"records"
+                )
+            out = np.lib.format.open_memmap(
+                partial, mode="r+"
+            )  # qa503: allow — every kept tile is re-hashed against the
+            # partial's manifest below, and the last one recomputed.
+        except (OSError, ValueError) as exc:
+            return _discard(f"unreadable ({exc!r})")
+        kept = 0
+        if out.dtype == dtype and out.shape == shape and not out[0].any():
+            for start, digest in zip(starts, manifest.tile_digests):
+                stop = min(start + rows, leading)
+                if sha256_hex(out[start + 1 : stop + 1].data) != digest:
+                    break
+                kept += 1
+        if kept:
+            start = starts[kept - 1]
+            stop = min(start + rows, leading)
+            scratch = np.empty((stop - start,) + shape[1:], dtype=dtype)
+            active_backend().fill_tile(
+                scratch,
+                scheme.disk_array_block(grid, num_disks, start, stop),
+                num_disks,
+                out[start],
+            )
+            if sha256_hex(scratch.data) != manifest.tile_digests[kept - 1]:
+                kept = 0
+        if not kept:
+            del out
+            return _discard("no committed tile this build reproduces")
+        del manifest.tile_starts[kept:]
+        del manifest.tile_digests[kept:]
+        return out, manifest
 
     @classmethod
     def build_chunked(
@@ -355,26 +353,28 @@ class SummedAreaTable:
         leading axis; each tile's allocation block comes from
         ``scheme.disk_array_block`` (so the full table is never
         materialized), and the active backend's tile kernel writes its
-        prefix sums, the carried leading-axis sum included, straight
-        into the tile's slab of the mapped file (with disks last, a
-        tile is one contiguous slab).  ``path``
+        prefix sums, carried by the row before the tile, straight into
+        the tile's slab of the mapped file (with disks last, a tile is
+        one contiguous slab).  ``path``
         defaults to a fresh temp file (``REPRO_SAT_DIR`` overrides the
         directory); the caller owns the file's lifetime.
 
         The build is **crash-safe and resumable**: it stages into
-        ``<path>.partial``, journals every completed tile (plus the
-        carry plane) with atomic renames, and only renames the finished
-        table into place.  Killed at any point, a re-run with the same
-        ``path`` picks up from the last journaled tile, so the resumed
-        table is byte-identical to an uninterrupted build (the journal's
-        tile size wins even if the byte budget changed).
-        ``resume=False`` ignores and removes any prior journal; without
-        a journal the build starts fresh.
-        Tile digests are streamed into a sidecar manifest that
-        :meth:`open_mmap` verifies (see :mod:`repro.core.integrity`).
+        ``<path>.partial`` and, after each tile is flushed, atomically
+        rewrites that partial's own sidecar manifest (see
+        :mod:`repro.core.integrity`) with the tiles committed so far;
+        publishing renames the table and then its manifest into place.
+        Killed at any point, a re-run with the same ``path`` picks up
+        after the last committed tile it can re-verify (see
+        :meth:`_open_partial`), so the resumed table is byte-identical
+        to an uninterrupted build (the partial's tile size wins even if
+        the byte budget changed).  ``resume=False`` ignores and removes
+        any prior partial; without one the build starts fresh.
+        :meth:`open_mmap` verifies the published table against that
+        manifest.
         A build that *raises* cleans up after itself: temp-file builds
         remove everything they created; explicit-path builds keep the
-        partial + journal set for a later resume (``repro doctor``
+        partial and its manifest for a later resume (``repro doctor``
         reports and can garbage-collect them).
         """
         from repro.core.backends import active_backend
@@ -390,70 +390,47 @@ class SummedAreaTable:
             os.close(fd)
         path = os.fspath(path)
         partial = build_partial_path(path)
-        journal_file = build_journal_path(path)
-        carry_file = build_carry_path(path)
+        staged = manifest_path(partial)
         dims = grid.dims
         dtype = sat_dtype(grid.num_buckets)
         shape = _padded_shape(num_disks, dims)
-        scheme_name = getattr(scheme, "name", "") or ""
+        params: Dict[str, object] = {
+            "scheme": getattr(scheme, "name", "") or "",
+            "dims": list(dims),
+        }
 
-        journal = None
+        out, manifest = None, None
         if resume and not owns_temp:
-            journal = cls._load_build_journal(
-                path, dtype, shape, scheme_name
+            out, manifest = cls._open_partial(
+                scheme, grid, num_disks, partial, params
             )
         elif not resume:
-            _remove_quietly(journal_file, carry_file, partial)
-
+            _remove_quietly(partial, staged)
         rows = (
-            int(journal["tile_rows"])
-            if journal is not None
+            manifest.tile_rows
+            if manifest is not None
             else cls.tile_rows(grid, num_disks, byte_budget)
         )
-        out = None
         try:
             with trace(
                 "sat.build_chunked",
                 dims=list(dims),
                 num_disks=int(num_disks),
                 tile_rows=rows,
-                resumed=journal is not None,
+                resumed=manifest is not None,
             ):
-                if journal is not None:
-                    first_start = int(journal["next_start"])
-                    tile_starts = [
-                        int(s) for s in journal["tile_starts"]
-                    ]
-                    tile_digests = [
-                        str(d) for d in journal["tile_digests"]
-                    ]
-                    carry = journal["carry"]
-                    out = np.lib.format.open_memmap(
-                        partial, mode="r+"
-                    )  # qa503: allow — resuming our own journaled
-                    # partial; identity was validated against the
-                    # journal, and the final table is re-manifested.
-                    if (
-                        out.dtype != dtype
-                        or tuple(out.shape) != shape
-                    ):
-                        raise AllocationError(
-                            f"{partial} does not match its build "
-                            f"journal (dtype {out.dtype}, shape "
-                            f"{tuple(out.shape)})"
-                        )
+                if manifest is not None:
+                    first_start = manifest.tile_starts[-1] + rows
                     global_registry().inc("sat.build_resumes")
                     _LOG.info(
                         "resuming chunked SAT build of %s at row %d/%d",
                         path,
-                        first_start,
+                        min(first_start, dims[0]),
                         dims[0],
                     )
                 else:
                     first_start = 0
-                    tile_starts = []
-                    tile_digests = []
-                    carry = np.zeros(shape[1:], dtype=dtype)
+                    _remove_quietly(staged)
                     out = np.lib.format.open_memmap(
                         partial,
                         mode="w+",
@@ -461,12 +438,24 @@ class SummedAreaTable:
                         shape=shape,
                     )  # qa503: allow — creating the staged partial
                     # this build owns; nothing is being trusted.
+                    manifest = SatManifest(
+                        dtype=dtype.str,
+                        shape=shape,
+                        num_disks=int(num_disks),
+                        tile_rows=rows,
+                        tile_starts=[],
+                        tile_digests=[],
+                        file_bytes=os.path.getsize(partial),
+                        params=params,
+                    )
 
                 backend = active_backend()
                 for start in range(first_start, dims[0], rows):
                     stop = min(start + rows, dims[0])
-                    # The tile is computed in place in its mapped slab;
-                    # whatever a killed run left there is overwritten.
+                    # The tile is computed in place in its mapped slab,
+                    # carried by the row before it (the zero plane for
+                    # the first tile); whatever a killed run left in
+                    # the slab is overwritten.
                     chunk = out[start + 1 : stop + 1]
                     backend.fill_tile(
                         chunk,
@@ -474,112 +463,42 @@ class SummedAreaTable:
                             grid, num_disks, start, stop
                         ),
                         num_disks,
-                        carry,
+                        out[start],
                     )
-                    carry = chunk[-1].copy()
-                    # Tile data must be durable before the journal may
-                    # claim it — flush, then checkpoint, then journal.
+                    # Tile data must be durable before the manifest may
+                    # claim it — flush, then commit.
                     out.flush()
-                    tile_starts.append(start)
-                    tile_digests.append(sha256_hex(chunk.data))
+                    manifest.tile_starts.append(start)
+                    manifest.tile_digests.append(sha256_hex(chunk.data))
                     del chunk
-                    cls._checkpoint_tile(
-                        journal_file,
-                        carry_file,
-                        carry,
-                        dtype,
-                        shape,
-                        scheme_name,
-                        rows,
-                        stop,
-                        tile_starts,
-                        tile_digests,
-                    )
+                    manifest.write(partial)
                     # Injection point: the fault strikes *between*
                     # tiles — the just-committed tile is durable, so an
                     # ``exit``-mode plan is exactly "SIGKILL at a tile
                     # boundary" and a later run must resume from here.
                     maybe_io_fault("sat.write", f"tile@{start}")
-                out.flush()
-            # Release the writable mapping, then publish: rename the
-            # finished partial into place, write the manifest, drop the
-            # build sidecars.  A crash between these steps leaves a
-            # valid table that is at worst missing its manifest.
+            # Release the writable mapping, then publish: the table
+            # first, then the manifest that names all of its tiles.  A
+            # crash between the renames leaves a valid table that is at
+            # worst missing its manifest.
             del out
             out = None
             os.replace(partial, path)
-            SatManifest(
-                dtype=dtype.str,
-                shape=shape,
-                num_disks=int(num_disks),
-                tile_rows=rows,
-                tile_starts=tile_starts,
-                tile_digests=tile_digests,
-                file_bytes=os.path.getsize(path),
-                params={"scheme": scheme_name, "dims": list(dims)},
-            ).write(path)
-            _remove_quietly(journal_file, carry_file)
+            os.replace(staged, manifest_path(path))
         except BaseException:
             if out is not None:
                 del out
             if owns_temp:
                 # Nobody holds this path: remove every artifact the
                 # failed build created (the mkstemp placeholder, the
-                # partial, and the build sidecars).
-                _remove_quietly(path, partial, journal_file, carry_file)
+                # partial, and the partial's manifest).
+                _remove_quietly(path, partial, staged)
             raise
         # Reopen read-only: the writable mapping is released and every
         # consumer sees the same immutable view an open_mmap would.
         # Header-level verification only — the manifest was written
         # from the in-memory digests one rename ago.
         return cls.open_mmap(path, verify="header")
-
-    @classmethod
-    def _checkpoint_tile(
-        cls,
-        journal_file: str,
-        carry_file: str,
-        carry: np.ndarray,
-        dtype: np.dtype,
-        shape: Tuple[int, ...],
-        scheme_name: str,
-        tile_rows: int,
-        next_start: int,
-        tile_starts: List[int],
-        tile_digests: List[str],
-    ) -> None:
-        """Durably record one completed tile (carry first, then journal).
-
-        Both files are replaced atomically; the journal's carry digest
-        binds the pair, so a crash between the two renames leaves a
-        journal that simply fails validation and resumes one tile
-        earlier.
-        """
-        tmp = f"{carry_file}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as handle:
-                np.save(handle, carry)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, carry_file)
-        except BaseException:
-            _remove_quietly(tmp)
-            raise
-        atomic_write_json(
-            journal_file,
-            {
-                "schema": MANIFEST_SCHEMA_VERSION,
-                "kind": SAT_JOURNAL_KIND,
-                "dtype": dtype.str,
-                "shape": list(shape),
-                "scheme": scheme_name,
-                "tile_rows": int(tile_rows),
-                "next_start": int(next_start),
-                "tile_starts": list(tile_starts),
-                "tile_digests": list(tile_digests),
-                "carry_sha256": sha256_hex(carry.data),
-            },
-        )
 
     @classmethod
     def open_mmap(

@@ -2,8 +2,9 @@
 
 The artifact layer leaves two kinds of state on a machine: spilled
 summed-area tables (``repro-sat-*.npy`` plus manifest and, after a
-crash, ``.partial``/``.journal.json``/``.carry.npy`` build sidecars),
-and the compiled-kernel cache (``reprokern-*.so`` with digest sidecars,
+crash, a chunked build's staging set: ``<table>.partial`` and that
+partial's own ``<table>.partial.manifest.json``), and the
+compiled-kernel cache (``reprokern-*.so`` with digest sidecars,
 and ``.c``/``.tmp`` leftovers from failed compiles).  The doctor walks both:
 
 * **report** (default): verify every artifact against its sidecar
@@ -22,14 +23,18 @@ Classifications:
     the artifact contradicts its sidecar (or is structurally broken,
     e.g. a zero-byte ``.so``) — gc removes it;
 ``stale``
-    leftover staging state no live build owns (partials + journals,
-    compile temps, orphaned sidecars), or
+    leftover state no live build owns (a staging set missing its
+    partial or a loadable manifest, the two extra sidecars older
+    builds staged, compile temps, orphaned sidecars), or
     a spilled SAT of the retired disk-first layout (a schema-1
     manifest, or no manifest at all, so its layout is unknowable) —
     gc removes it;
 ``resumable``
-    an interrupted chunked build whose journal still validates — gc
-    removes it, but the report says a re-run would resume it instead;
+    an interrupted chunked build whose partial exists and whose
+    manifest loads through :meth:`SatManifest.load`, the loader the
+    build resumes through (the build itself then re-verifies the
+    tiles) — gc removes it, but the report says a re-run would resume
+    it instead;
 ``unverified``
     a cached ``.so`` with no digest sidecar — reported, never removed;
 ``ok``
@@ -47,17 +52,14 @@ from typing import Callable, Dict, List, Optional
 from repro.core.exceptions import IntegrityError
 from repro.core.integrity import (
     DISK_FIRST_SCHEMA,
+    SatManifest,
     library_digest_path,
     manifest_path,
     verify_level,
     verify_library,
     verify_sat,
 )
-from repro.core.sat import (
-    build_carry_path,
-    build_journal_path,
-    build_partial_path,
-)
+from repro.core.sat import build_partial_path
 from repro.obs.log import get_logger
 
 __all__ = [
@@ -125,33 +127,15 @@ def _load_sidecar_json(path: str):
         return None
 
 
-def _journal_is_resumable(npy_path: str) -> bool:
-    """Whether an interrupted build's sidecars would actually resume.
-
-    A light-weight version of the build's own validation: the journal
-    must parse and its carry/partial files must exist.  The build
-    re-validates digests itself, so the doctor only has to distinguish
-    "a re-run resumes this" from "this is dead weight".
-    """
-    from repro.core.integrity import SAT_JOURNAL_KIND
-
-    journal = _load_sidecar_json(build_journal_path(npy_path))
-    return (
-        journal is not None
-        and journal.get("kind") == SAT_JOURNAL_KIND
-        and os.path.exists(build_partial_path(npy_path))
-        and os.path.exists(build_carry_path(npy_path))
-    )
-
-
 def scan_sat_artifacts(
     directory: Optional[str] = None, level: Optional[str] = None
 ) -> List[ArtifactIssue]:
     """Classify every spilled SAT and build-staging set in ``directory``.
 
     Only repro-owned files are considered: ``repro-sat-*`` temp spills,
-    any ``.npy`` with a manifest sidecar, and chunked-build staging
-    sets (``*.partial`` / ``*.journal.json`` / ``*.carry.npy``).
+    any ``.npy`` with a manifest sidecar, chunked-build staging sets
+    (``*.npy.partial`` / ``*.npy.partial.manifest.json``), and the
+    extra sidecars older builds staged beside them.
     """
     directory = directory or _sat_dir()
     level = verify_level(level)
@@ -159,24 +143,22 @@ def scan_sat_artifacts(
     if not os.path.isdir(directory):
         return issues
 
-    tables = {
-        # Carry checkpoints also end in .npy; they belong to the
-        # staging sets below, not the table inventory.
-        path
-        for path in glob.glob(os.path.join(directory, "repro-sat-*.npy"))
-        if not path.endswith(".carry.npy")
-    }
+    tables = set(glob.glob(os.path.join(directory, "repro-sat-*.npy")))
     for sidecar in glob.glob(
         os.path.join(directory, "*.npy.manifest.json")
     ):
         tables.add(sidecar[: -len(".manifest.json")])
     staged = set()
-    for pattern in ("*.npy.partial", "*.npy.journal.json",
-                    "*.npy.carry.npy"):
-        for leftover in glob.glob(os.path.join(directory, pattern)):
-            for suffix in (".partial", ".journal.json", ".carry.npy"):
-                if leftover.endswith(suffix):
-                    staged.add(leftover[: -len(suffix)])
+    for suffix in (".partial", ".partial.manifest.json"):
+        for leftover in glob.glob(os.path.join(directory, "*.npy" + suffix)):
+            staged.add(leftover[: -len(suffix)])
+    # Older builds staged two more sidecars; no build reads them now.  A
+    # ``repro-sat-*`` one is already a manifest-less table above.
+    legacy = {
+        leftover
+        for pattern in ("*.npy.journal.json", "*.npy.carry.npy")
+        for leftover in glob.glob(os.path.join(directory, pattern))
+    } - tables
 
     for path in sorted(tables):
         manifest = manifest_path(path)
@@ -249,16 +231,16 @@ def scan_sat_artifacts(
             )
 
     for base in sorted(staged):
+        partial = build_partial_path(base)
         parts = [
-            p
-            for p in (
-                build_partial_path(base),
-                build_journal_path(base),
-                build_carry_path(base),
-            )
-            if os.path.exists(p)
+            p for p in (partial, manifest_path(partial)) if os.path.exists(p)
         ]
-        if _journal_is_resumable(base):
+        try:
+            SatManifest.load(partial)
+            resumable = os.path.exists(partial)
+        except (OSError, IntegrityError):
+            resumable = False
+        if resumable:
             state = "resumable"
             detail = (
                 "interrupted chunked build; re-running the build for "
@@ -266,7 +248,10 @@ def scan_sat_artifacts(
             )
         else:
             state = "stale"
-            detail = "dead build staging files (no usable journal)"
+            detail = (
+                "dead build staging files (partial or its manifest "
+                "missing or unreadable)"
+            )
         issues.append(
             ArtifactIssue(
                 kind="sat-build",
@@ -274,6 +259,16 @@ def scan_sat_artifacts(
                 path=base,
                 detail=detail,
                 removals=parts,
+            )
+        )
+    for leftover in sorted(legacy):
+        issues.append(
+            ArtifactIssue(
+                kind="sat-build",
+                state="stale",
+                path=leftover,
+                detail="build sidecar of an older format; no build reads it",
+                removals=[leftover],
             )
         )
     return issues

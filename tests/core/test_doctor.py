@@ -9,20 +9,15 @@ import pytest
 from repro.core.exceptions import IntegrityError
 from repro.core.grid import Grid
 from repro.core.integrity import (
+    SatManifest,
     library_digest_path,
     manifest_path,
     write_library_digest,
 )
 from repro.core.registry import get_scheme
-from repro.core.sat import (
-    SummedAreaTable,
-    build_carry_path,
-    build_journal_path,
-    build_partial_path,
-)
+from repro.core.sat import SummedAreaTable, build_partial_path
 from repro.doctor import (
     ArtifactIssue,
-    _journal_is_resumable,
     run_doctor,
     scan_native_cache,
     scan_sat_artifacts,
@@ -119,24 +114,46 @@ class TestSatScan:
         (issue,) = scan_sat_artifacts(str(tmp_path))
         assert issue.kind == "sat-build"
         assert issue.state == "resumable"
-        assert set(issue.removals) == {
-            build_partial_path(path),
-            build_journal_path(path),
-            build_carry_path(path),
-        }
+        partial = build_partial_path(path)
+        assert set(issue.removals) == {partial, manifest_path(partial)}
 
     def test_dead_staging_files_are_stale(self, tmp_path):
         base = os.path.join(str(tmp_path), "repro-sat-d.npy")
-        with open(build_partial_path(base), "wb") as handle:
+        partial = build_partial_path(base)
+        with open(partial, "wb") as handle:
             handle.write(b"torn")
-        with open(build_journal_path(base), "w") as handle:
+        with open(manifest_path(partial), "w") as handle:
             handle.write("{not json")
         (issue,) = scan_sat_artifacts(str(tmp_path))
         assert issue.state == "stale"
-        assert set(issue.removals) == {
-            build_partial_path(base),
-            build_journal_path(base),
-        }
+        assert set(issue.removals) == {partial, manifest_path(partial)}
+
+    def test_older_build_sidecars_are_stale_and_collected(self, tmp_path):
+        leftovers = [
+            os.path.join(str(tmp_path), name)
+            for name in (
+                "t.npy.journal.json",
+                "t.npy.carry.npy",
+                "repro-sat-o.npy.journal.json",
+                "repro-sat-o.npy.carry.npy",
+            )
+        ]
+        for leftover in leftovers:
+            with open(leftover, "wb") as handle:
+                handle.write(b"x")
+        issues = scan_sat_artifacts(str(tmp_path))
+        # One finding per file: the repro-sat-* carry is a table without
+        # a manifest, the rest are sidecars of an older build format.
+        assert _states(issues) == dict.fromkeys(leftovers, "stale")
+        assert sorted(r for i in issues for r in i.removals) == sorted(
+            leftovers
+        )
+        report = run_doctor(
+            gc=True,
+            scanners=[lambda: scan_sat_artifacts(str(tmp_path))],
+        )
+        assert report.exit_code() == 0
+        assert os.listdir(str(tmp_path)) == []
 
 
 class TestLegacyDiskFirstSpill:
@@ -181,21 +198,33 @@ class TestLegacyDiskFirstSpill:
         assert os.listdir(str(tmp_path)) == []
 
 
-class TestJournalResumable:
-    def test_requires_parse_and_companions(self, tmp_path):
+class TestStagingResumable:
+    """Resumable exactly when the partial exists and its manifest loads."""
+
+    @staticmethod
+    def _state(directory):
+        issues = scan_sat_artifacts(str(directory))
+        return [issue.state for issue in issues]
+
+    def test_requires_partial_and_loadable_manifest(self, tmp_path):
         base = os.path.join(str(tmp_path), "t.npy")
-        assert not _journal_is_resumable(base)  # no journal at all
-        with open(build_journal_path(base), "w") as handle:
-            json.dump({"kind": "sat-journal"}, handle)
-        assert not _journal_is_resumable(base)  # partial/carry missing
-        with open(build_partial_path(base), "wb") as handle:
+        partial = build_partial_path(base)
+        assert self._state(tmp_path) == []  # no staging set at all
+        manifest = SatManifest(
+            dtype="<i4", shape=(9, 6, 2), num_disks=2, tile_rows=4,
+            tile_starts=[0], tile_digests=["0" * 64], file_bytes=1,
+            params={"scheme": "dm", "dims": [8, 5]},
+        )
+        manifest.write(partial)
+        assert self._state(tmp_path) == ["stale"]  # partial missing
+        with open(partial, "wb") as handle:
             handle.write(b"x")
-        with open(build_carry_path(base), "wb") as handle:
-            handle.write(b"x")
-        assert _journal_is_resumable(base)
-        with open(build_journal_path(base), "w") as handle:
-            json.dump({"kind": "something-else"}, handle)
-        assert not _journal_is_resumable(base)
+        assert self._state(tmp_path) == ["resumable"]
+        manifest.schema = 1
+        manifest.write(partial)
+        assert self._state(tmp_path) == ["stale"]  # does not load
+        os.unlink(manifest_path(partial))
+        assert self._state(tmp_path) == ["stale"]  # manifest missing
 
 
 class TestNativeScan:

@@ -32,19 +32,23 @@ from repro.core.integrity import (
     write_library_digest,
 )
 from repro.core.registry import get_scheme
-from repro.core.sat import (
-    SummedAreaTable,
-    build_carry_path,
-    build_journal_path,
-    build_partial_path,
+from repro.core.sat import SummedAreaTable, build_partial_path
+from repro.faults.io import (
+    IO_EXIT_STATUS,
+    IO_FAULTS_ENV,
+    IO_FAULTS_STATE_ENV,
+    InjectedIOFault,
 )
-from repro.faults.io import IO_EXIT_STATUS
+from repro.schemes.baselines import RandomScheme
 from repro.obs.metrics import global_registry
 
 GRID = Grid((12, 6))
 DISKS = 3
 #: Small enough to force one-row tiles (12 of them) on the 12x6 grid.
 TINY_BUDGET = 400
+#: Resume regressions: four-row tiles (six of them) on 24x24, M=7.
+RESUME_GRID = Grid((24, 24))
+RESUME_BUDGET = 6000
 
 
 def _build(path, budget=TINY_BUDGET, resume=True):
@@ -58,6 +62,11 @@ def _build(path, budget=TINY_BUDGET, resume=True):
 
 def _counter(name):
     return global_registry().counter(name)
+
+
+def _staged_manifest(path):
+    """The partial's own manifest: a chunked build's only resume record."""
+    return manifest_path(build_partial_path(path))
 
 
 class TestVerifyLevel:
@@ -249,7 +258,7 @@ class TestResumableBuild:
             )
         # Explicit-path failure keeps the resumable staging set.
         assert os.path.exists(build_partial_path(path))
-        assert os.path.exists(build_journal_path(path))
+        assert os.path.exists(_staged_manifest(path))
         assert not os.path.exists(path)
         monkeypatch.undo()
 
@@ -257,10 +266,13 @@ class TestResumableBuild:
         sat = _build(path)
         assert _counter("sat.build_resumes") == before + 1
         assert file_sha256(path) == file_sha256(reference)
-        # Staging sidecars are gone after the successful finish.
-        assert not os.path.exists(build_partial_path(path))
-        assert not os.path.exists(build_journal_path(path))
-        assert not os.path.exists(build_carry_path(path))
+        # The staging pair was published: only the table and its
+        # manifest are left.
+        assert sorted(os.listdir(str(tmp_path))) == sorted(
+            os.path.basename(p)
+            for p in (path, manifest_path(path),
+                      reference, manifest_path(reference))
+        )
         assert sat  # appease linters; handle closed in _build
 
     def test_resume_false_starts_fresh(self, tmp_path, monkeypatch):
@@ -305,25 +317,105 @@ class TestResumableBuild:
             SummedAreaTable.build_chunked(
                 scheme, GRID, DISKS, byte_budget=TINY_BUDGET
             )
-        # Satellite fix: the mkstemp file, the partial, and the build
-        # sidecars are all gone.
+        # The mkstemp file, the partial, and the partial's manifest are
+        # all gone.
         assert os.listdir(str(tmp_path)) == []
 
-    def test_stale_journal_from_other_build_discarded(self, tmp_path):
+    def test_foreign_partial_manifest_discarded(self, tmp_path):
         path = str(tmp_path / "t.npy")
+        reference = _build(str(tmp_path / "ref.npy"))
+        # Plant a partial whose manifest names a different scheme; the
+        # build must not resume it and still produce the right table.
+        with open(build_partial_path(path), "wb") as handle:
+            np.save(handle, np.zeros((13, 7, 3), np.int32))
+        SatManifest(
+            dtype="<i4", shape=(13, 7, 3), num_disks=3, tile_rows=1,
+            tile_starts=[0], tile_digests=["x"],
+            file_bytes=os.path.getsize(build_partial_path(path)),
+            params={"scheme": "fx", "dims": [12, 6]},
+        ).write(build_partial_path(path))
+        before = _counter("sat.build_resumes")
         _build(path)
-        # Plant a journal claiming a different scheme; a fresh build
-        # must ignore it and still produce a verified table.
-        with open(build_journal_path(path), "w") as handle:
-            json.dump({"kind": "sat-journal", "schema": 1,
-                       "dtype": "<i4", "shape": [9, 9, 9],
-                       "scheme": "fx", "tile_rows": 1,
-                       "next_start": 1, "tile_starts": [0],
-                       "tile_digests": ["x"],
-                       "carry_sha256": "y"}, handle)
-        _build(path)
+        assert _counter("sat.build_resumes") == before
+        assert file_sha256(path) == file_sha256(reference)
+        assert not os.path.exists(_staged_manifest(path))
+
+    @staticmethod
+    def _kill(monkeypatch, tmp_path, scheme, path, tiles=1):
+        """Leave a RESUME_GRID build killed after ``tiles`` four-row tiles."""
+        monkeypatch.setenv(IO_FAULTS_ENV, f"sat.write:{tiles}")
+        monkeypatch.setenv(IO_FAULTS_STATE_ENV, str(tmp_path / "state"))
+        for _ in range(tiles):  # each run commits one more tile
+            with pytest.raises(InjectedIOFault):
+                SummedAreaTable.build_chunked(
+                    scheme, RESUME_GRID, 7, byte_budget=RESUME_BUDGET,
+                    path=path,
+                )
+        monkeypatch.delenv(IO_FAULTS_ENV)
+        assert os.path.exists(build_partial_path(path))
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (lambda: get_scheme("cyclic"), lambda: get_scheme("cyclic-exh")),
+            (lambda: get_scheme("lattice"),
+             lambda: get_scheme("lattice-exh")),
+            (lambda: RandomScheme(0), lambda: RandomScheme(1)),
+        ],
+        ids=["cyclic>cyclic-exh", "lattice>lattice-exh", "random0>random1"],
+    )
+    def test_resume_needs_the_same_allocation_not_name(
+        self, tmp_path, monkeypatch, first, second
+    ):
+        first, second = first(), second()
+        assert first.name == second.name
+        path = str(tmp_path / "t.npy")
+        self._kill(monkeypatch, tmp_path, first, path)
+        before = _counter("sat.build_resumes")
+        sat = SummedAreaTable.build_chunked(
+            second, RESUME_GRID, 7, byte_budget=RESUME_BUDGET, path=path
+        )
+        try:
+            fresh = SummedAreaTable.build(second.allocate(RESUME_GRID, 7))
+            assert np.array_equal(sat.array, fresh.array)
+        finally:
+            sat.close()
+        assert _counter("sat.build_resumes") == before
         assert verify_sat(path, "full") is not None
-        assert not os.path.exists(build_journal_path(path))
+
+    @pytest.mark.parametrize(
+        "tiles, row, resumes",
+        # Padded rows 1-4 are tile 0, 5-8 tile 1; neither flip touches a
+        # tile's last row, the carry of the next tile.
+        [(1, 2, 0), (3, 6, 1)],
+        ids=["only-tile", "middle-tile"],
+    )
+    def test_resume_rehashes_committed_tiles(
+        self, tmp_path, monkeypatch, tiles, row, resumes
+    ):
+        scheme = get_scheme("fx")
+        reference = str(tmp_path / "ref.npy")
+        SummedAreaTable.build_chunked(
+            scheme, RESUME_GRID, 7, byte_budget=RESUME_BUDGET,
+            path=reference,
+        ).close()
+        path = str(tmp_path / "t.npy")
+        self._kill(monkeypatch, tmp_path, scheme, path, tiles)
+        partial = np.lib.format.open_memmap(
+            build_partial_path(path), mode="r+"
+        )
+        partial[row, 5, 3] += 1
+        partial.flush()
+        del partial
+        # The build keeps the tiles before the flipped one: it resumes
+        # after them, or starts fresh when none is left.
+        before = _counter("sat.build_resumes")
+        SummedAreaTable.build_chunked(
+            scheme, RESUME_GRID, 7, byte_budget=RESUME_BUDGET, path=path
+        ).close()
+        assert file_sha256(path) == file_sha256(reference)
+        assert SatManifest.load(path) == SatManifest.load(reference)
+        assert _counter("sat.build_resumes") == before + resumes
 
 
 class TestKillAndResumeSubprocess:
@@ -375,7 +467,7 @@ print("BUILD-OK")
         )
         assert first.returncode == IO_EXIT_STATUS
         assert os.path.exists(build_partial_path(path))
-        assert os.path.exists(build_journal_path(path))
+        assert os.path.exists(_staged_manifest(path))
         assert not os.path.exists(path)
 
         second = self._run(path, faults=None)
@@ -383,7 +475,7 @@ print("BUILD-OK")
         assert "BUILD-OK" in second.stdout
         assert file_sha256(path) == file_sha256(reference)
         assert verify_sat(path, "full") is not None
-        assert not os.path.exists(build_journal_path(path))
+        assert not os.path.exists(_staged_manifest(path))
 
     def test_every_boundary_resumes_identical(self, tmp_path):
         """Kill at each successive boundary until the build completes."""

@@ -24,13 +24,14 @@ from repro.core.backends import available_backends, use_backend
 from repro.core.backends.native import _MAX_NDIM, CNativeBackend
 from repro.core.backends.numpy_backend import NumpyBackend
 from repro.core.grid import Grid
-from repro.core.integrity import SatManifest, file_sha256, sha256_hex
-from repro.core.registry import get_scheme
-from repro.core.sat import (
-    SummedAreaTable,
-    build_journal_path,
-    build_partial_path,
+from repro.core.integrity import (
+    SatManifest,
+    file_sha256,
+    manifest_path,
+    sha256_hex,
 )
+from repro.core.registry import get_scheme
+from repro.core.sat import SummedAreaTable, build_partial_path
 from repro.faults.io import (
     IO_EXIT_STATUS,
     IO_FAULTS_ENV,
@@ -188,7 +189,7 @@ def test_chunked_build_matches_in_ram_bytes(
 
 @needs_native
 def test_native_resume_overwrites_torn_tile(monkeypatch, tmp_path):
-    """A fault between tiles, garbage past the journal, then resume."""
+    """A fault between tiles, garbage past the last commit, then resume."""
     grid, num_disks, scheme = Grid((12, 5, 4)), 3, get_scheme("fx")
     reference_path = str(tmp_path / "ref.npy")
     with use_backend("numpy"):
@@ -204,7 +205,7 @@ def test_native_resume_overwrites_torn_tile(monkeypatch, tmp_path):
                 scheme, grid, num_disks, byte_budget=600, path=path
             )
         # What a kill mid-tile leaves behind: the rows past the last
-        # journaled tile hold garbage.
+        # committed tile hold garbage.
         partial = np.lib.format.open_memmap(
             build_partial_path(path), mode="r+"
         )
@@ -273,7 +274,7 @@ def test_native_build_killed_at_tile_boundary_resumes(tmp_path):
         }
     )
     assert killed.returncode == IO_EXIT_STATUS, killed.stderr
-    assert os.path.exists(build_journal_path(path))
+    assert os.path.exists(manifest_path(build_partial_path(path)))
     assert not os.path.exists(path)
     resumed = run()
     assert resumed.returncode == 0, resumed.stderr

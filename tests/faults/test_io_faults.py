@@ -134,10 +134,8 @@ class TestInjectionPoints:
     def test_sat_write_point_keeps_resumable_state(
         self, monkeypatch, tmp_path
     ):
-        from repro.core.sat import (
-            build_journal_path,
-            build_partial_path,
-        )
+        from repro.core.integrity import manifest_path
+        from repro.core.sat import build_partial_path
 
         path = str(tmp_path / "t.npy")
         monkeypatch.setenv(IO_FAULTS_ENV, "sat.write:1")
@@ -150,7 +148,7 @@ class TestInjectionPoints:
                 byte_budget=400, path=path,
             )
         assert os.path.exists(build_partial_path(path))
-        assert os.path.exists(build_journal_path(path))
+        assert os.path.exists(manifest_path(build_partial_path(path)))
         # The fault budget is spent: the next build resumes and lands.
         sat = SummedAreaTable.build_chunked(
             get_scheme("dm"), Grid((12, 6)), 3,
