@@ -51,6 +51,7 @@ __all__ = [
     'GRID',
     'NATIVE_GRID',
     'NATIVE_REPETITIONS',
+    'NATIVE_SECTIONS',
     'NATIVE_SMOKE_DISKS',
     'NATIVE_SMOKE_GRID',
     'NATIVE_SMOKE_GRID_ENV',
@@ -467,6 +468,7 @@ def run_native_bench(
         backends.append(entry)
     return {
         "benchmark": "backend_kernels",
+        **_host_stamp(),
         "grid": list(grid_dims),
         "num_disks": num_disks,
         "scheme": scheme,
@@ -790,15 +792,20 @@ def run_verify_overhead_bench(
     }
 
 
+#: The sections of ``BENCH_native.json``, each with the function that
+#: writes it.
+NATIVE_SECTIONS = {
+    "backend_kernels": run_native_bench,
+    "chunked_smoke": run_chunked_smoke,
+    "stream_kernel": run_stream_bench,
+    "verify_overhead": run_verify_overhead_bench,
+}
+
+
 def run_native_report() -> dict:
     """The full ``BENCH_native.json`` record: backends, chunked smoke,
     mapped-table queries, verify overhead."""
-    return {
-        "backend_kernels": run_native_bench(),
-        "chunked_smoke": run_chunked_smoke(),
-        "stream_kernel": run_stream_bench(),
-        "verify_overhead": run_verify_overhead_bench(),
-    }
+    return {name: run() for name, run in NATIVE_SECTIONS.items()}
 
 
 #: Iterations of the disabled-tracer micro-benchmark.

@@ -1,11 +1,5 @@
-"""Allocation diagnostics and the workload-driven declustering advisor."""
+"""Allocation diagnostics: shape profiles, disk heat and their renderings."""
 
-from repro.analysis.advisor import (
-    DEFAULT_CANDIDATES,
-    Recommendation,
-    advise,
-    render_recommendations,
-)
 from repro.analysis.profile import (
     ShapeProfile,
     disk_heat,
@@ -13,11 +7,6 @@ from repro.analysis.profile import (
     same_disk_distance,
     shape_profile,
     suboptimality_map,
-)
-from repro.analysis.compare import (
-    DominanceMatrix,
-    dominance_matrix,
-    render_dominance,
 )
 from repro.analysis.render import (
     render_allocation_profile,
@@ -33,15 +22,8 @@ __all__ = [
     "disk_heat",
     "heat_imbalance",
     "same_disk_distance",
-    "Recommendation",
-    "advise",
-    "render_recommendations",
-    "DEFAULT_CANDIDATES",
     "render_heatmap",
     "render_disk_loads",
     "render_shape_profiles",
     "render_allocation_profile",
-    "DominanceMatrix",
-    "dominance_matrix",
-    "render_dominance",
 ]

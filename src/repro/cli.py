@@ -315,82 +315,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_advise(args) -> int:
-    from repro.analysis.advisor import advise, render_recommendations
-    from repro.workloads.queries import (
-        random_queries_of_shape,
-        random_range_queries,
-    )
-
-    grid = Grid(args.grid)
-    if args.trace is not None:
-        from repro.io import load_queries
-
-        queries = load_queries(args.trace)
-        what = f"{len(queries)} queries from trace {args.trace}"
-    elif args.shape is not None:
-        queries = random_queries_of_shape(
-            grid, args.shape, args.count, seed=args.seed
-        )
-        what = f"{args.count} random placements of {args.shape}"
-    else:
-        queries = random_range_queries(
-            grid, args.count, max_side=args.max_side, seed=args.seed
-        )
-        what = (
-            f"{args.count} random range queries "
-            f"(max side {args.max_side})"
-        )
-    recommendations = advise(
-        grid,
-        args.disks,
-        queries,
-        include_workload_aware=args.workload_aware,
-    )
-    from repro.workloads.summary import (
-        render_summary,
-        summarize_workload,
-    )
-
-    print(
-        f"advisor: grid={grid.dims} disks={args.disks} workload={what}"
-    )
-    print(
-        "workload: "
-        + render_summary(
-            summarize_workload(grid, queries, args.disks), args.disks
-        )
-    )
-    print(render_recommendations(recommendations))
-    if args.matrix:
-        from repro.analysis.compare import (
-            dominance_matrix,
-            render_dominance,
-        )
-
-        # The matrix re-materializes schemes by name, which would give
-        # the annealed scheme its *default* workload — exclude it.
-        matrix = dominance_matrix(
-            grid,
-            args.disks,
-            queries,
-            schemes=[
-                r.scheme
-                for r in recommendations
-                if r.scheme != "workload-aware"
-            ],
-        )
-        print()
-        print(render_dominance(matrix))
-    best = recommendations[0]
-    print(
-        f"\nrecommendation: {best.label} "
-        f"(mean RT {best.mean_response_time:.4f}, "
-        f"{best.mean_relative_deviation:+.2%} vs optimal)"
-    )
-    return 0
-
-
 def _cmd_obs(args) -> int:
     from repro.obs.summary import render_summary_files
 
@@ -708,36 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="query shape to profile (default: 2x2...)",
     )
 
-    p_advise = sub.add_parser(
-        "advise", help="recommend a scheme for a workload"
-    )
-    p_advise.add_argument("--grid", type=_parse_dims, default=(32, 32))
-    p_advise.add_argument("--disks", type=int, default=16)
-    p_advise.add_argument(
-        "--shape",
-        type=_parse_dims,
-        default=None,
-        help="fixed query shape (default: mixed random ranges)",
-    )
-    p_advise.add_argument("--count", type=int, default=200)
-    p_advise.add_argument("--max-side", type=int, default=8)
-    p_advise.add_argument("--seed", type=int, default=0)
-    p_advise.add_argument(
-        "--trace",
-        default=None,
-        help="JSONL query trace to advise on (overrides --shape)",
-    )
-    p_advise.add_argument(
-        "--workload-aware",
-        action="store_true",
-        help="also anneal a workload-specific allocation",
-    )
-    p_advise.add_argument(
-        "--matrix",
-        action="store_true",
-        help="also print the pairwise dominance matrix",
-    )
-
     from repro.qa.runner import add_qa_arguments
 
     p_qa = sub.add_parser(
@@ -949,7 +843,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "evaluate": _cmd_evaluate,
         "experiment": _cmd_experiment,
         "profile": _cmd_profile,
-        "advise": _cmd_advise,
         "theory": _cmd_theory,
         "qa": _cmd_qa,
         "obs": _cmd_obs,

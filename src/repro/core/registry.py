@@ -66,7 +66,6 @@ PAPER_LABELS = {
     "cyclic-exh": "EXH",
     "lattice": "Lattice",
     "lattice-exh": "LatticeEXH",
-    "workload-aware": "Annealed",
 }
 
 
@@ -156,7 +155,6 @@ def scheme_label(name: str) -> str:
 def _register_builtins() -> None:
     from repro.schemes.cyclic import CyclicScheme
     from repro.schemes.lattice import LatticeScheme
-    from repro.schemes.workload_aware import WorkloadAwareScheme
 
     register_scheme("dm", DiskModuloScheme)
     register_scheme("gdm", GeneralizedDiskModuloScheme)
@@ -174,7 +172,6 @@ def _register_builtins() -> None:
     register_scheme("cyclic-exh", lambda: CyclicScheme(policy="exh"))
     register_scheme("lattice", lambda: LatticeScheme(policy="power"))
     register_scheme("lattice-exh", lambda: LatticeScheme(policy="exh"))
-    register_scheme("workload-aware", WorkloadAwareScheme)
 
 
 _register_builtins()

@@ -1,14 +1,10 @@
 """X3 (extension) — the 1994 field vs its successors.
 
-The paper closes by calling for workload-informed declustering and notes
-there is no clear winner among DM/CMD, FX, ECC, HCAM.  This experiment
-adds the two families that answered that call:
-
-* **cyclic allocation** (RPHM / GFIB / EXH skip selection) — fixed
-  schemes, one modular multiplication per bucket, that dominate the 1994
-  methods on small range queries;
-* **workload-aware annealing** — optimize the allocation for the actual
-  query distribution.
+The paper closes by noting there is no clear winner among DM/CMD, FX,
+ECC, HCAM.  This experiment adds the family that answered it: **cyclic
+allocation** (RPHM / GFIB / EXH skip selection) — fixed schemes, one
+modular multiplication per bucket, that dominate the 1994 methods on
+small range queries.
 
 The sweep replays the paper's small-query disk-count experiment (E4a) with
 the extended scheme set, answering: how much was left on the table in

@@ -4,13 +4,11 @@ from repro.io.serialization import (
     allocation_from_dict,
     allocation_to_dict,
     load_allocation,
-    load_queries,
     load_replicated,
     load_result,
     result_from_dict,
     result_to_dict,
     save_allocation,
-    save_queries,
     save_replicated,
     save_result,
 )
@@ -26,6 +24,4 @@ __all__ = [
     "result_from_dict",
     "save_result",
     "load_result",
-    "save_queries",
-    "load_queries",
 ]

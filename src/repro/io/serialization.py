@@ -33,13 +33,11 @@ __all__ = [
     "allocation_from_dict",
     "allocation_to_dict",
     "load_allocation",
-    "load_queries",
     "load_replicated",
     "load_result",
     "result_from_dict",
     "result_to_dict",
     "save_allocation",
-    "save_queries",
     "save_replicated",
     "save_result",
 ]
@@ -176,58 +174,6 @@ def save_result(result: ExperimentResult, path: PathLike) -> None:
 def load_result(path: PathLike) -> ExperimentResult:
     """Read an experiment result written by :func:`save_result`."""
     return result_from_dict(json.loads(pathlib.Path(path).read_text()))
-
-
-def save_queries(queries, path: PathLike) -> None:
-    """Write a query workload as JSON Lines (one query per line).
-
-    The trace format a production system would capture: pairs of bounds
-    per query, replayable into the evaluator, the advisor, or the
-    annealer.
-    """
-    from repro.core.query import RangeQuery
-
-    path = pathlib.Path(path)
-    with path.open("w") as stream:
-        for query in queries:
-            if not isinstance(query, RangeQuery):
-                raise AllocationError(
-                    f"trace entries must be RangeQuery, got "
-                    f"{type(query).__name__}"
-                )
-            stream.write(
-                json.dumps(
-                    {
-                        "lower": list(query.lower),
-                        "upper": list(query.upper),
-                    }
-                )
-                + "\n"
-            )
-
-
-def load_queries(path: PathLike) -> list:
-    """Read a workload written by :func:`save_queries`."""
-    from repro.core.query import RangeQuery
-
-    path = pathlib.Path(path)
-    queries = []
-    for line_number, line in enumerate(
-        path.read_text().splitlines(), start=1
-    ):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            queries.append(
-                RangeQuery(tuple(record["lower"]), tuple(record["upper"]))
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise AllocationError(
-                f"bad trace entry at {path}:{line_number}: {exc}"
-            ) from exc
-    return queries
 
 
 def _jsonable(value):

@@ -9,11 +9,6 @@ from the type system, so this module verifies it empirically over small
 grids and emits the same :class:`~repro.qa.diagnostics.Finding` records as
 the linter.
 
-Schemes that declare ``disk_of_is_expensive`` (the annealed workload-aware
-scheme, whose per-bucket rule re-runs the optimizer) are checked on a
-deterministic sample of buckets and a bounded number of grid/disk combos
-instead of exhaustively; the findings note when sampling was used.
-
 A second pass (:func:`check_engine`, QA42x) certifies the integral-image
 response-time engine: on seeded-random allocations over the same small
 grids, :class:`~repro.core.engine.ResponseTimeEngine` must agree with
@@ -60,16 +55,12 @@ class ContractConfig:
 
     ``grids``/``disks`` span the combo matrix; every applicable combo is
     checked.  ``repeats`` is the number of times each call is replayed for
-    the determinism checks.  Expensive schemes are limited to
-    ``expensive_combo_limit`` applicable combos and ``expensive_sample``
-    sampled buckets per combo.
+    the determinism checks.
     """
 
     grids: Tuple[Tuple[int, ...], ...] = ((4, 4), (3, 5), (2, 2, 2))
     disks: Tuple[int, ...] = (2, 3, 4, 5)
     repeats: int = 2
-    expensive_sample: int = 2
-    expensive_combo_limit: int = 4
 
     def scaled_down(self) -> "ContractConfig":
         """A cheaper variant used by ``--quick`` runs."""
@@ -77,8 +68,6 @@ class ContractConfig:
             grids=self.grids[:2],
             disks=self.disks[:2],
             repeats=self.repeats,
-            expensive_sample=1,
-            expensive_combo_limit=2,
         )
 
 
@@ -92,17 +81,6 @@ def _finding(
         line=0,
         message=message,
     )
-
-
-def _sample_coords(grid: Grid, limit: Optional[int]) -> List[Tuple[int, ...]]:
-    """All bucket coords, or ``limit`` of them evenly spaced in linear order."""
-    total = grid.num_buckets
-    if limit is None or limit >= total:
-        return list(grid.iter_buckets())
-    limit = max(1, limit)
-    step = total / limit
-    indices = sorted({int(i * step) for i in range(limit)})
-    return [grid.coords_of(index) for index in indices]
 
 
 def _is_disk_id(value: object) -> bool:
@@ -160,16 +138,11 @@ def check_scheme(
             )
         )
 
-    expensive = bool(getattr(scheme, "disk_of_is_expensive", False))
-    sample_limit = config.expensive_sample if expensive else None
-    combos_checked = 0
     applicable_any = False
 
     for dims in config.grids:
         grid = Grid(dims)
         for num_disks in config.disks:
-            if expensive and combos_checked >= config.expensive_combo_limit:
-                break
             try:
                 scheme.check_applicable(grid, num_disks)
             except DeclusteringError:
@@ -188,10 +161,8 @@ def check_scheme(
                 )
                 continue
             applicable_any = True
-            combos_checked += 1
             findings.extend(
-                _check_combo(name, scheme, grid, num_disks, config,
-                             sample_limit)
+                _check_combo(name, scheme, grid, num_disks, config)
             )
 
     if not applicable_any and not findings:
@@ -213,7 +184,6 @@ def _check_combo(
     grid: Grid,
     num_disks: int,
     config: ContractConfig,
-    sample_limit: Optional[int],
 ) -> List[Finding]:
     findings: List[Finding] = []
     where = f"grid={grid.dims}, M={num_disks}"
@@ -244,15 +214,7 @@ def _check_combo(
         )
         return findings
 
-    coords_list = _sample_coords(grid, sample_limit)
-    sampled = len(coords_list) < grid.num_buckets
-    suffix = (
-        f" (sampled {len(coords_list)}/{grid.num_buckets} buckets)"
-        if sampled
-        else ""
-    )
-
-    for coords in coords_list:
+    for coords in grid.iter_buckets():
         values = []
         for _ in range(max(2, config.repeats)):
             try:
@@ -264,7 +226,7 @@ def _check_combo(
                         "QA408",
                         f"disk_of({coords}, {where}) raised "
                         f"{type(exc).__name__}: {exc} — the rule must be "
-                        f"total on the grid{suffix}",
+                        "total on the grid",
                     )
                 )
                 return findings
@@ -275,7 +237,7 @@ def _check_combo(
                     name,
                     "QA406",
                     f"disk_of({coords}, {where}) returned {value!r}, not "
-                    f"an integer in [0, {num_disks}){suffix}",
+                    f"an integer in [0, {num_disks})",
                 )
             )
             return findings
@@ -285,8 +247,8 @@ def _check_combo(
                     name,
                     "QA407",
                     f"disk_of({coords}, {where}) is nondeterministic: "
-                    f"repeated calls returned {sorted(set(map(int, values)))}"
-                    f"{suffix}",
+                    f"repeated calls returned "
+                    f"{sorted(set(map(int, values)))}",
                 )
             )
             return findings
@@ -298,23 +260,14 @@ def _check_combo(
                     f"allocate({where}) assigns bucket {coords} to disk "
                     f"{int(base_table[tuple(coords)])} but disk_of returns "
                     f"{int(value)} — vectorized override disagrees with "
-                    f"the per-bucket rule{suffix}",
+                    "the per-bucket rule",
                 )
             )
             return findings
-    # The scalar rule held everywhere sampled, and QA409 tied allocate's
+    # The scalar rule held on every bucket, and QA409 tied allocate's
     # table to it; now certify the chunked build's slab kernel against
     # that table (QA430: every slab callable and well-shaped, QA431:
-    # the slabs concatenate to the allocate table).  An expensive scheme
-    # without a block override has nothing to certify — the base block
-    # slices the full table — and rebuilding it would defeat the
-    # sampling cap.
-    if (
-        sample_limit is not None
-        and type(scheme).disk_array_block
-        is DeclusteringScheme.disk_array_block
-    ):
-        return findings
+    # the slabs concatenate to the allocate table).
     rows = grid.dims[0]
     bounds = sorted({0, rows // 2, rows})
     slabs = []

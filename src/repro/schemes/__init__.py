@@ -28,7 +28,6 @@ from repro.schemes.hilbert_scheme import (
     ZOrderScheme,
 )
 from repro.schemes.lattice import LatticeScheme, power_coefficients
-from repro.schemes.workload_aware import WorkloadAwareScheme
 
 __all__ = [
     "DeclusteringScheme",
@@ -51,5 +50,4 @@ __all__ = [
     "exhaustive_coefficients",
     "LatticeScheme",
     "power_coefficients",
-    "WorkloadAwareScheme",
 ]

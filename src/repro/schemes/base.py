@@ -59,11 +59,6 @@ class DeclusteringScheme(abc.ABC):
     #: Registry identifier; subclasses must override.
     name: str = ""
 
-    #: True when a single ``disk_of`` call is costly (e.g. it re-runs an
-    #: optimizer); the QA contract checker then samples buckets instead of
-    #: sweeping every one.
-    disk_of_is_expensive: bool = False
-
     def check_applicable(self, grid: Grid, num_disks: int) -> None:
         """Raise :class:`SchemeNotApplicableError` if preconditions fail.
 

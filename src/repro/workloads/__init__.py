@@ -7,12 +7,6 @@ from repro.workloads.datasets import (
     uniform_dataset,
     zipf_grid_dataset,
 )
-from repro.workloads.mixtures import Component, WorkloadMixture
-from repro.workloads.summary import (
-    WorkloadSummary,
-    render_summary,
-    summarize_workload,
-)
 from repro.workloads.queries import (
     aspect_ratio_shapes,
     exhaustive_workload,
@@ -40,9 +34,4 @@ __all__ = [
     "gaussian_dataset",
     "zipf_grid_dataset",
     "correlated_dataset",
-    "WorkloadMixture",
-    "Component",
-    "WorkloadSummary",
-    "summarize_workload",
-    "render_summary",
 ]

@@ -8,7 +8,6 @@ Every API that takes a query list also takes a
 import numpy as np
 import pytest
 
-from repro.analysis.advisor import advise
 from repro.core.cost import (
     BATCH_THRESHOLD,
     additive_deviation,
@@ -131,12 +130,6 @@ class TestEffectiveOptimal:
         assert result.mean_optimal == float(
             engine.batch_optimal(queries).mean()
         )
-
-    def test_advisor_reports_the_effective_optimum(self, grid):
-        recommendations = advise(
-            grid, 4, [RangeQuery((2, 2), (5, 5))], candidates=["dm"]
-        )
-        assert recommendations[0].mean_optimal == 1.0
 
 
 class TestBatchInputs:

@@ -13,10 +13,8 @@ EXPECTED_MARKERS = {
     "scheme_comparison.py": "No clear winner",
     "gridfile_demo.py": "equi-depth",
     "impossibility_demo.py": "IMPOSSIBLE",
-    "advisor_demo.py": "ACT 2",
     "growth_demo.py": "re-placement cost",
     "replication_demo.py": "disk failure",
-    "catalog_demo.py": "advisor placement",
 }
 
 

@@ -125,53 +125,6 @@ class TestResultRoundTrip:
         assert "[E1]" in text
 
 
-class TestQueryTraces:
-    def test_round_trip(self, tmp_path):
-        from repro.core.query import query_at
-        from repro.io import load_queries, save_queries
-
-        queries = [
-            query_at((0, 0), (2, 2)),
-            query_at((3, 1), (1, 5)),
-            query_at((2, 2), (4, 4)),
-        ]
-        path = tmp_path / "trace.jsonl"
-        save_queries(queries, path)
-        assert load_queries(path) == queries
-
-    def test_one_line_per_query(self, tmp_path):
-        from repro.core.query import query_at
-        from repro.io import save_queries
-
-        path = tmp_path / "trace.jsonl"
-        save_queries([query_at((0, 0), (1, 1))] * 3, path)
-        assert len(path.read_text().strip().splitlines()) == 3
-
-    def test_blank_lines_skipped(self, tmp_path):
-        from repro.io import load_queries
-
-        path = tmp_path / "trace.jsonl"
-        path.write_text(
-            '{"lower": [0, 0], "upper": [1, 1]}\n\n'
-            '{"lower": [2, 2], "upper": [3, 3]}\n'
-        )
-        assert len(load_queries(path)) == 2
-
-    def test_bad_entry_reports_line(self, tmp_path):
-        from repro.io import load_queries
-
-        path = tmp_path / "trace.jsonl"
-        path.write_text('{"lower": [0, 0]}\n')
-        with pytest.raises(AllocationError, match=":1"):
-            load_queries(path)
-
-    def test_non_query_rejected_on_save(self, tmp_path):
-        from repro.io import save_queries
-
-        with pytest.raises(AllocationError):
-            save_queries(["not a query"], tmp_path / "trace.jsonl")
-
-
 class TestCostInvariance:
     def test_loaded_allocation_costs_identically(
         self, allocation, tmp_path

@@ -1,7 +1,7 @@
 """Property-based tests for the extension subsystems.
 
-Covers cyclic schemes, the annealing optimizer, replication planning, and
-serialization round-trips under randomized configurations.
+Covers cyclic schemes, replication planning, and serialization
+round-trips under randomized configurations.
 """
 
 from fractions import Fraction
@@ -19,7 +19,6 @@ from repro.core.grid import Grid
 from repro.core.query import query_at
 from repro.core.registry import get_scheme
 from repro.io import allocation_from_dict, allocation_to_dict
-from repro.optimize.annealing import AnnealingConfig, optimize_allocation
 from repro.replication import (
     chained_replication,
     plan_query,
@@ -108,53 +107,6 @@ class TestCyclicProperties:
             if best_cost is None or cost < best_cost:
                 best_skip, best_cost = skip, cost
         assert exhaustive_coefficients(grid, num_disks)[1] == best_skip
-
-
-class TestAnnealingProperties:
-    @given(
-        seed=st.integers(0, 100),
-        iterations=st.integers(0, 800),
-        temperature=st.floats(0.0, 2.0),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_never_worse_and_loads_preserved(
-        self, seed, iterations, temperature
-    ):
-        from repro.core.query import all_placements
-
-        grid = Grid((6, 6))
-        start = get_scheme("random").allocate(grid, 3)
-        queries = list(all_placements(grid, (2, 2)))
-        result = optimize_allocation(
-            start,
-            queries,
-            AnnealingConfig(
-                iterations=iterations,
-                initial_temperature=temperature,
-                seed=seed,
-            ),
-        )
-        assert result.final_cost <= result.initial_cost
-        assert np.array_equal(
-            np.sort(result.allocation.disk_loads()),
-            np.sort(start.disk_loads()),
-        )
-
-    @given(seed=st.integers(0, 50))
-    @settings(max_examples=15, deadline=None)
-    def test_reported_cost_matches_recount(self, seed):
-        from repro.core.query import all_placements
-        from repro.optimize.annealing import workload_cost
-
-        grid = Grid((6, 6))
-        start = get_scheme("roundrobin").allocate(grid, 3)
-        queries = list(all_placements(grid, (2, 3)))
-        result = optimize_allocation(
-            start, queries, AnnealingConfig(iterations=400, seed=seed)
-        )
-        assert workload_cost(
-            result.allocation, queries
-        ) == result.final_cost
 
 
 class TestReplicationProperties:

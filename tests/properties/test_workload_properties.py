@@ -1,80 +1,7 @@
-"""Property-based tests for workload tooling: mixtures, summaries,
-estimation."""
+"""Property-based tests for grid-file record estimation."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from repro.core.grid import Grid
-from repro.workloads.mixtures import WorkloadMixture
-from repro.workloads.summary import summarize_workload
-
-
-class TestMixtureProperties:
-    @given(
-        count=st.integers(1, 200),
-        w1=st.floats(0.1, 10.0),
-        w2=st.floats(0.1, 10.0),
-        seed=st.integers(0, 500),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_exact_count_and_fit(self, count, w1, w2, seed):
-        grid = Grid((12, 12))
-        mixture = WorkloadMixture(grid)
-        mixture.add_shape("a", w1, (2, 2))
-        mixture.add_shape("b", w2, (1, 6))
-        queries = mixture.sample(count, seed=seed)
-        assert len(queries) == count
-        assert all(q.fits_in(grid) for q in queries)
-
-    @given(
-        count=st.integers(10, 150),
-        seed=st.integers(0, 500),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_component_counts_follow_weights(self, count, seed):
-        grid = Grid((12, 12))
-        mixture = WorkloadMixture(grid)
-        mixture.add_shape("a", 3.0, (2, 2))
-        mixture.add_shape("b", 1.0, (1, 6))
-        queries = mixture.sample(count, seed=seed)
-        a_count = sum(
-            1 for q in queries if q.side_lengths == (2, 2)
-        )
-        expected = count * 3.0 / 4.0
-        assert abs(a_count - expected) <= 1  # largest-remainder exact
-
-    @given(seed=st.integers(0, 500))
-    @settings(max_examples=20, deadline=None)
-    def test_deterministic(self, seed):
-        grid = Grid((8, 8))
-        mixture = WorkloadMixture(grid).add_shape("a", 1.0, (2, 2))
-        assert mixture.sample(30, seed=seed) == mixture.sample(
-            30, seed=seed
-        )
-
-
-class TestSummaryProperties:
-    @given(
-        seed=st.integers(0, 500),
-        num_disks=st.integers(1, 32),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_fractions_within_unit_interval(self, seed, num_disks):
-        from repro.workloads.queries import random_range_queries
-
-        grid = Grid((10, 10))
-        queries = random_range_queries(grid, 30, max_side=6, seed=seed)
-        summary = summarize_workload(grid, queries, num_disks)
-        for fraction in (
-            summary.fraction_small,
-            summary.fraction_partial_match,
-            summary.fraction_point,
-        ):
-            assert 0.0 <= fraction <= 1.0
-        assert summary.mean_elongation >= 1.0
-        assert summary.median_buckets <= summary.max_buckets
-        assert summary.regime(num_disks) in ("small", "large", "mixed")
 
 
 class TestEstimationProperties:

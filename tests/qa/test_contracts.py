@@ -253,52 +253,6 @@ class TestRegistryIntegration:
         assert codes(findings) == {"QA401"}
 
 
-class TestSampling:
-    def test_expensive_scheme_is_sampled(self):
-        calls = []
-
-        class ExpensiveScheme(DeclusteringScheme):
-            name = "qa-expensive"
-            disk_of_is_expensive = True
-
-            def disk_of(self, coords, grid, num_disks):
-                calls.append(tuple(coords))
-                return sum(coords) % num_disks
-
-            def allocate(self, grid, num_disks):
-                table = np.indices(grid.dims).sum(axis=0) % num_disks
-                return DiskAllocation(
-                    grid, num_disks, table.astype(np.int64)
-                )
-
-        config = ContractConfig(
-            grids=((4, 4),),
-            disks=(2, 3, 4),
-            expensive_sample=2,
-            expensive_combo_limit=2,
-        )
-        findings = check_scheme("qa-expensive", ExpensiveScheme(), config)
-        assert findings == []
-        # 2 combos x 2 sampled buckets x 2 repeats = 8 calls, not 16 buckets
-        # x 3 combos x 2 repeats = 96.
-        assert len(calls) == 8
-
-    def test_sampled_check_still_catches_violations(self):
-        config = ContractConfig(
-            grids=((4, 4),), disks=(2,), expensive_sample=2
-        )
-
-        class ExpensiveBroken(OutOfRangeScheme):
-            name = "qa-expensive-broken"
-            disk_of_is_expensive = True
-
-        findings = check_scheme(
-            "qa-expensive-broken", ExpensiveBroken(), config
-        )
-        assert "QA406" in codes(findings)
-        assert any("sampled" in f.message for f in findings)
-
-
 class TestConfig:
     def test_scaled_down_is_smaller(self):
         config = ContractConfig()

@@ -27,6 +27,17 @@ CONFIGS = [
     (Grid((4, 4, 4)), 8),
 ]
 
+#: Configurations outside every scheme's sweet spot: a prime disk count on
+#: sides it divides neither, more disks than any side holds, and a 3-d grid
+#: with no power of two at all.  Schemes that declare such a configuration
+#: not applicable skip; every other scheme must still meet the universal
+#: invariants, which assume no divisibility.
+AWKWARD_CONFIGS = [
+    (Grid((5, 12)), 7),
+    (Grid((3, 5)), 8),
+    (Grid((6, 5, 3)), 5),
+]
+
 
 def all_scheme_names():
     return available_schemes()
@@ -50,7 +61,7 @@ def _allocate_or_skip(scheme_name, grid, num_disks):
         pytest.skip(f"{scheme_name} not applicable: {exc}")
 
 
-@pytest.mark.parametrize("grid,num_disks", CONFIGS)
+@pytest.mark.parametrize("grid,num_disks", CONFIGS + AWKWARD_CONFIGS)
 class TestUniversalInvariants:
     def test_total_and_in_range(self, scheme_name, grid, num_disks):
         allocation = _allocate_or_skip(scheme_name, grid, num_disks)
@@ -136,14 +147,12 @@ class TestStorageBalance:
         assert not allocation.is_storage_balanced()
 
 
-@pytest.mark.parametrize("grid,num_disks", CONFIGS)
+@pytest.mark.parametrize("grid,num_disks", CONFIGS + AWKWARD_CONFIGS)
 class TestVectorizedAllocation:
     """``disk_array`` (whole-grid kernel) must agree with ``disk_of``.
 
     The vectorized fast paths rebuild the mapping from index arithmetic;
-    the scalar rule is the ground truth.  Expensive schemes with no
-    override fall back to the scalar loop inside ``disk_array`` — there
-    is nothing vectorized to certify, so they are skipped.
+    the scalar rule is the ground truth.
     """
 
     def test_disk_array_matches_disk_of(
@@ -154,15 +163,6 @@ class TestVectorizedAllocation:
             scheme.check_applicable(grid, num_disks)
         except SchemeNotApplicableError as exc:
             pytest.skip(f"{scheme_name} not applicable: {exc}")
-        from repro.schemes.base import DeclusteringScheme
-
-        if getattr(scheme, "disk_of_is_expensive", False) and (
-            type(scheme).disk_array is DeclusteringScheme.disk_array
-        ):
-            pytest.skip(
-                f"{scheme_name}: expensive rule with no vectorized "
-                "override — the fallback IS the scalar loop"
-            )
         coords_list = [tuple(c) for c in np.ndindex(*grid.dims)]
         table = scheme.disk_array(grid, num_disks)
         assert tuple(table.shape) == grid.dims
@@ -181,8 +181,6 @@ class TestVectorizedAllocation:
             allocation = scheme.allocate(grid, num_disks)
         except SchemeNotApplicableError as exc:
             pytest.skip(f"{scheme_name} not applicable: {exc}")
-        if getattr(scheme, "disk_of_is_expensive", False):
-            pytest.skip(f"{scheme_name}: allocation is not rule-derived")
         table = scheme.disk_array(grid, num_disks)
         assert np.array_equal(table, allocation.table)
 

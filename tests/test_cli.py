@@ -37,10 +37,9 @@ class TestErrorHandling:
         assert err.startswith("error:")
         assert "power-of-two" in err
 
-    def test_missing_trace_file_reports_cleanly(self, capsys):
+    def test_missing_input_file_reports_cleanly(self, capsys):
         assert main(
-            ["advise", "--grid", "8x8", "--disks", "4",
-             "--trace", "/nonexistent/trace.jsonl"]
+            ["obs", "summary", "--metrics", "/nonexistent/metrics.json"]
         ) == 1
         assert "error:" in capsys.readouterr().err
 
@@ -240,61 +239,6 @@ class TestExperimentCommand:
              "--csv", str(tmp_path / "thm.csv")]
         ) == 2
         assert "no tabular series" in capsys.readouterr().err
-
-
-class TestAdviseCommand:
-    def test_shape_workload(self, capsys):
-        assert main(
-            ["advise", "--grid", "16x16", "--disks", "8",
-             "--shape", "2x2", "--count", "50"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "recommendation:" in out
-        assert "rank" in out
-
-    def test_mixed_workload_default(self, capsys):
-        assert main(
-            ["advise", "--grid", "16x16", "--disks", "8",
-             "--count", "30", "--max-side", "4"]
-        ) == 0
-        assert "random range queries" in capsys.readouterr().out
-
-    def test_workload_aware_flag(self, capsys):
-        assert main(
-            ["advise", "--grid", "8x8", "--disks", "4",
-             "--shape", "2x2", "--count", "20", "--workload-aware"]
-        ) == 0
-        assert "Annealed" in capsys.readouterr().out
-
-    def test_matrix_flag(self, capsys):
-        assert main(
-            ["advise", "--grid", "16x16", "--disks", "8",
-             "--shape", "2x2", "--count", "30", "--matrix"]
-        ) == 0
-        assert "dominance matrix" in capsys.readouterr().out
-
-    def test_trace_workload(self, capsys, tmp_path):
-        from repro.core.query import query_at
-        from repro.io import save_queries
-
-        path = tmp_path / "trace.jsonl"
-        save_queries(
-            [query_at((i, i), (2, 2)) for i in range(10)], path
-        )
-        assert main(
-            ["advise", "--grid", "16x16", "--disks", "8",
-             "--trace", str(path)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "10 queries from trace" in out
-
-    def test_non_power_of_two_disks_drops_ecc(self, capsys):
-        assert main(
-            ["advise", "--grid", "16x16", "--disks", "7",
-             "--shape", "2x2", "--count", "20"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "ECC" not in out
 
 
 class TestNewExperimentIds:
