@@ -108,9 +108,22 @@ def _cmd_allocate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     from repro.core.evaluator import SchemeEvaluator, rank_schemes
+    from repro.core.exceptions import SchemeNotApplicableError
 
     grid = Grid(args.grid)
-    evaluator = SchemeEvaluator(grid, args.disks, args.schemes)
+    schemes = args.schemes
+    if schemes is None:
+        # The paper's set mixes preconditions (ECC needs a power-of-two
+        # M): rank the schemes that apply rather than abort on one.
+        schemes = []
+        for name in PAPER_SCHEMES:
+            try:
+                get_scheme(name).check_applicable(grid, args.disks)
+            except SchemeNotApplicableError as exc:
+                print(f"skipped {name}: {exc}", file=sys.stderr)
+            else:
+                schemes.append(name)
+    evaluator = SchemeEvaluator(grid, args.disks, schemes)
     if args.shape is not None:
         results = evaluator.evaluate_shapes([args.shape])
         what = f"shape {args.shape}"
@@ -370,7 +383,6 @@ def _cmd_serve(args) -> int:
         unix_path=args.unix,
         host=args.host,
         port=args.port,
-        max_inflight=args.max_inflight,
         drain_timeout=args.drain_timeout,
         metrics_out=args.metrics_out,
     )
@@ -411,8 +423,7 @@ def _cmd_serve_bench(args) -> int:
     socket_path = args.connect
     try:
         if socket_path is None:
-            # Start our own daemon on a private unix socket; small
-            # max_inflight so the overload burst demonstrably sheds.
+            # Start our own daemon on a private unix socket.
             socket_path = tempfile.mktemp(
                 prefix="repro-serve-bench-", suffix=".sock"
             )
@@ -421,7 +432,6 @@ def _cmd_serve_bench(args) -> int:
                 sys.executable, "-m", "repro.cli", "serve",
                 "--spec", spec_text,
                 "--unix", socket_path,
-                "--max-inflight", str(args.max_inflight),
             ]
             if args.backend:
                 command[3:3] = ["--backend", args.backend]
@@ -453,8 +463,7 @@ def _cmd_serve_bench(args) -> int:
             f"{measured['elapsed_s']:.2f}s = "
             f"{measured['queries_per_second']:,.0f} q/s  "
             f"p50={measured['latency_p50_s'] * 1e3:.2f}ms "
-            f"p99={measured['latency_p99_s'] * 1e3:.2f}ms  "
-            f"shed={result['burst']['shed_counter_delta']}"
+            f"p99={measured['latency_p99_s'] * 1e3:.2f}ms"
         )
         if args.out:
             print(f"results written to {args.out}")
@@ -546,7 +555,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--grid", type=_parse_dims, default=(32, 32))
     p_eval.add_argument("--disks", type=int, default=16)
     p_eval.add_argument(
-        "--schemes", type=_parse_schemes, default=list(PAPER_SCHEMES)
+        "--schemes",
+        type=_parse_schemes,
+        default=None,
+        help=(
+            "comma-separated schemes (default: the paper's, skipping "
+            "any that do not apply to the grid and disk count)"
+        ),
     )
     p_eval.add_argument("--shape", type=_parse_dims, default=None)
     p_eval.add_argument("--area", type=int, default=None)
@@ -723,16 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=0, help="TCP bind port (0 = ephemeral)"
     )
     p_serve.add_argument(
-        "--max-inflight",
-        type=int,
-        default=8,
-        metavar="N",
-        help=(
-            "batch requests on the thread pool before the server sheds "
-            "further batches, answering them inline (same answers)"
-        ),
-    )
-    p_serve.add_argument(
         "--drain-timeout",
         type=float,
         default=10.0,
@@ -779,12 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve_bench.add_argument(
         "--concurrency", type=int, default=2, help="closed-loop connections"
-    )
-    p_serve_bench.add_argument(
-        "--max-inflight",
-        type=int,
-        default=2,
-        help="started daemon's admission bound (small = shedding visible)",
     )
     p_serve_bench.add_argument(
         "--seed", type=int, default=2024, help="request-pool RNG seed"

@@ -102,7 +102,6 @@ def render_metrics_summary(document: Dict[str, Any]) -> str:
     if serve or serve_rows:
         lines.append(
             f"  serve: requests={serve.get('requests', 0)} "
-            f"shed={serve.get('shed', 0)} "
             f"errors={serve.get('errors', 0)}"
         )
         for kind, summary in serve_rows:

@@ -9,9 +9,8 @@ package turns that batch engine into a long-running server:
 * :mod:`repro.serve.server` — the asyncio daemon: preloads allocations
   through the :class:`~repro.core.cache.AllocationCache`, answers
   ``disk_of`` / ``batch_response_times`` / ``degraded_plan`` / ``stats``
-  requests on an in-process thread pool with admission control and
-  graceful drain;
-* :mod:`repro.serve.client` — sync and async clients;
+  requests inline on its event loop, with graceful drain;
+* :mod:`repro.serve.client` — the blocking client;
 * :mod:`repro.serve.bench` — the closed-loop load generator behind
   ``repro serve-bench`` (p50/p99, throughput, byte-identity audit).
 """

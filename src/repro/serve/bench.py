@@ -1,8 +1,8 @@
 """Closed-loop load generator for the serve daemon (``repro serve-bench``).
 
 Measures what the paper's offline tables cannot: the *served* cost of a
-batch — protocol framing, admission control, the thread-pool hop —
-under a steady closed loop.  Each of ``concurrency`` threads owns one
+batch — protocol framing, the event loop, the kernel — under a steady
+closed loop.  Each of ``concurrency`` threads owns one
 connection and fires pre-encoded batch requests back-to-back for
 ``duration`` seconds; per-request latencies aggregate into p50/p99 and
 the query throughput divides total answered queries by wall time.  The
@@ -14,8 +14,8 @@ Two phases:
 1. **measured** — ``concurrency`` connections, the numbers that land in
    ``BENCH_serve.json``;
 2. **overload burst** — ``concurrency * 4`` connections for a short
-   window, to demonstrate load shedding: the server's ``serve.shed``
-   counter must move while every answer stays correct.
+   window: under overload every answer must still be correct and no
+   connection may see a transport error.
 
 Correctness is not sampled, it is total: every distinct batch in the
 request pool is verified byte-for-byte against the in-process engine
@@ -121,7 +121,6 @@ class _Shared:
     lock: threading.Lock = field(default_factory=threading.Lock)
     latencies: List[float] = field(default_factory=list)
     requests: int = 0
-    shed: int = 0
     mismatches: int = 0
     errors: List[str] = field(default_factory=list)
 
@@ -173,8 +172,6 @@ def _connection_loop(
                 if record:
                     shared.latencies.append(latency)
                 shared.requests += 1
-                if header.get("shed"):
-                    shared.shed += 1
                 if not ok:
                     shared.mismatches += 1
             index += 1
@@ -226,7 +223,6 @@ def run_bench(config: BenchConfig) -> Dict[str, Any]:
                 f"protocol mismatch: server v{ping.get('version')}, "
                 f"client v{protocol.PROTOCOL_VERSION}"
             )
-        before = probe.stats()["counters"]
 
     measured, elapsed = _run_phase(
         config, pool, expected,
@@ -240,11 +236,6 @@ def run_bench(config: BenchConfig) -> Dict[str, Any]:
         duration=config.burst_duration,
         record=False,
     )
-
-    with ServeClient(
-        unix_path=config.unix_path, host=config.host, port=config.port
-    ) as probe:
-        after = probe.stats()["counters"]
 
     if measured.errors or burst.errors:
         raise ServeError(
@@ -260,9 +251,6 @@ def run_bench(config: BenchConfig) -> Dict[str, Any]:
 
     latencies = np.asarray(measured.latencies, dtype=np.float64)
     queries = measured.requests * config.batch
-    shed_counter = int(after.get("serve.shed", 0)) - int(
-        before.get("serve.shed", 0)
-    )
     result = {
         "schema": 1,
         "bench": "serve",
@@ -296,11 +284,7 @@ def run_bench(config: BenchConfig) -> Dict[str, Any]:
                 float(latencies.max()) if latencies.size else 0.0
             ),
         },
-        "burst": {
-            "requests": burst.requests,
-            "shed_responses": burst.shed + measured.shed,
-            "shed_counter_delta": shed_counter,
-        },
+        "burst": {"requests": burst.requests},
         "verified_batches": len(pool),
         "mismatches": 0,
         "host": {

@@ -139,8 +139,9 @@ class ServeClient:
     ) -> Tuple[np.ndarray, bool]:
         """Response times for inclusive (lower, upper) query bounds.
 
-        Returns ``(times, shed)`` — ``shed`` reports whether the server
-        was at its in-flight limit and answered inline.
+        Returns ``(times, shed)``; ``shed`` is always ``False`` (the
+        server has no admission limit) and stays for callers that unpack
+        the pair.
         """
         lower = np.ascontiguousarray(lower, dtype=np.int64)
         upper = np.ascontiguousarray(upper, dtype=np.int64)
@@ -162,7 +163,7 @@ class ServeClient:
         times = protocol.array_from_bytes(
             response_body, (int(response_header["count"]),)
         )
-        return times, bool(response_header.get("shed", False))
+        return times, False
 
     def degraded_plan(
         self,

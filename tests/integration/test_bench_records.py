@@ -1,4 +1,4 @@
-"""The committed ``BENCH_native.json`` holds only what the code writes.
+"""The committed benchmark records hold only what the code writes.
 
 A section no function writes any more, or a backend that is no longer
 registered, is a stale record: it reads as a current measurement of code
@@ -12,9 +12,13 @@ from pathlib import Path
 import pytest
 
 from repro.core.backends import all_backends
+from repro.serve.bench import BenchConfig, run_bench
+
+from tests.serve.conftest import DIMS, NUM_DISKS, SCHEME, ServerHarness
 
 BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 NATIVE_RECORD = BENCHMARKS / "results" / "BENCH_native.json"
+SERVE_RECORD = BENCHMARKS / "results" / "BENCH_serve.json"
 
 
 @pytest.fixture(scope="module")
@@ -47,3 +51,26 @@ def test_every_listed_backend_is_registered(record):
 def test_backend_record_names_its_host(record):
     section = record["backend_kernels"]
     assert {"cpu_count", "python", "numpy"} <= set(section)
+
+
+def _key_tree(document):
+    """Every key path of a JSON object, nested objects included."""
+    return {
+        key: _key_tree(value) if isinstance(value, dict) else None
+        for key, value in document.items()
+    }
+
+
+def test_serve_record_has_the_keys_run_bench_writes(tmp_path):
+    harness = ServerHarness(tmp_path).start()
+    try:
+        emitted = run_bench(BenchConfig(
+            scheme=SCHEME, dims=DIMS, num_disks=NUM_DISKS, batch=16,
+            duration=0.2, concurrency=1, burst_duration=0.1,
+            unix_path=harness.socket_path,
+        ))
+    finally:
+        harness.stop()
+    committed = json.loads(SERVE_RECORD.read_text())
+    assert _key_tree(committed) == _key_tree(emitted)
+    assert {"cpu_count", "python", "numpy"} <= set(committed["host"])

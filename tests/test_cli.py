@@ -129,6 +129,31 @@ class TestEvaluateCommand:
         values = [float(l.split("meanRT=")[1].split()[0]) for l in lines]
         assert values == sorted(values)
 
+    def test_default_schemes_skip_inapplicable(self, capsys):
+        # ECC needs a power-of-two M: the default set ranks the rest.
+        assert main(
+            ["evaluate", "--grid", "16x16", "--disks", "7",
+             "--shape", "2x2"]
+        ) == 0
+        captured = capsys.readouterr()
+        skipped = [
+            line for line in captured.err.splitlines()
+            if line.startswith("skipped ")
+        ]
+        assert len(skipped) == 1
+        assert skipped[0].startswith("skipped ecc: ")
+        assert "power-of-two" in skipped[0]
+        ranked = [l for l in captured.out.splitlines() if "meanRT" in l]
+        labels = {line.split()[0] for line in ranked}
+        assert labels == {"DM/CMD", "FX", "HCAM"}
+
+    def test_explicit_inapplicable_scheme_still_fails(self, capsys):
+        assert main(
+            ["evaluate", "--grid", "16x16", "--disks", "7",
+             "--shape", "2x2", "--schemes", "ecc"]
+        ) == 1
+        assert "power-of-two" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_single_experiment(self, capsys):
@@ -302,6 +327,9 @@ class TestRemovedPoolFlags:
             ["serve", "--spec", "ecc:16x16:8", "--unix", "s.sock",
              "--serve-workers", "2"],
             ["serve-bench", "--serve-workers", "2"],
+            ["serve", "--spec", "ecc:16x16:8", "--unix", "s.sock",
+             "--max-inflight", "2"],
+            ["serve-bench", "--max-inflight", "2"],
             ["qa", "--no-flow"],
         ],
     )
