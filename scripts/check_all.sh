@@ -48,6 +48,16 @@ QA_SARIF="${QA_SARIF:-qa.sarif}"
 run_step "repro qa (baseline gate)" \
     python -m repro.qa --baseline qa_baseline.json --sarif "${QA_SARIF}"
 run_step "pytest (tier 1)" python -m pytest -x -q
+# The daemon's own tests again under Python's development mode, where a
+# socket or transport left unclosed, or an exception swallowed in a
+# finalizer, fails the step.  tests/serve/test_drain.py is the fixed
+# subprocess drain check and stays out of it.
+run_step "serve tests (python -X dev, resource warnings fatal)" \
+    python -X dev -m pytest -q -p no:cacheprovider \
+        tests/serve/test_server.py tests/serve/test_protocol.py \
+        tests/serve/test_served_schemes.py \
+        -W error::ResourceWarning \
+        -W error::pytest.PytestUnraisableExceptionWarning
 # Degraded-mode smoke: the X7 sweep on a small grid must run clean.
 run_step "degraded mode (quick)" \
     python -m repro experiment degraded --quick

@@ -404,14 +404,14 @@ def _cmd_serve_bench(args) -> int:
 
     from repro.serve.bench import BenchConfig, run_bench
     from repro.serve.client import ServeClient
+    from repro.serve.server import parse_spec
 
     spec_text = args.spec
-    scheme, grid_text, disks_text = spec_text.split(":")
-    dims = tuple(int(d) for d in grid_text.lower().split("x"))
+    spec = parse_spec(spec_text)
     config = BenchConfig(
-        scheme=scheme,
-        dims=dims,
-        num_disks=int(disks_text),
+        scheme=spec.scheme,
+        dims=spec.dims,
+        num_disks=spec.num_disks,
         batch=args.batch,
         duration=args.duration,
         concurrency=args.concurrency,

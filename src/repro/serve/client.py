@@ -49,8 +49,12 @@ class ServeClient:
     ):
         if unix_path is not None:
             self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.settimeout(timeout)
-            self._sock.connect(unix_path)
+            try:
+                self._sock.settimeout(timeout)
+                self._sock.connect(unix_path)
+            except BaseException:
+                self._sock.close()
+                raise
         elif host is not None:
             self._sock = socket.create_connection(
                 (host, port), timeout=timeout

@@ -33,6 +33,7 @@ from repro.core.exceptions import ProtocolError
 
 __all__ = [
     "MAX_FRAME_BYTES",
+    "PREFIX_BYTES",
     "PROTOCOL_VERSION",
     "REQUEST_BATCH_RT",
     "REQUEST_DEGRADED_PLAN",
@@ -46,7 +47,7 @@ __all__ = [
     "encode_error",
     "encode_frame",
     "parse_payload",
-    "read_frame",
+    "payload_length",
     "recv_frame",
 ]
 
@@ -60,6 +61,8 @@ PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LEN = struct.Struct(">I")
+#: Size of the length prefix in front of every payload.
+PREFIX_BYTES = _LEN.size
 _KIND_AND_HEADER = struct.Struct(">BI")
 #: kind byte + header_len word — the fixed part of every payload.
 _PAYLOAD_FIXED = _KIND_AND_HEADER.size
@@ -140,41 +143,29 @@ def parse_payload(
     return kind, header, payload[body_start:]
 
 
-async def read_frame(reader) -> Optional[Tuple[int, Dict[str, Any], bytes]]:
-    """Read one frame from an ``asyncio.StreamReader``.
+def payload_length(prefix, offset: int = 0) -> int:
+    """The payload length a frame's 4-byte prefix at ``offset`` announces.
+
+    Raises :class:`ProtocolError` when it exceeds
+    :data:`MAX_FRAME_BYTES`: a hostile or corrupt prefix is refused
+    before anything is buffered for it.
+    """
+    (length,) = _LEN.unpack_from(prefix, offset)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"length prefix {length} exceeds the "
+            f"{MAX_FRAME_BYTES}-byte frame cap"
+        )
+    return length
+
+
+def recv_frame(sock) -> Optional[Tuple[int, Dict[str, Any], bytes]]:
+    """Read one frame from a blocking socket.
 
     Returns None on a clean EOF (the peer closed between frames);
     raises :class:`ProtocolError` for a truncated frame or an oversized
     length prefix.
     """
-    import asyncio
-
-    try:
-        prefix = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError(
-            f"connection closed mid-prefix ({len(exc.partial)}/4 bytes)"
-        )
-    (payload_len,) = _LEN.unpack(prefix)
-    if payload_len > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"length prefix {payload_len} exceeds the "
-            f"{MAX_FRAME_BYTES}-byte frame cap"
-        )
-    try:
-        payload = await reader.readexactly(payload_len)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            f"connection closed mid-frame "
-            f"({len(exc.partial)}/{payload_len} bytes)"
-        )
-    return parse_payload(payload)
-
-
-def recv_frame(sock) -> Optional[Tuple[int, Dict[str, Any], bytes]]:
-    """Blocking counterpart of :func:`read_frame` for a plain socket."""
 
     def _recv_exactly(count: int) -> bytes:
         chunks = []
@@ -187,24 +178,19 @@ def recv_frame(sock) -> Optional[Tuple[int, Dict[str, Any], bytes]]:
             remaining -= len(chunk)
         return b"".join(chunks)
 
-    prefix = _recv_exactly(_LEN.size)
+    prefix = _recv_exactly(PREFIX_BYTES)
     if not prefix:
         return None
-    if len(prefix) < _LEN.size:
+    if len(prefix) < PREFIX_BYTES:
         raise ProtocolError(
             f"connection closed mid-prefix ({len(prefix)}/4 bytes)"
         )
-    (payload_len,) = _LEN.unpack(prefix)
-    if payload_len > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"length prefix {payload_len} exceeds the "
-            f"{MAX_FRAME_BYTES}-byte frame cap"
-        )
-    payload = _recv_exactly(payload_len)
-    if len(payload) < payload_len:
+    length = payload_length(prefix)
+    payload = _recv_exactly(length)
+    if len(payload) < length:
         raise ProtocolError(
             f"connection closed mid-frame "
-            f"({len(payload)}/{payload_len} bytes)"
+            f"({len(payload)}/{length} bytes)"
         )
     return parse_payload(payload)
 

@@ -50,6 +50,16 @@ class TestErrorHandling:
         ) == 1
         assert "unknown scheme" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["bad", "ecc:16xq:8", "ecc:16x16:0"])
+    def test_bad_serve_bench_spec_reports_cleanly(self, capsys, spec):
+        # Rejected before any daemon starts: one typed line, exit 1.
+        assert main(["serve-bench", "--spec", spec, "--duration", "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: bad spec {spec!r}")
+
 
 class TestSchemesCommand:
     def test_lists_all_schemes(self, capsys):
