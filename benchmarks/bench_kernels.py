@@ -717,9 +717,10 @@ def run_verify_overhead_bench(
 
     Builds one chunked summed-area table, then times
     :meth:`~repro.core.sat.SummedAreaTable.open_mmap` at every verify
-    level (best-of ``repetitions``), both bare and followed by a
-    representative sliding-window sweep — the workload an open exists to
-    serve.  Two ratios come out: ``open_overhead_ratio`` (header vs off
+    level (best-of ``repetitions``; ``off`` and ``header`` sampled in
+    alternation, so drift cannot land on one of them), both bare and
+    followed by a representative sliding-window sweep — the workload an
+    open exists to serve.  Two ratios come out: ``open_overhead_ratio`` (header vs off
     on the bare open; informational — the open itself is microseconds,
     so even a small constant manifest read looks large against it) and
     ``open_query_overhead_ratio`` (header vs off on open + sweep), which
@@ -743,26 +744,31 @@ def run_verify_overhead_bench(
     sat.close()
     window_shape = tuple(min(4, d) for d in grid_dims)
 
-    def best_of(verify, sweep):
-        best = float("inf")
-        for _ in range(repetitions + 1):  # first call warms the cache
-            start = time.perf_counter()
-            handle = SummedAreaTable.open_mmap(path, verify=verify)
-            try:
-                if sweep:
-                    engine = ResponseTimeEngine.from_sat(handle)
-                    engine.sliding_response_times(window_shape)
-            finally:
-                handle.close()
-            best = min(best, time.perf_counter() - start)
-        return best
+    def timed(verify, sweep):
+        start = time.perf_counter()
+        handle = SummedAreaTable.open_mmap(path, verify=verify)
+        try:
+            if sweep:
+                engine = ResponseTimeEngine.from_sat(handle)
+                engine.sliding_response_times(window_shape)
+        finally:
+            handle.close()
+        return time.perf_counter() - start
+
+    def best_of(levels, sweep):
+        # The levels are sampled in turn, their order flipped every
+        # round, so host drift over the run falls on each level alike
+        # rather than on whichever level happened to be timed last.
+        best = dict.fromkeys(levels, float("inf"))
+        for round_ in range(repetitions + 1):  # round 0 warms the cache
+            for verify in levels if round_ % 2 else levels[::-1]:
+                best[verify] = min(best[verify], timed(verify, sweep))
+        return [best[verify] for verify in levels]
 
     try:
-        open_off = best_of("off", sweep=False)
-        open_header = best_of("header", sweep=False)
-        open_full = best_of("full", sweep=False)
-        query_off = best_of("off", sweep=True)
-        query_header = best_of("header", sweep=True)
+        open_off, open_header = best_of(("off", "header"), sweep=False)
+        (open_full,) = best_of(("full",), sweep=False)
+        query_off, query_header = best_of(("off", "header"), sweep=True)
     finally:
         for leftover in (
             path,

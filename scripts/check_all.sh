@@ -58,6 +58,16 @@ run_step "serve tests (python -X dev, resource warnings fatal)" \
         tests/serve/test_served_schemes.py \
         -W error::ResourceWarning \
         -W error::pytest.PytestUnraisableExceptionWarning
+# The chunked SAT build hashes each tile on a helper thread: its tests
+# again under development mode, where a helper that raises instead of
+# handing its error to the build, or a leaked file, fails the step.
+run_step "chunked build tests (python -X dev, thread errors fatal)" \
+    python -X dev -m pytest -q -p no:cacheprovider \
+        tests/core/test_tile_kernel.py tests/core/test_integrity.py \
+        tests/faults/test_io_faults.py \
+        -W error::ResourceWarning \
+        -W error::pytest.PytestUnhandledThreadExceptionWarning \
+        -W error::pytest.PytestUnraisableExceptionWarning
 # Degraded-mode smoke: the X7 sweep on a small grid must run clean.
 run_step "degraded mode (quick)" \
     python -m repro experiment degraded --quick

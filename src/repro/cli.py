@@ -435,7 +435,10 @@ def _cmd_serve_bench(args) -> int:
             ]
             if args.backend:
                 command[3:3] = ["--backend", args.backend]
-            daemon = subprocess.Popen(command)
+            # The daemon's ready line would land in the bench's own
+            # output (``| head -1`` would read it, not the summary);
+            # its errors still reach stderr.
+            daemon = subprocess.Popen(command, stdout=subprocess.DEVNULL)
             deadline = _time.monotonic() + 120
             while _time.monotonic() < deadline:
                 if daemon.poll() is not None:
@@ -458,17 +461,27 @@ def _cmd_serve_bench(args) -> int:
                 return 1
         result = run_bench(config)
         measured = result["measured"]
-        print(
-            f"serve-bench: {measured['queries']} queries in "
-            f"{measured['elapsed_s']:.2f}s = "
-            f"{measured['queries_per_second']:,.0f} q/s  "
-            f"p50={measured['latency_p50_s'] * 1e3:.2f}ms "
-            f"p99={measured['latency_p99_s'] * 1e3:.2f}ms"
-        )
-        if args.out:
-            print(f"results written to {args.out}")
-        else:
-            print(_json.dumps(result, indent=2))
+        try:
+            print(
+                f"serve-bench: {measured['queries']} queries in "
+                f"{measured['elapsed_s']:.2f}s = "
+                f"{measured['queries_per_second']:,.0f} q/s  "
+                f"p50={measured['latency_p50_s'] * 1e3:.2f}ms "
+                f"p99={measured['latency_p99_s'] * 1e3:.2f}ms"
+            )
+            if args.out:
+                print(f"results written to {args.out}")
+            else:
+                print(_json.dumps(result, indent=2))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader is gone (``| head -1``).  As the CPython docs
+            # advise, point stdout at devnull so the exit-time flush
+            # cannot raise again; the daemon still stops below.
+            devnull = _os.open(_os.devnull, _os.O_WRONLY)
+            _os.dup2(devnull, sys.stdout.fileno())
+            _os.close(devnull)
+            return 1
         return 0
     finally:
         if daemon is not None:

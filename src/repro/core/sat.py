@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import threading
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -133,6 +134,81 @@ def _padded_shape(num_disks: int, dims: Sequence[int]) -> Tuple[int, ...]:
 def build_partial_path(path: Union[str, os.PathLike]) -> str:
     """Where a chunked build stages its output before the final rename."""
     return os.fspath(path) + ".partial"
+
+
+class _TileDigest(threading.Thread):
+    """One filled tile's sha256, computed on a helper thread.
+
+    hashlib releases the GIL over large buffers, so the digest runs
+    while the main thread fills the next tile.  The thread starts on
+    construction; :meth:`digest` joins it and re-raises what it raised.
+    """
+
+    def __init__(self, row: int, tile: memoryview) -> None:
+        super().__init__(name=f"repro-sat-digest@{row}")
+        self.row = row
+        self._tile: Optional[memoryview] = tile
+        self._digest = ""
+        self._error: Optional[Exception] = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._digest = sha256_hex(self._tile)
+        except Exception as exc:  # re-raised by digest()
+            self._error = exc
+        finally:
+            self._tile = None
+
+    def digest(self) -> str:
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._digest
+
+
+class _TileCommits:
+    """Commits a chunked build's flushed tiles in order, hashed off-thread.
+
+    :meth:`add` takes a filled and flushed tile: it commits the previous
+    tile, whose digest ran while this one was filled, then starts this
+    tile's digest.  A commit appends the digest, rewrites the partial's
+    manifest and passes the ``sat.write`` fault point, so no digest is
+    in flight at a fault.  Leaving the ``with`` block, by any exit,
+    waits for a pending digest, so the caller never releases the
+    mapping or unlinks a file under a helper still reading it.
+    """
+
+    def __init__(self, partial: str, manifest: SatManifest) -> None:
+        self._partial = partial
+        self._manifest = manifest
+        self._pending: Optional[_TileDigest] = None
+
+    def __enter__(self) -> "_TileCommits":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._pending is not None:
+            self._pending.join()
+
+    def add(self, row: int, tile: memoryview) -> None:
+        self.finish()
+        self._pending = _TileDigest(row, tile)
+
+    def finish(self) -> None:
+        """Commit the pending tile, if any."""
+        if self._pending is None:
+            return
+        digest = self._pending.digest()
+        row, self._pending = self._pending.row, None
+        self._manifest.tile_starts.append(row)
+        self._manifest.tile_digests.append(digest)
+        self._manifest.write(self._partial)
+        # Injection point: the fault strikes *between* tiles — the
+        # just-committed tile is durable, so an ``exit``-mode plan is
+        # exactly "SIGKILL at a tile boundary" and a later run must
+        # resume from here.
+        maybe_io_fault("sat.write", f"tile@{row}")
 
 
 def _remove_quietly(*paths: str) -> None:
@@ -390,6 +466,13 @@ class SummedAreaTable:
         defaults to a fresh temp file (``REPRO_SAT_DIR`` overrides the
         directory); the caller owns the file's lifetime.
 
+        Tiles are committed in a two-stage pipeline: while the kernel
+        fills tile ``i+1``, a helper thread hashes tile ``i``'s slab in
+        place; the main thread then flushes the mapping, commits tile
+        ``i`` and passes the ``sat.write`` fault point, in that order::
+
+            fill i+1 ‖ digest i  →  flush  →  commit i  →  fault point
+
         The build is **crash-safe and resumable**: it stages into
         ``<path>.partial`` and, after each tile is flushed, atomically
         rewrites that partial's own sidecar manifest (see
@@ -403,10 +486,12 @@ class SummedAreaTable:
         any prior partial; without one the build starts fresh.
         :meth:`open_mmap` verifies the published table against that
         manifest.
-        A build that *raises* cleans up after itself: temp-file builds
-        remove everything they created; explicit-path builds keep the
-        partial and its manifest for a later resume (``repro doctor``
-        reports and can garbage-collect them).
+        A build that *raises* cleans up after itself, once the digest
+        in flight, if any, is done: temp-file builds remove everything
+        they created; explicit-path builds keep the partial and its
+        manifest for a later resume (``repro doctor`` reports and can
+        garbage-collect them).  A filled tile whose commit had not come
+        yet is refilled by that resume.
         """
         from repro.core.backends import active_backend
 
@@ -481,33 +566,30 @@ class SummedAreaTable:
                     )
 
                 backend = active_backend()
-                for start in range(first_start, dims[0], rows):
-                    stop = min(start + rows, dims[0])
-                    # The tile is computed in place in its mapped slab,
-                    # carried by the row before it (the zero plane for
-                    # the first tile); whatever a killed run left in
-                    # the slab is overwritten.
-                    chunk = out[start + 1 : stop + 1]
-                    backend.fill_tile(
-                        chunk,
-                        scheme.disk_array_block(
-                            grid, num_disks, start, stop
-                        ),
-                        num_disks,
-                        out[start],
-                    )
-                    # Tile data must be durable before the manifest may
-                    # claim it — flush, then commit.
-                    out.flush()
-                    manifest.tile_starts.append(start)
-                    manifest.tile_digests.append(sha256_hex(chunk.data))
-                    del chunk
-                    manifest.write(partial)
-                    # Injection point: the fault strikes *between*
-                    # tiles — the just-committed tile is durable, so an
-                    # ``exit``-mode plan is exactly "SIGKILL at a tile
-                    # boundary" and a later run must resume from here.
-                    maybe_io_fault("sat.write", f"tile@{start}")
+                with _TileCommits(partial, manifest) as commits:
+                    for start in range(first_start, dims[0], rows):
+                        stop = min(start + rows, dims[0])
+                        # The tile is computed in place in its mapped
+                        # slab, carried by the row before it (the zero
+                        # plane for the first tile); whatever a killed
+                        # run left in the slab is overwritten.
+                        chunk = out[start + 1 : stop + 1]
+                        backend.fill_tile(
+                            chunk,
+                            scheme.disk_array_block(
+                                grid, num_disks, start, stop
+                            ),
+                            num_disks,
+                            out[start],
+                        )
+                        # Tile data must be durable before the manifest
+                        # may claim it: this flush covers the tile just
+                        # filled and the one before it, whose commit
+                        # comes next.
+                        out.flush()
+                        commits.add(start, chunk.data)
+                        del chunk
+                    commits.finish()
             # Release the writable mapping, then publish: the table
             # first, then the manifest that names all of its tiles.  A
             # crash between the renames leaves a valid table that is at

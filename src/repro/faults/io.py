@@ -13,7 +13,10 @@ Plan grammar: semicolon-separated ``POINT[:MODE][:TIMES]`` entries.
 * ``POINT`` is one of the injection points wired through the library:
 
   ====================  ===============================================
-  ``sat.write``         before each tile write of a chunked SAT build
+  ``sat.write``         after each tile commit of a chunked SAT build,
+                        at a tile boundary: tile ``i+1`` is filled, tile
+                        ``i`` hashed, flushed and named by the partial's
+                        manifest, and no digest is in flight
                         (:meth:`~repro.core.sat.SummedAreaTable.build_chunked`)
   ``sat.read``          on reopening a spilled SAT
                         (:meth:`~repro.core.sat.SummedAreaTable.open_mmap`)

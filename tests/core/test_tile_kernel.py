@@ -8,11 +8,19 @@ dtypes, a non-zero carry and a destination full of garbage (what a
 killed build leaves in a mapped file).  Chunked builds must give the
 same file and manifest on every backend, and a ``cnative`` build killed
 at a tile boundary must resume to the same bytes.
+
+A chunked build hashes tile ``i`` on a helper thread while the kernel
+fills tile ``i+1``; the pipeline tests below hold it to the serial
+build's file and manifest, and check that every failed build waits for
+a digest in flight before it cleans up.
 """
 
+import math
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -31,7 +39,8 @@ from repro.core.integrity import (
     sha256_hex,
 )
 from repro.core.registry import get_scheme
-from repro.core.sat import SummedAreaTable, build_partial_path
+from repro.core import sat as sat_module
+from repro.core.sat import SummedAreaTable, build_partial_path, sat_dtype
 from repro.faults.io import (
     IO_EXIT_STATUS,
     IO_FAULTS_ENV,
@@ -223,6 +232,185 @@ def test_native_resume_overwrites_torn_tile(monkeypatch, tmp_path):
     )
 
 
+def _digest_threads():
+    return [
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("repro-sat-digest")
+    ]
+
+
+#: The ``spill`` benchmark's build: fx 160³ over 8 disks at a quarter
+#: of the table's bytes (nine tiles).
+SPILL_GRID, SPILL_DISKS = Grid((160, 160, 160)), 8
+SPILL_BUDGET = (
+    SPILL_DISKS
+    * math.prod(d + 1 for d in SPILL_GRID.dims)
+    * sat_dtype(SPILL_GRID.num_buckets).itemsize
+    // 4
+)
+
+
+def test_pipelined_build_equals_serial_rehash_and_in_ram(tmp_path):
+    """The spill-sized build's file and manifest on numpy and cnative."""
+    scheme = get_scheme("fx")
+    with use_backend("numpy"):
+        reference = SummedAreaTable.build(
+            scheme.allocate(SPILL_GRID, SPILL_DISKS)
+        ).array
+    files = {}
+    for backend in BACKEND_NAMES:
+        path = str(tmp_path / f"{backend}.npy")
+        with use_backend(backend):
+            SummedAreaTable.build_chunked(
+                scheme, SPILL_GRID, SPILL_DISKS,
+                byte_budget=SPILL_BUDGET, path=path,
+            ).close()
+        manifest = SatManifest.load(path)
+        rows = SummedAreaTable.tile_rows(
+            SPILL_GRID, SPILL_DISKS, SPILL_BUDGET
+        )
+        assert manifest.tile_rows == rows
+        assert manifest.tile_starts == list(range(0, 160, rows))
+        assert len(manifest.tile_starts) == 9
+        table = np.load(path, mmap_mode="r")
+        try:
+            np.testing.assert_array_equal(table, reference)
+            # Every digest, recomputed serially from the published slab
+            # and from the in-RAM table.
+            for start, digest in zip(
+                manifest.tile_starts, manifest.tile_digests
+            ):
+                rows_of = slice(start + 1, start + 1 + rows)
+                assert sha256_hex(table[rows_of].data) == digest
+                assert sha256_hex(reference[rows_of].data) == digest
+        finally:
+            del table
+        SummedAreaTable.open_mmap(path, verify="full").close()
+        files[backend] = (
+            file_sha256(path), file_sha256(manifest_path(path))
+        )
+    assert len(set(files.values())) == 1, files
+
+
+class TestPipelineFailurePaths:
+    """Every exit of a pipelined build joins the digest in flight."""
+
+    GRID, DISKS, BUDGET = Grid((12, 5, 4)), 3, 600
+
+    def _slow_digests(self, monkeypatch):
+        """Digests that take long enough to be in flight at a failure."""
+        real = sat_module.sha256_hex
+        done = []
+
+        def slow(data):
+            time.sleep(0.2)
+            done.append(real(data))
+            return done[-1]
+
+        monkeypatch.setattr(sat_module, "sha256_hex", slow)
+        return done
+
+    def _fail_fill(self, monkeypatch, error, on_call):
+        real = NumpyBackend.fill_tile
+        calls = []
+
+        def failing(self, *args):
+            calls.append(1)
+            if len(calls) == on_call:
+                raise error
+            return real(self, *args)
+
+        monkeypatch.setattr(NumpyBackend, "fill_tile", failing)
+
+    def _build(self, path=None):
+        return SummedAreaTable.build_chunked(
+            get_scheme("fx"), self.GRID, self.DISKS,
+            byte_budget=self.BUDGET, path=path,
+        )
+
+    def _reference(self, tmp_path):
+        path = str(tmp_path / "ref.npy")
+        self._build(path).close()
+        return path
+
+    @pytest.mark.parametrize(
+        "error", [OSError("disk full"), KeyboardInterrupt()],
+        ids=["oserror", "interrupt"],
+    )
+    def test_raising_fill_waits_for_the_digest_in_flight(
+        self, monkeypatch, tmp_path, error
+    ):
+        monkeypatch.setenv("REPRO_SAT_DIR", str(tmp_path))
+        with use_backend("numpy"):
+            done = self._slow_digests(monkeypatch)
+            self._fail_fill(monkeypatch, error, on_call=2)
+            with pytest.raises(type(error)):
+                self._build()
+        # Tile 0's digest was running when tile 1's fill raised; the
+        # build returned only after it, and left no helper behind.
+        assert len(done) == 1
+        assert _digest_threads() == []
+        # The temp-file build removed the placeholder, the partial and
+        # the partial's manifest.
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_explicit_path_failure_keeps_a_resumable_partial(
+        self, monkeypatch, tmp_path
+    ):
+        reference = self._reference(tmp_path)
+        path = str(tmp_path / "t.npy")
+        with use_backend("numpy"):
+            with monkeypatch.context() as patch:
+                done = self._slow_digests(patch)
+                self._fail_fill(patch, OSError("disk full"), on_call=4)
+                with pytest.raises(OSError, match="disk full"):
+                    self._build(path)
+            assert len(done) == 3 and _digest_threads() == []
+            # Tiles 0 and 1 were committed; tile 2, filled and hashed
+            # but not yet committed, is refilled by the resume.
+            staged = SatManifest.load(build_partial_path(path))
+            assert len(staged.tile_starts) == 2
+            assert not os.path.exists(path)
+            self._build(path).close()
+        assert file_sha256(path) == file_sha256(reference)
+        assert SatManifest.load(path) == SatManifest.load(reference)
+
+    def test_raising_digest_fails_the_build_not_the_thread(
+        self, monkeypatch, tmp_path
+    ):
+        real = sat_module.sha256_hex
+        calls, hook_calls = [], []
+        monkeypatch.setattr(threading, "excepthook", hook_calls.append)
+
+        def digest(data):
+            calls.append(1)
+            if len(calls) == 2:
+                raise MemoryError("digest failed")
+            return real(data)
+
+        monkeypatch.setattr(sat_module, "sha256_hex", digest)
+        path = str(tmp_path / "t.npy")
+        with pytest.raises(MemoryError, match="digest failed"):
+            self._build(path)
+        assert hook_calls == []
+        assert _digest_threads() == []
+        # Only tile 0 was committed: tile 1's digest never arrived.
+        staged = SatManifest.load(build_partial_path(path))
+        assert len(staged.tile_starts) == 1
+
+    def test_injected_sat_write_error_leaves_no_helper(
+        self, monkeypatch, tmp_path
+    ):
+        path = str(tmp_path / "t.npy")
+        monkeypatch.setenv(IO_FAULTS_ENV, "sat.write:1")
+        monkeypatch.setenv(IO_FAULTS_STATE_ENV, str(tmp_path / "state"))
+        with pytest.raises(InjectedIOFault):
+            self._build(path)
+        assert _digest_threads() == []
+        staged = SatManifest.load(build_partial_path(path))
+        assert len(staged.tile_starts) == 1
+
+
 _KILLED_BUILD = """
 import sys
 from repro.core.grid import Grid
@@ -236,16 +424,8 @@ print("BUILD-OK")
 """
 
 
-@needs_native
-def test_native_build_killed_at_tile_boundary_resumes(tmp_path):
-    """``sat.write:exit`` kills a cnative build; the rerun matches numpy."""
-    reference_path = str(tmp_path / "ref.npy")
-    with use_backend("numpy"):
-        SummedAreaTable.build_chunked(
-            get_scheme("fx"), Grid((12, 5, 4)), 3, byte_budget=600,
-            path=reference_path,
-        ).close()
-    path = str(tmp_path / "killed.npy")
+def _run_killed_build(path, **extra):
+    """Run ``_KILLED_BUILD`` on ``path`` in a fresh interpreter."""
     env = {
         key: value
         for key, value in os.environ.items()
@@ -257,26 +437,61 @@ def test_native_build_killed_at_tile_boundary_resumes(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")])
     )
-    env["REPRO_BACKEND"] = "cnative"
+    return subprocess.run(
+        [sys.executable, "-c", _KILLED_BUILD, path],
+        env={**env, **extra},
+        capture_output=True,
+        text=True,
+    )
 
-    def run(**extra):
-        return subprocess.run(
-            [sys.executable, "-c", _KILLED_BUILD, path],
-            env={**env, **extra},
-            capture_output=True,
-            text=True,
-        )
 
-    killed = run(
+def _killed_build_reference(tmp_path):
+    reference_path = str(tmp_path / "ref.npy")
+    with use_backend("numpy"):
+        SummedAreaTable.build_chunked(
+            get_scheme("fx"), Grid((12, 5, 4)), 3, byte_budget=600,
+            path=reference_path,
+        ).close()
+    return reference_path
+
+
+@needs_native
+def test_native_build_killed_at_tile_boundary_resumes(tmp_path):
+    """``sat.write:exit`` kills a cnative build; the rerun matches numpy."""
+    reference_path = _killed_build_reference(tmp_path)
+    path = str(tmp_path / "killed.npy")
+    killed = _run_killed_build(
+        path,
+        REPRO_BACKEND="cnative",
         **{
             IO_FAULTS_ENV: "sat.write:exit:2",
             IO_FAULTS_STATE_ENV: str(tmp_path / "state"),
-        }
+        },
     )
     assert killed.returncode == IO_EXIT_STATUS, killed.stderr
     assert os.path.exists(manifest_path(build_partial_path(path)))
     assert not os.path.exists(path)
-    resumed = run()
+    resumed = _run_killed_build(path, REPRO_BACKEND="cnative")
     assert resumed.returncode == 0, resumed.stderr
     assert "BUILD-OK" in resumed.stdout
+    assert file_sha256(path) == file_sha256(reference_path)
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_each_exit_run_commits_one_more_tile(backend, tmp_path):
+    """``sat.write:exit:3``: three killed runs, three committed tiles."""
+    reference_path = _killed_build_reference(tmp_path)
+    path = str(tmp_path / "killed.npy")
+    plan = {
+        IO_FAULTS_ENV: "sat.write:exit:3",
+        IO_FAULTS_STATE_ENV: str(tmp_path / "state"),
+    }
+    for committed in (1, 2, 3):
+        killed = _run_killed_build(path, REPRO_BACKEND=backend, **plan)
+        assert killed.returncode == IO_EXIT_STATUS, killed.stderr
+        staged = SatManifest.load(build_partial_path(path))
+        assert len(staged.tile_starts) == committed
+    # The plan's three hits are spent: the fourth run completes.
+    finished = _run_killed_build(path, REPRO_BACKEND=backend, **plan)
+    assert finished.returncode == 0, finished.stderr
     assert file_sha256(path) == file_sha256(reference_path)

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -59,6 +64,40 @@ class TestErrorHandling:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: bad spec {spec!r}")
+
+
+class TestServeBenchClosedStdout:
+    def test_closed_reader_exits_quietly(self, tmp_path):
+        """``serve-bench ... | head -1`` with the reader already gone."""
+        out = tmp_path / "bench.json"
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        # The self-hosted daemon's socket lands here, so its removal
+        # shows the daemon was stopped.
+        env["TMPDIR"] = str(tmp_path)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "serve-bench",
+                 "--duration", "0.2", "--batch", "64",
+                 "--concurrency", "1", "--out", str(out)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert "BrokenPipeError" not in result.stderr
+        assert json.loads(out.read_text())["measured"]["queries"] > 0
+        assert not list(tmp_path.glob("repro-serve-bench-*.sock"))
 
 
 class TestSchemesCommand:
