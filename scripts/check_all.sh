@@ -84,9 +84,20 @@ run_step "doctor --gc" python -m repro doctor --gc
 # byte for byte, get a degraded_plan with offset=-1 answered, SIGTERM-
 # drain with exit 0, and prove the traffic in the metrics export (the
 # readiness ping, the batch and the plan: 3 requests on 2 connections).
+# It runs with a TMPDIR of its own, and a repro-smoke-serve-* directory
+# left there afterwards fails the step.
+serve_smoke() {
+    local tmpdir="$1"
+    TMPDIR="${tmpdir}" python scripts/smoke_serve.py "$2" || return 1
+    if compgen -G "${tmpdir}/repro-smoke-serve-*" >/dev/null; then
+        echo "smoke_serve left a temp directory under ${tmpdir}" >&2
+        return 1
+    fi
+}
 serve_tmp="$(mktemp -d)"
-run_step "serve smoke (batch + degraded plan + drain)" \
-    python scripts/smoke_serve.py "${serve_tmp}/metrics.json"
+mkdir "${serve_tmp}/tmp"
+run_step "serve smoke (batch + degraded plan + drain, no temp leak)" \
+    serve_smoke "${serve_tmp}/tmp" "${serve_tmp}/metrics.json"
 run_step "serve obs check (requests + connections counted)" \
     python scripts/check_obs_output.py --counters-only \
         "${serve_tmp}/metrics.json" \

@@ -11,9 +11,11 @@ path CI cares about:
    be answered, and match the in-process planner.
 3. **Drain** — SIGTERM must exit 0 and write the metrics export.
 
-The metrics export is left on disk for ``check_obs_output.py
---counters-only`` (check_all.sh chains it with ``--expect-counter``
-assertions on the serve counters).
+A metrics export path given on the command line is left on disk for
+``check_obs_output.py --counters-only`` (check_all.sh chains it with
+``--expect-counter`` assertions on the serve counters).  The script's
+own temp directory (the socket, and the export when no path is given)
+is removed on exit, pass or fail.
 
 Usage::
 
@@ -22,6 +24,7 @@ Usage::
 
 import os
 import pathlib
+import shutil
 import signal
 import subprocess
 import sys
@@ -93,11 +96,20 @@ def _wait_ready(process, socket_path, deadline=120):
 
 
 def main() -> int:
+    tmp = tempfile.mkdtemp(prefix="repro-smoke-serve-")
+    try:
+        return _smoke(tmp)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _smoke(tmp) -> int:
+    """The scenario, with the socket (and a default metrics export)
+    under ``tmp``, which the caller removes."""
     metrics_out = (
         sys.argv[1] if len(sys.argv) > 1
-        else os.path.join(tempfile.mkdtemp(), "serve_metrics.json")
+        else os.path.join(tmp, "serve_metrics.json")
     )
-    tmp = tempfile.mkdtemp(prefix="repro-smoke-serve-")
     socket_path = os.path.join(tmp, "serve.sock")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

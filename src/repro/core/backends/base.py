@@ -3,7 +3,9 @@
 A :class:`KernelBackend` implements the library's three hot kernels —
 
 1. the batched 2^k-corner query gather behind
-   :meth:`~repro.core.engine.ResponseTimeEngine.batch_response_times`,
+   :meth:`~repro.core.engine.ResponseTimeEngine.batch_response_times`
+   (and, fused with the bounds check and clip of a served request,
+   :meth:`~repro.core.engine.ResponseTimeEngine.wire_response_times`),
 2. the sliding-window shape sweep behind
    :meth:`~repro.core.engine.ResponseTimeEngine.sliding_response_times`
    and :func:`repro.core.cost.sliding_response_times`, and
@@ -30,9 +32,37 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.exceptions import QueryError
+from repro.core.query import QueryBatch
 from repro.core.sat import SummedAreaTable
 
-__all__ = ["KernelBackend"]
+__all__ = ["WIRE_BOUNDS_MESSAGE", "KernelBackend", "check_wire_arrays"]
+
+#: What :meth:`KernelBackend.wire_response_times` raises on a bad row.
+WIRE_BOUNDS_MESSAGE = "batch bounds must satisfy 0 <= lower <= upper"
+
+
+def check_wire_arrays(
+    sat: SummedAreaTable, bounds: np.ndarray, out: np.ndarray
+) -> None:
+    """Raise :class:`QueryError` unless ``bounds``/``out`` fit ``sat``.
+
+    ``bounds`` must be ``(2, N, k)`` int64 for the table's ``k`` and
+    ``out`` a writable, aligned, C-contiguous ``(N,)`` int64 array — the
+    layout a compiled kernel writes through a bare pointer.
+    """
+    flags = out.flags
+    if (
+        out.ndim != 1
+        or out.dtype != np.int64
+        or bounds.dtype != np.int64
+        or bounds.shape != (2, out.shape[0], sat.ndim)
+        or not (flags.c_contiguous and flags.aligned and flags.writeable)
+    ):
+        raise QueryError(
+            f"wire bounds {bounds.dtype}{bounds.shape} and output "
+            f"{out.dtype}{out.shape} do not fit a {sat.ndim}-d table"
+        )
 
 
 class KernelBackend(abc.ABC):
@@ -80,6 +110,30 @@ class KernelBackend(abc.ABC):
         if counts.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
         return counts.max(axis=1)
+
+    def wire_response_times(
+        self, sat: SummedAreaTable, bounds: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Answer a served batch's inclusive bounds into ``out``.
+
+        ``bounds`` is the ``(2, N, k)`` int64 request body (``[0]`` the
+        inclusive lower rows, ``[1]`` the inclusive upper rows; it may be
+        a read-only view of the wire buffer and is never written);
+        ``out`` is the ``(N,)`` int64 reply body (see
+        :func:`check_wire_arrays`).  Each row must satisfy ``0 <= lower
+        <= upper`` — otherwise :class:`QueryError` with
+        :data:`WIRE_BOUNDS_MESSAGE`, and ``out`` is left unspecified —
+        and is clipped by :meth:`~repro.core.query.QueryBatch.clip`, so
+        the answers equal :meth:`batch_response_times` on the clipped
+        batch.  This default is the reference; compiled backends fuse
+        the check, the clip and the gather into one call.
+        """
+        check_wire_arrays(sat, bounds, out)
+        lower, upper = bounds
+        if (lower < 0).any() or (lower > upper).any():
+            raise QueryError(WIRE_BOUNDS_MESSAGE)
+        batch = QueryBatch.clip(lower, upper, sat.dims)
+        out[...] = self.batch_response_times(sat, batch.lo, batch.hi)
 
     # -- 2. sliding-window shape sweep ---------------------------------
 

@@ -19,7 +19,11 @@ all.  In-RAM and memory-mapped tables are served by the same call: a
 data pointer plus element strides, worked out once per table
 (:attr:`~repro.core.sat.SummedAreaTable.data_address`) and passed as
 integers to functions whose ``argtypes`` are declared at load, so a
-call builds no ``ctypes`` pointer objects.
+call builds no ``ctypes`` pointer objects.  A served batch is one
+``wire_rt`` call: it reads the inclusive bounds straight from the
+request body, checks and clips each row as it goes, writes the answers
+into the reply's body and shares its per-query corner loop with
+``batch_rt``.
 
 The tile kernel builds the table the queries read.  numpy fills a tile
 in four passes over it (a one-hot ``np.equal``, then one ``cumsum``
@@ -47,9 +51,13 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backends.base import KernelBackend
+from repro.core.backends.base import (
+    WIRE_BOUNDS_MESSAGE,
+    KernelBackend,
+    check_wire_arrays,
+)
 from repro.core.backends.numpy_backend import NumpyBackend
-from repro.core.exceptions import IntegrityError
+from repro.core.exceptions import IntegrityError, QueryError
 from repro.core.integrity import (
     library_digest_path,
     verify_library,
@@ -85,49 +93,96 @@ _KERNEL_TEMPLATE = r"""
    the spatial corner `off`.  The M-long accumulator lives in
    caller-provided scratch (see aligned_acc), so there is no cap on M. */
 
+/* One query's response time from its clipped half-open bounds: the
+   2^k signed corner M-vectors summed into acc, then the busiest disk.
+   The sums run in the unsigned twin of the SAT dtype: partial sums may
+   wrap, the final count is exact because it fits the SAT dtype. */
+static inline int64_t query_rt_{suffix}(
+    const {ctype} *satT, const int64_t *strides,
+    int32_t num_disks, int32_t ndim,
+    const int64_t *qlo, const int64_t *qhi, {utype} *acc)
+{{
+    int32_t ncorners = 1 << ndim;
+    int64_t offs[1 << {max_ndim}];
+    int32_t signs[1 << {max_ndim}];
+    for (int32_t c = 0; c < ncorners; c++) {{
+        int64_t off = 0;
+        int32_t parity = 0;
+        for (int32_t a = 0; a < ndim; a++) {{
+            if ((c >> a) & 1) {{
+                off += qlo[a] * strides[a];
+                parity ^= 1;
+            }} else {{
+                off += qhi[a] * strides[a];
+            }}
+        }}
+        offs[c] = off;
+        signs[c] = parity ? -1 : 1;
+    }}
+    /* Corner 0 takes every high bound: the one added term to start. */
+    const {utype} *v0 = (const {utype} *)satT + offs[0];
+    for (int32_t m = 0; m < num_disks; m++) acc[m] = v0[m];
+    for (int32_t c = 1; c < ncorners; c++) {{
+        const {utype} *v = (const {utype} *)satT + offs[c];
+        if (signs[c] < 0) {{
+            for (int32_t m = 0; m < num_disks; m++) acc[m] -= v[m];
+        }} else {{
+            for (int32_t m = 0; m < num_disks; m++) acc[m] += v[m];
+        }}
+    }}
+    {ctype} best = ({ctype})acc[0];
+    for (int32_t m = 1; m < num_disks; m++)
+        if (({ctype})acc[m] > best) best = ({ctype})acc[m];
+    return best;
+}}
+
 void batch_rt_{suffix}(
     const {ctype} *satT, const int64_t *strides,
     int32_t num_disks, int32_t ndim,
     const int64_t *lo, const int64_t *hi, int64_t num_queries,
     int64_t *scratch, int64_t *out)
 {{
-    int64_t *acc = aligned_acc(scratch);
-    int32_t ncorners = 1 << ndim;
-    int64_t offs[1 << {max_ndim}];
-    int32_t signs[1 << {max_ndim}];
+    {utype} *acc = ({utype} *)aligned_acc(scratch);
+    for (int64_t q = 0; q < num_queries; q++)
+        out[q] = query_rt_{suffix}(
+            satT, strides, num_disks, ndim,
+            lo + (size_t)q * ndim, hi + (size_t)q * ndim, acc);
+}}
+
+/* A served batch straight from the request body: `bounds` holds the
+   (N, k) inclusive lower rows, then the (N, k) inclusive upper rows.
+   Each row is checked (0 <= lower <= upper) and clipped to the grid
+   exactly as QueryBatch.clip does -- lo = min(lower, d), hi =
+   max(min(upper, d - 1) + 1, lo), which cannot wrap at INT64_MAX --
+   then answered.  The grid extents follow the ndim strides.  Returns
+   0, or -1 at the first invalid row (`out` is then partly written). */
+
+int32_t wire_rt_{suffix}(
+    const {ctype} *satT, const int64_t *strides,
+    int32_t num_disks, int32_t ndim,
+    const int64_t *bounds, int64_t num_queries,
+    int64_t *scratch, int64_t *out)
+{{
+    {utype} *acc = ({utype} *)aligned_acc(scratch);
+    const int64_t *dims = strides + ndim;
+    const int64_t *upper = bounds + (size_t)num_queries * ndim;
+    int64_t qlo[{max_ndim}];
+    int64_t qhi[{max_ndim}];
     for (int64_t q = 0; q < num_queries; q++) {{
-        const int64_t *qlo = lo + (size_t)q * ndim;
-        const int64_t *qhi = hi + (size_t)q * ndim;
-        for (int32_t c = 0; c < ncorners; c++) {{
-            int64_t off = 0;
-            int32_t parity = 0;
-            for (int32_t a = 0; a < ndim; a++) {{
-                if ((c >> a) & 1) {{
-                    off += qlo[a] * strides[a];
-                    parity ^= 1;
-                }} else {{
-                    off += qhi[a] * strides[a];
-                }}
-            }}
-            offs[c] = off;
-            signs[c] = parity ? -1 : 1;
+        const int64_t *l = bounds + (size_t)q * ndim;
+        const int64_t *u = upper + (size_t)q * ndim;
+        for (int32_t a = 0; a < ndim; a++) {{
+            int64_t low = l[a], up = u[a], d = dims[a];
+            if (low < 0 || low > up) return -1;
+            int64_t lo = low < d ? low : d;
+            int64_t hi = (up < d - 1 ? up : d - 1) + 1;
+            qlo[a] = lo;
+            qhi[a] = hi > lo ? hi : lo;
         }}
-        for (int32_t m = 0; m < num_disks; m++) acc[m] = 0;
-        for (int32_t c = 0; c < ncorners; c++) {{
-            const {ctype} *v = satT + offs[c];
-            if (signs[c] < 0) {{
-                for (int32_t m = 0; m < num_disks; m++)
-                    acc[m] -= (int64_t)v[m];
-            }} else {{
-                for (int32_t m = 0; m < num_disks; m++)
-                    acc[m] += (int64_t)v[m];
-            }}
-        }}
-        int64_t best = acc[0];
-        for (int32_t m = 1; m < num_disks; m++)
-            if (acc[m] > best) best = acc[m];
-        out[q] = best;
+        out[q] = query_rt_{suffix}(
+            satT, strides, num_disks, ndim, qlo, qhi, acc);
     }}
+    return 0;
 }}
 
 void batch_counts_{suffix}(
@@ -356,6 +411,7 @@ def _kernel_source() -> str:
             _KERNEL_TEMPLATE.format(
                 suffix=suffix,
                 ctype=ctype,
+                utype="u" + ctype,
                 max_ndim=_MAX_NDIM,
             )
         )
@@ -472,11 +528,19 @@ _KERNEL_ARGTYPES = {
         _VOID_P, _VOID_P, _I32, _I32, _VOID_P, _VOID_P, ctypes.c_int64,
         _VOID_P,
     ),
+    # sat, strides, num_disks, ndim, bounds, num_queries, scratch, out
+    "wire_rt": (
+        _VOID_P, _VOID_P, _I32, _I32, _VOID_P, ctypes.c_int64, _VOID_P,
+        _VOID_P,
+    ),
     # sat, strides, num_disks, ndim, shape, out_dims, scratch, out
     "window_rt": (
         _VOID_P, _VOID_P, _I32, _I32, _VOID_P, _VOID_P, _VOID_P, _VOID_P,
     ),
 }
+
+#: Kernels that return a status; the rest return nothing.
+_KERNEL_RESTYPES = {"wire_rt": _I32}
 
 #: ``fill_tile_*``: out, block, carry, dims, ndim, num_disks, scratch.
 _FILL_TILE_ARGTYPES = (
@@ -523,7 +587,7 @@ class CNativeBackend(KernelBackend):
                     for name, argtypes in _KERNEL_ARGTYPES.items():
                         kernel = getattr(library, f"{name}_{suffix}")
                         kernel.argtypes = argtypes
-                        kernel.restype = None
+                        kernel.restype = _KERNEL_RESTYPES.get(name)
                         self._kernels[(name, dtype)] = kernel
                     for bsuffix in _BLOCK_TYPES:
                         kernel = getattr(
@@ -604,6 +668,31 @@ class CNativeBackend(KernelBackend):
             out.ctypes.data,
         )
         return out
+
+    def wire_response_times(
+        self, sat: SummedAreaTable, bounds: np.ndarray, out: np.ndarray
+    ) -> None:
+        kernel = self._kernel("wire_rt", sat)
+        if kernel is None:
+            self._reference.wire_response_times(sat, bounds, out)
+            return
+        check_wire_arrays(sat, bounds, out)
+        num_queries = out.shape[0]
+        if num_queries == 0:
+            return
+        bounds = _c_bounds(bounds)
+        scratch = np.empty(sat.num_disks + 8, dtype=np.int64)
+        if kernel(
+            sat.data_address,
+            sat.strides_address,
+            sat.num_disks,
+            sat.ndim,
+            bounds.ctypes.data,
+            num_queries,
+            scratch.ctypes.data,
+            out.ctypes.data,
+        ):
+            raise QueryError(WIRE_BOUNDS_MESSAGE)
 
     def batch_disk_counts(
         self, sat: SummedAreaTable, lo: np.ndarray, hi: np.ndarray

@@ -225,6 +225,23 @@ class ResponseTimeEngine:
                 self._sat, batch.lo, batch.hi
             )
 
+    def wire_response_times(
+        self, bounds: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Answer a served batch's inclusive bounds into ``out``.
+
+        ``bounds`` is the ``(2, N, k)`` int64 request body (inclusive
+        lower rows, then upper rows) and ``out`` the ``(N,)`` int64 reply
+        body; one backend call checks ``0 <= lower <= upper``
+        (:class:`~repro.core.exceptions.QueryError` otherwise), clips
+        and answers every row — the same answers as
+        :meth:`batch_response_times` on
+        :meth:`QueryBatch.clip(lower, upper, dims)
+        <repro.core.query.QueryBatch.clip>`.
+        """
+        with trace("engine.batch_response_times", num_queries=len(out)):
+            active_backend().wire_response_times(self._sat, bounds, out)
+
     def batch_optimal(
         self, queries: Union[Iterable[RangeQuery], QueryBatch]
     ) -> np.ndarray:

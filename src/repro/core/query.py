@@ -276,11 +276,15 @@ class QueryBatch:
         rows meet the ``0 <= lo <= hi <= dims`` invariant by
         construction, so they are not checked again; a row wholly
         outside the grid becomes a zero-extent box at the grid's edge.
+        ``upper`` is clipped before the ``+ 1``, so an upper bound of
+        ``2**63 - 1`` cannot wrap.
         """
         extents = np.asarray(dims, dtype=np.int64)
         batch = cls.__new__(cls)
         batch.lo = np.minimum(lower, extents)
-        batch.hi = np.maximum(np.minimum(upper + 1, extents), batch.lo)
+        batch.hi = np.maximum(
+            np.minimum(upper, extents - 1) + 1, batch.lo
+        )
         batch.dims = tuple(int(d) for d in dims)
         return batch
 

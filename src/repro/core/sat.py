@@ -232,9 +232,10 @@ class SummedAreaTable:
         What a compiled kernel call needs, worked out once: the table's
         data pointer and the address of an ``int64`` array of the
         spatial axes' strides in elements (each already includes the
-        factor ``M``), as integers.  ``None`` when the disk axis is not
-        contiguous (a hand-made view) or the table is closed; callers
-        then take the numpy reference path.
+        factor ``M``), followed by the grid's ``k`` extents, as
+        integers.  ``None`` when the disk axis is not contiguous (a
+        hand-made view) or the table is closed; callers then take the
+        numpy reference path.
     """
 
     __slots__ = (
@@ -244,7 +245,7 @@ class SummedAreaTable:
         "path",
         "data_address",
         "strides_address",
-        "_element_strides",
+        "_kernel_args",
     )
 
     def __init__(
@@ -267,18 +268,19 @@ class SummedAreaTable:
         self.data_address: Optional[int] = None
         self.strides_address: Optional[int] = None
         # Owns the memory strides_address points at.
-        self._element_strides: Optional[np.ndarray] = None
+        self._kernel_args: Optional[np.ndarray] = None
         itemsize = array.itemsize
         if array.strides[-1] == itemsize and all(
             stride % itemsize == 0 for stride in array.strides
         ):
-            strides = np.array(
-                [stride // itemsize for stride in array.strides[:-1]],
+            args = np.array(
+                [stride // itemsize for stride in array.strides[:-1]]
+                + list(grid.dims),
                 dtype=np.int64,
             )
-            strides.setflags(write=False)
-            self._element_strides = strides
-            self.strides_address = int(strides.ctypes.data)
+            args.setflags(write=False)
+            self._kernel_args = args
+            self.strides_address = int(args.ctypes.data)
             self.data_address = int(array.ctypes.data)
 
     # ------------------------------------------------------------------
@@ -733,7 +735,7 @@ class SummedAreaTable:
             self.array = None  # type: ignore[assignment]
             self.data_address = None
             self.strides_address = None
-            self._element_strides = None
+            self._kernel_args = None
             if mmap_obj is not None:
                 mmap_obj.close()
 

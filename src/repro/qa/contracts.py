@@ -408,6 +408,23 @@ def _mixed_queries(grid: Grid):
     return queries
 
 
+def _mixed_wire_bounds(grid: Grid) -> np.ndarray:
+    """The mixed batch as a served request's inclusive ``(2, N, k)``
+    bounds, plus a whole-grid row whose upper bounds are ``2**63 - 1``."""
+    queries = _mixed_queries(grid)
+    lower = [query.lower for query in queries] + [(0,) * grid.ndim]
+    upper = [query.upper for query in queries]
+    upper.append((np.iinfo(np.int64).max,) * grid.ndim)
+    return np.array([lower, upper], dtype=np.int64)
+
+
+def _wire_answers(backend, sat, bounds: np.ndarray) -> np.ndarray:
+    """``backend.wire_response_times`` of ``bounds`` as a fresh array."""
+    out = np.empty(bounds.shape[1], dtype=np.int64)
+    backend.wire_response_times(sat, bounds, out)
+    return out
+
+
 def _check_batch_engine(engine, allocation, grid: Grid, where: str):
     """QA422: the batched engine path vs the scalar per-query oracles."""
     from repro.core.cost import relative_deviation, response_time
@@ -450,7 +467,8 @@ def check_backends(
     must reproduce the reference **exactly** on:
 
     * the batched rectangle paths (``batch_disk_counts`` /
-      ``batch_response_times``) over the standard mixed batch —
+      ``batch_response_times``, and ``wire_response_times`` on the same
+      batch as served inclusive bounds) over the standard mixed batch —
       in-grid, boundary-clipped, and zero-bucket (fully outside)
       queries included;
     * the sliding-window sweep (``window_response_times``) for every
@@ -490,6 +508,8 @@ def check_backends(
             want_rts = reference.batch_response_times(
                 sat, batch.lo, batch.hi
             )
+            wire = _mixed_wire_bounds(grid)
+            want_wire = _wire_answers(reference, sat, wire)
             fitting_shapes = list(
                 itertools.product(*(range(1, d + 1) for d in dims))
             )
@@ -506,6 +526,8 @@ def check_backends(
                     backend.batch_response_times(
                         sat, batch.lo, batch.hi
                     ),
+                ) or not np.array_equal(
+                    want_wire, _wire_answers(backend, sat, wire)
                 ):
                     findings.append(
                         _finding(
@@ -584,6 +606,8 @@ def _check_mmap_layout(config: ContractConfig) -> List[Finding]:
     want_rts = numpy_backend.batch_response_times(
         reference, batch.lo, batch.hi
     )
+    wire = _mixed_wire_bounds(grid)
+    want_wire = _wire_answers(numpy_backend, reference, wire)
     with tempfile.TemporaryDirectory(prefix="repro-qa423-") as tmp:
         for builder in available:
             with backend_registry.use_backend(builder.name):
@@ -617,6 +641,8 @@ def _check_mmap_layout(config: ContractConfig) -> List[Finding]:
                         backend.batch_response_times(
                             chunked, batch.lo, batch.hi
                         ),
+                    ) or not np.array_equal(
+                        want_wire, _wire_answers(backend, chunked, wire)
                     ):
                         findings.append(
                             _finding(

@@ -46,6 +46,7 @@ __all__ = [
     "array_to_bytes",
     "encode_error",
     "encode_frame",
+    "frame_with_int64_body",
     "parse_payload",
     "payload_length",
     "recv_frame",
@@ -67,6 +68,10 @@ _KIND_AND_HEADER = struct.Struct(">BI")
 #: kind byte + header_len word — the fixed part of every payload.
 _PAYLOAD_FIXED = _KIND_AND_HEADER.size
 
+#: One compact encoder for every header: ``json.dumps`` with
+#: ``separators`` would build a fresh encoder per call.
+_HEADER_JSON = json.JSONEncoder(separators=(",", ":"))
+
 # Request kinds.
 REQUEST_PING = 0x01
 REQUEST_DISK_OF = 0x02
@@ -83,9 +88,7 @@ def encode_frame(
     kind: int, header: Optional[Dict[str, Any]] = None, body: bytes = b""
 ) -> bytes:
     """Serialize one frame (used identically by server and clients)."""
-    header_bytes = json.dumps(
-        header or {}, separators=(",", ":")
-    ).encode("utf-8")
+    header_bytes = _HEADER_JSON.encode(header or {}).encode("utf-8")
     payload_len = _PAYLOAD_FIXED + len(header_bytes) + len(body)
     if payload_len > MAX_FRAME_BYTES:
         raise ProtocolError(
@@ -100,6 +103,37 @@ def encode_frame(
             body,
         )
     )
+
+
+def frame_with_int64_body(
+    kind: int, header: Dict[str, Any], count: int
+) -> Tuple[bytearray, np.ndarray]:
+    """One frame with room for a ``count``-long int64 body, filled later.
+
+    Returns the frame and a writable ``(count,)`` int64 view of its
+    body, so a handler writes its answer straight into the reply.  The
+    JSON header is padded with spaces (still valid JSON to
+    :func:`parse_payload`) so that the body starts 8-byte aligned from
+    the frame's first byte.
+    """
+    header_bytes = _HEADER_JSON.encode(header).encode("utf-8")
+    fixed = PREFIX_BYTES + _PAYLOAD_FIXED
+    header_len = len(header_bytes) + (-(fixed + len(header_bytes)) % 8)
+    body_start = fixed + header_len
+    payload_len = body_start - PREFIX_BYTES + 8 * count
+    if payload_len > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"frame payload of {payload_len} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte cap"
+        )
+    frame = bytearray(PREFIX_BYTES + payload_len)
+    _LEN.pack_into(frame, 0, payload_len)
+    _KIND_AND_HEADER.pack_into(frame, PREFIX_BYTES, kind, header_len)
+    frame[fixed:body_start] = header_bytes.ljust(header_len)
+    body = np.frombuffer(
+        frame, dtype=np.int64, count=count, offset=body_start
+    )
+    return frame, body
 
 
 def encode_error(error: str, message: str) -> bytes:

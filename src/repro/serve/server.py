@@ -46,10 +46,11 @@ from repro.core.cache import global_cache
 from repro.core.exceptions import (
     DeclusteringError,
     ProtocolError,
+    QueryError,
     ServeError,
 )
 from repro.core.grid import Grid
-from repro.core.query import QueryBatch, RangeQuery
+from repro.core.query import RangeQuery
 from repro.obs.log import get_logger
 from repro.obs.metrics import global_registry
 from repro.obs.trace import trace, trace_event
@@ -389,53 +390,36 @@ class DeclusterServer:
             protocol.array_to_bytes(disks),
         )
 
-    @staticmethod
-    def _decode_bounds(
-        header: Dict[str, Any], body: bytes, dims: Tuple[int, ...]
-    ) -> np.ndarray:
-        """A batch body as validated inclusive bounds ``(2, N, k)``.
-
-        A read-only view of ``body`` (no copy): ``[0]`` is ``lower``,
-        ``[1]`` is ``upper``.
-        """
+    def _req_batch_response_times(
+        self, header: Dict[str, Any], body: bytes
+    ) -> bytearray:
+        key, engine = self._spec_engine(header)
         try:
             count = int(header["count"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"header missing/invalid count: {exc}")
-        ndim = len(dims)
+        ndim = len(key[1])
         if len(body) != 2 * count * ndim * 8:
             raise ProtocolError(
                 f"batch body of {len(body)} bytes does not hold two "
                 f"int64 ({count}, {ndim}) arrays"
             )
-        bounds = np.frombuffer(body, dtype=np.int64).reshape(
-            2, count, ndim
+        # One backend call reads the body in place, checks and clips
+        # each row as QueryBatch.clip does and writes the answers into
+        # the reply's body: byte-identical to the in-process engine.
+        reply, times = protocol.frame_with_int64_body(
+            protocol.RESPONSE_OK, {"count": count}, count
         )
-        lower, upper = bounds
-        if count and ((lower < 0).any() or (lower > upper).any()):
-            raise ProtocolError(
-                "batch bounds must satisfy 0 <= lower <= upper"
+        try:
+            engine.wire_response_times(
+                np.frombuffer(body, dtype=np.int64).reshape(
+                    2, count, ndim
+                ),
+                times,
             )
-        return bounds
-
-    def _req_batch_response_times(
-        self, header: Dict[str, Any], body: bytes
-    ) -> bytes:
-        key, engine = self._spec_engine(header)
-        dims = key[1]
-        lower, upper = self._decode_bounds(header, body, dims)
-        # The decoded bounds satisfy clip's precondition, so the batch
-        # is the one the in-process path would build from the same
-        # queries — and the answers are byte-identical to it.  clip
-        # writes fresh arrays: the kernel never reads the wire buffer.
-        times = engine.batch_response_times(
-            QueryBatch.clip(lower, upper, dims)
-        )
-        return protocol.encode_frame(
-            protocol.RESPONSE_OK,
-            {"count": int(times.shape[0])},
-            protocol.array_to_bytes(times),
-        )
+        except QueryError as exc:
+            raise ProtocolError(str(exc)) from None
+        return reply
 
     def _req_degraded_plan(
         self, header: Dict[str, Any], body: bytes
@@ -648,8 +632,9 @@ async def run_server(config: ServeConfig) -> None:
     server = DeclusterServer(config)
     await server.start()
     server.install_signal_handlers()
-    # Readiness marker for supervisors tailing stderr: printed only
-    # after the socket is bound and every spec is preloaded.
+    # Readiness marker on stdout (supervisors and load generators read
+    # it there): printed only after the socket is bound and every spec
+    # is preloaded.
     print(
         f"serve: ready pid={os.getpid()} "
         f"addr={config.unix_path or server.bound_address}",

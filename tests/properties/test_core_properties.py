@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocation import DiskAllocation
+from repro.core.backends import available_backends
+from repro.core.backends.numpy_backend import NumpyBackend
 from repro.core.cost import (
     optimal_response_time,
     response_time,
@@ -12,6 +14,7 @@ from repro.core.cost import (
 )
 from repro.core.grid import Grid
 from repro.core.query import QueryBatch, RangeQuery, query_at, shapes_with_area
+from repro.core.sat import SummedAreaTable
 
 dims_2d = st.tuples(
     st.integers(min_value=1, max_value=10),
@@ -157,10 +160,13 @@ class TestCostProperties:
         )
 
 
+INT64_MAX = 2**63 - 1
+
+
 @st.composite
 def inclusive_bounds(draw):
     """Grid extents plus ``0 <= lower <= upper`` rows that may overhang
-    the grid or lie wholly outside it."""
+    the grid, lie wholly outside it, or reach up to ``2**63 - 1``."""
     ndim = draw(st.integers(1, 3))
     dims = tuple(draw(st.integers(1, 6)) for _ in range(ndim))
     count = draw(st.integers(0, 8))
@@ -168,7 +174,16 @@ def inclusive_bounds(draw):
         [draw(st.integers(0, d + 3)) for d in dims] for _ in range(count)
     ]
     upper = [
-        [lo + draw(st.integers(0, d + 3)) for lo, d in zip(row, dims)]
+        [
+            draw(
+                st.one_of(
+                    st.integers(lo, lo + d + 3),
+                    st.integers(lo, INT64_MAX),
+                    st.just(INT64_MAX),
+                )
+            )
+            for lo, d in zip(row, dims)
+        ]
         for row in lower
     ]
     shape = (count, ndim)
@@ -209,3 +224,25 @@ class TestQueryBatchClip:
             else:
                 assert clipped.lo[row].tolist() == list(inside.lower)
                 assert sides == list(inside.side_lengths)
+
+    @settings(max_examples=100, deadline=None)
+    @given(inclusive_bounds(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_wire_call_answers_the_clipped_batch_on_every_backend(
+        self, bounds, num_disks, seed
+    ):
+        lower, upper, dims = bounds
+        table = np.random.default_rng(seed).integers(
+            0, num_disks, size=dims
+        )
+        sat = SummedAreaTable.build(
+            DiskAllocation(Grid(dims), num_disks, table)
+        )
+        clipped = QueryBatch.clip(lower, upper, dims)
+        want = NumpyBackend().batch_response_times(
+            sat, clipped.lo, clipped.hi
+        )
+        wire = np.stack([lower, upper])
+        for backend in available_backends():
+            out = np.empty(len(lower), dtype=np.int64)
+            backend.wire_response_times(sat, wire, out)
+            np.testing.assert_array_equal(out, want, err_msg=backend.name)

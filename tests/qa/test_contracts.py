@@ -328,3 +328,30 @@ class TestBackendContract:
             "registry:backend:qa-broken-tile"
         }
         assert any("tile kernel" in f.message for f in findings)
+
+    def test_broken_wire_call_is_caught(self, monkeypatch):
+        # A wire call that clips with upper + 1 (wrapping at 2**63 - 1)
+        # answers the contract's whole-grid int64-max row with 0.
+        from repro.core import backends as backend_registry
+        from repro.core.backends.numpy_backend import NumpyBackend
+        from repro.qa.contracts import check_backends
+
+        class WrappingWire(NumpyBackend):
+            name = "qa-wrapping-wire"
+
+            def wire_response_times(self, sat, bounds, out):
+                extents = np.asarray(sat.dims, dtype=np.int64)
+                lower, upper = bounds
+                lo = np.minimum(lower, extents)
+                hi = np.maximum(np.minimum(upper + 1, extents), lo)
+                out[...] = self.batch_response_times(sat, lo, hi)
+
+        monkeypatch.setitem(
+            backend_registry._REGISTRY, WrappingWire.name, WrappingWire()
+        )
+        findings = check_backends(CONFIG)
+        assert findings
+        assert {f.file for f in findings} == {
+            "registry:backend:qa-wrapping-wire"
+        }
+        assert all("batch" in f.message for f in findings)

@@ -52,6 +52,43 @@ class TestFrameRoundTrip:
         assert header == {"error": "ServeError", "message": "boom"}
 
 
+class TestPreFramedBody:
+    @pytest.mark.parametrize("count", [0, 1, 7, 256, 12345])
+    def test_padded_header_parses_and_body_is_aligned(self, count):
+        frame, body = protocol.frame_with_int64_body(
+            protocol.RESPONSE_OK, {"count": count}, count
+        )
+        body[...] = np.arange(count, dtype=np.int64) * 3
+        (length,) = struct.unpack(">I", frame[:4])
+        _kind, header_len = struct.unpack(">BI", frame[4:9])
+        assert length == len(frame) - 4
+        assert (9 + header_len) % 8 == 0
+        assert body.ctypes.data % 8 == 0
+        kind, header, parsed = protocol.parse_payload(bytes(frame[4:]))
+        assert kind == protocol.RESPONSE_OK
+        assert header == {"count": count}
+        assert parsed == (np.arange(count, dtype=np.int64) * 3).tobytes()
+
+    def test_reply_reads_back_through_recv_frame(self):
+        frame, body = protocol.frame_with_int64_body(
+            protocol.RESPONSE_OK, {"count": 3, "note": "x" * 5}, 3
+        )
+        body[...] = (4, 5, 6)
+        left, right = socket.socketpair()
+        with left, right:
+            left.sendall(frame)
+            kind, header, parsed = protocol.recv_frame(right)
+        assert kind == protocol.RESPONSE_OK
+        assert header == {"count": 3, "note": "xxxxx"}
+        assert np.frombuffer(parsed, dtype=np.int64).tolist() == [4, 5, 6]
+
+    def test_oversized_body_is_rejected(self):
+        with pytest.raises(ProtocolError, match="exceeds"):
+            protocol.frame_with_int64_body(
+                protocol.RESPONSE_OK, {}, protocol.MAX_FRAME_BYTES // 8
+            )
+
+
 class TestParseRejections:
     def test_payload_shorter_than_fixed_part(self):
         with pytest.raises(ProtocolError, match="shorter"):

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.backends import available_backends, use_backend
 from repro.core.cache import global_cache
 from repro.core.cost import response_time
 from repro.core.exceptions import ProtocolError, ServeError
@@ -22,7 +23,7 @@ from repro.serve import protocol
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, parse_spec
 
-from tests.serve.conftest import DIMS, NUM_DISKS, SCHEME
+from tests.serve.conftest import DIMS, NUM_DISKS, SCHEME, ServerHarness
 
 
 def _random_batch(count=32, seed=0):
@@ -244,6 +245,89 @@ class TestAnsweredOnTheLoop:
             )
         names = [thread.name for thread in threading.enumerate()]
         assert not [n for n in names if n.startswith("serve-compute")]
+
+
+SERVED_BACKENDS = [backend.name for backend in available_backends()]
+INT64_MAX = np.iinfo(np.int64).max
+
+
+@pytest.fixture(params=SERVED_BACKENDS)
+def backend_harness(request, tmp_path):
+    """The in-process daemon with each available backend active."""
+    with use_backend(request.param):
+        harness = ServerHarness(tmp_path).start()
+        try:
+            yield harness
+        finally:
+            harness.stop()
+
+
+class TestOneBackendCall:
+    """A batch is one backend call from request body to reply body."""
+
+    def test_overhanging_rows_match_the_local_engine(self, backend_harness):
+        lower, upper = _random_batch(count=96, seed=51)
+        upper[::4] += 9  # past the grid
+        upper[1::4] = INT64_MAX
+        lower[2], upper[2] = (16, 3), (20, 3)  # wholly outside
+        with backend_harness.client() as client:
+            times, _shed = client.batch_response_times(
+                SCHEME, DIMS, NUM_DISKS, lower, upper
+            )
+            empty, _shed = client.batch_response_times(
+                SCHEME, DIMS, NUM_DISKS,
+                np.zeros((0, 2), np.int64), np.zeros((0, 2), np.int64),
+            )
+        assert times.tobytes() == _local_times(lower, upper).tobytes()
+        assert empty.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [([[-1, 0]], [[3, 3]]), ([[4, 2]], [[4, 1]])],
+        ids=["negative-lower", "inverted"],
+    )
+    def test_invalid_row_is_the_same_protocol_error(
+        self, backend_harness, lower, upper
+    ):
+        lower = np.array(lower, dtype=np.int64)
+        upper = np.array(upper, dtype=np.int64)
+        with backend_harness.client() as client:
+            with pytest.raises(ProtocolError) as info:
+                client.batch_response_times(
+                    SCHEME, DIMS, NUM_DISKS, lower, upper
+                )
+            assert client.ping()["version"] == protocol.PROTOCOL_VERSION
+        assert str(info.value) == (
+            "batch bounds must satisfy 0 <= lower <= upper"
+        )
+
+    def test_reply_body_starts_aligned_and_parses(self, backend_harness):
+        lower, upper = _random_batch(count=5, seed=52)
+        request = protocol.encode_frame(
+            protocol.REQUEST_BATCH_RT,
+            {"scheme": SCHEME, "dims": list(DIMS),
+             "num_disks": NUM_DISKS, "count": 5},
+            lower.tobytes() + upper.tobytes(),
+        )
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(30)
+            sock.connect(backend_harness.socket_path)
+            sock.sendall(request)
+            raw = b""
+            while len(raw) < 4 or len(raw) < 4 + struct.unpack(
+                ">I", raw[:4]
+            )[0]:
+                chunk = sock.recv(65536)
+                assert chunk
+                raw += chunk
+        kind, header_len = struct.unpack(">BI", raw[4:9])
+        body_start = 9 + header_len
+        assert kind == protocol.RESPONSE_OK
+        assert body_start % 8 == 0
+        assert len(raw) == body_start + 5 * 8
+        kind, header, body = protocol.parse_payload(raw[4:])
+        assert header == {"count": 5}
+        assert body == _local_times(lower, upper).tobytes()
 
 
 class TestErrorPaths:
