@@ -21,9 +21,9 @@ data pointer plus element strides, worked out once per table
 integers to functions whose ``argtypes`` are declared at load, so a
 call builds no ``ctypes`` pointer objects.  A served batch is one
 ``wire_rt`` call: it reads the inclusive bounds straight from the
-request body, checks and clips each row as it goes, writes the answers
-into the reply's body and shares its per-query corner loop with
-``batch_rt``.
+request body, checks and clips a block of rows at a time onto the
+stack, answers each block with ``batch_rt`` and writes the answers
+into the reply's body.
 
 The tile kernel builds the table the queries read.  numpy fills a tile
 in four passes over it (a one-hot ``np.equal``, then one ``cumsum``
@@ -93,60 +93,49 @@ _KERNEL_TEMPLATE = r"""
    the spatial corner `off`.  The M-long accumulator lives in
    caller-provided scratch (see aligned_acc), so there is no cap on M. */
 
-/* One query's response time from its clipped half-open bounds: the
-   2^k signed corner M-vectors summed into acc, then the busiest disk.
-   The sums run in the unsigned twin of the SAT dtype: partial sums may
-   wrap, the final count is exact because it fits the SAT dtype. */
-static inline int64_t query_rt_{suffix}(
-    const {ctype} *satT, const int64_t *strides,
-    int32_t num_disks, int32_t ndim,
-    const int64_t *qlo, const int64_t *qhi, {utype} *acc)
-{{
-    int32_t ncorners = 1 << ndim;
-    int64_t offs[1 << {max_ndim}];
-    int32_t signs[1 << {max_ndim}];
-    for (int32_t c = 0; c < ncorners; c++) {{
-        int64_t off = 0;
-        int32_t parity = 0;
-        for (int32_t a = 0; a < ndim; a++) {{
-            if ((c >> a) & 1) {{
-                off += qlo[a] * strides[a];
-                parity ^= 1;
-            }} else {{
-                off += qhi[a] * strides[a];
-            }}
-        }}
-        offs[c] = off;
-        signs[c] = parity ? -1 : 1;
-    }}
-    /* Corner 0 takes every high bound: the one added term to start. */
-    const {utype} *v0 = (const {utype} *)satT + offs[0];
-    for (int32_t m = 0; m < num_disks; m++) acc[m] = v0[m];
-    for (int32_t c = 1; c < ncorners; c++) {{
-        const {utype} *v = (const {utype} *)satT + offs[c];
-        if (signs[c] < 0) {{
-            for (int32_t m = 0; m < num_disks; m++) acc[m] -= v[m];
-        }} else {{
-            for (int32_t m = 0; m < num_disks; m++) acc[m] += v[m];
-        }}
-    }}
-    {ctype} best = ({ctype})acc[0];
-    for (int32_t m = 1; m < num_disks; m++)
-        if (({ctype})acc[m] > best) best = ({ctype})acc[m];
-    return best;
-}}
-
 void batch_rt_{suffix}(
     const {ctype} *satT, const int64_t *strides,
     int32_t num_disks, int32_t ndim,
     const int64_t *lo, const int64_t *hi, int64_t num_queries,
     int64_t *scratch, int64_t *out)
 {{
-    {utype} *acc = ({utype} *)aligned_acc(scratch);
-    for (int64_t q = 0; q < num_queries; q++)
-        out[q] = query_rt_{suffix}(
-            satT, strides, num_disks, ndim,
-            lo + (size_t)q * ndim, hi + (size_t)q * ndim, acc);
+    int64_t *acc = aligned_acc(scratch);
+    int32_t ncorners = 1 << ndim;
+    int64_t offs[1 << {max_ndim}];
+    int32_t signs[1 << {max_ndim}];
+    for (int64_t q = 0; q < num_queries; q++) {{
+        const int64_t *qlo = lo + (size_t)q * ndim;
+        const int64_t *qhi = hi + (size_t)q * ndim;
+        for (int32_t c = 0; c < ncorners; c++) {{
+            int64_t off = 0;
+            int32_t parity = 0;
+            for (int32_t a = 0; a < ndim; a++) {{
+                if ((c >> a) & 1) {{
+                    off += qlo[a] * strides[a];
+                    parity ^= 1;
+                }} else {{
+                    off += qhi[a] * strides[a];
+                }}
+            }}
+            offs[c] = off;
+            signs[c] = parity ? -1 : 1;
+        }}
+        for (int32_t m = 0; m < num_disks; m++) acc[m] = 0;
+        for (int32_t c = 0; c < ncorners; c++) {{
+            const {ctype} *v = satT + offs[c];
+            if (signs[c] < 0) {{
+                for (int32_t m = 0; m < num_disks; m++)
+                    acc[m] -= (int64_t)v[m];
+            }} else {{
+                for (int32_t m = 0; m < num_disks; m++)
+                    acc[m] += (int64_t)v[m];
+            }}
+        }}
+        int64_t best = acc[0];
+        for (int32_t m = 1; m < num_disks; m++)
+            if (acc[m] > best) best = acc[m];
+        out[q] = best;
+    }}
 }}
 
 /* A served batch straight from the request body: `bounds` holds the
@@ -154,8 +143,12 @@ void batch_rt_{suffix}(
    Each row is checked (0 <= lower <= upper) and clipped to the grid
    exactly as QueryBatch.clip does -- lo = min(lower, d), hi =
    max(min(upper, d - 1) + 1, lo), which cannot wrap at INT64_MAX --
-   then answered.  The grid extents follow the ndim strides.  Returns
-   0, or -1 at the first invalid row (`out` is then partly written). */
+   into a block of half-open bounds on the stack, and each block is
+   answered by batch_rt.  The grid extents follow the ndim strides.
+   Returns 0, or -1 at the first invalid row (`out` is then partly
+   written). */
+
+#define WIRE_BLOCK 32
 
 int32_t wire_rt_{suffix}(
     const {ctype} *satT, const int64_t *strides,
@@ -163,24 +156,28 @@ int32_t wire_rt_{suffix}(
     const int64_t *bounds, int64_t num_queries,
     int64_t *scratch, int64_t *out)
 {{
-    {utype} *acc = ({utype} *)aligned_acc(scratch);
     const int64_t *dims = strides + ndim;
     const int64_t *upper = bounds + (size_t)num_queries * ndim;
-    int64_t qlo[{max_ndim}];
-    int64_t qhi[{max_ndim}];
-    for (int64_t q = 0; q < num_queries; q++) {{
-        const int64_t *l = bounds + (size_t)q * ndim;
-        const int64_t *u = upper + (size_t)q * ndim;
-        for (int32_t a = 0; a < ndim; a++) {{
-            int64_t low = l[a], up = u[a], d = dims[a];
-            if (low < 0 || low > up) return -1;
-            int64_t lo = low < d ? low : d;
-            int64_t hi = (up < d - 1 ? up : d - 1) + 1;
-            qlo[a] = lo;
-            qhi[a] = hi > lo ? hi : lo;
+    int64_t lo[WIRE_BLOCK * {max_ndim}];
+    int64_t hi[WIRE_BLOCK * {max_ndim}];
+    for (int64_t start = 0; start < num_queries; start += WIRE_BLOCK) {{
+        int64_t count = num_queries - start;
+        if (count > WIRE_BLOCK) count = WIRE_BLOCK;
+        const int64_t *l = bounds + (size_t)start * ndim;
+        const int64_t *u = upper + (size_t)start * ndim;
+        for (int64_t i = 0; i < count * ndim; i += ndim) {{
+            for (int32_t a = 0; a < ndim; a++) {{
+                int64_t low = l[i + a], up = u[i + a], d = dims[a];
+                if (low < 0 || low > up) return -1;
+                int64_t qlo = low < d ? low : d;
+                int64_t qhi = (up < d - 1 ? up : d - 1) + 1;
+                lo[i + a] = qlo;
+                hi[i + a] = qhi > qlo ? qhi : qlo;
+            }}
         }}
-        out[q] = query_rt_{suffix}(
-            satT, strides, num_disks, ndim, qlo, qhi, acc);
+        batch_rt_{suffix}(
+            satT, strides, num_disks, ndim, lo, hi, count, scratch,
+            out + start);
     }}
     return 0;
 }}
@@ -411,7 +408,6 @@ def _kernel_source() -> str:
             _KERNEL_TEMPLATE.format(
                 suffix=suffix,
                 ctype=ctype,
-                utype="u" + ctype,
                 max_ndim=_MAX_NDIM,
             )
         )

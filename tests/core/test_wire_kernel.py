@@ -228,35 +228,3 @@ class TestEngine:
         for backend in BACKENDS:
             assert _answer(backend, engine.sat, bounds).tolist() == [256]
 
-
-class TestAccumulator:
-    def test_int32_partial_sums_wrap_but_answers_are_exact(self):
-        # The compiled batch kernels sum corners in the SAT dtype's
-        # unsigned twin.  Skew the table by +-2e9 on the leading axis's
-        # parity: the skew cancels in every query's inclusion-exclusion,
-        # but partial sums overflow int32 on the way.
-        grid = Grid((7, 6))
-        allocation = get_scheme("dm").allocate(grid, 3)
-        sat = SummedAreaTable.build(allocation)
-        offset = np.where(
-            np.arange(grid.dims[0] + 1) % 2 == 1, 2_000_000_000,
-            -2_000_000_000,
-        ).astype(np.int64)
-        skewed = SummedAreaTable(
-            (sat.array + offset[:, np.newaxis, np.newaxis]).astype(
-                np.int32
-            ),
-            grid,
-            3,
-        )
-        bounds = _wire_bounds(grid.dims, seed=21)
-        want = _scalar_times(allocation, bounds)
-        batch = QueryBatch.clip(bounds[0], bounds[1], grid.dims)
-        for backend in BACKENDS:
-            assert np.array_equal(
-                backend.batch_response_times(skewed, batch.lo, batch.hi),
-                want,
-            ), backend.name
-            assert np.array_equal(
-                _answer(backend, skewed, bounds), want
-            ), backend.name
