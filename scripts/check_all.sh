@@ -80,10 +80,12 @@ run_step "chaos smoke (I/O fault injection)" python scripts/smoke_chaos.py
 # Doctor sweep: whatever corrupt or stale SAT spills and kernel-cache
 # entries are left behind get classified and removed.
 run_step "doctor --gc" python -m repro doctor --gc
-# Serving smoke: boot the real `repro serve` daemon, check a batch
-# byte for byte, get a degraded_plan with offset=-1 answered, SIGTERM-
-# drain with exit 0, and prove the traffic in the metrics export (the
-# readiness ping, the batch and the plan: 3 requests on 2 connections).
+# Serving smoke: boot the real `repro serve` daemon, check three
+# batches byte for byte on one connection (two counts, one reply over
+# the client's 64 KiB receive buffer), get a degraded_plan with
+# offset=-1 answered, SIGTERM-drain with exit 0, and prove the traffic
+# in the metrics export (the readiness ping, the batches and the plan:
+# 5 requests on 2 connections).
 # It runs with a TMPDIR of its own, and a repro-smoke-serve-* directory
 # left there afterwards fails the step.
 serve_smoke() {
@@ -101,7 +103,7 @@ run_step "serve smoke (batch + degraded plan + drain, no temp leak)" \
 run_step "serve obs check (requests + connections counted)" \
     python scripts/check_obs_output.py --counters-only \
         "${serve_tmp}/metrics.json" \
-        --expect-counter serve.requests:3 \
+        --expect-counter serve.requests:5 \
         --expect-counter serve.connections:2
 rm -rf "${serve_tmp}"
 # The batch query engine must stay >=5x faster than the per-query loop;

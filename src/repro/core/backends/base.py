@@ -28,7 +28,8 @@ of silently running something else.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
+import functools
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -134,6 +135,22 @@ class KernelBackend(abc.ABC):
             raise QueryError(WIRE_BOUNDS_MESSAGE)
         batch = QueryBatch.clip(lower, upper, sat.dims)
         out[...] = self.batch_response_times(sat, batch.lo, batch.hi)
+
+    def wire_call(
+        self, sat: SummedAreaTable, bounds: np.ndarray, out: np.ndarray
+    ) -> Callable[[], None]:
+        """:meth:`wire_response_times` of ``bounds`` into ``out``, prepared.
+
+        Each call of the result answers what ``bounds`` holds at that
+        moment, so an owner that refills one ``bounds`` buffer (the
+        daemon's prepared batch) prepares once and calls once per
+        request.  The result may own scratch memory: call it from one
+        thread at a time, and prepare one per thread.  This default
+        binds the arguments; compiled backends resolve the kernel and
+        every address here, once.
+        """
+        check_wire_arrays(sat, bounds, out)
+        return functools.partial(self.wire_response_times, sat, bounds, out)
 
     # -- 2. sliding-window shape sweep ---------------------------------
 

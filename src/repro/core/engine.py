@@ -32,7 +32,14 @@ agreement as a contract (QA421/QA422) with brute-force
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Optional,
+    Sequence,
+    Union,
+)
 
 import numpy as np
 
@@ -241,6 +248,28 @@ class ResponseTimeEngine:
         """
         with trace("engine.batch_response_times", num_queries=len(out)):
             active_backend().wire_response_times(self._sat, bounds, out)
+
+    def wire_call(
+        self, bounds: np.ndarray, out: np.ndarray
+    ) -> Callable[[], None]:
+        """:meth:`wire_response_times` of ``bounds`` into ``out``, prepared.
+
+        Each call of the result answers what ``bounds`` holds at that
+        moment, under the same ``engine.batch_response_times`` span, so
+        the daemon prepares it once per connection and batch header
+        (:meth:`KernelBackend.wire_call
+        <repro.core.backends.base.KernelBackend.wire_call>`, on the
+        backend active now) and refills ``bounds`` per request.  Call
+        it from one thread at a time.
+        """
+        call = active_backend().wire_call(self._sat, bounds, out)
+        num_queries = len(out)
+
+        def answer() -> None:
+            with trace("engine.batch_response_times", num_queries=num_queries):
+                call()
+
+        return answer
 
     def batch_optimal(
         self, queries: Union[Iterable[RangeQuery], QueryBatch]

@@ -228,3 +228,151 @@ class TestEngine:
         for backend in BACKENDS:
             assert _answer(backend, engine.sat, bounds).tolist() == [256]
 
+
+
+class TestPreparedCall:
+    """``wire_call``: the served batch's call, prepared once per buffer."""
+
+    @pytest.mark.parametrize("backend", BACKEND_IDS)
+    def test_refilled_bounds_are_answered_on_every_call(self, backend):
+        grid = Grid((9, 6))
+        allocation = get_scheme("dm").allocate(grid, NUM_DISKS)
+        engine = ResponseTimeEngine(allocation)
+        bounds = np.empty((2, 60, 2), dtype=np.int64)
+        out = np.empty(60, dtype=np.int64)
+        with use_backend(backend):
+            answer = engine.wire_call(bounds, out)
+        for seed in range(4):
+            bounds[...] = _wire_bounds(grid.dims, seed=seed)
+            answer()
+            assert np.array_equal(out, _scalar_times(allocation, bounds))
+
+    @pytest.mark.parametrize("kind", ["int32", "int64", "mapped"])
+    def test_compiled_call_reads_every_table_layout(
+        self, kind, compiled_only, tmp_path
+    ):
+        dims = (5, 4, 6)
+        allocation = get_scheme("dm").allocate(Grid(dims), NUM_DISKS)
+        tables = _tables(allocation, tmp_path)
+        try:
+            bounds = _wire_bounds(dims, seed=21)
+            out = np.full(bounds.shape[1], -1, dtype=np.int64)
+            compiled_only.wire_call(tables[kind], bounds, out)()
+            assert np.array_equal(out, _scalar_times(allocation, bounds))
+        finally:
+            tables["mapped"].close()
+
+    @pytest.mark.parametrize("backend", BACKEND_IDS)
+    def test_bad_row_raises_and_the_next_call_answers(self, backend):
+        grid = Grid((9, 6))
+        allocation = get_scheme("dm").allocate(grid, NUM_DISKS)
+        sat = SummedAreaTable.build(allocation)
+        bounds = _wire_bounds(grid.dims, count=8, seed=3)
+        good = bounds.copy()
+        out = np.empty(8, dtype=np.int64)
+        answer = get_backend(backend).wire_call(sat, bounds, out)
+        bounds[0, 5, 1] = -1
+        with pytest.raises(QueryError, match=WIRE_BOUNDS_MESSAGE):
+            answer()
+        bounds[...] = good
+        answer()
+        assert np.array_equal(out, _scalar_times(allocation, good))
+
+    def test_unaligned_bounds_are_answered_through_a_copy(
+        self, compiled_only
+    ):
+        grid = Grid((9, 6))
+        allocation = get_scheme("dm").allocate(grid, NUM_DISKS)
+        sat = SummedAreaTable.build(allocation)
+        want = _wire_bounds(grid.dims, count=12, seed=4)
+        raw = np.zeros(want.nbytes + 1, dtype=np.uint8)
+        bounds = raw[1:].view(np.int64).reshape(want.shape)
+        assert not bounds.flags.aligned
+        bounds[...] = want
+        out = np.empty(12, dtype=np.int64)
+        # Copied per call by wire_response_times; the compiled kernel
+        # still answers it.
+        compiled_only.wire_call(sat, bounds, out)()
+        assert np.array_equal(out, _scalar_times(allocation, want))
+
+
+class TestConcurrentCalls:
+    """ctypes releases the GIL: concurrent calls must share no scratch."""
+
+    THREADS = 4
+    ROUNDS = 12
+
+    def _run(self, ask):
+        import sys
+        import threading
+
+        errors = []
+        barrier = threading.Barrier(self.THREADS)
+
+        def worker(index):
+            try:
+                barrier.wait(30)
+                ask(index)
+            except BaseException as exc:  # reported by the test thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(self.THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        if errors:
+            raise errors[0]
+
+    def _case(self):
+        grid = Grid((64, 64))
+        engine = ResponseTimeEngine(get_scheme("hcam").allocate(grid, 16))
+        batches = [
+            _wire_bounds(grid.dims, count=20000, seed=100 + i)
+            for i in range(self.THREADS)
+        ]
+        with use_backend("numpy"):
+            want = []
+            for bounds in batches:
+                out = np.empty(bounds.shape[1], dtype=np.int64)
+                engine.wire_response_times(bounds, out)
+                want.append(out)
+        return engine, batches, want
+
+    def test_threads_sharing_one_engine_get_the_reference(
+        self, compiled_only
+    ):
+        engine, batches, want = self._case()
+
+        def ask(index):
+            out = np.empty(len(want[index]), dtype=np.int64)
+            for _ in range(self.ROUNDS):
+                out[...] = -1
+                engine.wire_response_times(batches[index], out)
+                assert np.array_equal(out, want[index]), index
+
+        with use_backend("cnative"):
+            self._run(ask)
+
+    def test_threads_with_their_own_prepared_calls(self, compiled_only):
+        engine, batches, want = self._case()
+
+        def ask(index):
+            out = np.empty(len(want[index]), dtype=np.int64)
+            answer = engine.wire_call(batches[index], out)
+            for _ in range(self.ROUNDS):
+                out[...] = -1
+                answer()
+                assert np.array_equal(out, want[index]), index
+
+        with use_backend("cnative"):
+            self._run(ask)

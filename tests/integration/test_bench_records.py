@@ -74,3 +74,22 @@ def test_serve_record_has_the_keys_run_bench_writes(tmp_path):
     committed = json.loads(SERVE_RECORD.read_text())
     assert _key_tree(committed) == _key_tree(emitted)
     assert {"cpu_count", "python", "numpy"} <= set(committed["host"])
+
+
+BATCH_RECORD = BENCHMARKS / "results" / "BENCH_batch.json"
+
+
+def test_batch_record_has_the_keys_run_batch_bench_writes(bench_kernels):
+    emitted = bench_kernels.run_batch_bench(
+        num_queries=40, grids=((8, 8),), repetitions=2
+    )
+    committed = json.loads(BATCH_RECORD.read_text())
+    assert _key_tree(committed) == _key_tree(emitted)
+    assert [_key_tree(grid) for grid in committed["grids"]] == [
+        _key_tree(emitted["grids"][0])
+    ] * len(committed["grids"])
+
+
+def test_batch_record_names_its_host():
+    committed = json.loads(BATCH_RECORD.read_text())
+    assert {"cpu_count", "python", "numpy"} <= set(committed)
